@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
     const core::FlowResult mux = core::run_flow(inst.problem, frozen);
     // Batches/hold bounds are identical for both regimes; reuse them.
     const core::FlowResult aligned =
-        core::run_flow(inst.problem, base, mux.artifacts.get());
+        core::run_flow(inst.problem, base, mux.artifacts);
 
     table.add_row({
         spec.name,

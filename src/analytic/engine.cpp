@@ -6,7 +6,7 @@
 #include <map>
 #include <stdexcept>
 
-#include "core/yield.hpp"
+#include "core/difference_system.hpp"
 #include "parallel/deterministic_for.hpp"
 #include "stats/distributions.hpp"
 
@@ -14,7 +14,8 @@ namespace effitest::analytic {
 
 namespace {
 
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNegInf = -kInf;
 
 using timing::CanonicalDelay;
 
@@ -55,6 +56,17 @@ using timing::CanonicalDelay;
   const double theta = std::sqrt(theta2);
   if (theta < 1e-12) return f.mean > acc.mean ? 1.0 : 0.0;
   return stats::normal_cdf((f.mean - acc.mean) / theta);
+}
+
+/// Buffer range [l, u] per contracted-graph node (node 0 is pinned at 0).
+[[nodiscard]] std::pair<std::vector<double>, std::vector<double>> node_ranges(
+    const core::Problem& problem) {
+  std::vector<double> lo(problem.num_buffers() + 1, 0.0), up(lo);
+  for (std::size_t b = 0; b < problem.num_buffers(); ++b) {
+    lo[b + 1] = problem.buffers()[b].r;
+    up[b + 1] = problem.buffers()[b].r + problem.buffers()[b].tau;
+  }
+  return {std::move(lo), std::move(up)};
 }
 
 /// One merged delay edge of the contracted graph: dst node -> src node.
@@ -155,12 +167,7 @@ TunedPeriodAnalysis analyze_tuned_period(const core::Problem& problem,
                         ? options.max_cycle_edges
                         : static_cast<int>(n);
 
-  // Buffer ranges per node (node 0 is pinned at zero).
-  std::vector<double> lo(n, 0.0), up(n, 0.0);
-  for (std::size_t b = 0; b < nb; ++b) {
-    lo[b + 1] = problem.buffers()[b].r;
-    up[b + 1] = problem.buffers()[b].r + problem.buffers()[b].tau;
-  }
+  const auto [lo, up] = node_ranges(problem);
 
   // Untuned required period: statistical max over every monitored
   // near-critical form plus the promoted static background.
@@ -179,13 +186,14 @@ TunedPeriodAnalysis analyze_tuned_period(const core::Problem& problem,
   out.untuned = timing::statistical_max(untuned_forms);
   out.pair_criticality.assign(np, 0.0);
 
-  // Merge parallel pair edges per contracted-graph arc dst -> src.
-  std::map<std::pair<int, int>, Edge> edge_map;
+  // Merge parallel pair edges per contracted-graph arc dst -> src in a
+  // dense table, then keep the occupied cells in (from, to) order.
+  std::vector<Edge> edges(n * n);
   for (std::size_t p = 0; p < np; ++p) {
     const int from = problem.dst_buffer(p) + 1;  // -1 (unbuffered) -> node 0
     const int to = problem.src_buffer(p) + 1;
     const CanonicalDelay d = pair_form(model.pairs()[p]);
-    Edge& e = edge_map[{from, to}];
+    Edge& e = edges[static_cast<std::size_t>(from) * n + to];
     e.from = from;
     e.to = to;
     e.delay = e.init ? timing::canonical_max(e.delay, d) : d;
@@ -195,9 +203,7 @@ TunedPeriodAnalysis analyze_tuned_period(const core::Problem& problem,
       e.dominant_mean = d.mean;
     }
   }
-  std::vector<Edge> edges;
-  edges.reserve(edge_map.size());
-  for (auto& [key, e] : edge_map) edges.push_back(std::move(e));
+  std::erase_if(edges, [](const Edge& e) { return !e.init; });
 
   // Candidate cycles. The promoted static background contracts into a
   // node-0 self-loop with no slack: one merged candidate.
@@ -324,82 +330,65 @@ TunedPeriodAnalysis analyze_tuned_period(const core::Problem& problem,
 
 double min_feasible_period(const core::Problem& problem,
                            const timing::Chip& chip) {
-  const timing::CircuitModel& model = problem.model();
-  const std::size_t np = model.num_pairs();
-  const std::size_t nb = problem.num_buffers();
-  const std::size_t n = nb + 1;
+  const std::size_t np = problem.model().num_pairs();
+  const std::size_t n = problem.num_buffers() + 1;
+  const auto [lo_x, up_x] = node_ranges(problem);
 
-  std::vector<double> lo_x(n, 0.0), up_x(n, 0.0);
-  for (std::size_t b = 0; b < nb; ++b) {
-    lo_x[b + 1] = problem.buffers()[b].r;
-    up_x[b + 1] = problem.buffers()[b].r + problem.buffers()[b].tau;
-  }
-
-  // Merge parallel pair edges: only the largest sampled delay binds.
-  struct FlatEdge {
-    int from, to;
-    double delay;
-  };
-  std::vector<double> merged(n * n, kNegInf);
+  // Merge parallel pair edges: only the largest sampled delay binds
+  // (x_src - x_dst <= T - D, stored as the bound -D).
+  core::BoundTable table(n);
   for (std::size_t p = 0; p < np; ++p) {
-    const std::size_t from = static_cast<std::size_t>(problem.dst_buffer(p) + 1);
-    const std::size_t to = static_cast<std::size_t>(problem.src_buffer(p) + 1);
-    merged[from * n + to] = std::max(merged[from * n + to], chip.max_delay[p]);
+    table.tighten(problem.dst_buffer(p) + 1, problem.src_buffer(p) + 1,
+                  -chip.max_delay[p]);
   }
-  std::vector<FlatEdge> edges;
+  // Delay edges (weight T - D) first, then the range edges 0 -> b (u_b)
+  // and b -> 0 (-l_b).
+  core::DifferenceSystem system(n);
+  std::vector<double> delay;
   double lower = 0.0;
   for (const double d : chip.static_delay) lower = std::max(lower, d);
   for (std::size_t from = 0; from < n; ++from) {
     for (std::size_t to = 0; to < n; ++to) {
-      const double d = merged[from * n + to];
-      if (d == kNegInf) continue;
-      edges.push_back({static_cast<int>(from), static_cast<int>(to), d});
+      const double d = -table.hard[from * n + to];
+      if (d == -kInf) continue;
+      delay.push_back(d);
+      system.edges.push_back(
+          {static_cast<int>(from), static_cast<int>(to), 0.0});
       // Exact single-edge bound: the cycle src -> 0 -> dst -> src requires
       // T >= D + l_src - u_dst (zero slack on a self-loop).
       lower = std::max(lower, from == to ? d : d + lo_x[to] - up_x[from]);
     }
   }
-  if (edges.empty()) return lower;
-
-  // Feasible(T) <=> no negative cycle among delay edges (weight T - D) and
-  // range edges 0 -> b (u_b), b -> 0 (-l_b). All-zero initial distances act
-  // as a virtual source reaching every node.
-  std::vector<double> dist(n);
-  const auto feasible = [&](double T) {
-    std::fill(dist.begin(), dist.end(), 0.0);
-    for (std::size_t pass = 0; pass <= n; ++pass) {
-      bool relaxed = false;
-      for (const FlatEdge& e : edges) {
-        const double cand = dist[static_cast<std::size_t>(e.from)] + T - e.delay;
-        if (cand < dist[static_cast<std::size_t>(e.to)] - 1e-12) {
-          dist[static_cast<std::size_t>(e.to)] = cand;
-          relaxed = true;
-        }
-      }
-      for (std::size_t b = 1; b < n; ++b) {
-        if (dist[0] + up_x[b] < dist[b] - 1e-12) {
-          dist[b] = dist[0] + up_x[b];
-          relaxed = true;
-        }
-        if (dist[b] - lo_x[b] < dist[0] - 1e-12) {
-          dist[0] = dist[b] - lo_x[b];
-          relaxed = true;
-        }
-      }
-      if (!relaxed) return true;
-    }
-    return false;
-  };
-
-  double hi = std::max(core::untuned_required_period(problem, chip), lower);
-  if (feasible(lower)) return lower;
-  double lo = lower;
-  for (int it = 0;
-       it < 64 && hi - lo > 1e-9 * std::max(1.0, std::abs(hi)); ++it) {
-    const double mid = 0.5 * (lo + hi);
-    (feasible(mid) ? hi : lo) = mid;
+  if (delay.empty()) return lower;
+  for (int b = 1; b < static_cast<int>(n); ++b) {
+    system.edges.push_back({0, b, up_x[static_cast<std::size_t>(b)]});
+    system.edges.push_back({b, 0, -lo_x[static_cast<std::size_t>(b)]});
   }
-  return hi;
+
+  // Cycle-ratio iteration: while a negative cycle exists at T, raise T to
+  // that cycle's ratio (sum D - range slack) / #delay edges, the least T
+  // that clears it. Each solve runs a hair above T, so a cycle whose ratio
+  // is T itself (the one just cleared) cannot reappear as a rounding-
+  // negative witness: every witness raises T, and there are finitely many
+  // simple cycles. The answer is within that hair below the optimum.
+  double period = lower;
+  for (;;) {
+    const double probe = period + 1e-12 * std::max(1.0, std::abs(period));
+    for (std::size_t e = 0; e < delay.size(); ++e) {
+      system.edges[e].weight = probe - delay[e];
+    }
+    if (system.solve()) return period;
+    double sum = 0.0;
+    int k = 0;
+    for (const std::size_t e : system.witness()) {
+      const bool is_delay = e < delay.size();
+      sum += is_delay ? delay[e] : -system.edges[e].weight;
+      k += is_delay ? 1 : 0;
+    }
+    const double ratio = sum / k;
+    if (!(ratio > period)) return period;
+    period = ratio;
+  }
 }
 
 double McTunedPeriod::quantile(double q) const {

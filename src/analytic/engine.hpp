@@ -38,9 +38,10 @@
 // continuous buffer ranges (step quantization <= one step_size, identical on
 // both sides of the cross-validation), hold constraints ignored. The
 // `mc_tuned_period` reference computes the same quantity exactly per
-// sampled die (binary search on T + Bellman-Ford negative-cycle detection)
-// on the same per-chip streams the Monte-Carlo flow uses, which is what the
-// analytic-vs-MC cross-validation tests pin.
+// sampled die (a cycle-ratio iteration on the shared difference-constraint
+// kernel, core/difference_system.hpp) on the same per-chip streams the
+// Monte-Carlo flow uses, which is what the analytic-vs-MC cross-validation
+// tests pin.
 
 #include <cstddef>
 #include <cstdint>
@@ -127,10 +128,13 @@ struct McTunedPeriod {
   [[nodiscard]] double quantile(double q) const;
 };
 
-/// Exact minimal feasible period of one sampled die: binary search on T
-/// with Bellman-Ford negative-cycle detection over the contracted graph.
-/// Continuous buffer ranges, hold ignored — the same relaxation as
-/// analyze_tuned_period, so the two estimates converge as chips grow.
+/// Exact minimal feasible period of one sampled die: the maximum cycle
+/// ratio (sum D - range slack) / #delay edges of the contracted graph,
+/// floored by the static delays. Starting from the single-edge and static
+/// lower bound, each Bellman-Ford solve either proves T feasible or returns
+/// a negative cycle whose ratio becomes the next T. Continuous buffer
+/// ranges, hold ignored — the same relaxation as analyze_tuned_period, so
+/// the two estimates converge as chips grow.
 [[nodiscard]] double min_feasible_period(const core::Problem& problem,
                                          const timing::Chip& chip);
 

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <limits>
-#include <map>
 #include <stdexcept>
+
+#include "core/difference_system.hpp"
 
 namespace effitest::core {
 
@@ -13,180 +13,42 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Aggregated difference-constraint data in picoseconds.
-/// Effective bound at relaxation xi:  min(hard, soft + xi).
-struct Bound {
-  double hard = kInf;
-  double soft = kInf;
-  [[nodiscard]] double at(double xi) const {
-    return std::min(hard, soft + xi);
-  }
-  void tighten_hard(double v) { hard = std::min(hard, v); }
-  void tighten_soft(double v) { soft = std::min(soft, v); }
-};
-
-struct DiffProblem {
-  std::size_t nb = 0;
-  double step = 0.0;
-  std::vector<double> r;              // per buffer range start
-  int max_step = 0;
-  std::map<std::pair<int, int>, Bound> pair_upper;  // x_i - x_j <= bound
-  std::vector<Bound> var_upper;       // x_b <= bound
-  std::vector<Bound> var_lower_neg;   // -x_b <= bound  (i.e. x_b >= -bound)
-  double xi_floor = 0.0;
-  bool hard_infeasible = false;
-
-  explicit DiffProblem(const Problem& p) {
-    nb = p.num_buffers();
-    r.resize(nb);
-    step = p.buffers().empty() ? 1.0 : p.buffers()[0].step_size();
-    max_step = p.buffers().empty() ? 0 : p.buffers()[0].steps - 1;
-    for (std::size_t b = 0; b < nb; ++b) r[b] = p.buffers()[b].r;
-    var_upper.resize(nb);
-    var_lower_neg.resize(nb);
-  }
-
-  /// Add x_i - x_j <= c (buffer indices; -1 side contributes x = 0).
-  void add_upper(int i, int j, double c, bool soft) {
-    if (i >= 0 && j >= 0) {
-      if (i == j) {
-        if (soft) {
-          if (c < 0.0) xi_floor = std::max(xi_floor, -c);
-        } else if (c < 0.0) {
-          hard_infeasible = true;
-        }
-        return;
-      }
-      Bound& b = pair_upper[{i, j}];
-      soft ? b.tighten_soft(c) : b.tighten_hard(c);
-    } else if (i >= 0) {
-      Bound& b = var_upper[static_cast<std::size_t>(i)];
-      soft ? b.tighten_soft(c) : b.tighten_hard(c);
-    } else if (j >= 0) {
-      Bound& b = var_lower_neg[static_cast<std::size_t>(j)];
-      soft ? b.tighten_soft(c) : b.tighten_hard(c);
-    } else {
-      // Constant constraint 0 <= c.
-      if (soft) {
-        if (c < 0.0) xi_floor = std::max(xi_floor, -c);
-      } else if (c < -1e-12) {
-        hard_infeasible = true;
-      }
-    }
-  }
-};
-
-constexpr std::int64_t kNoEdge = std::numeric_limits<std::int64_t>::max() / 4;
-
-/// Bellman-Ford feasibility of the step-grid difference system at xi.
-/// On success fills `steps` with a feasible integer assignment.
-bool solve_at(const DiffProblem& dp, double xi, std::vector<int>& steps) {
-  const std::size_t n = dp.nb + 1;  // + ground node (index nb)
-  const std::size_t g = dp.nb;
-  std::vector<std::vector<std::int64_t>> w(n,
-                                           std::vector<std::int64_t>(n, kNoEdge));
-  const auto tighten = [&](std::size_t from, std::size_t to, double bound_ps,
-                           double offset_ps) {
-    // Encodes s_to - s_from <= floor((bound_ps + offset_ps) / step).
-    const double v = (bound_ps + offset_ps) / dp.step;
-    if (v >= 1e15) return;
-    if (v <= -1e15) {
-      w[from][to] = -kNoEdge;
-      return;
-    }
-    w[from][to] = std::min(w[from][to],
-                           static_cast<std::int64_t>(std::floor(v + 1e-9)));
-  };
-
-  for (std::size_t b = 0; b < dp.nb; ++b) {
-    // Range: 0 <= s_b <= max_step.
-    w[g][b] = dp.max_step;
-    w[b][g] = 0;
-    const Bound& ub = dp.var_upper[b];
-    if (ub.at(xi) < kInf) tighten(g, b, ub.at(xi), -dp.r[b]);
-    const Bound& lbn = dp.var_lower_neg[b];
-    // -x_b <= c  =>  s_g - s_b <= (c + r_b)/step.
-    if (lbn.at(xi) < kInf) tighten(b, g, lbn.at(xi), dp.r[b]);
-  }
-  for (const auto& [key, bound] : dp.pair_upper) {
-    const auto [i, j] = key;
-    const double c = bound.at(xi);
-    if (c >= kInf) continue;
-    // x_i - x_j <= c  =>  s_i - s_j <= (c - r_i + r_j)/step.
-    tighten(static_cast<std::size_t>(j), static_cast<std::size_t>(i), c,
-            -dp.r[static_cast<std::size_t>(i)] +
-                dp.r[static_cast<std::size_t>(j)]);
-  }
-
-  // Bellman-Ford from an implicit super-source (all distances start at 0).
-  std::vector<std::int64_t> dist(n, 0);
-  bool changed = true;
-  for (std::size_t round = 0; round < n && changed; ++round) {
-    changed = false;
-    for (std::size_t from = 0; from < n; ++from) {
-      for (std::size_t to = 0; to < n; ++to) {
-        const std::int64_t e = w[from][to];
-        if (e >= kNoEdge) continue;
-        if (e <= -kNoEdge) return false;  // encodes an impossible constraint
-        if (dist[from] + e < dist[to]) {
-          dist[to] = dist[from] + e;
-          changed = true;
-        }
-      }
-    }
-  }
-  if (changed) return false;  // negative cycle -> infeasible
-
-  steps.assign(dp.nb, 0);
-  for (std::size_t b = 0; b < dp.nb; ++b) {
-    const std::int64_t s = dist[b] - dist[g];
-    if (s < 0 || s > dp.max_step) return false;  // defensive; bounded by edges
-    steps[b] = static_cast<int>(s);
-  }
-  return true;
-}
-
-ConfigResult solve_difference(const DiffProblem& dp,
-                              std::span<const double> lower,
-                              std::span<const double> upper,
-                              const ConfigOptions& options) {
-  ConfigResult out;
-  if (dp.hard_infeasible) return out;
-
-  std::vector<int> steps;
-  if (solve_at(dp, dp.xi_floor, steps)) {
-    out.feasible = true;
-    out.steps = std::move(steps);
-    out.xi = dp.xi_floor;
-    return out;
-  }
-  // Find a feasible upper end for the bisection.
+/// Widest delay range u - l, at least 1 ps: past xi = span every soft
+/// bound is dominated by its hard one.
+double widest_range(std::span<const double> lower,
+                    std::span<const double> upper) {
   double span = 1.0;
   for (std::size_t p = 0; p < lower.size(); ++p) {
     span = std::max(span, upper[p] - lower[p]);
   }
-  double hi = dp.xi_floor + span + dp.step;
-  if (!solve_at(dp, hi, steps)) {
-    // One more relaxation attempt before declaring the chip unconfigurable:
-    // soft constraints are dominated by hard ones beyond xi = span, so this
-    // is genuinely infeasible.
-    return out;
-  }
-  double lo = dp.xi_floor;
-  while (hi - lo > options.xi_tolerance_ps) {
-    const double mid = 0.5 * (lo + hi);
-    if (solve_at(dp, mid, steps)) {
-      hi = mid;
-    } else {
-      lo = mid;
-    }
-  }
-  if (!solve_at(dp, hi, steps)) return out;
-  out.feasible = true;
-  out.steps = std::move(steps);
-  out.xi = hi;
-  return out;
+  return span;
 }
+
+/// The one expression that puts a bound in ps onto the step grid:
+/// s_to - s_from <= floor((bound + offset) / step).
+double on_grid(double bound_ps, double offset_ps, double step) {
+  return std::floor((bound_ps + offset_ps) / step + 1e-9);
+}
+
+/// One merged step-grid edge: weight(xi) = min(hard, on_grid(soft + xi)).
+struct GridEdge {
+  double hard = kInf;   ///< floored hard bound and range cap, in steps
+  double soft = kInf;   ///< soft bound, ps (relaxed by xi)
+  double offset = 0.0;  ///< r_from - r_to, ps
+
+  [[nodiscard]] double weight(double xi, double step) const {
+    return std::min(hard, on_grid(soft + xi, offset, step));
+  }
+  /// The smallest xi at which the soft weight reaches k (to a few ulps of
+  /// the bounds), from the same on_grid expression weight() evaluates.
+  [[nodiscard]] double breakpoint(double k, double step) const {
+    double xi = (k - 1e-9) * step - offset - soft;
+    const double ulp =
+        0x1p-50 * (std::abs(soft) + std::abs(offset) + std::abs(xi) + step);
+    while (on_grid(soft + xi, offset, step) < k) xi += ulp;
+    return xi;
+  }
+};
 
 ConfigResult solve_milp(const Problem& problem, double td,
                         std::span<const double> lower,
@@ -201,11 +63,8 @@ ConfigResult solve_milp(const Problem& problem, double td,
         0.0, static_cast<double>(problem.buffers()[b].steps - 1), 0.0,
         "s" + std::to_string(b));
   }
-  double span = 1.0;
-  for (std::size_t p = 0; p < lower.size(); ++p) {
-    span = std::max(span, upper[p] - lower[p]);
-  }
-  const int xi_var = model.add_continuous(0.0, 2.0 * span + 10.0, 1.0, "xi");
+  const int xi_var = model.add_continuous(
+      0.0, 2.0 * widest_range(lower, upper) + 10.0, 1.0, "xi");
 
   const auto x_terms = [&](int buf, double sign, std::vector<lp::Term>& terms,
                            double& constant) {
@@ -262,35 +121,114 @@ ConfigResult configure_buffers(const Problem& problem, double designated_period,
   if (lower.size() != np || upper.size() != np) {
     throw std::invalid_argument("configure_buffers: bounds size mismatch");
   }
-  // Uniform step grids are required for the difference-constraint solver;
-  // the Problem factory guarantees this, but fall back to the MILP if a
-  // caller built heterogeneous buffers.
-  bool uniform = true;
-  for (std::size_t b = 1; b < problem.num_buffers(); ++b) {
-    if (std::abs(problem.buffers()[b].step_size() -
-                 problem.buffers()[0].step_size()) > 1e-9) {
-      uniform = false;
-      break;
+  const std::size_t nb = problem.num_buffers();
+  for (const HoldConstraintX& h : hold) {
+    if (std::min(h.src_buf, h.dst_buf) < -1 ||
+        std::max(h.src_buf, h.dst_buf) >= static_cast<int>(nb)) {
+      throw std::invalid_argument("configure_buffers: hold buffer index");
     }
   }
-  if (options.method == ConfigOptions::Method::kMilp || !uniform) {
+  if (options.method == ConfigOptions::Method::kMilp) {
     return solve_milp(problem, designated_period, lower, upper, hold, options);
   }
 
-  DiffProblem dp(problem);
+  // Merge x_i - x_j <= c into the edge node(j) -> node(i) (node 0 = ground,
+  // node b + 1 = buffer b). Constant and self constraints never reach the
+  // graph: a soft one raises the xi floor, a violated hard one is fatal.
+  const std::size_t n = nb + 1;
+  BoundTable table(n);
+  double xi_floor = 0.0;
+  bool hard_infeasible = false;
+  const auto add_upper = [&](int i, int j, double c, bool soft) {
+    if (i != j) {
+      table.tighten(j + 1, i + 1, c, soft);
+    } else if (soft) {
+      xi_floor = std::max(xi_floor, -c);
+    } else if (c < (i < 0 ? -1e-12 : 0.0)) {
+      hard_infeasible = true;
+    }
+  };
   for (std::size_t p = 0; p < np; ++p) {
     const int i = problem.src_buffer(p);
     const int j = problem.dst_buffer(p);
     // Hard: x_i - x_j <= td - l (keeps D' >= l feasible).
-    dp.add_upper(i, j, designated_period - lower[p], /*soft=*/false);
+    add_upper(i, j, designated_period - lower[p], /*soft=*/false);
     // Soft: x_i - x_j <= td - u + xi.
-    dp.add_upper(i, j, designated_period - upper[p], /*soft=*/true);
+    add_upper(i, j, designated_period - upper[p], /*soft=*/true);
   }
   for (const HoldConstraintX& h : hold) {
     // x_i - x_j >= lambda  =>  x_j - x_i <= -lambda.
-    dp.add_upper(h.dst_buf, h.src_buf, -h.lambda, /*soft=*/false);
+    add_upper(h.dst_buf, h.src_buf, -h.lambda, /*soft=*/false);
   }
-  return solve_difference(dp, lower, upper, options);
+  ConfigResult out;
+  if (hard_infeasible) return out;
+
+  // Every buffer shares one grid (Problem's only constructor): x_b =
+  // r_b + step * s_b with 0 <= s_b <= max_step, the range caps on the
+  // ground edges.
+  const double step = nb == 0 ? 1.0 : problem.buffers()[0].step_size();
+  const double max_step = nb == 0 ? 0.0 : problem.buffers()[0].steps - 1;
+  const auto r = [&](std::size_t node) {
+    return node == 0 ? 0.0 : problem.buffers()[node - 1].r;
+  };
+  DifferenceSystem system(n);
+  std::vector<GridEdge> grid;
+  for (std::size_t from = 0; from < n; ++from) {
+    for (std::size_t to = 0; to < n; ++to) {
+      if (from == to) continue;
+      const double cap = from == 0 ? max_step : to == 0 ? 0.0 : kInf;
+      const double offset = -r(to) + r(from);
+      const std::size_t cell = from * n + to;
+      const GridEdge e{std::min(cap, on_grid(table.hard[cell], offset, step)),
+                       table.soft[cell], offset};
+      if (e.hard == kInf && e.soft == kInf) continue;
+      if (std::min(e.hard, e.soft) == -kInf) return out;  // impossible bound
+      grid.push_back(e);
+      system.edges.push_back(
+          {static_cast<int>(from), static_cast<int>(to), 0.0});
+    }
+  }
+  // Only the soft weights change between solves.
+  const auto solve_at = [&](double xi) {
+    for (std::size_t e = 0; e < grid.size(); ++e) {
+      system.edges[e].weight = grid[e].weight(xi, step);
+    }
+    return system.solve();
+  };
+  const auto accept = [&](double xi) {
+    const std::vector<double>& d = system.potentials();
+    out.feasible = true;
+    out.xi = xi;
+    out.steps.resize(nb);
+    for (std::size_t b = 0; b < nb; ++b) {
+      out.steps[b] = static_cast<int>(d[b + 1] - d[0]);
+    }
+    return out;
+  };
+  if (solve_at(xi_floor)) return accept(xi_floor);
+
+  // A floored soft weight changes only at finitely many xi; feasibility
+  // is monotone in xi, so the optimum is the first feasible one of them.
+  // The upper end needs one step of slack past the widest range.
+  const double xi_hi = xi_floor + widest_range(lower, upper) + step;
+  std::vector<double> breakpoints;
+  for (const GridEdge& e : grid) {
+    if (e.soft == kInf) continue;
+    const double top = e.weight(xi_hi, step);
+    for (double k = e.weight(xi_floor, step) + 1.0; k <= top; ++k) {
+      breakpoints.push_back(e.breakpoint(k, step));
+    }
+  }
+  std::sort(breakpoints.begin(), breakpoints.end());
+  breakpoints.erase(std::unique(breakpoints.begin(), breakpoints.end()),
+                    breakpoints.end());
+  // The weights at the last breakpoint are those at xi_hi.
+  if (breakpoints.empty() || !solve_at(breakpoints.back())) return out;
+  const double xi = *std::partition_point(
+      breakpoints.begin(), breakpoints.end() - 1,
+      [&](double x) { return !solve_at(x); });
+  solve_at(xi);
+  return accept(xi);
 }
 
 ConfigResult configure_ideal(const Problem& problem, double designated_period,
@@ -300,22 +238,10 @@ ConfigResult configure_ideal(const Problem& problem, double designated_period,
   const std::size_t np = model.num_pairs();
   const double h = model.hold_time();
   // Perfect measurement: l = u = true delay; hold bounds from true margins.
-  std::map<std::pair<int, int>, double> hold_merged;
+  std::vector<HoldConstraintX> hold(np);
   for (std::size_t p = 0; p < np; ++p) {
-    const int i = problem.src_buffer(p);
-    const int j = problem.dst_buffer(p);
-    const double margin = h - chip.min_delay[p];
-    const auto key = std::make_pair(i, j);
-    const auto it = hold_merged.find(key);
-    if (it == hold_merged.end()) {
-      hold_merged.emplace(key, margin);
-    } else {
-      it->second = std::max(it->second, margin);
-    }
-  }
-  std::vector<HoldConstraintX> hold;
-  for (const auto& [key, lam] : hold_merged) {
-    hold.push_back(HoldConstraintX{key.first, key.second, lam});
+    hold[p] = {problem.src_buffer(p), problem.dst_buffer(p),
+               h - chip.min_delay[p]};
   }
   return configure_buffers(problem, designated_period, chip.max_delay,
                            chip.max_delay, hold, options);

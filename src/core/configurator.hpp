@@ -15,11 +15,12 @@
 //   soft:  x_i - x_j <= T_d - u_ij + xi
 //   hold:  x_i - x_j >= lambda_ij
 //   range: r <= x <= r + tau, x on the step grid.
-// Feasibility for fixed xi is Bellman-Ford negative-cycle detection — the
-// same machinery as classic clock-skew scheduling (Fishburn) — and xi is
-// minimized by bisection. All constraint constants are floored onto the step
-// grid, which is the conservative direction, and integer arithmetic makes
-// the discrete solution exact.
+// Each constraint is floored onto the step grid (floor(v + 1e-9) steps), so
+// the integer assignment satisfies it exactly. Feasibility for fixed xi is
+// Bellman-Ford negative-cycle detection on the shared kernel
+// (core/difference_system.hpp). A floored soft weight changes only at
+// finitely many xi, and the optimum is the first feasible one of them, so
+// xi is the exact minimum over the step grid.
 //
 // A literal MILP of eqs. 15-18 (+21) is provided for cross-validation.
 
@@ -37,7 +38,6 @@ namespace effitest::core {
 struct ConfigOptions {
   enum class Method : std::uint8_t { kDifferenceConstraints, kMilp };
   Method method = Method::kDifferenceConstraints;
-  double xi_tolerance_ps = 0.01;  ///< bisection resolution on xi
   lp::SolveOptions lp{};
 };
 
@@ -48,7 +48,8 @@ struct ConfigResult {
 };
 
 /// Solve eqs. 15-18 (+ hold eq. 21) for the given designated period and
-/// delay ranges (indexed by monitored-pair id).
+/// delay ranges (indexed by monitored-pair id). Throws std::invalid_argument
+/// on a bounds size mismatch or a hold buffer index outside [-1, nb).
 [[nodiscard]] ConfigResult configure_buffers(
     const Problem& problem, double designated_period,
     std::span<const double> lower, std::span<const double> upper,

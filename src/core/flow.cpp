@@ -129,16 +129,6 @@ FlowArtifacts prepare_flow(const Problem& problem, const FlowOptions& options,
 }
 
 FlowResult run_flow(const Problem& problem, const FlowOptions& options,
-                    const FlowArtifacts* reuse) {
-  // The raw-pointer reuse form keeps its historical value-copy semantics;
-  // the shared_ptr overload below aliases instead.
-  return run_flow(problem, options,
-                  reuse != nullptr
-                      ? std::make_shared<const FlowArtifacts>(*reuse)
-                      : std::shared_ptr<const FlowArtifacts>());
-}
-
-FlowResult run_flow(const Problem& problem, const FlowOptions& options,
                     std::shared_ptr<const FlowArtifacts> reuse) {
   FlowResult out;
   FlowMetrics& m = out.metrics;

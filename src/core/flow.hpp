@@ -117,7 +117,7 @@ struct FlowResult {
   /// The offline artifacts the run used — shared with (not copied out of)
   /// the TunerService that owned them, never null after run_flow. Reusing
   /// them for a T_d sweep needs no copy (`run_flow(p, o,
-  /// result.artifacts.get())`); copy `*artifacts` to mutate.
+  /// result.artifacts)`); copy `*artifacts` to mutate.
   std::shared_ptr<const FlowArtifacts> artifacts;
 };
 
@@ -134,16 +134,12 @@ struct FlowResult {
 /// (tests/integration/golden_metrics_test.cpp).
 /// `reuse` skips the offline preparation with previously prepared
 /// artifacts (legal because they do not depend on the designated period —
-/// useful when sweeping T_d over the same circuit, e.g. Table 2). The raw
-/// pointer form value-copies them into the run's service; the shared_ptr
-/// overload aliases without copying (the campaign fast path — pass
-/// `result.artifacts` from an earlier run; null prepares fresh).
-[[nodiscard]] FlowResult run_flow(const Problem& problem,
-                                  const FlowOptions& options = {},
-                                  const FlowArtifacts* reuse = nullptr);
-[[nodiscard]] FlowResult run_flow(const Problem& problem,
-                                  const FlowOptions& options,
-                                  std::shared_ptr<const FlowArtifacts> reuse);
+/// useful when sweeping T_d over the same circuit, e.g. Table 2). They are
+/// aliased, not copied (the campaign fast path — pass `result.artifacts`
+/// from an earlier run; null prepares fresh).
+[[nodiscard]] FlowResult run_flow(
+    const Problem& problem, const FlowOptions& options = {},
+    std::shared_ptr<const FlowArtifacts> reuse = nullptr);
 
 /// Calibrated epsilon: 6 * median path sigma / 2^8.5 (see DESIGN.md).
 [[nodiscard]] double calibrated_epsilon(const Problem& problem);

@@ -180,13 +180,6 @@ ChipReport&& TuningSession::take_report() {
   return std::move(report_);
 }
 
-TunerService::TunerService(const Problem& problem, const FlowOptions& options,
-                           const FlowArtifacts* reuse)
-    : TunerService(problem, options,
-                   reuse != nullptr
-                       ? std::make_shared<const FlowArtifacts>(*reuse)
-                       : std::shared_ptr<const FlowArtifacts>()) {}
-
 namespace {
 const Problem& checked_problem(
     const std::shared_ptr<const scenario::PreparedCircuit>& circuit) {

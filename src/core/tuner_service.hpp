@@ -176,20 +176,15 @@ class TuningSession {
 /// for bit. Immutable after construction; share freely across threads.
 class TunerService {
  public:
-  /// Prepare from scratch, or adopt previously prepared artifacts
-  /// (`reuse`, the T_d-sweep pattern — the unconditional hold fork is
-  /// still taken so downstream streams match a fresh prepare). A raw
-  /// `reuse` pointer is value-copied (the service must own its shared
-  /// state); pass a shared_ptr to alias instead.
-  explicit TunerService(const Problem& problem, const FlowOptions& options,
-                        const FlowArtifacts* reuse = nullptr);
-
-  /// Adopt already-shared artifacts WITHOUT copying — the same aliasing
-  /// contract as the cached PredictionGain (campaign jobs and T_d sweeps
-  /// share one artifact object across every service built on it). A null
-  /// pointer prepares from scratch.
-  TunerService(const Problem& problem, const FlowOptions& options,
-               std::shared_ptr<const FlowArtifacts> artifacts);
+  /// Prepare from scratch (null `artifacts`), or adopt previously prepared
+  /// artifacts WITHOUT copying (the T_d-sweep pattern — the unconditional
+  /// hold fork is still taken so downstream streams match a fresh
+  /// prepare). The same aliasing contract as the cached PredictionGain:
+  /// campaign jobs and T_d sweeps share one artifact object across every
+  /// service built on it.
+  explicit TunerService(
+      const Problem& problem, const FlowOptions& options,
+      std::shared_ptr<const FlowArtifacts> artifacts = nullptr);
 
   /// Provision from a catalog-resolved circuit
   /// (scenario::CircuitCatalog::resolve): the service shares ownership of

@@ -140,10 +140,8 @@ TEST(Configurator, MilpAgreesWithDifferenceConstraints) {
         configure_buffers(f.problem, td, lower, upper, {}, milp_opts);
     EXPECT_EQ(a.feasible, b.feasible) << "td offset " << td_offset;
     if (a.feasible && b.feasible) {
-      // Same optimum up to the grid-floor conservatism of the
-      // difference-constraint path (at most one step).
-      EXPECT_NEAR(a.xi, b.xi, f.problem.buffers()[0].step_size() + 0.05)
-          << "td offset " << td_offset;
+      // Same optimum: the difference-constraint xi is exact on the grid.
+      EXPECT_NEAR(a.xi, b.xi, 1e-6) << "td offset " << td_offset;
     }
   }
 }
@@ -153,6 +151,15 @@ TEST(Configurator, BoundsSizeValidated) {
   const std::vector<double> wrong{1.0};
   EXPECT_THROW(configure_buffers(f.problem, 100.0, wrong, wrong, {}),
                std::invalid_argument);
+  // Hold buffer indices must lie in [-1, nb).
+  const auto means = f.model.max_means();
+  const int nb = static_cast<int>(f.problem.num_buffers());
+  for (const HoldConstraintX bad : {HoldConstraintX{nb, 0, 1.0},
+                                    HoldConstraintX{0, -2, 1.0}}) {
+    const std::vector<HoldConstraintX> hold{bad};
+    EXPECT_THROW(configure_buffers(f.problem, 100.0, means, means, hold),
+                 std::invalid_argument);
+  }
 }
 
 TEST(ConfigureIdeal, FeasibleImpliesChipPasses) {

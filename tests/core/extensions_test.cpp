@@ -110,7 +110,7 @@ TEST(Exclusions, FlowSeparatesExcludedPaths) {
 }
 
 /// Brute-force optimum of eqs. 15-18 over the full discrete step grid for a
-/// 2-buffer problem: the configurator must match it within one grid step.
+/// 2-buffer problem: the configurator's xi must match it exactly.
 TEST(ConfiguratorBruteForce, MatchesExhaustiveOptimum) {
   Fixture f;
   ASSERT_EQ(f.problem.num_buffers(), 2u);
@@ -152,9 +152,7 @@ TEST(ConfiguratorBruteForce, MatchesExhaustiveOptimum) {
       EXPECT_FALSE(r.feasible) << "offset " << offset;
     } else {
       ASSERT_TRUE(r.feasible) << "offset " << offset;
-      EXPECT_NEAR(r.xi, best_xi,
-                  f.problem.buffers()[0].step_size() + 0.05)
-          << "offset " << offset;
+      EXPECT_NEAR(r.xi, best_xi, 1e-6) << "offset " << offset;
     }
   }
 }

@@ -81,7 +81,7 @@ TEST(FlowReuse, SweepingDesignatedPeriodMatchesFreshPrepare) {
     FlowOptions opts = base;
     opts.designated_period = scale * t1;
     const FlowResult fresh = run_flow(problem, opts);
-    const FlowResult reused = run_flow(problem, opts, prepared.get());
+    const FlowResult reused = run_flow(problem, opts, prepared);
     SCOPED_TRACE("T_d scale " + std::to_string(scale));
     expect_same_outcome(fresh, reused);
   }

@@ -168,7 +168,7 @@ TEST(RunFlow, ArtifactReuseReproducesResults) {
   opts.chips = 25;
   opts.seed = 12;
   const FlowResult fresh = run_flow(f.problem, opts);
-  const FlowResult reused = run_flow(f.problem, opts, fresh.artifacts.get());
+  const FlowResult reused = run_flow(f.problem, opts, fresh.artifacts);
   EXPECT_DOUBLE_EQ(reused.metrics.ta, fresh.metrics.ta);
   EXPECT_DOUBLE_EQ(reused.metrics.yield_proposed,
                    fresh.metrics.yield_proposed);

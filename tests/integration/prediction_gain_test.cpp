@@ -118,7 +118,7 @@ TEST(PredictionGain, CachedFlowMetricsMatchRebuiltFlowMetrics) {
   opts.chips = 60;
   opts.seed = 7;
   const FlowResult fresh = run_flow(f.problem, opts);
-  const FlowResult cached = run_flow(f.problem, opts, fresh.artifacts.get());
+  const FlowResult cached = run_flow(f.problem, opts, fresh.artifacts);
   expect_metrics_identical(fresh.metrics, cached.metrics);
 
   // The reused artifacts alias the same gain object — reuse shares, it does

@@ -229,26 +229,19 @@ TEST(TuningSession, ReuseServiceMatchesFreshService) {
   FlowOptions opts;
   opts.seed = 15;
   const TunerService fresh(f.problem, opts);
-  const TunerService adopted(f.problem, opts, &fresh.artifacts());
-  EXPECT_EQ(fresh.monte_carlo_seed_base(), adopted.monte_carlo_seed_base());
+  const TunerService aliased(f.problem, opts, fresh.shared_artifacts());
+  EXPECT_EQ(fresh.monte_carlo_seed_base(), aliased.monte_carlo_seed_base());
 
   stats::Rng rng(parallel::index_seed(fresh.monte_carlo_seed_base(), 5));
   const timing::Chip die = f.model.sample_chip(rng);
   SimulatedChip tester(f.problem, die);
   TuningSession a = fresh.begin_chip();
   a.drive(tester);
-  TuningSession b = adopted.begin_chip();
+  TuningSession b = aliased.begin_chip();
   b.drive(tester);
   expect_reports_equal(a.report(), b.report());
-  // The adopted artifacts alias the cached prediction gain, not a copy.
-  if (fresh.artifacts().predictor) {
-    EXPECT_EQ(fresh.artifacts().predictor->shared_gain().get(),
-              adopted.artifacts().predictor->shared_gain().get());
-  }
-
-  // The shared_ptr overload goes further: the whole artifact object is
-  // aliased, not copied (the campaign fast path).
-  const TunerService aliased(f.problem, opts, fresh.shared_artifacts());
+  // The whole artifact object is aliased, not copied (the campaign fast
+  // path).
   EXPECT_EQ(aliased.shared_artifacts().get(), fresh.shared_artifacts().get());
 }
 

@@ -1,31 +1,20 @@
 // effitest_cli — command-line front end for the EffiTest library.
 //
-// Subcommands:
-//   help      [command]
-//             Print usage (for one command or all of them).
-//   generate  --circuit=<paper name> [--out=file.bench] [--seed=S]
-//             Generate a clustered benchmark circuit (Table-1 statistics)
+// Subcommands (`effitest_cli help [command]` prints each one's options
+// from the CommandSpec table that also validates them):
+//   help      Print usage (for one command or all of them).
+//   generate  Generate a clustered benchmark circuit (Table-1 statistics)
 //             and optionally export it as ISCAS89 .bench with placement.
-//   info      --bench=file.bench | --circuit=<name>
-//             Print structural and timing statistics.
-//   ssta      --bench=... | --circuit=... [--chips=N] [--threads=N]
-//             [--tuned] [--criticality] [--json=file]
-//             Analytic (Clark) vs Monte-Carlo untuned-period distribution.
+//   info      Print structural and timing statistics.
+//   ssta      Analytic (Clark) vs Monte-Carlo untuned-period distribution.
 //             --tuned adds the post-tuning analysis (src/analytic/):
 //             analytic tuned-period mean/sigma/quantiles against the exact
 //             per-die Monte-Carlo reference, with wall-clock for both.
 //             --criticality (implies --tuned) also ranks register pairs by
 //             their probability of limiting the tuned period. --json writes
 //             the numbers as effitest-bench-v1 records.
-//   run       --bench=... [--buffers=N] [--policy=p] | --circuit=<name>
-//             [--chips=N] [--td=ps] [--quantile=q] [--no-prediction]
-//             [--no-alignment] [--seed=S] [--threads=N] [--json=file]
-//             Run the full EffiTest flow and print the metrics.
-//   campaign  --spec=file.json | [--circuits=a,b,...]
-//             [--quantiles=q1,q2,...] [--chips=N] [--seed=S] [--threads=N]
-//             [--inflation=k] [--json=file] [--checkpoint=file [--resume]]
-//             [--stop-after=K]
-//             Fan whole-circuit / T_d-sweep jobs out across all cores with
+//   run       Run the full EffiTest flow and print the metrics.
+//   campaign  Fan whole-circuit / T_d-sweep jobs out across all cores with
 //             FlowArtifacts reuse (Table 1/2-style multi-circuit runs from
 //             one invocation). With --spec, circuits/quantiles/periods and
 //             flow knobs come from a declarative scenario JSON
@@ -40,12 +29,8 @@
 //             --stop-after=K stops cleanly after K pending jobs (exit 3
 //             when jobs remain), which makes kill/resume testable at
 //             every job boundary.
-//   circuits  [--spec=file.json]
-//             List the circuit catalog (paper registry, or the spec's).
-//   tune      --bench=... [--buffers=N] | --circuit=<name>
-//             [--chips=N] [--seed=S] [--td=ps] [--quantile=q] [--threads=N]
-//             [--simulate] [--lenient] [--log=file] [--responses=file]
-//             Stream per-chip TuningSessions over the line-oriented
+//   circuits  List the circuit catalog (paper registry, or the spec's).
+//   tune      Stream per-chip TuningSessions over the line-oriented
 //             stimulus/response protocol (src/io/tune_protocol.hpp):
 //             stimuli on stdout, responses from stdin — or from a replayed
 //             (possibly shuffled) --responses log, or self-answered with
@@ -59,11 +44,7 @@
 //             stimuli over TCP; the report lines are byte-identical to a
 //             local --simulate run. td/quantile/seed/threads are
 //             server-side decisions and are rejected in --connect mode.
-//   serve     --bench=... | --circuit=<name> [--td/--quantile/--seed/...]
-//             [--host=H] [--port=P] [--workers=N] [--max-pending=N]
-//             [--window=W] [--max-chips=N] [--max-sessions=N]
-//             [--io-timeout=S] [--status-port=P]
-//             TCP serve mode (src/net/serve.hpp): prepare the circuit
+//   serve     TCP serve mode (src/net/serve.hpp): prepare the circuit
 //             once, then multiplex any number of concurrent chip-tuning
 //             sessions — each a `hello effitest-tune-v1 chips=<n>`
 //             connection speaking the tune protocol — across a bounded
@@ -74,12 +55,7 @@
 //             --status-port binds an extra plaintext endpoint (0 =
 //             ephemeral, announced as `status on <host>:<port>`) where any
 //             connection receives the live effitest-status-v1 JSON line.
-//   balance   --workers=host:port,... and/or --spawn=N
-//             [--circuit/--bench/... forwarded to spawned workers]
-//             [--host=H] [--port=P] [--relay-workers=N] [--max-pending=N]
-//             [--max-sessions=N] [--retries=N] [--io-timeout=S]
-//             [--status-port=P] [--probe-interval=S]
-//             Front balancer for a multi-process tuning fleet
+//   balance   Front balancer for a multi-process tuning fleet
 //             (src/fleet/): accept tester connections on one port and
 //             route each session to the least-loaded live worker.
 //             --workers lists externally-managed serve processes;
@@ -94,8 +70,7 @@
 //             re-attach attempts. Prints `balancing on <host>:<port>`
 //             when ready; SIGTERM/SIGINT drain gracefully (finish every
 //             in-flight session, then SIGTERM the spawned workers).
-//   status    --connect=host:port [--format=json|prometheus]
-//             Poll a serve or balance fleet's live metrics: print the
+//   status    Poll a serve or balance fleet's live metrics: print the
 //             one-line effitest-status-v1 JSON (obs::MetricsRegistry
 //             snapshot) on stdout and a human summary (sessions
 //             done/active, sessions/sec, latency p50/p99) on stderr —
