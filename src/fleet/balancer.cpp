@@ -1,14 +1,16 @@
 #include "fleet/balancer.hpp"
 
-#include <poll.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
+#include <mutex>
 #include <optional>
 #include <sstream>
-#include <stdexcept>
+#include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "obs/log.hpp"
 
@@ -98,19 +100,11 @@ struct SessionState {
 FleetBalancer::FleetBalancer(WorkerRegistry& registry, BalancerOptions options)
     : registry_(&registry),
       options_(std::move(options)),
-      pool_(options_.relay_workers == 0 ? 1 : options_.relay_workers),
       routed_(&metrics_registry_.counter(kFleetSessionsRouted)),
-      completed_(&metrics_registry_.counter(kFleetSessionsCompleted)),
-      failed_(&metrics_registry_.counter(kFleetSessionsFailed)),
       retried_(&metrics_registry_.counter(kFleetSessionsRetried)),
-      status_requests_(&metrics_registry_.counter(kFleetStatusRequests)),
-      active_sessions_(&metrics_registry_.gauge(kFleetActiveSessions)),
-      wall_seconds_(&metrics_registry_.gauge(kFleetWallSeconds)),
-      sessions_per_sec_(&metrics_registry_.gauge(kFleetSessionsPerSec)) {
+      server_("fleet", options_, options_.relay_workers, metrics_registry_,
+              [this](net::Socket client) { relay_session(std::move(client)); }) {
   // All binds happen before any thread exists (the Gauge::bind contract).
-  metrics_registry_.gauge(kFleetQueueDepth).bind([this] {
-    return static_cast<double>(pool_.queued());
-  });
   metrics_registry_.gauge(kFleetWorkersLive).bind([this] {
     return static_cast<double>(registry_->count(WorkerHealth::kLive));
   });
@@ -131,139 +125,16 @@ FleetBalancer::FleetBalancer(WorkerRegistry& registry, BalancerOptions options)
   }
 }
 
-FleetBalancer::~FleetBalancer() {
-  request_drain();
-  wait();
-}
-
-void FleetBalancer::start() {
-  if (started_.exchange(true)) {
-    throw std::logic_error("fleet: start() called twice");
-  }
-  int pipe_fds[2] = {-1, -1};
-  if (::pipe(pipe_fds) != 0) {
-    throw std::runtime_error("fleet: pipe failed");
-  }
-  drain_pipe_r_ = net::Socket(pipe_fds[0]);
-  drain_pipe_w_ = net::Socket(pipe_fds[1]);
-  listener_ = std::make_unique<net::Listener>(options_.host, options_.port,
-                                              options_.listen_backlog);
-  port_ = listener_->port();
-  if (options_.status_port >= 0) {
-    status_listener_ = std::make_unique<net::Listener>(
-        options_.host, static_cast<std::uint16_t>(options_.status_port),
-        options_.listen_backlog);
-    status_port_ = status_listener_->port();
-  }
-  {
-    std::lock_guard<std::mutex> lock(time_mutex_);
-    started_at_ = std::chrono::steady_clock::now();
-  }
-  threads_.reserve(pool_.workers() + 1);
-  threads_.emplace_back([this] { accept_loop(); });
-  for (std::size_t w = 0; w < pool_.workers(); ++w) {
-    threads_.emplace_back([this, w] { relay_worker_loop(w); });
-  }
-}
-
-void FleetBalancer::request_drain() {
-  // Called from signal handlers: atomic store + one write(2), nothing else.
-  if (draining_.exchange(true)) return;
-  if (drain_pipe_w_.valid()) {
-    const char byte = 'd';
-    (void)!::write(drain_pipe_w_.fd(), &byte, 1);
-  }
-}
-
-void FleetBalancer::wait() {
-  for (std::thread& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-  threads_.clear();
-  std::lock_guard<std::mutex> lock(time_mutex_);
-  if (!drained_ && started_.load()) {
-    drained_ = true;
-    drained_at_ = std::chrono::steady_clock::now();
-  }
-}
-
-void FleetBalancer::accept_loop() {
-  std::size_t accepted = 0;
-  while (!draining_.load(std::memory_order_relaxed)) {
-    const bool paused = pool_.queued() >= options_.max_pending;
-    pollfd fds[3];
-    nfds_t nfds = 0;
-    fds[nfds++] = {drain_pipe_r_.fd(), POLLIN, 0};
-    std::size_t tune_idx = 0;
-    if (!paused) {
-      tune_idx = nfds;
-      fds[nfds++] = {listener_->fd(), POLLIN, 0};
-    }
-    std::size_t status_idx = 0;
-    if (status_listener_ != nullptr) {
-      status_idx = nfds;
-      fds[nfds++] = {status_listener_->fd(), POLLIN, 0};
-    }
-    const int n = ::poll(fds, nfds, paused ? 50 : 500);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (fds[0].revents != 0) break;  // drain requested
-    if (status_listener_ != nullptr && status_idx != 0 &&
-        (fds[status_idx].revents & POLLIN) != 0) {
-      answer_status_connection();
-    }
-    if (paused || n == 0 || (fds[tune_idx].revents & POLLIN) == 0) continue;
-    net::Socket conn = listener_->accept();
-    if (!conn.valid()) continue;
-    conn.set_io_timeout(options_.io_timeout_seconds);
-    pool_.dispatch(std::move(conn));
-    ++accepted;
-    if (options_.max_sessions != 0 && accepted >= options_.max_sessions) {
-      request_drain();
-      break;
-    }
-  }
-  listener_->close();
-  if (status_listener_ != nullptr) status_listener_->close();
-  pool_.close();
-}
-
-void FleetBalancer::answer_status_connection() {
-  net::Socket conn = status_listener_->accept();
-  if (!conn.valid()) return;
-  conn.set_io_timeout(1.0);
-  status_requests_->inc();  // before rendering, so the reply includes itself
-  const std::string line = status_json() + "\n";
-  net::SocketStream stream(std::move(conn));
-  stream << line;
-  stream.flush();
-  std::string discard;
-  (void)std::getline(stream, discard);
-}
-
-void FleetBalancer::relay_worker_loop(std::size_t w) {
-  while (auto task = pool_.next(w)) {
-    relay_session(std::move(*task));
-    pool_.task_done(w);
-  }
-}
-
 void FleetBalancer::relay_session(net::Socket client) {
   FdLineReader client_reader(client.fd());
   std::string hello;
   if (!client_reader.read_line(hello)) return;  // vanished before hello
-  if (hello == "status" || hello == "status prometheus") {
-    status_requests_->inc();
-    const std::string reply = hello == "status"
-                                  ? status_json() + "\n"
-                                  : obs::render_prometheus_text(metrics());
-    (void)send_all(client.fd(), reply);
+  if (const std::optional<std::string> reply = server_.status_reply(hello)) {
+    (void)send_all(client.fd(), *reply);
     return;
   }
   routed_->inc();
-  active_sessions_->add(1.0);
+  server_.begin_session();
 
   SessionState state;
   // Uplink: every client line is recorded for replay AND forwarded to the
@@ -490,12 +361,7 @@ void FleetBalancer::relay_session(net::Socket client) {
   // that may the client socket die.
   net::shutdown_read(client);
   uplink.join();
-  active_sessions_->add(-1.0);
-  if (completed) {
-    completed_->inc();
-  } else {
-    failed_->inc();
-  }
+  server_.end_session(completed);
   if (options_.log != nullptr) {
     if (completed) {
       options_.log->emit("fleet", "session_complete",
@@ -507,26 +373,6 @@ void FleetBalancer::relay_session(net::Socket client) {
                           obs::LogField::u64("attaches", attach_attempts)});
     }
   }
-}
-
-obs::RegistrySnapshot FleetBalancer::metrics() const {
-  double wall = 0.0;
-  {
-    std::lock_guard<std::mutex> lock(time_mutex_);
-    if (started_at_.time_since_epoch().count() != 0) {
-      const auto end =
-          drained_ ? drained_at_ : std::chrono::steady_clock::now();
-      wall = std::chrono::duration<double>(end - started_at_).count();
-    }
-  }
-  wall_seconds_->set(wall);
-  sessions_per_sec_->set(
-      wall > 0.0 ? static_cast<double>(completed_->value()) / wall : 0.0);
-  return metrics_registry_.snapshot();
-}
-
-std::string FleetBalancer::status_json() const {
-  return obs::render_status_json(metrics());
 }
 
 }  // namespace effitest::fleet

@@ -58,16 +58,12 @@ struct ClientResult {
 /// the one-line `effitest-status-v1` JSON reply. Also works verbatim
 /// against a --status-port endpoint, which sends the line unprompted and
 /// ignores the request. Throws std::runtime_error on connection failure
-/// or an empty reply.
-[[nodiscard]] std::string fetch_status(const std::string& host,
-                                       std::uint16_t port);
-
-/// fetch_status with a socket I/O timeout (seconds; <= 0 blocks forever).
-/// The fleet registry's prober uses this so one hung worker costs at most
-/// the timeout per probe round.
+/// or an empty reply. `timeout_seconds` is the socket I/O timeout (<= 0
+/// blocks forever); the fleet registry's prober sets one so a hung worker
+/// costs at most the timeout per probe round.
 [[nodiscard]] std::string fetch_status(const std::string& host,
                                        std::uint16_t port,
-                                       double timeout_seconds);
+                                       double timeout_seconds = 0.0);
 
 /// Poll a server's metrics in Prometheus text format: send the in-band
 /// `status prometheus` request and return the multi-line exposition-format

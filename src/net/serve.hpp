@@ -22,35 +22,24 @@
 // Monte-Carlo loop — so a loopback client's reports are byte-identical to
 // `tune --simulate` for the same circuit and flow options.
 //
-// Concurrency shape: an accept thread hands connections to a
-// net::LoadBalancer of `workers` session threads (worker-priority deques +
-// stealing, load_balancer.hpp). Backpressure is accept-pausing: when the
-// un-claimed backlog reaches `max_pending` the accept loop stops calling
-// accept() and pending connections wait in the kernel listen backlog —
-// nobody is busy-rejected. Per-session backpressure reuses the protocol's
+// Concurrency shape: the net::SessionServer shell (session_server.hpp)
+// owns the listeners, the accept thread, the FIFO session queue with its
+// accept-pausing backpressure at `max_pending`, the status endpoints and
+// the async-signal-safe drain; this loop supplies the per-connection
+// hello/exchange. Per-session backpressure reuses the protocol's
 // chip_window: at most `chip_window` live TuningSessions per connection,
 // responses for unadmitted chips parked in the reorder buffer under the
-// same kMaxPendingWindow bound as every other mode.
-//
-// Drain (SIGTERM): request_drain() is async-signal-safe — it flips an
-// atomic and writes one byte to a self-pipe the accept loop polls next to
-// the listener. The listener closes immediately, queued and in-flight
-// sessions run to completion, then wait() returns. A client that vanishes
+// same kMaxPendingWindow bound as every other mode. A client that vanishes
 // mid-session surfaces as stream EOF inside that one session; sibling
 // sessions never notice.
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "core/tuner_service.hpp"
-#include "net/load_balancer.hpp"
+#include "net/session_server.hpp"
 #include "net/socket.hpp"
 #include "obs/metrics.hpp"
 
@@ -60,13 +49,8 @@ class StructuredLog;
 
 namespace effitest::net {
 
-struct ServeOptions {
-  std::string host = "127.0.0.1";
-  std::uint16_t port = 0;  ///< 0: ephemeral, read the choice from port()
+struct ServeOptions : ListenOptions {
   std::size_t workers = 8;
-  /// Accept-pausing threshold: stop accepting while this many accepted
-  /// connections are not yet claimed by a worker.
-  std::size_t max_pending = 64;
   /// Per-session chip window forced by the server; 0 honors the client's
   /// `window=` request (or no window at all). A nonzero value caps the
   /// client's request.
@@ -74,20 +58,6 @@ struct ServeOptions {
   /// hello chips=<n> above this is rejected before any session state is
   /// allocated (an `error - ...` line, then close).
   std::size_t max_chips_per_session = 100000;
-  /// Drain automatically after this many accepted sessions; 0 = serve
-  /// until request_drain(). The self-terminating mode tests and the CI
-  /// smoke step rely on.
-  std::size_t max_sessions = 0;
-  /// Socket send/receive timeout per session; 0 = block forever. A recv
-  /// timeout looks like a disconnected tester (stream EOF).
-  double io_timeout_seconds = 0.0;
-  int listen_backlog = 512;
-  /// Plaintext status endpoint: every connection to this port immediately
-  /// receives one `effitest-status-v1` JSON line and is closed — pollable
-  /// with netcat/curl, independent of the tune listener's backpressure
-  /// and its max_sessions budget. -1 disables (the default); 0 binds an
-  /// ephemeral port, read the choice from status_port().
-  int status_port = -1;
   /// Structured event log (session_complete/session_failed here, plus the
   /// per-chip session events via the protocol layer), or nullptr — the
   /// zero-overhead default the perf gates run with.
@@ -118,78 +88,62 @@ inline constexpr const char* kMetricSessionLatency =
 class TuneServeLoop {
  public:
   TuneServeLoop(const core::TunerService& service, ServeOptions options);
-  ~TuneServeLoop();
 
   TuneServeLoop(const TuneServeLoop&) = delete;
   TuneServeLoop& operator=(const TuneServeLoop&) = delete;
 
   /// Bind, listen, spawn the accept thread and the worker pool. Throws
   /// std::runtime_error when the address cannot be bound.
-  void start();
+  void start() { server_.start(); }
 
   /// Valid after start(); the kernel's choice when options.port was 0.
-  [[nodiscard]] std::uint16_t port() const { return port_; }
+  [[nodiscard]] std::uint16_t port() const { return server_.port(); }
   [[nodiscard]] const std::string& host() const { return options_.host; }
   /// Valid after start() when ServeOptions::status_port >= 0; 0 otherwise.
-  [[nodiscard]] std::uint16_t status_port() const { return status_port_; }
+  [[nodiscard]] std::uint16_t status_port() const {
+    return server_.status_port();
+  }
 
   /// Async-signal-safe (atomic store + one pipe write): stop accepting,
   /// finish queued and in-flight sessions. Idempotent.
-  void request_drain();
+  void request_drain() { server_.request_drain(); }
+
+  /// Route SIGTERM/SIGINT to request_drain() until wait() returns.
+  void drain_on_signals() { server_.drain_on_signals(); }
 
   /// Join everything; returns once the last session finished. Idempotent.
-  void wait();
+  void wait() { server_.wait(); }
 
   /// Registry snapshot with the wall-clock gauges refreshed. The counter
   /// and histogram entries are exactly what a concurrent `status` poll
   /// sees: a poll taken after the last session finished matches the
   /// end-of-run snapshot on every monotonic metric.
-  [[nodiscard]] obs::RegistrySnapshot metrics() const;
+  [[nodiscard]] obs::RegistrySnapshot metrics() const {
+    return server_.metrics();
+  }
 
   /// metrics() rendered as one `effitest-status-v1` JSON line — what the
   /// in-band `status` request and the --status-port endpoint return.
-  [[nodiscard]] std::string status_json() const;
+  [[nodiscard]] std::string status_json() const {
+    return server_.status_json();
+  }
 
  private:
-  void accept_loop();
-  void worker_loop(std::size_t w);
   void serve_connection(Socket socket);
-  void answer_status_connection();
 
   const core::TunerService* service_;
   ServeOptions options_;
-  std::unique_ptr<Listener> listener_;
-  std::unique_ptr<Listener> status_listener_;
-  std::uint16_t port_ = 0;
-  std::uint16_t status_port_ = 0;
-  LoadBalancer<Socket> balancer_;
-  std::vector<std::thread> threads_;
-  Socket drain_pipe_r_;
-  Socket drain_pipe_w_;
-  std::atomic<bool> draining_{false};
-  std::atomic<bool> started_{false};
   std::atomic<std::uint64_t> next_session_id_{0};
 
   // Instruments live in the registry (lock-free on the hot path); the
-  // cached pointers stay valid for the loop's lifetime. The registry is
-  // mutable so metrics() const can refresh the wall-clock gauges.
-  mutable obs::MetricsRegistry registry_;
+  // cached pointers stay valid for the loop's lifetime.
+  obs::MetricsRegistry registry_;
   obs::Counter* accepted_;
-  obs::Counter* completed_;
-  obs::Counter* failed_;
   obs::Counter* chips_tuned_;
   obs::Counter* stimuli_;
-  obs::Counter* status_requests_;
-  obs::Gauge* active_sessions_;
-  obs::Gauge* wall_seconds_;
-  obs::Gauge* sessions_per_sec_;
   obs::Histogram* latency_;
 
-  // Wall-clock epoch, guarded by time_mutex_ (not on the session path).
-  mutable std::mutex time_mutex_;
-  std::chrono::steady_clock::time_point started_at_{};
-  std::chrono::steady_clock::time_point drained_at_{};
-  bool drained_ = false;
+  SessionServer server_;  ///< last: joins the sessions before the rest dies
 };
 
 }  // namespace effitest::net

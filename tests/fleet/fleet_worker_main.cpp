@@ -5,19 +5,10 @@
 // the ThreadSanitizer CI job builds with EFFITEST_BUILD_TOOLS=OFF and the
 // fleet suite still needs a killable worker process.
 
-#include <csignal>
 #include <iostream>
 
 #include "fleet_test_common.hpp"
 #include "net/serve.hpp"
-
-namespace {
-effitest::net::TuneServeLoop* g_loop = nullptr;
-}  // namespace
-
-extern "C" void fleet_worker_handle_signal(int) {
-  if (g_loop != nullptr) g_loop->request_drain();
-}
 
 int main() {
   using namespace effitest;
@@ -25,9 +16,7 @@ int main() {
   options.workers = 2;
   net::TuneServeLoop loop(fleet_test::holder().service, options);
   loop.start();
-  g_loop = &loop;
-  (void)std::signal(SIGTERM, fleet_worker_handle_signal);
-  (void)std::signal(SIGINT, fleet_worker_handle_signal);
+  loop.drain_on_signals();
   // std::endl, not '\n': the banner must cross the supervisor's pipe now,
   // not sit in a stdio buffer until exit.
   std::cout << "serving on " << loop.host() << ":" << loop.port()

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -27,8 +29,8 @@
 #include "io/json.hpp"
 #include "io/tune_protocol.hpp"
 #include "net/client.hpp"
-#include "net/load_balancer.hpp"
 #include "net/serve.hpp"
+#include "net/session_server.hpp"
 #include "net/socket.hpp"
 #include "netlist/generator.hpp"
 #include "obs/metrics.hpp"
@@ -558,57 +560,80 @@ TEST(ServeLoop, StatusPollsAreLiveMonotonicAndUnperturbing) {
   EXPECT_EQ(end.counter(net::kMetricSessionsCompleted), 1u);
 }
 
-TEST(LoadBalancer, DispatchPrefersLeastLoadedWorker) {
-  net::LoadBalancer<int> lb(3);
-  for (int i = 0; i < 6; ++i) EXPECT_TRUE(lb.dispatch(i));
-  EXPECT_EQ(lb.queued(), 6u);
-  // Round-robin-by-load: every worker's own queue got two tasks, so each
-  // worker's first own pop is 0/1/2 in dispatch order.
-  const auto a = lb.next(0);
-  const auto b = lb.next(1);
-  const auto c = lb.next(2);
-  ASSERT_TRUE(a && b && c);
-  EXPECT_EQ(*a + *b + *c, 0 + 1 + 2);
-  EXPECT_EQ(lb.queued(), 3u);
+TEST(ServeLoop, TricklingStatusPeerCannotPinTheAcceptThread) {
+  // Slowloris on the status port: a peer sends one newline-free byte every
+  // 0.5 s — inside the endpoint's 1 s recv timeout — for 3 s. It must get
+  // its reply and then EOF at once, and a tune session must be accepted and
+  // served meanwhile, both well before the trickle ends.
+  net::ServeOptions options;
+  options.workers = 1;
+  options.status_port = 0;
+  net::TuneServeLoop loop(holder().service, options);
+  loop.start();
+
+  const auto begin = std::chrono::steady_clock::now();
+  const net::Socket peer = net::connect_to("127.0.0.1", loop.status_port());
+  std::thread trickler([&] {
+    while (std::chrono::steady_clock::now() - begin < std::chrono::seconds(3)) {
+      (void)::send(peer.fd(), "x", 1, MSG_NOSIGNAL);
+      std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    }
+  });
+  std::string received;
+  char buf[4096];
+  ssize_t n = 0;
+  const auto read_more = [&] {
+    n = ::recv(peer.fd(), buf, sizeof(buf), 0);
+    if (n > 0) received.append(buf, static_cast<std::size_t>(n));
+    return n > 0;
+  };
+  // The reply line first: from here on the accept thread has taken this
+  // peer, so the session below proves it is not stuck on it.
+  while (received.find('\n') == std::string::npos && read_more()) {
+  }
+  net::ClientOptions copts;
+  copts.chips = 1;
+  const net::ClientResult session = net::run_loopback_client(
+      "127.0.0.1", loop.port(), holder().problem, copts);
+  const auto served_after = std::chrono::steady_clock::now() - begin;
+  while (read_more()) {
+  }
+  const auto closed_after = std::chrono::steady_clock::now() - begin;
+  trickler.join();
+  loop.request_drain();
+  loop.wait();
+
+  EXPECT_EQ(session.report_lines, simulated_report_lines(1));
+  EXPECT_LT(served_after, std::chrono::seconds(2));
+  EXPECT_LT(closed_after, std::chrono::seconds(2));
+  const std::size_t nl = received.find('\n');
+  ASSERT_NE(nl, std::string::npos);
+  EXPECT_EQ(received.size(), nl + 1);  // the reply, then EOF
+  const io::json::Value reply = parse_status(received.substr(0, nl));
+  EXPECT_EQ(status_number(reply, "counters", net::kMetricStatusRequests), 1.0);
 }
 
-TEST(LoadBalancer, IdleWorkerStealsFromLoadedSibling) {
-  net::LoadBalancer<int> lb(2);
-  // Worker 0 is busy (claimed a task, never finished); everything else
-  // queues behind it or lands on worker 1.
-  EXPECT_TRUE(lb.dispatch(10));
-  const auto first = lb.next(0);
-  ASSERT_TRUE(first);
-  EXPECT_EQ(*first, 10);
-  EXPECT_TRUE(lb.dispatch(11));  // worker 1 (load 0) beats worker 0 (busy)
-  EXPECT_TRUE(lb.dispatch(12));
-  const auto stolen = lb.next(1);
-  ASSERT_TRUE(stolen);
-  lb.task_done(1);
-  const auto second = lb.next(1);  // own queue or steal — drains regardless
-  ASSERT_TRUE(second);
-  EXPECT_EQ(*stolen + *second, 11 + 12);
-  EXPECT_EQ(lb.queued(), 0u);
-}
-
-TEST(LoadBalancer, CloseDrainsBacklogThenReleasesWorkers) {
-  net::LoadBalancer<int> lb(2);
-  EXPECT_TRUE(lb.dispatch(1));
-  EXPECT_TRUE(lb.dispatch(2));
-  lb.close();
-  EXPECT_FALSE(lb.dispatch(3));  // rejected after close
+TEST(SessionQueue, CloseDrainsBacklogThenReleasesWorkers) {
+  net::SessionQueue<int> queue;
+  EXPECT_TRUE(queue.push(1));
+  EXPECT_TRUE(queue.push(2));
+  EXPECT_TRUE(queue.push(3));
+  queue.close();
+  EXPECT_FALSE(queue.push(4));  // rejected after close
+  EXPECT_EQ(queue.size(), 3u);
+  EXPECT_EQ(queue.pop(), std::optional<int>(1));  // FIFO: oldest first
   std::atomic<int> drained{0};
   std::vector<std::thread> workers;
   for (std::size_t w = 0; w < 2; ++w) {
-    workers.emplace_back([&, w] {
-      while (auto task = lb.next(w)) {
+    workers.emplace_back([&] {
+      while (const std::optional<int> task = queue.pop()) {
         drained.fetch_add(*task);
-        lb.task_done(w);
       }
     });
   }
   for (std::thread& t : workers) t.join();
-  EXPECT_EQ(drained.load(), 3);  // 1 + 2, never the rejected 3
+  EXPECT_EQ(drained.load(), 5);  // 2 + 3, never the rejected 4
+  EXPECT_EQ(queue.size(), 0u);
 }
 
 }  // namespace

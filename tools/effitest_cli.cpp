@@ -102,7 +102,6 @@
 #include <charconv>
 #include <chrono>
 #include <cmath>
-#include <csignal>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -1191,15 +1190,6 @@ int cmd_tune(const Cli& cli) {
   return 0;
 }
 
-/// SIGTERM/SIGINT target for `serve` — the handler may only do what
-/// request_drain() guarantees is async-signal-safe (atomic store plus one
-/// pipe write).
-net::TuneServeLoop* g_serve_loop = nullptr;
-
-extern "C" void serve_signal_handler(int) {
-  if (g_serve_loop != nullptr) g_serve_loop->request_drain();
-}
-
 int cmd_serve(const Cli& cli) {
   // Options first, so a typo fails in milliseconds instead of after the
   // offline phase.
@@ -1246,9 +1236,7 @@ int cmd_serve(const Cli& cli) {
 
   net::TuneServeLoop loop(service, sopts);
   loop.start();
-  g_serve_loop = &loop;
-  std::signal(SIGTERM, serve_signal_handler);
-  std::signal(SIGINT, serve_signal_handler);
+  loop.drain_on_signals();
   // The line scripts (and the CI smoke step) wait for; std::endl flushes so
   // a pipe reader sees it before the first session lands.
   std::cout << "serving on " << loop.host() << ":" << loop.port()
@@ -1258,9 +1246,6 @@ int cmd_serve(const Cli& cli) {
               << std::endl;
   }
   loop.wait();
-  std::signal(SIGTERM, SIG_DFL);
-  std::signal(SIGINT, SIG_DFL);
-  g_serve_loop = nullptr;
 
   const obs::RegistrySnapshot m = loop.metrics();
   const obs::HistogramSnapshot* latency =
@@ -1281,16 +1266,6 @@ int cmd_serve(const Cli& cli) {
             << core::Table::num(latency_ms(0.90), 2) << "/"
             << core::Table::num(latency_ms(0.99), 2) << " ms\n";
   return 0;
-}
-
-/// SIGTERM/SIGINT target for `balance` — same async-signal-safety story as
-/// serve's handler: only the balancer's request_drain() is signal-safe.
-/// Supervisor drain (kill/waitpid/join) happens on the main thread after
-/// the balancer's wait() returns.
-fleet::FleetBalancer* g_fleet_balancer = nullptr;
-
-extern "C" void balance_signal_handler(int) {
-  if (g_fleet_balancer != nullptr) g_fleet_balancer->request_drain();
 }
 
 int cmd_balance(const Cli& cli) {
@@ -1405,9 +1380,7 @@ int cmd_balance(const Cli& cli) {
   if (supervisor != nullptr) supervisor->start();  // blocks until banners
   registry.start_probing();
   balancer.start();
-  g_fleet_balancer = &balancer;
-  std::signal(SIGTERM, balance_signal_handler);
-  std::signal(SIGINT, balance_signal_handler);
+  balancer.drain_on_signals();
   std::cout << "balancing on " << balancer.host() << ":" << balancer.port()
             << std::endl;
   if (bopts.status_port >= 0) {
@@ -1415,9 +1388,8 @@ int cmd_balance(const Cli& cli) {
               << balancer.status_port() << std::endl;
   }
   balancer.wait();
-  std::signal(SIGTERM, SIG_DFL);
-  std::signal(SIGINT, SIG_DFL);
-  g_fleet_balancer = nullptr;
+  // Supervisor drain (kill/waitpid/join) runs here on the main thread, never
+  // from the signal handler.
   registry.stop_probing();
   if (supervisor != nullptr) supervisor->drain();
 
