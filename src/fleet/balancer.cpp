@@ -2,87 +2,20 @@
 
 #include <sys/socket.h>
 
-#include <cerrno>
 #include <chrono>
 #include <mutex>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "io/tune_protocol.hpp"
 #include "obs/log.hpp"
 
 namespace effitest::fleet {
 
 namespace {
-
-/// Buffered line reader over a raw fd. The relay cannot use SocketStream
-/// here: its streambuf flushes the put area from underflow, so sharing one
-/// stream between the uplink and downlink threads would race. Reading with
-/// a private buffer and writing with bare send(2) keeps each direction
-/// self-contained (recv and send on one fd from two threads is safe).
-class FdLineReader {
- public:
-  explicit FdLineReader(int fd) : fd_(fd) {}
-
-  /// False on EOF, error, or receive timeout — all "the peer is gone".
-  bool read_line(std::string& line) {
-    for (;;) {
-      const std::size_t nl = buf_.find('\n');
-      if (nl != std::string::npos) {
-        line.assign(buf_, 0, nl);
-        buf_.erase(0, nl + 1);
-        if (!line.empty() && line.back() == '\r') line.pop_back();
-        return true;
-      }
-      char chunk[4096];
-      ssize_t n = 0;
-      do {
-        n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      } while (n < 0 && errno == EINTR);
-      if (n <= 0) return false;
-      buf_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
- private:
-  int fd_;
-  std::string buf_;
-};
-
-bool send_all(int fd, const std::string& data) {
-  const char* p = data.data();
-  const char* end = p + data.size();
-  while (p < end) {
-    const ssize_t n =
-        ::send(fd, p, static_cast<std::size_t>(end - p), MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += n;
-  }
-  return true;
-}
-
-/// Seed base out of `serve effitest-tune-v1 session=<id> seed=<base>`.
-std::optional<std::uint64_t> parse_greeting_seed(const std::string& greeting) {
-  std::istringstream is(greeting);
-  std::string tag, token;
-  if (!(is >> tag) || tag != "serve") return std::nullopt;
-  while (is >> token) {
-    if (token.rfind("seed=", 0) == 0) {
-      try {
-        return std::stoull(token.substr(5));
-      } catch (const std::exception&) {
-        return std::nullopt;
-      }
-    }
-  }
-  return std::nullopt;
-}
 
 /// Shared mutable session state between the downlink (relay worker) and
 /// uplink threads. The mutex orders backlog appends + live forwards
@@ -125,46 +58,23 @@ FleetBalancer::FleetBalancer(WorkerRegistry& registry, BalancerOptions options)
   }
 }
 
-void FleetBalancer::relay_session(net::Socket client) {
-  FdLineReader client_reader(client.fd());
+void FleetBalancer::relay_session(net::Socket client_socket) {
+  net::SocketStream client(std::move(client_socket));
+  const int client_fd = client.socket().fd();
   std::string hello;
-  if (!client_reader.read_line(hello)) return;  // vanished before hello
-  if (const std::optional<std::string> reply = server_.status_reply(hello)) {
-    (void)send_all(client.fd(), *reply);
-    return;
+  const io::LineRead first = io::read_line(client, hello);
+  if (first == io::LineRead::kEnd) return;  // vanished before hello
+  if (first == io::LineRead::kLine) {
+    if (const std::optional<std::string> reply = server_.status_reply(hello)) {
+      (void)net::send_all(client_fd, *reply);
+      return;
+    }
   }
   routed_->inc();
   server_.begin_session();
 
-  SessionState state;
-  // Uplink: every client line is recorded for replay AND forwarded to the
-  // current worker, atomically with respect to migrations. While detached
-  // (worker_fd -1) lines just queue up in the backlog; the replay delivers
-  // them. A failed forward is ignored here — the downlink notices the dead
-  // worker on its next read and runs the migration.
-  std::thread uplink([&] {
-    std::string line;
-    while (client_reader.read_line(line)) {
-      std::lock_guard<std::mutex> lock(state.mutex);
-      state.backlog.push_back(line);
-      if (state.worker_fd >= 0) {
-        (void)send_all(state.worker_fd, line + "\n");
-      }
-    }
-    int worker_fd = -1;
-    {
-      std::lock_guard<std::mutex> lock(state.mutex);
-      state.client_gone = true;
-      worker_fd = state.worker_fd;
-    }
-    // Half-close: the worker's session sees EOF and aborts; the fd itself
-    // stays owned (and eventually closed) by the downlink.
-    if (worker_fd >= 0) (void)::shutdown(worker_fd, SHUT_WR);
-  });
-
-  net::Socket worker_sock;
+  std::optional<net::SocketStream> worker;
   std::optional<std::size_t> slot;
-  std::optional<FdLineReader> worker_reader;
   std::uint64_t seed_base = 0;
   bool greeting_forwarded = false;
   std::size_t forwarded = 0;  // server lines the client holds, post-greeting
@@ -173,6 +83,7 @@ void FleetBalancer::relay_session(net::Socket client) {
   bool completed = false;
   bool failed = false;
   std::string failure_reason;
+  SessionState state;
 
   // Detach from the current worker (if any): unpublish the fd so the
   // uplink stops forwarding, demote the slot when the worker died, release
@@ -187,23 +98,69 @@ void FleetBalancer::relay_session(net::Socket client) {
       registry_->release(*slot);
       slot.reset();
     }
-    worker_reader.reset();
-    worker_sock.close();
+    worker.reset();
   };
+  // End the session as failed, never to be retried.
+  const auto stop = [&](const std::string& reason) {
+    failure_reason = reason;
+    failed = true;
+    drop_worker(false);
+  };
+  // ...with a fatal line to the client: the cause (a protocol violation,
+  // exhaustion, a seed mismatch) would recur on any worker.
+  const auto fail = [&](const std::string& reason) {
+    (void)net::send_all(client_fd, io::format_error(reason) + "\n");
+    stop(reason);
+  };
+  // One whole worker line. False: the worker died, possibly mid-line
+  // (migrate), or sent an over-long line (the session failed).
+  const auto read_worker = [&](std::string& line) {
+    const io::LineRead got = io::read_line(*worker, line);
+    if (got == io::LineRead::kLine && !worker->eof()) return true;
+    if (got == io::LineRead::kOverlong) {
+      fail("fleet worker " + io::line_too_long());
+    } else {
+      drop_worker(true);  // died, possibly mid-line
+    }
+    return false;
+  };
+
+  if (first == io::LineRead::kOverlong) fail("hello " + io::line_too_long());
+
+  // Uplink: record every client line for replay and forward it to the
+  // current worker, if any (a failed forward surfaces on the downlink's
+  // next read). A torn or over-long client line ends it like a disconnect.
+  std::thread uplink([&] {
+    std::string line;
+    while (io::read_line(client, line) == io::LineRead::kLine &&
+           !client.eof()) {
+      std::lock_guard<std::mutex> lock(state.mutex);
+      state.backlog.push_back(line);
+      if (state.worker_fd >= 0) {
+        (void)net::send_all(state.worker_fd, line + "\n");
+      }
+    }
+    int worker_fd = -1;
+    {
+      std::lock_guard<std::mutex> lock(state.mutex);
+      state.client_gone = true;
+      worker_fd = state.worker_fd;
+    }
+    // Half-close: the worker's session sees EOF and aborts; the fd
+    // itself stays owned (and eventually closed) by the downlink.
+    if (worker_fd >= 0) (void)::shutdown(worker_fd, SHUT_WR);
+  });
 
   while (!completed && !failed) {
     {
       std::lock_guard<std::mutex> lock(state.mutex);
       if (state.client_gone) break;
     }
-    if (!worker_sock.valid()) {
+    if (!worker) {
       // ---- attach (or re-attach after a death) ----
       if (attaches_left == 0) {
-        failure_reason = "fleet exhausted after " +
-                         std::to_string(attach_attempts) +
-                         " attach attempts";
-        (void)send_all(client.fd(), "error - " + failure_reason + "\n");
-        failed = true;
+        fail("fleet exhausted after " + std::to_string(attach_attempts) +
+             " attach attempts");
         break;
       }
       --attaches_left;
@@ -220,96 +177,75 @@ void FleetBalancer::relay_session(net::Socket client) {
       try {
         net::Socket s = net::connect_to(endpoint.host, endpoint.port);
         s.set_io_timeout(options_.io_timeout_seconds);
-        worker_sock = std::move(s);
+        worker.emplace(std::move(s));
       } catch (const std::exception&) {
         registry_->report_failure(*slot);
         registry_->release(*slot);
         slot.reset();
         continue;
       }
-      worker_reader.emplace(worker_sock.fd());
-      if (!send_all(worker_sock.fd(), hello + "\n")) {
+      const int worker_fd = worker->socket().fd();
+      if (!net::send_all(worker_fd, hello + "\n")) {
         drop_worker(true);
         continue;
       }
       std::string greeting;
-      if (!worker_reader->read_line(greeting)) {
-        drop_worker(true);
-        continue;
-      }
-      if (greeting.rfind("error -", 0) == 0) {
+      if (!read_worker(greeting)) continue;
+      if (io::is_fatal_error(greeting)) {
         // The worker rejected the hello. Deterministic — every worker
         // would say the same — so forward it and never retry.
-        (void)send_all(client.fd(), greeting + "\n");
-        failure_reason = greeting;
-        failed = true;
-        drop_worker(false);
+        (void)net::send_all(client_fd, greeting + "\n");
+        stop(greeting);
         break;
       }
-      const std::optional<std::uint64_t> seed = parse_greeting_seed(greeting);
-      if (!seed) {
+      std::uint64_t seed = 0;
+      try {
+        seed = io::parse_greeting(greeting).seed;
+      } catch (const io::ProtocolError&) {
         drop_worker(true);  // not speaking the protocol: treat as dead
         continue;
       }
       if (!greeting_forwarded) {
-        if (!send_all(client.fd(), greeting + "\n")) {
-          failure_reason = "client disconnected";
-          failed = true;
-          drop_worker(false);
+        if (!net::send_all(client_fd, greeting + "\n")) {
+          stop("client disconnected");
           break;
         }
-        seed_base = *seed;
+        seed_base = seed;
         greeting_forwarded = true;
-      } else if (*seed != seed_base) {
+      } else if (seed != seed_base) {
         // Determinism contract broken: this worker serves a different
         // problem/seed, replaying would hand the client divergent bytes.
-        failure_reason = "fleet worker seed mismatch (got " +
-                         std::to_string(*seed) + ", session started with " +
-                         std::to_string(seed_base) + ")";
-        (void)send_all(client.fd(), "error - " + failure_reason + "\n");
-        failed = true;
-        drop_worker(false);
+        fail("fleet worker seed mismatch (got " + std::to_string(seed) +
+             ", session started with " + std::to_string(seed_base) + ")");
         break;
       }
       // Replay the recorded client lines and publish the new fd in one
       // critical section, so live uplink lines land strictly after the
       // backlog they are not yet part of.
-      bool replay_ok = true;
       std::size_t replayed = 0;
+      bool replay_ok = false;
       {
         std::lock_guard<std::mutex> lock(state.mutex);
-        for (const std::string& line : state.backlog) {
-          if (!send_all(worker_sock.fd(), line + "\n")) {
-            replay_ok = false;
-            break;
-          }
+        while (replayed < state.backlog.size() &&
+               net::send_all(worker_fd, state.backlog[replayed] + "\n")) {
+          ++replayed;
         }
-        if (replay_ok) {
-          state.worker_fd = worker_sock.fd();
-          replayed = state.backlog.size();
-        }
+        replay_ok = replayed == state.backlog.size();
+        if (replay_ok) state.worker_fd = worker_fd;
       }
       if (!replay_ok) {
         drop_worker(true);
         continue;
       }
-      // Discard the prefix the client already holds. Deterministic serve
-      // output under the same seed and line order makes these bytes
-      // identical to what was already forwarded; the old worker produced
-      // `forwarded` lines from this very backlog, so the new one cannot
-      // block before producing as many.
+      // Discard the prefix the client already holds (identical bytes: same
+      // seed, same line order); the old worker produced `forwarded` lines
+      // from this very backlog, so the new one cannot block before that.
       bool discard_ok = true;
       std::string discard;
-      for (std::size_t i = 0; i < forwarded; ++i) {
-        if (!worker_reader->read_line(discard)) {
-          discard_ok = false;
-          break;
-        }
+      for (std::size_t i = 0; i < forwarded && discard_ok; ++i) {
+        discard_ok = read_worker(discard);
       }
-      if (!discard_ok) {
-        drop_worker(true);
-        continue;
-      }
+      if (!discard_ok) continue;
       if (options_.log != nullptr && attach_attempts > 1) {
         options_.log->emit(
             "fleet", "session_migrated",
@@ -321,31 +257,22 @@ void FleetBalancer::relay_session(net::Socket client) {
     }
     // ---- relay: worker -> client until bye, death, or fatal error ----
     std::string line;
-    for (;;) {
-      if (!worker_reader->read_line(line)) {
-        drop_worker(true);  // mid-session death: migrate
-        break;
-      }
-      const bool fatal = line.rfind("error -", 0) == 0;
-      if (!send_all(client.fd(), line + "\n")) {
+    while (read_worker(line)) {
+      const bool fatal = io::is_fatal_error(line);
+      if (!net::send_all(client_fd, line + "\n")) {
         {
           std::lock_guard<std::mutex> lock(state.mutex);
           state.client_gone = true;
         }
-        failure_reason = "client disconnected";
-        failed = true;
-        drop_worker(false);  // closing the socket EOFs the worker session
+        stop("client disconnected");  // the closed socket EOFs the worker
         break;
       }
       ++forwarded;
       if (fatal) {
-        // Mid-session strict-mode abort: deterministic, never retried.
-        failure_reason = line;
-        failed = true;
-        drop_worker(false);
+        stop(line);  // a mid-session strict-mode abort: deterministic
         break;
       }
-      if (line == "bye") {
+      if (line == io::kBye) {
         completed = true;
         drop_worker(false);
         break;
@@ -359,7 +286,7 @@ void FleetBalancer::relay_session(net::Socket client) {
   drop_worker(false);
   // Pop the uplink out of its blocking recv, then join it; only after
   // that may the client socket die.
-  net::shutdown_read(client);
+  net::shutdown_read(client.socket());
   uplink.join();
   server_.end_session(completed);
   if (options_.log != nullptr) {

@@ -6,44 +6,36 @@
 // byte in both directions. DESIGN.md §15.
 //
 // Session retry / migration: the relay records the client's hello and
-// every client line after it, and counts the server lines already
-// forwarded (the greeting aside). When the worker connection dies before
-// the session's `bye` — SIGKILL'd worker, crashed process, yanked cable —
-// the slot is report_failure()'d and the session re-attached to a
-// surviving worker: same hello, greeting checked for the SAME seed base
-// (never re-forwarded), the recorded client lines replayed, and the first
-// K server lines read and discarded. Because the serve exchange is a pure
-// deterministic function of the client's line order under a fixed seed
-// base (die c is Rng(index_seed(seed, c)); the Exchange is
-// single-threaded), the discarded prefix is byte-identical to what the
-// client already holds, and the relay resumes at exactly the next unseen
-// byte — the client observes one uninterrupted session. Retries are
-// bounded by max_session_retries; exhaustion (or no acquirable worker)
-// sends the client a final `error - fleet exhausted ...` line.
+// every client line after it, and counts the server lines forwarded since
+// the greeting. When the worker connection dies before `bye`, the slot is
+// report_failure()'d and the session re-attached to a survivor: same
+// hello, greeting checked for the SAME seed base (never re-forwarded),
+// recorded lines replayed, and the first K server lines discarded. The
+// serve exchange is a deterministic function of the client's line order
+// under a fixed seed base, so the client observes one uninterrupted,
+// byte-identical session. Retries are bounded by max_session_retries;
+// exhaustion sends `error - fleet exhausted ...`. A worker's own
+// `error - <reason>` is forwarded and never retried: it would recur on any
+// worker.
 //
-// A worker-sent fatal rejection (`error - <reason>`) is forwarded and
-// never retried: it would recur deterministically on any worker.
+// Wire format: io/tune_protocol.hpp. Lines are relayed verbatim and read
+// with io::read_line, so either peer can make the relay hold at most
+// io::kMaxLineBytes of one line: an over-long hello or worker line fails
+// the session without a retry (a protocol violation, not a death), an
+// over-long client line ends it like a disconnect, and a line torn by a
+// dying worker is never forwarded.
 //
-// Relay concurrency: two threads per session — downlink (the session's
-// pool worker: worker socket -> client) and one uplink (client -> worker).
-// They never share a SocketStream (SocketStreambuf is not thread-safe);
-// each reads with its own raw-fd line reader and writes with send(2), and
-// recv/send on one fd from two threads is safe. The uplink appends to the
-// replay backlog and forwards under the session mutex, so a migration's
-// replay is ordered against live client lines. Half-closes (net::
-// shutdown_read/shutdown_write) unblock the peer thread without racing fd
-// lifetimes: a vanished client shuts down the worker-socket write side so
-// the worker sees EOF; a finished downlink shuts down the client read side
-// to pop the uplink out of recv before joining it.
+// Relay concurrency: the session's pool thread runs the downlink (worker
+// -> client), one more thread the uplink (client -> worker). Each reads
+// its direction through its own net::SocketStream and writes with send(2)
+// on the raw fd, so no stream is shared. The uplink appends to the replay
+// backlog and forwards under the session mutex, ordering a migration's
+// replay against live lines. Half-closes (net::shutdown_read/write)
+// unblock the peer thread without racing fd lifetimes.
 //
-// Accept/drain shape: the net::SessionServer shell (net/session_server.hpp)
-// shared with TuneServeLoop — accept thread, FIFO session queue with
-// accept-pausing backpressure at max_pending, in-band first-line `status`
-// (JSON) / `status prometheus` (text exposition format) answered without
-// touching session counters, optional dedicated status listener, and an
-// async-signal-safe request_drain() that stops accepting and lets every
-// in-flight session finish — including finishing any migration it is in
-// the middle of.
+// Accept/drain: the net::SessionServer shell (net/session_server.hpp)
+// shared with TuneServeLoop; a drain lets every in-flight session finish,
+// migrations included. DESIGN.md §15.
 
 #include <cstddef>
 #include <cstdint>

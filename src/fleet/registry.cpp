@@ -11,18 +11,6 @@
 
 namespace effitest::fleet {
 
-const char* health_name(WorkerHealth health) {
-  switch (health) {
-    case WorkerHealth::kLive:
-      return "live";
-    case WorkerHealth::kDegraded:
-      return "degraded";
-    case WorkerHealth::kDead:
-      return "dead";
-  }
-  return "unknown";
-}
-
 ProbeResult parse_worker_status(const std::string& line) {
   ProbeResult result;
   try {

@@ -50,8 +50,6 @@ namespace effitest::fleet {
 
 enum class WorkerHealth { kLive, kDegraded, kDead };
 
-[[nodiscard]] const char* health_name(WorkerHealth health);
-
 struct WorkerEndpoint {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0: not yet known (spawned child pre-banner)

@@ -1,9 +1,10 @@
 #include "io/tune_protocol.hpp"
 
 #include <algorithm>
-#include <iomanip>
+#include <charconv>
+#include <cmath>
 #include <istream>
-#include <limits>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <ostream>
@@ -13,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "io/json.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/deterministic_for.hpp"
 #include "timing/model.hpp"
@@ -26,10 +28,26 @@ using core::SessionPhase;
 using core::Stimulus;
 using core::TuningSession;
 
-std::string number(double v) {
-  std::ostringstream os;
-  os << std::setprecision(std::numeric_limits<double>::max_digits10) << v;
-  return os.str();
+std::vector<std::string> tokens_of(const std::string& line) {
+  std::istringstream is(line);
+  return {std::istream_iterator<std::string>(is), {}};
+}
+
+/// The whole token as one T: no sign on unsigned types, no trailing junk,
+/// no overflow.
+template <typename T>
+bool parse_number(std::string_view token, T& value) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  return ec == std::errc() && ptr == end;
+}
+
+/// `key=<unsigned>` → value, or false.
+template <typename T>
+bool parse_key(std::string_view token, std::string_view key, T& value) {
+  return token.size() > key.size() && token.substr(0, key.size()) == key &&
+         token[key.size()] == '=' &&
+         parse_number(token.substr(key.size() + 1), value);
 }
 
 /// Out-of-order window: a response whose seq is this far beyond the chip's
@@ -69,7 +87,7 @@ class Exchange {
     *out_ << "effitest-tune-v1 chips=" << chips
           << " np=" << problem.model().num_pairs()
           << " nb=" << problem.num_buffers()
-          << " td=" << number(service.designated_period()) << '\n';
+          << " td=" << json::format_double(service.designated_period()) << '\n';
     refill();
   }
 
@@ -176,7 +194,7 @@ class Exchange {
             << " forced=" << r.test.forced
             << " feasible=" << (r.config.feasible ? 1 : 0) << " passed="
             << (r.passed.has_value() ? (*r.passed ? "1" : "0") : "-")
-            << " xi=" << number(r.config.xi) << " steps";
+            << " xi=" << json::format_double(r.config.xi) << " steps";
       for (int k : r.config.steps) *out_ << ' ' << k;
       *out_ << '\n';
       s.finished = true;
@@ -184,15 +202,9 @@ class Exchange {
       return;
     }
     const bool final_phase = is_final(c);
-    const Stimulus& stim = s.session->next_stimulus();
-    *out_ << (final_phase ? "final " : "stimulus ") << c << ' ' << s.next_seq
-          << ' ' << number(stim.period) << " steps";
-    for (int k : stim.steps) *out_ << ' ' << k;
-    if (!final_phase) {
-      *out_ << " arm";
-      for (std::size_t p : stim.armed) *out_ << ' ' << p;
-    }
-    *out_ << '\n';
+    *out_ << format_stimulus({c, s.next_seq, final_phase,
+                              s.session->next_stimulus()})
+          << '\n';
     ++stimuli_;
     if (live_stimuli_ != nullptr) live_stimuli_->inc();
   }
@@ -212,16 +224,146 @@ class Exchange {
   std::vector<std::string> errors_;  ///< per chip; empty = clean
 };
 
-std::vector<bool> decode_bits(const std::string& bits) {
-  std::vector<bool> pass(bits.size());
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    if (bits[i] != '0' && bits[i] != '1') {
-      throw std::runtime_error("tune: response bits must be 0/1, got \"" +
-                               bits + "\"");
+}  // namespace
+
+LineRead read_line(std::istream& in, std::string& line) {
+  using traits = std::istream::traits_type;
+  line.clear();
+  const std::istream::sentry ok(in, /*noskipws=*/true);
+  if (!ok) return LineRead::kEnd;
+  std::size_t length = 0;  // bytes before the '\n', kept or discarded
+  for (traits::int_type ch; (ch = in.rdbuf()->sbumpc()) != '\n'; ++length) {
+    if (traits::eq_int_type(ch, traits::eof())) {
+      in.setstate(length == 0 ? std::ios::eofbit | std::ios::failbit
+                              : std::ios::eofbit);
+      if (length == 0) return LineRead::kEnd;
+      break;
     }
-    pass[i] = bits[i] == '1';
+    if (length < kMaxLineBytes) line.push_back(traits::to_char_type(ch));
   }
-  return pass;
+  if (length > kMaxLineBytes) {
+    line.clear();
+    return LineRead::kOverlong;
+  }
+  if (!line.empty() && line.back() == '\r') line.pop_back();
+  return LineRead::kLine;
+}
+
+std::string line_too_long() {
+  return "line exceeds the " + std::to_string(kMaxLineBytes) +
+         "-byte protocol limit";
+}
+
+std::string format_hello(const Hello& hello) {
+  std::string line = "hello effitest-tune-v1 chips=" +
+                     std::to_string(hello.chips);
+  if (hello.window != 0) line += " window=" + std::to_string(hello.window);
+  if (hello.lenient) line += " lenient";
+  return line;
+}
+
+Hello parse_hello(const std::string& line) {
+  const std::vector<std::string> tokens = tokens_of(line);
+  if (tokens.size() < 2 || tokens[0] != "hello" ||
+      tokens[1] != "effitest-tune-v1") {
+    throw ProtocolError("expected \"hello effitest-tune-v1 chips=<n>\"");
+  }
+  Hello hello;
+  for (std::size_t i = 2; i < tokens.size(); ++i) {
+    const std::string& token = tokens[i];
+    if (token == "lenient") {
+      hello.lenient = true;
+    } else if (!parse_key(token, "chips", hello.chips) &&
+               !parse_key(token, "window", hello.window)) {
+      const bool known =
+          token.starts_with("chips=") || token.starts_with("window=");
+      throw ProtocolError(std::string(known ? "malformed" : "unknown") +
+                          " hello option \"" + token + "\"");
+    }
+  }
+  if (hello.chips == 0) {
+    throw ProtocolError("hello must carry chips=<n> with n >= 1");
+  }
+  return hello;
+}
+
+std::string format_greeting(const Greeting& greeting) {
+  return "serve effitest-tune-v1 session=" + std::to_string(greeting.session) +
+         " seed=" + std::to_string(greeting.seed);
+}
+
+Greeting parse_greeting(const std::string& line) {
+  const std::vector<std::string> tokens = tokens_of(line);
+  Greeting greeting;
+  if (tokens.size() != 4 || tokens[0] != "serve" ||
+      tokens[1] != "effitest-tune-v1" ||
+      !parse_key(tokens[2], "session", greeting.session) ||
+      !parse_key(tokens[3], "seed", greeting.seed)) {
+    throw ProtocolError("tune: malformed greeting \"" + line + "\"");
+  }
+  return greeting;
+}
+
+std::string format_stimulus(const StimulusLine& line) {
+  std::string text = (line.final ? "final " : "stimulus ") +
+                     std::to_string(line.chip) + ' ' +
+                     std::to_string(line.seq) + ' ' +
+                     json::format_double(line.stimulus.period) + " steps";
+  for (const int k : line.stimulus.steps) text += ' ' + std::to_string(k);
+  if (!line.final) {
+    text += " arm";
+    for (const std::size_t p : line.stimulus.armed) {
+      text += ' ' + std::to_string(p);
+    }
+  }
+  return text;
+}
+
+StimulusLine parse_stimulus(const std::string& line) {
+  const std::vector<std::string> tokens = tokens_of(line);
+  StimulusLine parsed;
+  const auto malformed = [&line] {
+    return ProtocolError("tune: malformed stimulus line \"" + line + "\"");
+  };
+  if (tokens.size() < 5 || (tokens[0] != "stimulus" && tokens[0] != "final") ||
+      !parse_number(tokens[1], parsed.chip) ||
+      !parse_number(tokens[2], parsed.seq) ||
+      !parse_number(tokens[3], parsed.stimulus.period) ||
+      !std::isfinite(parsed.stimulus.period) || tokens[4] != "steps") {
+    throw malformed();
+  }
+  parsed.final = tokens[0] == "final";
+  std::size_t i = 5;
+  for (; i < tokens.size() && tokens[i] != "arm"; ++i) {
+    int step = 0;
+    if (!parse_number(tokens[i], step)) throw malformed();
+    parsed.stimulus.steps.push_back(step);
+  }
+  // A stimulus ends with its (possibly empty) arm list; a final has none.
+  if (parsed.final != (i == tokens.size())) throw malformed();
+  for (++i; i < tokens.size(); ++i) {
+    std::size_t pair = 0;
+    if (!parse_number(tokens[i], pair)) throw malformed();
+    parsed.stimulus.armed.push_back(pair);
+  }
+  return parsed;
+}
+
+std::string format_response(const Response& response) {
+  return "response " + std::to_string(response.chip) + ' ' +
+         std::to_string(response.seq) + ' ' + response.bits;
+}
+
+Response parse_response(const std::string& line) {
+  const std::vector<std::string> tokens = tokens_of(line);
+  Response response;
+  if (tokens.size() != 4 || tokens[0] != "response" ||
+      !parse_number(tokens[1], response.chip) ||
+      !parse_number(tokens[2], response.seq)) {
+    throw ProtocolError("tune: malformed response line \"" + line + "\"");
+  }
+  response.bits = tokens[3];
+  return response;
 }
 
 std::string encode_bits(const std::vector<bool>& pass) {
@@ -232,7 +374,55 @@ std::string encode_bits(const std::vector<bool>& pass) {
   return bits;
 }
 
-}  // namespace
+std::vector<bool> decode_bits(const std::string& bits) {
+  std::vector<bool> pass(bits.size());
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    if (bits[i] != '0' && bits[i] != '1') {
+      throw ProtocolError("tune: response bits must be 0/1, got \"" + bits +
+                          "\"");
+    }
+    pass[i] = bits[i] == '1';
+  }
+  return pass;
+}
+
+std::string format_error(const std::string& reason) {
+  return "error - " + reason;
+}
+
+bool is_fatal_error(const std::string& line) {
+  return line.starts_with("error -");
+}
+
+ServerLine classify_server_line(const std::string& line) {
+  const std::vector<std::string> tokens = tokens_of(line);
+  if (tokens.empty() || line[0] == '#') return ServerLine::kSkip;
+  const std::string& tag = tokens[0];
+  if (tag == "effitest-tune-v1") return ServerLine::kHeader;
+  if (tag == "stimulus" || tag == "final") return ServerLine::kStimulus;
+  if (tag == "report") return ServerLine::kReport;
+  if (tag == "error") return ServerLine::kError;
+  if (tag == kBye) return ServerLine::kBye;
+  return ServerLine::kUnknown;
+}
+
+SimulatedTester::SimulatedTester(const core::Problem& problem,
+                                 std::uint64_t seed, std::size_t chips)
+    : problem_(&problem) {
+  dies_.reserve(chips);
+  timing::SampleWorkspace ws;
+  for (std::size_t c = 0; c < chips; ++c) {
+    stats::Rng rng(parallel::index_seed(seed, c));
+    dies_.push_back(problem.model().sample_chip(rng, ws));
+  }
+}
+
+std::vector<bool> SimulatedTester::answer(
+    std::size_t chip, bool final, const core::Stimulus& stimulus) const {
+  core::SimulatedChip tester(*problem_, dies_[chip]);
+  if (final) return {tester.final_test(stimulus.period, stimulus.steps)};
+  return tester.apply(stimulus);
+}
 
 TuneServer::TuneServer(const core::TunerService& service, std::size_t chips,
                        TuneServerOptions options)
@@ -250,32 +440,41 @@ TuneServerResult TuneServer::run(std::istream& in, std::ostream& out) {
   // Buffered out-of-order responses by (chip, seq).
   std::map<std::pair<std::size_t, std::size_t>, std::string> pending;
 
+  // Unattributable input: strict mode aborts, lenient mode drops it.
+  const auto drop = [&](const std::string& reason) {
+    if (!lenient) throw ProtocolError(reason);
+    ++result.dropped_lines;
+  };
+  // A bad frame attributable to one chip: strict mode aborts, lenient mode
+  // abandons exactly that chip and keeps serving the others.
+  const auto bad_frame = [&](std::size_t chip, const std::string& reason) {
+    if (!lenient) throw ProtocolError(reason);
+    exchange.abandon(chip, reason);
+  };
   // Drain one admitted chip's queue as far as buffered responses allow.
   const auto drain_chip = [&](std::size_t chip) {
     while (exchange.slot(chip).started && !exchange.slot(chip).finished) {
       const auto it =
           pending.find(std::make_pair(chip, exchange.slot(chip).next_seq));
       if (it == pending.end()) break;
-      if (it->second.size() != exchange.expected_bits(chip)) {
-        const std::string reason =
-            "tune: response width " + std::to_string(it->second.size()) +
-            " does not match stimulus for chip " + std::to_string(chip) +
-            " seq " + std::to_string(it->first.second);
-        pending.erase(it);
-        if (!lenient) throw std::runtime_error(reason);
-        exchange.abandon(chip, reason);
-        break;
-      }
+      std::string reason;
       std::vector<bool> pass;
-      try {
-        pass = decode_bits(it->second);
-      } catch (const std::runtime_error& e) {
-        if (!lenient) throw;
-        pending.erase(it);
-        exchange.abandon(chip, e.what());
-        break;
+      if (it->second.size() != exchange.expected_bits(chip)) {
+        reason = "tune: response width " + std::to_string(it->second.size()) +
+                 " does not match stimulus for chip " + std::to_string(chip) +
+                 " seq " + std::to_string(it->first.second);
+      } else {
+        try {
+          pass = decode_bits(it->second);
+        } catch (const ProtocolError& e) {
+          reason = e.what();
+        }
       }
       pending.erase(it);
+      if (!reason.empty()) {
+        bad_frame(chip, reason);
+        break;
+      }
       exchange.apply(chip, pass);
     }
   };
@@ -292,66 +491,50 @@ TuneServerResult TuneServer::run(std::istream& in, std::ostream& out) {
   // Consume one response line; early returns mirror the historical
   // `continue`s (any admissions they trigger are drained by the caller).
   const auto process_line = [&](const std::string& line) {
-    std::istringstream is(line);
-    std::string tag, bits, extra;
-    std::size_t chip = 0, seq = 0;
-    if (!(is >> tag) || tag != "response" || !(is >> chip >> seq >> bits) ||
-        (is >> extra)) {
-      if (!lenient) {
-        throw std::runtime_error("tune: malformed response line \"" + line +
-                                 "\"");
-      }
-      ++result.dropped_lines;  // attributable to no chip — drop it
-      return;
+    Response response;
+    try {
+      response = parse_response(line);
+    } catch (const ProtocolError& e) {
+      return drop(e.what());
     }
+    const std::size_t chip = response.chip;
+    const std::size_t seq = response.seq;
+    const std::string& bits = response.bits;
     if (chip >= exchange.chips()) {
-      if (!lenient) {
-        throw std::runtime_error("tune: response for unknown chip " +
-                                 std::to_string(chip));
-      }
-      ++result.dropped_lines;
-      return;
+      return drop("tune: response for unknown chip " + std::to_string(chip));
     }
-    // From here a bad frame is attributable: in lenient mode it abandons
-    // exactly this chip and the run keeps serving the others.
-    const auto bad_frame = [&](const std::string& reason) {
-      if (!lenient) throw std::runtime_error(reason);
-      exchange.abandon(chip, reason);
-    };
     if (exchange.slot(chip).finished) {
-      if (!lenient) {
-        throw std::runtime_error("tune: duplicate/stale response for chip " +
-                                 std::to_string(chip) + " seq " +
-                                 std::to_string(seq));
-      }
-      ++result.dropped_lines;  // the chip's report (or error) already stands
-      return;
+      // The chip's report (or error) already stands.
+      return drop("tune: duplicate/stale response for chip " +
+                  std::to_string(chip) + " seq " + std::to_string(seq));
     }
     if (bits.size() > max_bits) {
-      bad_frame("tune: response width " + std::to_string(bits.size()) +
-                " for chip " + std::to_string(chip) +
-                " exceeds the protocol maximum np=" +
-                std::to_string(max_bits));
-      return;
+      return bad_frame(chip, "tune: response width " +
+                                 std::to_string(bits.size()) + " for chip " +
+                                 std::to_string(chip) +
+                                 " exceeds the protocol maximum np=" +
+                                 std::to_string(max_bits));
     }
     if (seq >= exchange.slot(chip).next_seq + kMaxPendingWindow) {
-      bad_frame("tune: implausible sequence number " + std::to_string(seq) +
-                " for chip " + std::to_string(chip) + " (next expected " +
-                std::to_string(exchange.slot(chip).next_seq) + ")");
-      return;
+      return bad_frame(chip, "tune: implausible sequence number " +
+                                 std::to_string(seq) + " for chip " +
+                                 std::to_string(chip) + " (next expected " +
+                                 std::to_string(exchange.slot(chip).next_seq) +
+                                 ")");
     }
     if (seq < exchange.slot(chip).next_seq ||
         !pending.emplace(std::make_pair(chip, seq), bits).second) {
-      bad_frame("tune: duplicate/stale response for chip " +
-                std::to_string(chip) + " seq " + std::to_string(seq));
-      return;
+      return bad_frame(chip, "tune: duplicate/stale response for chip " +
+                                 std::to_string(chip) + " seq " +
+                                 std::to_string(seq));
     }
     drain_chip(chip);
   };
 
   std::string line;
   while (exchange.unfinished() > 0) {
-    if (!std::getline(in, line)) {
+    const LineRead got = read_line(in, line);
+    if (got == LineRead::kEnd) {
       if (!lenient) {
         throw std::runtime_error(
             "tune: response stream ended with " +
@@ -368,12 +551,11 @@ TuneServerResult TuneServer::run(std::istream& in, std::ostream& out) {
       }
       break;
     }
-    // CRLF tolerance: a DOS/telnet-style client terminates every line with
-    // \r\n and getline leaves the \r behind — strip it in BOTH modes, or
-    // every frame such a client sends is rejected as malformed.
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty() || line[0] == '#') continue;
-    process_line(line);
+    if (got == LineRead::kOverlong) {
+      drop("tune: response " + line_too_long());
+    } else if (!line.empty() && line[0] != '#') {
+      process_line(line);
+    }
     drain_admitted();
   }
   if (!pending.empty()) {
@@ -385,7 +567,7 @@ TuneServerResult TuneServer::run(std::istream& in, std::ostream& out) {
     // Leftovers can only reference finished/abandoned chips here.
     result.dropped_lines += pending.size();
   }
-  out << "bye\n";
+  out << kBye << '\n';
   result.stimuli = exchange.stimuli();
   result.reports = exchange.take_reports();
   result.errors = exchange.take_errors();
@@ -394,23 +576,8 @@ TuneServerResult TuneServer::run(std::istream& in, std::ostream& out) {
 
 TuneServerResult TuneServer::run_simulated(std::ostream& out,
                                            std::ostream* response_log) {
-  // Dies sampled exactly like run_flow's Monte-Carlo chip loop.
-  const core::Problem& problem = service_->problem();
-  const timing::CircuitModel& model = problem.model();
-  const std::uint64_t base = service_->monte_carlo_seed_base();
-  std::vector<timing::Chip> dies;
-  dies.reserve(chips_);
-  timing::SampleWorkspace ws;
-  for (std::size_t c = 0; c < chips_; ++c) {
-    stats::Rng rng(parallel::index_seed(base, c));
-    dies.push_back(model.sample_chip(rng, ws));
-  }
-  std::vector<core::SimulatedChip> testers;
-  testers.reserve(chips_);
-  for (std::size_t c = 0; c < chips_; ++c) {
-    testers.emplace_back(problem, dies[c]);
-  }
-
+  SimulatedTester tester(service_->problem(),
+                         service_->monte_carlo_seed_base(), chips_);
   Exchange exchange(*service_, chips_, options_, out);
   // Round-robin: one stimulus/response exchange per unfinished chip per
   // sweep, so a logged session interleaves chips (the interesting replay
@@ -419,21 +586,17 @@ TuneServerResult TuneServer::run_simulated(std::ostream& out,
   while (exchange.unfinished() > 0) {
     for (std::size_t c = 0; c < chips_; ++c) {
       if (!exchange.slot(c).started || exchange.slot(c).finished) continue;
-      const Stimulus& stim = exchange.outstanding(c);
-      std::vector<bool> pass;
-      if (exchange.is_final(c)) {
-        pass.assign(1, testers[c].final_test(stim.period, stim.steps));
-      } else {
-        pass = testers[c].apply(stim);
-      }
+      const std::vector<bool> pass =
+          tester.answer(c, exchange.is_final(c), exchange.outstanding(c));
       if (response_log != nullptr) {
-        *response_log << "response " << c << ' ' << exchange.slot(c).next_seq
-                      << ' ' << encode_bits(pass) << '\n';
+        *response_log << format_response({c, exchange.slot(c).next_seq,
+                                          encode_bits(pass)})
+                      << '\n';
       }
       exchange.apply(c, pass);
     }
   }
-  out << "bye\n";
+  out << kBye << '\n';
   TuneServerResult result;
   result.stimuli = exchange.stimuli();
   result.reports = exchange.take_reports();

@@ -1,16 +1,14 @@
 #pragma once
 // Loopback tuning client: connects to a net::TuneServeLoop (or any
 // effitest-tune-v1 server), simulates its dies locally with the seed base
-// from the serve greeting, and answers every stimulus — the tester half of
-// `effitest_cli tune --connect=host:port`, tests/net and bench_serve.
+// from the serve greeting, and answers the server's stimuli — the tester
+// half of `effitest_cli tune --connect=host:port`, tests/net and
+// bench_serve.
 //
-// The client needs only a core::Problem (netlist + library + variation
-// model) to simulate dies — NOT the server's offline artifacts: prediction
-// and configuration are server-side, the tester just measures. Because die
-// c is sampled stats::Rng(parallel::index_seed(seed, c)) with the seed the
-// greeting carried, the report lines the server sends back are
-// byte-identical to a local `tune --simulate` run of the same circuit and
-// flow options.
+// The client needs only a core::Problem to simulate dies, not the
+// server's offline artifacts: prediction and configuration are
+// server-side. With the greeting's seed (io/tune_protocol.hpp) the reports
+// are byte-identical to a local `tune --simulate` run.
 
 #include <cstddef>
 #include <cstdint>

@@ -1,9 +1,7 @@
 #include "net/serve.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <utility>
 
@@ -14,67 +12,20 @@ namespace effitest::net {
 
 namespace {
 
-/// Parsed `hello effitest-tune-v1 chips=<n> [lenient] [window=<w>]`.
-/// `error` non-empty on a malformed or out-of-policy hello.
-struct Hello {
-  std::size_t chips = 0;
-  std::size_t window = 0;
-  bool lenient = false;
-  std::string error;
-};
-
-Hello parse_hello(const std::string& line, const ServeOptions& options) {
-  Hello h;
-  std::istringstream is(line);
-  std::string tag, version, token;
-  if (!(is >> tag >> version) || tag != "hello" ||
-      version != "effitest-tune-v1") {
-    h.error = "expected \"hello effitest-tune-v1 chips=<n>\"";
-    return h;
+/// This server's policy on a parsed hello: the per-session chip cap, then
+/// the server window capping the client's (or standing in for none).
+/// Returns the rejection reason, empty when admitted.
+std::string admit(io::Hello& hello, const ServeOptions& options) {
+  if (hello.chips > options.max_chips_per_session) {
+    return "chips=" + std::to_string(hello.chips) +
+           " exceeds this server's per-session limit of " +
+           std::to_string(options.max_chips_per_session);
   }
-  bool saw_chips = false;
-  while (is >> token) {
-    if (token == "lenient") {
-      h.lenient = true;
-      continue;
-    }
-    const auto eq = token.find('=');
-    const std::string key = token.substr(0, eq);
-    std::size_t value = 0;
-    if (eq != std::string::npos) {
-      std::istringstream vs(token.substr(eq + 1));
-      if (!(vs >> value) || !vs.eof()) {
-        h.error = "malformed hello option \"" + token + "\"";
-        return h;
-      }
-    }
-    if (key == "chips" && eq != std::string::npos) {
-      h.chips = value;
-      saw_chips = true;
-    } else if (key == "window" && eq != std::string::npos) {
-      h.window = value;
-    } else {
-      h.error = "unknown hello option \"" + token + "\"";
-      return h;
-    }
+  if (options.chip_window != 0 &&
+      (hello.window == 0 || hello.window > options.chip_window)) {
+    hello.window = options.chip_window;
   }
-  if (!saw_chips || h.chips == 0) {
-    h.error = "hello must carry chips=<n> with n >= 1";
-    return h;
-  }
-  if (h.chips > options.max_chips_per_session) {
-    h.error = "chips=" + std::to_string(h.chips) +
-              " exceeds this server's per-session limit of " +
-              std::to_string(options.max_chips_per_session);
-    return h;
-  }
-  // The server-side window caps the client's request; a client that asked
-  // for none gets the server's default.
-  if (options.chip_window != 0) {
-    h.window = h.window == 0 ? options.chip_window
-                             : std::min(h.window, options.chip_window);
-  }
-  return h;
+  return {};
 }
 
 }  // namespace
@@ -94,15 +45,10 @@ void TuneServeLoop::serve_connection(Socket socket) {
   const auto session_start = std::chrono::steady_clock::now();
   SocketStream stream(std::move(socket));
   std::string line;
-  Hello hello;
-  bool got_line = false;
-  if (std::getline(stream, line)) {
-    got_line = true;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-  }
+  const io::LineRead first = io::read_line(stream, line);
   // An in-band status poll: answer and close without touching the session
   // counters, so watching a fleet does not change what it reports.
-  if (got_line) {
+  if (first == io::LineRead::kLine) {
     if (const std::optional<std::string> reply = server_.status_reply(line)) {
       stream << *reply;
       stream.flush();
@@ -111,19 +57,26 @@ void TuneServeLoop::serve_connection(Socket socket) {
   }
   accepted_->inc();
   server_.begin_session();
-  if (!got_line) {
-    hello.error = "connection closed before hello";
+  io::Hello hello;
+  std::string failure;
+  if (first == io::LineRead::kEnd) {
+    failure = "connection closed before hello";
+  } else if (first == io::LineRead::kOverlong) {
+    failure = "hello " + io::line_too_long();
   } else {
-    hello = parse_hello(line, options_);
+    try {
+      hello = io::parse_hello(line);
+      failure = admit(hello, options_);
+    } catch (const io::ProtocolError& e) {
+      failure = e.what();
+    }
   }
   bool completed = false;
   std::uint64_t id = 0;
-  std::size_t chips = 0;
-  std::string failure = hello.error;
-  if (hello.error.empty()) {
+  if (failure.empty()) {
     id = next_session_id_.fetch_add(1);
-    stream << "serve effitest-tune-v1 session=" << id
-           << " seed=" << service_->monte_carlo_seed_base() << '\n';
+    stream << io::format_greeting({id, service_->monte_carlo_seed_base()})
+           << '\n';
     stream.flush();
     io::TuneServerOptions topts;
     topts.lenient = hello.lenient;
@@ -137,16 +90,15 @@ void TuneServeLoop::serve_connection(Socket socket) {
       (void)server.run(stream, stream);
       stream.flush();  // the trailing report/bye lines have no read after
       completed = true;
-      chips = hello.chips;
     } catch (const std::exception& e) {
       // Strict-mode bad frame or a vanished client: this session dies, its
-      // siblings never notice. Best effort notice to a peer still there.
+      // siblings never notice.
       failure = e.what();
-      stream << "error - " << e.what() << '\n';
-      stream.flush();
     }
-  } else {
-    stream << "error - " << hello.error << '\n';
+  }
+  if (!completed) {
+    stream.clear();  // best-effort notice, even past an over-long hello
+    stream << io::format_error(failure) << '\n';
     stream.flush();
   }
   const double seconds =
@@ -154,7 +106,7 @@ void TuneServeLoop::serve_connection(Socket socket) {
                                     session_start)
           .count();
   if (completed) {
-    chips_tuned_->inc(chips);
+    chips_tuned_->inc(hello.chips);
     latency_->record(seconds);
   }
   // After the per-session counters, so a poll that sees the completion
@@ -164,7 +116,7 @@ void TuneServeLoop::serve_connection(Socket socket) {
   if (completed) {
     options_.log->emit("serve", "session_complete",
                        {obs::LogField::u64("session", id),
-                        obs::LogField::u64("chips", chips),
+                        obs::LogField::u64("chips", hello.chips),
                         obs::LogField::f64("seconds", seconds)});
   } else {
     options_.log->emit("serve", "session_failed",

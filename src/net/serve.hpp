@@ -2,36 +2,21 @@
 // TCP serve mode: one TunerService, thousands of concurrent chip-tuning
 // sessions (`effitest_cli serve` / bench_serve). DESIGN.md §13.
 //
-// Wire protocol, layered on io/tune_protocol.hpp line framing:
+// Wire protocol: io/tune_protocol.hpp, which owns the grammar, parses the
+// hello and frames every line; this loop adds only its policy
+// (max_chips_per_session, the chip_window cap). A rejected hello —
+// malformed, over the cap, over-long or never sent — gets one
+// `error - <reason>` line and counts as a failed session. A first line
+// `status` (or `status prometheus`) is answered and closed instead, and
+// counted in serve.status_requests only; so is every connection to
+// ServeOptions::status_port.
 //
-//   client:  hello effitest-tune-v1 chips=<n> [lenient] [window=<w>]
-//   server:  serve effitest-tune-v1 session=<id> seed=<base>
-//   ...the standard effitest-tune-v1 exchange (header, stimulus/response,
-//      report, bye), byte-identical to `effitest_cli tune`...
-//
-// A connection whose first line is `status` instead of a hello receives
-// one `effitest-status-v1` JSON line (the live metrics registry) and is
-// closed — it is counted in serve.status_requests, never in the session
-// counters, so polling does not perturb the fleet's numbers. The same
-// line is served to any connection on ServeOptions::status_port.
-//
-// The greeting carries monte_carlo_seed_base() because a client simulating
-// dies cannot recompute it: the base falls out of the offline phase's RNG
-// fork order, which only the server ran. With it, client-side die c is
-// sampled stats::Rng(parallel::index_seed(seed, c)) — exactly run_flow's
-// Monte-Carlo loop — so a loopback client's reports are byte-identical to
-// `tune --simulate` for the same circuit and flow options.
-//
-// Concurrency shape: the net::SessionServer shell (session_server.hpp)
-// owns the listeners, the accept thread, the FIFO session queue with its
-// accept-pausing backpressure at `max_pending`, the status endpoints and
-// the async-signal-safe drain; this loop supplies the per-connection
-// hello/exchange. Per-session backpressure reuses the protocol's
-// chip_window: at most `chip_window` live TuningSessions per connection,
-// responses for unadmitted chips parked in the reorder buffer under the
-// same kMaxPendingWindow bound as every other mode. A client that vanishes
-// mid-session surfaces as stream EOF inside that one session; sibling
-// sessions never notice.
+// Concurrency: the net::SessionServer shell (session_server.hpp) owns the
+// listeners, the accept thread, the FIFO session queue and the drain; this
+// loop is the per-connection handler. Per-session backpressure is the
+// protocol's chip_window. A client that vanishes mid-session, or stays
+// silent for ListenOptions::io_timeout_seconds, is stream EOF inside that
+// one session; sibling sessions never notice.
 
 #include <atomic>
 #include <cstddef>
@@ -51,9 +36,8 @@ namespace effitest::net {
 
 struct ServeOptions : ListenOptions {
   std::size_t workers = 8;
-  /// Per-session chip window forced by the server; 0 honors the client's
-  /// `window=` request (or no window at all). A nonzero value caps the
-  /// client's request.
+  /// Server chip window: caps the client's `window=` request, or stands in
+  /// for none; 0 honors the client's request.
   std::size_t chip_window = 0;
   /// hello chips=<n> above this is rejected before any session state is
   /// allocated (an `error - ...` line, then close).

@@ -55,9 +55,11 @@ struct ListenOptions {
   /// until request_drain(). The self-terminating mode tests and the CI
   /// smoke step rely on.
   std::size_t max_sessions = 0;
-  /// Socket send/receive timeout per session; 0 = block forever. A recv
-  /// timeout looks like a disconnected tester (stream EOF).
-  double io_timeout_seconds = 0.0;
+  /// Socket send/receive timeout per session (and per balancer worker leg);
+  /// 0 blocks forever. A recv timeout is stream EOF, so a silent peer frees
+  /// its session thread. 300 s is far above one live stimulus/response
+  /// exchange, yet stalled peers cannot pin every worker for good.
+  double io_timeout_seconds = 300.0;
   /// Plaintext status endpoint: every connection to this port immediately
   /// receives one `effitest-status-v1` JSON line and is closed — pollable
   /// with netcat/curl, independent of the tune listener's backpressure

@@ -73,17 +73,22 @@ SocketStreambuf::SocketStreambuf(Socket socket)
 
 SocketStreambuf::~SocketStreambuf() { (void)flush_put_area(); }
 
-bool SocketStreambuf::flush_put_area() {
-  const char* p = pbase();
-  const char* end = pptr();
-  while (p < end) {
-    const ssize_t n = ::send(socket_.fd(), p, static_cast<std::size_t>(end - p),
-                             MSG_NOSIGNAL);
+bool send_all(int fd, std::string_view data) {
+  while (!data.empty()) {
+    const ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;  // peer gone (EPIPE/ECONNRESET) or send timeout
     }
-    p += n;
+    data.remove_prefix(static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
+bool SocketStreambuf::flush_put_area() {
+  if (!send_all(socket_.fd(),
+                {pbase(), static_cast<std::size_t>(pptr() - pbase())})) {
+    return false;
   }
   setp(out_.data(), out_.data() + out_.size());
   return true;

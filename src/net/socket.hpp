@@ -5,10 +5,10 @@
 // (io/tune_protocol.hpp) runs over TCP unchanged.
 //
 // SocketStream's streambuf flushes its put area before every refill of the
-// get area, so the request/response pattern of the protocol — write
-// stimulus lines, then block reading the next response — never deadlocks
-// on unflushed output: a plain `stream << line << '\n'` followed by
-// `std::getline(stream, ...)` pushes the line onto the wire first. Sends
+// get area, so the protocol's request/reply pattern — write stimuli, then
+// block reading the next reply — never deadlocks on unflushed output: a
+// plain `stream << line << '\n'` followed by `io::read_line(stream, ...)`
+// pushes the line onto the wire first. Sends
 // use MSG_NOSIGNAL so a peer that disappeared mid-session surfaces as
 // stream failure (badbit/eof), never as a process-killing SIGPIPE.
 //
@@ -20,6 +20,7 @@
 #include <istream>
 #include <streambuf>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace effitest::net {
@@ -133,6 +134,10 @@ struct ConnectBackoff {
 [[nodiscard]] Socket connect_with_backoff(const std::string& host,
                                           std::uint16_t port,
                                           const ConnectBackoff& backoff = {});
+
+/// send(2) all of `data` (MSG_NOSIGNAL, EINTR retried). False when the peer
+/// is gone or the send timed out.
+bool send_all(int fd, std::string_view data);
 
 /// Half-close helpers (shutdown(2) wrappers; no-ops on an invalid socket).
 /// The fleet balancer uses them to pop its peer relay thread out of a

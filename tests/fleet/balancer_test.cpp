@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <future>
 #include <optional>
 #include <string>
 #include <thread>
@@ -27,6 +28,7 @@
 #include "fleet/supervisor.hpp"
 #include "fleet_test_common.hpp"
 #include "io/json.hpp"
+#include "io/tune_protocol.hpp"
 #include "net/client.hpp"
 #include "net/serve.hpp"
 #include "net/socket.hpp"
@@ -35,6 +37,7 @@
 namespace {
 
 using namespace effitest;
+using fleet_test::flood;
 using fleet_test::holder;
 using fleet_test::simulated_report_lines;
 using fleet_test::sorted_by_chip;
@@ -109,9 +112,10 @@ TEST(FleetBalancer, RelayedSessionsMatchSimulatedReports) {
 
 TEST(FleetBalancer, SessionMigratesWhenItsWorkerDiesMidFlight) {
   // Slot 0 is a proxy that relays the first few REAL server lines from a
-  // genuine worker, then hard-closes — a deterministic mid-session death
-  // with genuine bytes already forwarded. Slot 1 is the survivor. The
-  // migrated session must replay its backlog, discard exactly the prefix
+  // genuine worker and half of the next one, then hard-closes — a
+  // deterministic mid-session, mid-line death with genuine bytes already
+  // forwarded. Slot 1 is the survivor. The migrated session must replay
+  // its backlog, discard exactly the prefix
   // the client already holds, and still match the golden transcript.
   net::ServeOptions soptions;
   soptions.workers = 2;
@@ -129,10 +133,15 @@ TEST(FleetBalancer, SessionMigratesWhenItsWorkerDiesMidFlight) {
         net::connect_to(survivor.host(), survivor.port()));
     backend << hello << '\n';
     backend.flush();
-    // Greeting + header + two stimulus lines, then death mid-session.
+    // Greeting + header + one stimulus line, then death in the middle of
+    // the second: the torn line must never reach the client.
     std::string line;
-    for (int i = 0; i < 4 && std::getline(backend, line); ++i) {
+    for (int i = 0; i < 3 && std::getline(backend, line); ++i) {
       client_side << line << '\n';
+      client_side.flush();
+    }
+    if (std::getline(backend, line)) {
+      client_side << line.substr(0, line.size() / 2);
       client_side.flush();
     }
   });
@@ -276,6 +285,108 @@ TEST(FleetBalancer, WorkerRejectionIsForwardedAndNeverRetried) {
   EXPECT_EQ(reply.rfind("error - ", 0), 0u) << reply;
   const obs::RegistrySnapshot m = balancer.metrics();
   EXPECT_EQ(m.counter(fleet::kFleetSessionsFailed), 1u);
+  EXPECT_EQ(m.counter(fleet::kFleetSessionsRetried), 0u);
+}
+
+TEST(FleetBalancer, NewlineFreeClientFloodFailsOnlyItsSession) {
+  // A tester whose hello never ends (2x the line cap, no newline) gets a
+  // fatal error naming the cap and a close, in bounded time; it is counted
+  // as a failed session, and a concurrent session is relayed untouched.
+  net::ServeOptions soptions;
+  soptions.workers = 2;
+  net::TuneServeLoop worker(holder().service, soptions);
+  worker.start();
+  fleet::WorkerRegistry registry;
+  (void)registry.add_worker({worker.host(), worker.port()});
+  fleet::FleetBalancer balancer(registry, fast_options());
+  balancer.start();
+
+  std::optional<net::ClientResult> sibling;
+  std::thread sibling_thread([&] {
+    net::ClientOptions copts;
+    copts.chips = 2;
+    sibling = net::run_loopback_client("127.0.0.1", balancer.port(),
+                                       holder().problem, copts);
+  });
+  const auto begin = std::chrono::steady_clock::now();
+  const std::string reply = flood(balancer.port(), 2 * io::kMaxLineBytes);
+  const auto elapsed = std::chrono::steady_clock::now() - begin;
+  sibling_thread.join();
+  balancer.request_drain();
+  balancer.wait();
+  worker.request_drain();
+  worker.wait();
+
+  EXPECT_EQ(reply, io::format_error("hello " + io::line_too_long()) + "\n");
+  EXPECT_LT(elapsed, std::chrono::seconds(10));
+  ASSERT_TRUE(sibling.has_value());
+  EXPECT_EQ(sorted_by_chip(sibling->report_lines), simulated_report_lines(2));
+  const obs::RegistrySnapshot m = balancer.metrics();
+  EXPECT_EQ(m.counter(fleet::kFleetSessionsFailed), 1u);
+  EXPECT_EQ(m.counter(fleet::kFleetSessionsCompleted), 1u);
+}
+
+TEST(FleetBalancer, FloodingWorkerFailsOnlyItsSession) {
+  // Slot 0 is a fake worker that reads the hello and answers 2x the line
+  // cap without a newline, then hangs up. That session fails with a fatal
+  // error naming the cap — never retried: an over-long line is a protocol
+  // violation, not a death — while a concurrent session, routed to the
+  // real worker in slot 1 because slot 0 is busy, completes untouched.
+  net::ServeOptions soptions;
+  soptions.workers = 1;
+  net::TuneServeLoop real(holder().service, soptions);
+  real.start();
+
+  net::Listener flooder("127.0.0.1", 0, 8);
+  std::promise<void> hello_seen;
+  std::promise<void> sibling_done;
+  std::thread fake([&] {
+    net::Socket conn = flooder.accept();
+    if (!conn.valid()) return;
+    net::SocketStream stream(std::move(conn));
+    std::string hello;
+    if (io::read_line(stream, hello) != io::LineRead::kLine) return;
+    hello_seen.set_value();
+    sibling_done.get_future().wait();
+    stream << std::string(2 * io::kMaxLineBytes, 'x');
+    stream.flush();
+  });
+
+  fleet::WorkerRegistry registry;
+  (void)registry.add_worker({flooder.host(), flooder.port()});
+  (void)registry.add_worker({real.host(), real.port()});
+  fleet::FleetBalancer balancer(registry, fast_options());
+  balancer.start();
+
+  std::string reply;
+  net::ClientResult sibling;
+  {
+    net::Socket victim_socket =
+        net::connect_to("127.0.0.1", balancer.port());
+    victim_socket.set_io_timeout(10.0);
+    net::SocketStream victim(std::move(victim_socket));
+    victim << io::format_hello({1, 0, false}) << '\n';
+    victim.flush();
+    hello_seen.get_future().wait();  // the victim now holds slot 0
+
+    net::ClientOptions copts;
+    copts.chips = 2;
+    sibling = net::run_loopback_client("127.0.0.1", balancer.port(),
+                                       holder().problem, copts);
+    sibling_done.set_value();
+    EXPECT_EQ(io::read_line(victim, reply), io::LineRead::kLine);
+  }  // the victim hangs up
+  fake.join();
+  balancer.request_drain();
+  balancer.wait();
+  real.request_drain();
+  real.wait();
+
+  EXPECT_EQ(reply, io::format_error("fleet worker " + io::line_too_long()));
+  EXPECT_EQ(sorted_by_chip(sibling.report_lines), simulated_report_lines(2));
+  const obs::RegistrySnapshot m = balancer.metrics();
+  EXPECT_EQ(m.counter(fleet::kFleetSessionsFailed), 1u);
+  EXPECT_EQ(m.counter(fleet::kFleetSessionsCompleted), 1u);
   EXPECT_EQ(m.counter(fleet::kFleetSessionsRetried), 0u);
 }
 

@@ -9,8 +9,11 @@
 //
 // Deliberately gtest-free so fleet_worker_main.cpp can include it.
 
+#include <sys/socket.h>
+
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,6 +21,7 @@
 #include "core/problem.hpp"
 #include "core/tuner_service.hpp"
 #include "io/tune_protocol.hpp"
+#include "net/socket.hpp"
 #include "netlist/cell.hpp"
 #include "netlist/generator.hpp"
 #include "timing/model.hpp"
@@ -90,6 +94,27 @@ inline std::vector<std::string> simulated_report_lines(std::size_t chips) {
     if (line.rfind("report ", 0) == 0) reports.push_back(line);
   }
   return sorted_by_chip(std::move(reports));
+}
+
+/// Send `bytes` newline-free bytes to `port`, half-close, and return
+/// everything the peer sent back before it closed the connection.
+inline std::string flood(std::uint16_t port, std::size_t bytes) {
+  const net::Socket peer = net::connect_to("127.0.0.1", port);
+  const std::string junk(bytes, 'x');
+  for (std::size_t sent = 0; sent < junk.size();) {
+    const ssize_t n = ::send(peer.fd(), junk.data() + sent,
+                             junk.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) break;  // the peer gave up on us early: fine too
+    sent += static_cast<std::size_t>(n);
+  }
+  net::shutdown_write(peer);
+  std::string received;
+  char buf[4096];
+  ssize_t n = 0;
+  while ((n = ::recv(peer.fd(), buf, sizeof(buf), 0)) > 0) {
+    received.append(buf, static_cast<std::size_t>(n));
+  }
+  return received;
 }
 
 }  // namespace effitest::fleet_test

@@ -1,11 +1,17 @@
 // Fuzz target: the tune line protocol's response-stream reader
-// (io::TuneServer::run). Each input is treated as the complete tester →
-// server stream for a two-chip run against one tiny shared service:
+// (io::TuneServer::run) and its line codec. Each input is treated as the
+// complete tester → server stream for a two-chip run against one tiny
+// shared service:
 //
 //  - strict mode must either finish or raise std::runtime_error;
 //  - lenient mode must NEVER throw — a bad frame abandons at most its
 //    chip and garbage is dropped, so an escaping exception here is a
 //    finding (the target lets it propagate and crash on purpose).
+//
+// Then every line of the input (as io::read_line frames it) goes through
+// parse_hello, parse_greeting and parse_stimulus: each must parse or throw
+// io::ProtocolError and nothing else, and whatever parses must survive
+// format-then-parse unchanged (a mismatch aborts).
 //
 // The service is built once (static) with an explicit designated period
 // so per-input cost is the protocol loop, not flow calibration. The
@@ -13,6 +19,8 @@
 // sequence numbers > 10^6 ahead) are pinned in corpora/tune/ and
 // tests/session/tune_protocol_test.cpp.
 
+#include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -63,6 +71,43 @@ const effitest::core::TunerService& shared_service() {
   return holder.service;
 }
 
+/// Parse `line` with `parse`: io::ProtocolError is the only allowed
+/// failure, and a parsed value must survive format-then-parse unchanged.
+/// Anything else (another exception, a reformatted line that no longer
+/// parses, a different value) escapes or aborts on purpose.
+template <typename Parse, typename Format, typename Same>
+void check_codec(const std::string& line, Parse parse, Format format,
+                 Same same) {
+  std::optional<decltype(parse(line))> parsed;
+  try {
+    parsed = parse(line);
+  } catch (const effitest::io::ProtocolError&) {
+    return;
+  }
+  if (!same(parse(format(*parsed)), *parsed)) std::abort();
+}
+
+void fuzz_codec(const std::string& text) {
+  namespace io = effitest::io;
+  const auto equal = [](const auto& a, const auto& b) { return a == b; };
+  std::istringstream in(text);
+  std::string line;
+  for (io::LineRead got = io::read_line(in, line); got != io::LineRead::kEnd;
+       got = io::read_line(in, line)) {
+    if (got == io::LineRead::kOverlong) continue;
+    check_codec(line, io::parse_hello, io::format_hello, equal);
+    check_codec(line, io::parse_greeting, io::format_greeting, equal);
+    check_codec(line, io::parse_stimulus, io::format_stimulus,
+                [](const io::StimulusLine& a, const io::StimulusLine& b) {
+                  return a.chip == b.chip && a.seq == b.seq &&
+                         a.final == b.final &&
+                         a.stimulus.period == b.stimulus.period &&
+                         a.stimulus.steps == b.stimulus.steps &&
+                         a.stimulus.armed == b.stimulus.armed;
+                });
+  }
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -88,5 +133,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     effitest::io::TuneServer server(service, kChips, lenient);
     (void)server.run(in, out);  // must not throw; see file comment
   }
+  fuzz_codec(text);
   return 0;
 }

@@ -34,8 +34,6 @@
 #include "net/socket.hpp"
 #include "netlist/generator.hpp"
 #include "obs/metrics.hpp"
-#include "parallel/deterministic_for.hpp"
-#include "stats/rng.hpp"
 #include "timing/model.hpp"
 
 namespace {
@@ -113,6 +111,50 @@ std::vector<std::string> sorted_by_chip(std::vector<std::string> lines) {
               return ca < cb;
             });
   return lines;
+}
+
+/// Answer every stimulus of a session whose greeting carried `seed` the
+/// way `chips` simulated dies would, ending each response with `eol`, and
+/// return the report lines once `bye` arrives.
+std::vector<std::string> answer_session(net::SocketStream& stream,
+                                        std::uint64_t seed, std::size_t chips,
+                                        const char* eol = "\n") {
+  const io::SimulatedTester tester(holder().problem, seed, chips);
+  std::vector<std::string> reports;
+  std::string line;
+  while (io::read_line(stream, line) == io::LineRead::kLine) {
+    const io::ServerLine kind = io::classify_server_line(line);
+    if (kind == io::ServerLine::kBye) break;
+    if (kind == io::ServerLine::kReport) reports.push_back(line);
+    if (kind != io::ServerLine::kStimulus) continue;
+    const io::StimulusLine stim = io::parse_stimulus(line);
+    const std::vector<bool> pass =
+        tester.answer(stim.chip, stim.final, stim.stimulus);
+    stream << io::format_response({stim.chip, stim.seq, io::encode_bits(pass)})
+           << eol;
+  }
+  return reports;
+}
+
+/// Send `bytes` newline-free bytes to `port`, half-close, and return
+/// everything the server sent back before it closed the connection.
+std::string flood(std::uint16_t port, std::size_t bytes) {
+  const net::Socket peer = net::connect_to("127.0.0.1", port);
+  const std::string junk(bytes, 'x');
+  for (std::size_t sent = 0; sent < junk.size();) {
+    const ssize_t n = ::send(peer.fd(), junk.data() + sent,
+                             junk.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) break;  // the server gave up on us early: fine too
+    sent += static_cast<std::size_t>(n);
+  }
+  net::shutdown_write(peer);
+  std::string received;
+  char buf[4096];
+  ssize_t n = 0;
+  while ((n = ::recv(peer.fd(), buf, sizeof(buf), 0)) > 0) {
+    received.append(buf, static_cast<std::size_t>(n));
+  }
+  return received;
 }
 
 TEST(ServeLoop, ConcurrentLoopbackSessionsMatchSimulatedReports) {
@@ -248,54 +290,8 @@ TEST(ServeLoop, CrlfFramedClientIsServed) {
     stream << "hello effitest-tune-v1 chips=1\r\n";
     stream.flush();
     std::string line;
-    ASSERT_TRUE(std::getline(stream, line));  // greeting
-    ASSERT_TRUE(line.rfind("serve ", 0) == 0) << line;
-    const std::string seed_kv = line.substr(line.rfind("seed=") + 5);
-    const std::uint64_t seed = std::stoull(seed_kv);
-
-    // One simulated die, answered with CRLF endings.
-    timing::SampleWorkspace ws;
-    stats::Rng rng(parallel::index_seed(seed, 0));
-    const timing::Chip die = holder().model.sample_chip(rng, ws);
-    core::SimulatedChip tester(holder().problem, die);
-    while (std::getline(stream, line)) {
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line == "bye") break;
-      if (line.rfind("report ", 0) == 0) {
-        reports.push_back(line);
-        continue;
-      }
-      std::istringstream is(line);
-      std::string tag;
-      is >> tag;
-      if (tag != "stimulus" && tag != "final") continue;
-      std::size_t chip = 0, seq = 0;
-      std::string marker;
-      core::Stimulus stim;
-      ASSERT_TRUE(is >> chip >> seq >> stim.period >> marker);
-      std::string token;
-      bool in_arm = false;
-      while (is >> token) {
-        if (token == "arm") {
-          in_arm = true;
-        } else if (in_arm) {
-          stim.armed.push_back(std::stoul(token));
-        } else {
-          stim.steps.push_back(std::stoi(token));
-        }
-      }
-      std::vector<bool> pass;
-      if (tag == "final") {
-        pass.assign(1, tester.final_test(stim.period, stim.steps));
-      } else {
-        pass = tester.apply(stim);
-      }
-      std::string bits(pass.size(), '0');
-      for (std::size_t i = 0; i < pass.size(); ++i) {
-        if (pass[i]) bits[i] = '1';
-      }
-      stream << "response " << chip << ' ' << seq << ' ' << bits << "\r\n";
-    }
+    ASSERT_EQ(io::read_line(stream, line), io::LineRead::kLine);
+    reports = answer_session(stream, io::parse_greeting(line).seed, 1, "\r\n");
   }
   loop.request_drain();
   loop.wait();
@@ -319,58 +315,11 @@ TEST(ServeLoop, DrainFinishesInFlightSessions) {
   std::string line;
   ASSERT_TRUE(std::getline(stream, line));
   ASSERT_EQ(line.rfind("serve ", 0), 0u) << line;
-  const std::uint64_t seed = std::stoull(line.substr(line.rfind("seed=") + 5));
+  const std::uint64_t seed = io::parse_greeting(line).seed;
 
   loop.request_drain();  // listener closes NOW; this session must survive
 
-  timing::SampleWorkspace ws;
-  std::vector<timing::Chip> dies;
-  std::vector<core::SimulatedChip> testers;
-  for (std::size_t c = 0; c < 2; ++c) {
-    stats::Rng rng(parallel::index_seed(seed, c));
-    dies.push_back(holder().model.sample_chip(rng, ws));
-  }
-  for (std::size_t c = 0; c < 2; ++c) {
-    testers.emplace_back(holder().problem, dies[c]);
-  }
-  std::vector<std::string> reports;
-  while (std::getline(stream, line)) {
-    if (line == "bye") break;
-    if (line.rfind("report ", 0) == 0) {
-      reports.push_back(line);
-      continue;
-    }
-    std::istringstream is(line);
-    std::string tag;
-    is >> tag;
-    if (tag != "stimulus" && tag != "final") continue;
-    std::size_t chip = 0, seq = 0;
-    std::string marker;
-    core::Stimulus stim;
-    ASSERT_TRUE(is >> chip >> seq >> stim.period >> marker);
-    std::string token;
-    bool in_arm = false;
-    while (is >> token) {
-      if (token == "arm") {
-        in_arm = true;
-      } else if (in_arm) {
-        stim.armed.push_back(std::stoul(token));
-      } else {
-        stim.steps.push_back(std::stoi(token));
-      }
-    }
-    std::vector<bool> pass;
-    if (tag == "final") {
-      pass.assign(1, testers[chip].final_test(stim.period, stim.steps));
-    } else {
-      pass = testers[chip].apply(stim);
-    }
-    std::string bits(pass.size(), '0');
-    for (std::size_t i = 0; i < pass.size(); ++i) {
-      if (pass[i]) bits[i] = '1';
-    }
-    stream << "response " << chip << ' ' << seq << ' ' << bits << '\n';
-  }
+  const std::vector<std::string> reports = answer_session(stream, seed, 2);
   loop.wait();
   EXPECT_EQ(sorted_by_chip(reports), golden);
   const obs::RegistrySnapshot m = loop.metrics();
@@ -467,8 +416,7 @@ TEST(ServeLoop, StatusPollsAreLiveMonotonicAndUnperturbing) {
   std::string line;
   ASSERT_TRUE(std::getline(stream, line));
   ASSERT_EQ(line.rfind("serve ", 0), 0u) << line;
-  const std::uint64_t seed =
-      std::stoull(line.substr(line.rfind("seed=") + 5));
+  const std::uint64_t seed = io::parse_greeting(line).seed;
 
   const io::json::Value mid =
       parse_status(net::fetch_status("127.0.0.1", loop.port()));
@@ -479,43 +427,7 @@ TEST(ServeLoop, StatusPollsAreLiveMonotonicAndUnperturbing) {
   EXPECT_EQ(status_number(mid, "gauges", net::kMetricActiveSessions), 1.0);
 
   // Answer the held session to completion.
-  timing::SampleWorkspace ws;
-  stats::Rng rng(parallel::index_seed(seed, 0));
-  const timing::Chip die = holder().model.sample_chip(rng, ws);
-  core::SimulatedChip tester(holder().problem, die);
-  while (std::getline(stream, line)) {
-    if (line == "bye") break;
-    std::istringstream is(line);
-    std::string tag;
-    is >> tag;
-    if (tag != "stimulus" && tag != "final") continue;
-    std::size_t chip = 0, seq = 0;
-    std::string marker;
-    core::Stimulus stim;
-    ASSERT_TRUE(is >> chip >> seq >> stim.period >> marker);
-    std::string token;
-    bool in_arm = false;
-    while (is >> token) {
-      if (token == "arm") {
-        in_arm = true;
-      } else if (in_arm) {
-        stim.armed.push_back(std::stoul(token));
-      } else {
-        stim.steps.push_back(std::stoi(token));
-      }
-    }
-    std::vector<bool> pass;
-    if (tag == "final") {
-      pass.assign(1, tester.final_test(stim.period, stim.steps));
-    } else {
-      pass = tester.apply(stim);
-    }
-    std::string bits(pass.size(), '0');
-    for (std::size_t i = 0; i < pass.size(); ++i) {
-      if (pass[i]) bits[i] = '1';
-    }
-    stream << "response " << chip << ' ' << seq << ' ' << bits << '\n';
-  }
+  (void)answer_session(stream, seed, 1);
 
   // `bye` races the server's own bookkeeping by a few instructions; wait
   // for the completion to land before taking the final poll.
@@ -611,6 +523,70 @@ TEST(ServeLoop, TricklingStatusPeerCannotPinTheAcceptThread) {
   EXPECT_EQ(received.size(), nl + 1);  // the reply, then EOF
   const io::json::Value reply = parse_status(received.substr(0, nl));
   EXPECT_EQ(status_number(reply, "counters", net::kMetricStatusRequests), 1.0);
+}
+
+TEST(ServeLoop, NewlineFreeFloodFailsOnlyItsSession) {
+  // A hello that never ends: 2x the protocol's line cap without a newline.
+  // The server holds at most kMaxLineBytes of it, answers a fatal error
+  // naming the cap and closes — in bounded time, without disturbing a
+  // concurrent session.
+  net::ServeOptions options;
+  options.workers = 2;
+  net::TuneServeLoop loop(holder().service, options);
+  loop.start();
+
+  std::optional<net::ClientResult> sibling;
+  std::thread sibling_thread([&] {
+    net::ClientOptions copts;
+    copts.chips = 2;
+    sibling = net::run_loopback_client("127.0.0.1", loop.port(),
+                                       holder().problem, copts);
+  });
+  const auto begin = std::chrono::steady_clock::now();
+  const std::string reply = flood(loop.port(), 2 * io::kMaxLineBytes);
+  const auto elapsed = std::chrono::steady_clock::now() - begin;
+  sibling_thread.join();
+  loop.request_drain();
+  loop.wait();
+
+  EXPECT_EQ(reply, io::format_error("hello " + io::line_too_long()) + "\n");
+  EXPECT_LT(elapsed, std::chrono::seconds(10));
+  ASSERT_TRUE(sibling.has_value());
+  EXPECT_EQ(sorted_by_chip(sibling->report_lines), simulated_report_lines(2));
+  const obs::RegistrySnapshot m = loop.metrics();
+  EXPECT_EQ(m.counter(net::kMetricSessionsFailed), 1u);
+  EXPECT_EQ(m.counter(net::kMetricSessionsCompleted), 1u);
+}
+
+TEST(ServeLoop, IdleTimeoutReleasesTheWorkerOfAVanishedPeer) {
+  // Connect-and-vanish: a peer opens a connection and never speaks. With
+  // the only session thread stuck on it, the next tester is served only
+  // because the I/O timeout turns the silence into end of stream. The
+  // default bounds this at five minutes; the test shortens it.
+  EXPECT_EQ(net::ListenOptions{}.io_timeout_seconds, 300.0);
+  net::ServeOptions options;
+  options.workers = 1;
+  options.io_timeout_seconds = 0.5;
+  net::TuneServeLoop loop(holder().service, options);
+  loop.start();
+
+  // Accepted first, so the FIFO session queue hands it to the only worker
+  // first.
+  const net::Socket silent = net::connect_to("127.0.0.1", loop.port());
+  const auto begin = std::chrono::steady_clock::now();
+  net::ClientOptions copts;
+  copts.chips = 1;
+  const net::ClientResult next = net::run_loopback_client(
+      "127.0.0.1", loop.port(), holder().problem, copts);
+  const auto elapsed = std::chrono::steady_clock::now() - begin;
+  loop.request_drain();
+  loop.wait();
+
+  EXPECT_EQ(next.report_lines, simulated_report_lines(1));
+  EXPECT_LT(elapsed, std::chrono::seconds(10));
+  const obs::RegistrySnapshot m = loop.metrics();
+  EXPECT_EQ(m.counter(net::kMetricSessionsFailed), 1u);
+  EXPECT_EQ(m.counter(net::kMetricSessionsCompleted), 1u);
 }
 
 TEST(SessionQueue, CloseDrainsBacklogThenReleasesWorkers) {

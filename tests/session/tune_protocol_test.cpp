@@ -1,11 +1,16 @@
 // Tune-protocol tests: the line-oriented stimulus/response server must
 // reproduce the in-process driver exactly, tolerate arbitrarily shuffled
 // (out-of-order) replayed response logs, and reject malformed or truncated
-// streams with clear errors instead of wrong results.
+// streams with clear errors instead of wrong results. The codec (hello,
+// greeting, stimulus, response) must round-trip and reject everything
+// off-grammar, and the bounded line reader must never buffer more than
+// kMaxLineBytes of one line.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <random>
 #include <set>
 #include <sstream>
@@ -466,6 +471,185 @@ TEST(TuneProtocol, LenientTruncatedStreamErrorsUnfinishedChipsOnly) {
   EXPECT_TRUE(result.errors[0].empty());
   EXPECT_FALSE(result.errors[1].empty());
   EXPECT_NE(result.errors[1].find("stream ended"), std::string::npos);
+}
+
+// --- codec ------------------------------------------------------------------
+
+TEST(TuneCodec, ReadLineStripsOneCarriageReturnAndReportsEnd) {
+  std::istringstream in("a b\r\n\r\r\n\nlast");
+  std::string line;
+  EXPECT_EQ(read_line(in, line), LineRead::kLine);
+  EXPECT_EQ(line, "a b");
+  EXPECT_EQ(read_line(in, line), LineRead::kLine);
+  EXPECT_EQ(line, "\r");  // only one trailing '\r' is framing
+  EXPECT_EQ(read_line(in, line), LineRead::kLine);
+  EXPECT_EQ(line, "");
+  EXPECT_EQ(read_line(in, line), LineRead::kLine);
+  EXPECT_EQ(line, "last");  // unterminated last line still counts
+  EXPECT_EQ(read_line(in, line), LineRead::kEnd);
+  EXPECT_EQ(read_line(in, line), LineRead::kEnd);
+}
+
+TEST(TuneCodec, ReadLineDiscardsOverlongLinesThroughTheirNewline) {
+  const std::string at_limit(kMaxLineBytes, 'a');
+  const std::string over(kMaxLineBytes + 1, 'b');
+  std::istringstream in(at_limit + "\n" + over + "\nnext\n" +
+                        std::string(2 * kMaxLineBytes, 'c'));
+  std::string line;
+  EXPECT_EQ(read_line(in, line), LineRead::kLine);
+  EXPECT_EQ(line, at_limit);
+  EXPECT_EQ(read_line(in, line), LineRead::kOverlong);
+  EXPECT_TRUE(line.empty());
+  EXPECT_EQ(read_line(in, line), LineRead::kLine);  // back in sync
+  EXPECT_EQ(line, "next");
+  // A newline-free flood: one kOverlong at the end of the stream, holding
+  // at most kMaxLineBytes at any time.
+  EXPECT_EQ(read_line(in, line), LineRead::kOverlong);
+  EXPECT_LE(line.capacity(), 2 * kMaxLineBytes);
+  EXPECT_EQ(read_line(in, line), LineRead::kEnd);
+}
+
+TEST(TuneCodec, HelloRoundTripsAndRejectsJunk) {
+  for (const Hello& h : {Hello{1, 0, false}, Hello{12, 3, true},
+                         Hello{std::numeric_limits<std::size_t>::max(), 1,
+                               false}}) {
+    EXPECT_EQ(parse_hello(format_hello(h)), h) << format_hello(h);
+  }
+  EXPECT_EQ(format_hello({5, 2, true}),
+            "hello effitest-tune-v1 chips=5 window=2 lenient");
+  EXPECT_EQ(parse_hello("hello effitest-tune-v1 lenient window=4 chips=9\r"),
+            (Hello{9, 4, true}));
+  for (const char* bad :
+       {"", "hello", "hello effitest-tune-v2 chips=1",
+        "hello effitest-tune-v1", "hello effitest-tune-v1 chips=0",
+        "hello effitest-tune-v1 chips=12x", "hello effitest-tune-v1 chips=",
+        "hello effitest-tune-v1 chips=-1", "hello effitest-tune-v1 chips=+1",
+        "hello effitest-tune-v1 chips=99999999999999999999999",
+        "hello effitest-tune-v1 chips", "hello effitest-tune-v1 chips=1 x",
+        "hello effitest-tune-v1 chips=1 window=1.5",
+        "hello effitest-tune-v1 chips=1 lenient=1"}) {
+    EXPECT_THROW((void)parse_hello(bad), ProtocolError) << bad;
+  }
+}
+
+TEST(TuneCodec, GreetingRoundTripsWithCheckedIntegers) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  for (const Greeting& g : {Greeting{0, 0}, Greeting{7, 123456789},
+                            Greeting{kMax, kMax}}) {
+    EXPECT_EQ(parse_greeting(format_greeting(g)), g) << format_greeting(g);
+  }
+  EXPECT_EQ(format_greeting({3, 42}),
+            "serve effitest-tune-v1 session=3 seed=42");
+  for (const char* bad :
+       {"", "serve effitest-tune-v1 session=abc seed=1",
+        "serve effitest-tune-v1 session=1 seed=18446744073709551616",
+        "serve effitest-tune-v1 session=1 seed=2x",
+        "serve effitest-tune-v1 session=1", "serve effitest-tune-v1 seed=1",
+        "serve effitest-tune-v1 seed=1 session=1",
+        "serve effitest-tune-v1 session=1 seed=1 extra",
+        "error - chips=5 exceeds this server's per-session limit of 4"}) {
+    EXPECT_THROW((void)parse_greeting(bad), ProtocolError) << bad;
+  }
+}
+
+TEST(TuneCodec, StimulusAndResponseRoundTrip) {
+  StimulusLine stim;
+  stim.chip = 4;
+  stim.seq = 17;
+  stim.stimulus.period = 201.34567890123456;
+  stim.stimulus.steps = {0, -3, 12};
+  stim.stimulus.armed = {1, 5, 80};
+  StimulusLine fin = stim;
+  fin.final = true;
+  fin.stimulus.armed.clear();
+  StimulusLine unarmed = stim;
+  unarmed.stimulus.armed.clear();
+  unarmed.stimulus.steps.clear();
+  for (const StimulusLine& s : {stim, fin, unarmed}) {
+    const StimulusLine back = parse_stimulus(format_stimulus(s));
+    EXPECT_EQ(back.chip, s.chip);
+    EXPECT_EQ(back.seq, s.seq);
+    EXPECT_EQ(back.final, s.final);
+    EXPECT_EQ(back.stimulus.period, s.stimulus.period);  // exact
+    EXPECT_EQ(back.stimulus.steps, s.stimulus.steps);
+    EXPECT_EQ(back.stimulus.armed, s.stimulus.armed);
+  }
+  fin.stimulus.period = 201.25;
+  EXPECT_EQ(format_stimulus(fin), "final 4 17 201.25 steps 0 -3 12");
+  for (const char* bad :
+       {"", "stimulus 0 0 200 steps 3x arm",
+        "stimulus 0 0 200 steps 1 arm 2x", "stimulus 0 0 200 steps 1",
+        "final 0 0 200 steps 1 arm", "stimulus -1 0 200 steps arm",
+        "stimulus 0 0 nan steps arm", "stimulus 0 0 200x steps arm",
+        "stimulus 0 0 200 step 1 arm",
+        "stimulus 0 0 200 steps 99999999999 arm", "report 0 0 200 steps"}) {
+    EXPECT_THROW((void)parse_stimulus(bad), ProtocolError) << bad;
+  }
+
+  for (const Response& r : {Response{0, 0, "1"}, Response{3, 9, "0101"}}) {
+    EXPECT_EQ(parse_response(format_response(r)), r) << format_response(r);
+  }
+  EXPECT_EQ(format_response({2, 5, encode_bits({true, false, true})}),
+            "response 2 5 101");
+  EXPECT_EQ(decode_bits("101"), (std::vector<bool>{true, false, true}));
+  EXPECT_THROW((void)decode_bits("1x"), ProtocolError);
+  for (const char* bad :
+       {"", "response", "response 1 2", "response 1x 2 1", "response 1 2 1 0",
+        "response 1 -2 1", "response 99999999999999999999999 0 1"}) {
+    EXPECT_THROW((void)parse_response(bad), ProtocolError) << bad;
+  }
+}
+
+TEST(TuneCodec, ServerLinesClassifyByLeadingToken) {
+  EXPECT_EQ(classify_server_line(""), ServerLine::kSkip);
+  EXPECT_EQ(classify_server_line("# note"), ServerLine::kSkip);
+  EXPECT_EQ(classify_server_line("effitest-tune-v1 chips=1 np=2 nb=1 td=9"),
+            ServerLine::kHeader);
+  EXPECT_EQ(classify_server_line("final 0 0 1 steps 0"),
+            ServerLine::kStimulus);
+  EXPECT_EQ(classify_server_line("report 0 iterations=1"),
+            ServerLine::kReport);
+  EXPECT_EQ(classify_server_line("error 1 bad width"), ServerLine::kError);
+  EXPECT_EQ(classify_server_line(format_error("gone")), ServerLine::kError);
+  EXPECT_TRUE(is_fatal_error(format_error("gone")));
+  EXPECT_FALSE(is_fatal_error("error 1 bad width"));
+  EXPECT_EQ(classify_server_line("bye"), ServerLine::kBye);
+  EXPECT_EQ(classify_server_line("byebye"), ServerLine::kUnknown);
+}
+
+TEST(TuneProtocol, OverlongResponseLineIsMalformed) {
+  // Strict mode aborts on it like any malformed line; lenient mode drops
+  // and counts it, and the reports are those of the clean log.
+  Fixture f;
+  const core::TunerService service(f.problem, f.options);
+  constexpr std::size_t kChips = 2;
+  std::ostringstream protocol, log;
+  const TuneServerResult clean =
+      TuneServer(service, kChips).run_simulated(protocol, &log);
+  const std::string noisy =
+      "response 0 0 " + std::string(2 * kMaxLineBytes, '1') + "\n" + log.str();
+
+  std::istringstream strict_in(noisy);
+  std::ostringstream strict_out;
+  try {
+    (void)TuneServer(service, kChips).run(strict_in, strict_out);
+    FAIL() << "expected ProtocolError";
+  } catch (const ProtocolError& e) {
+    EXPECT_NE(std::string(e.what()).find(line_too_long()), std::string::npos)
+        << e.what();
+  }
+
+  TuneServerOptions lenient;
+  lenient.lenient = true;
+  std::istringstream replay(noisy);
+  std::ostringstream out;
+  const TuneServerResult result =
+      TuneServer(service, kChips, lenient).run(replay, out);
+  EXPECT_EQ(result.dropped_lines, 1u);
+  for (std::size_t c = 0; c < kChips; ++c) {
+    EXPECT_TRUE(result.errors[c].empty()) << c;
+    expect_reports_equal(result.reports[c], clean.reports[c]);
+  }
 }
 
 }  // namespace

@@ -30,54 +30,27 @@
 //             when jobs remain), which makes kill/resume testable at
 //             every job boundary.
 //   circuits  List the circuit catalog (paper registry, or the spec's).
-//   tune      Stream per-chip TuningSessions over the line-oriented
-//             stimulus/response protocol (src/io/tune_protocol.hpp):
-//             stimuli on stdout, responses from stdin — or from a replayed
-//             (possibly shuffled) --responses log, or self-answered with
-//             --simulate (writing the would-be tester responses to --log).
-//             --lenient survives malformed frames: a bad frame abandons
-//             only the chip it names (`error <chip> <reason>` on stdout);
-//             unattributable garbage is dropped and counted.
-//             With --connect=host:port the same command becomes the tester
-//             side of a networked session: it simulates its dies locally
-//             (seeded by the server's greeting) and answers the server's
-//             stimuli over TCP; the report lines are byte-identical to a
-//             local --simulate run. td/quantile/seed/threads are
-//             server-side decisions and are rejected in --connect mode.
-//   serve     TCP serve mode (src/net/serve.hpp): prepare the circuit
-//             once, then multiplex any number of concurrent chip-tuning
-//             sessions — each a `hello effitest-tune-v1 chips=<n>`
-//             connection speaking the tune protocol — across a bounded
-//             worker pool. Prints `serving on <host>:<port>` on stdout
-//             when ready; SIGTERM/SIGINT drain gracefully (stop accepting,
-//             finish every in-flight session) and print the session
-//             metrics (sessions/sec, latency p50/p90/p99) on stderr.
-//             --status-port binds an extra plaintext endpoint (0 =
-//             ephemeral, announced as `status on <host>:<port>`) where any
-//             connection receives the live effitest-status-v1 JSON line.
-//   balance   Front balancer for a multi-process tuning fleet
-//             (src/fleet/): accept tester connections on one port and
-//             route each session to the least-loaded live worker.
-//             --workers lists externally-managed serve processes;
-//             --spawn=N forks N `serve --port=0` children locally
-//             (restart-on-crash with backoff; circuit/flow options are
-//             forwarded to them). A worker registry polls every worker's
-//             status endpoint on --probe-interval and walks failures
-//             through live/degraded/dead; a session whose worker dies
-//             mid-run is transparently replayed on a survivor
-//             (byte-identical reports — the exchange is deterministic
-//             under the shared seed base), with --retries bounding the
-//             re-attach attempts. Prints `balancing on <host>:<port>`
-//             when ready; SIGTERM/SIGINT drain gracefully (finish every
-//             in-flight session, then SIGTERM the spawned workers).
-//   status    Poll a serve or balance fleet's live metrics: print the
-//             one-line effitest-status-v1 JSON (obs::MetricsRegistry
-//             snapshot) on stdout and a human summary (sessions
-//             done/active, sessions/sec, latency p50/p99) on stderr —
-//             or, with --format=prometheus, the text exposition format
-//             (the in-band `status prometheus` request). Works against
-//             the serve/balance port and against a --status-port
-//             endpoint — poll mid-run; nothing is perturbed.
+//   tune      Stream per-chip TuningSessions over the line protocol of
+//             src/io/tune_protocol.hpp (its header is the grammar):
+//             stimuli on stdout, responses from stdin, a replayed
+//             --responses log, or --simulate; --lenient abandons only the
+//             chip a bad frame names. --connect=host:port makes it the
+//             tester side of a networked session (dies simulated locally,
+//             seeded by the server's greeting; reports byte-identical to
+//             --simulate).
+//   serve     TCP serve mode (src/net/serve.hpp): one prepared circuit,
+//             concurrent sessions over a bounded worker pool. Prints
+//             `serving on <host>:<port>` when ready (and `status on ...`
+//             for --status-port); SIGTERM/SIGINT drain gracefully and
+//             print the session metrics on stderr.
+//   balance   Front balancer for a multi-process fleet (src/fleet/): route
+//             each session to the least-loaded live worker (--workers
+//             and/or --spawn=N local `serve --port=0` children), replay it
+//             on a survivor when its worker dies. Prints `balancing on
+//             <host>:<port>`; SIGTERM/SIGINT drain like serve.
+//   status    Poll a serve or balance endpoint's live metrics: the
+//             effitest-status-v1 JSON line on stdout and a human summary
+//             on stderr, or --format=prometheus text.
 //
 // run/campaign/tune/serve also accept --log-format=text|json and
 // --log-file=path: a structured event log (obs::StructuredLog,
@@ -513,6 +486,27 @@ std::pair<std::string, std::uint16_t> split_host_port(
   }
   return {target.substr(0, colon),
           parse_port(option, target.substr(colon + 1))};
+}
+
+/// The net::ListenOptions that `serve` and `balance` share.
+void parse_listen_options(const Cli& cli, net::ListenOptions& listen) {
+  if (const auto host = cli.get("host")) listen.host = *host;
+  if (const auto port = cli.get("port")) {
+    listen.port = parse_port("port", *port);
+  }
+  if (const auto status_port = cli.get("status-port")) {
+    listen.status_port =
+        static_cast<int>(parse_port("status-port", *status_port));
+  }
+  if (const auto pending = cli.get("max-pending")) {
+    listen.max_pending = parse_size("max-pending", *pending);
+  }
+  if (const auto sessions = cli.get("max-sessions")) {
+    listen.max_sessions = parse_size("max-sessions", *sessions);
+  }
+  if (const auto timeout = cli.get("io-timeout")) {
+    listen.io_timeout_seconds = parse_double("io-timeout", *timeout);
+  }
 }
 
 int cmd_generate(const Cli& cli) {
@@ -1058,13 +1052,7 @@ int cmd_tune_connect(const Cli& cli, const std::string& target) {
         "tune: --simulate and --connect are mutually exclusive (a connected "
         "session already simulates its dies against the server)");
   }
-  const auto colon = target.rfind(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 == target.size()) {
-    throw UsageError("--connect=" + target + ": expected host:port");
-  }
-  const std::string host = target.substr(0, colon);
-  const std::uint16_t port = parse_port("connect", target.substr(colon + 1));
+  const auto [host, port] = split_host_port("connect", target);
 
   const auto circuit = provision_circuit(cli);
   if (circuit->model.num_pairs() == 0) {
@@ -1196,34 +1184,18 @@ int cmd_serve(const Cli& cli) {
   const LogSink sink = make_structured_log(cli);
   net::ServeOptions sopts;
   sopts.log = sink.log;
-  if (const auto host = cli.get("host")) sopts.host = *host;
-  if (const auto port = cli.get("port")) {
-    sopts.port = parse_port("port", *port);
-  }
-  if (const auto status_port = cli.get("status-port")) {
-    sopts.status_port =
-        static_cast<int>(parse_port("status-port", *status_port));
-  }
+  parse_listen_options(cli, sopts);
   if (const auto workers = cli.get("workers")) {
     sopts.workers = parse_size("workers", *workers);
     if (sopts.workers == 0) {
       throw UsageError("--workers must be at least 1");
     }
   }
-  if (const auto pending = cli.get("max-pending")) {
-    sopts.max_pending = parse_size("max-pending", *pending);
-  }
   if (const auto window = cli.get("window")) {
     sopts.chip_window = parse_size("window", *window);
   }
   if (const auto chips = cli.get("max-chips")) {
     sopts.max_chips_per_session = parse_size("max-chips", *chips);
-  }
-  if (const auto sessions = cli.get("max-sessions")) {
-    sopts.max_sessions = parse_size("max-sessions", *sessions);
-  }
-  if (const auto timeout = cli.get("io-timeout")) {
-    sopts.io_timeout_seconds = parse_double("io-timeout", *timeout);
   }
 
   const auto circuit = provision_circuit(cli);
@@ -1347,31 +1319,15 @@ int cmd_balance(const Cli& cli) {
 
   fleet::BalancerOptions bopts;
   bopts.log = sink.log;
-  if (const auto host = cli.get("host")) bopts.host = *host;
-  if (const auto port = cli.get("port")) {
-    bopts.port = parse_port("port", *port);
-  }
-  if (const auto status_port = cli.get("status-port")) {
-    bopts.status_port =
-        static_cast<int>(parse_port("status-port", *status_port));
-  }
+  parse_listen_options(cli, bopts);
   if (const auto relay = cli.get("relay-workers")) {
     bopts.relay_workers = parse_size("relay-workers", *relay);
     if (bopts.relay_workers == 0) {
       throw UsageError("--relay-workers must be at least 1");
     }
   }
-  if (const auto pending = cli.get("max-pending")) {
-    bopts.max_pending = parse_size("max-pending", *pending);
-  }
-  if (const auto sessions = cli.get("max-sessions")) {
-    bopts.max_sessions = parse_size("max-sessions", *sessions);
-  }
   if (const auto retries = cli.get("retries")) {
     bopts.max_session_retries = parse_size("retries", *retries);
-  }
-  if (const auto timeout = cli.get("io-timeout")) {
-    bopts.io_timeout_seconds = parse_double("io-timeout", *timeout);
   }
 
   // All registry slots exist by here (the FleetBalancer per-slot gauge
