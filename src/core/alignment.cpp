@@ -405,8 +405,10 @@ std::vector<double> middle_out_weights(std::span<const double> centers,
   const std::size_t n = centers.size();
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
+  // Equal centers rank by input index, so the order is fully specified and
+  // does not depend on which sort algorithm the standard library picks.
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return centers[a] < centers[b];
+    return centers[a] < centers[b] || (centers[a] == centers[b] && a < b);
   });
   std::vector<double> weights(n, kd);
   const double mid = (static_cast<double>(n) - 1.0) / 2.0;

@@ -74,7 +74,8 @@ enum class AlignMethod : std::uint8_t {
 };
 
 /// Middle-out weight assignment over range centers (k0 to the median center,
-/// decreasing by kd per rank outward; floored at kd).
+/// decreasing by kd per rank outward; floored at kd). Equal centers take
+/// their ranks in input order.
 [[nodiscard]] std::vector<double> middle_out_weights(
     std::span<const double> centers, double k0, double kd);
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "netlist/generator.hpp"
@@ -65,6 +66,45 @@ TEST(MiddleOutWeights, FlooredAtKd) {
   }
   const std::vector<double> w = middle_out_weights(centers, 3.0, 1.0);
   for (double v : w) EXPECT_GE(v, 1.0);
+}
+
+TEST(MiddleOutWeights, TiedCentersRankInInputOrder) {
+  // More than 16 equal centers: past the size where standard sorts switch
+  // from insertion sort, so an unstable ranking would show here.
+  const std::size_t n = 33;
+  const std::vector<double> centers(n, 200.0);
+  const std::vector<double> w = middle_out_weights(centers, 100.0, 1.0);
+  ASSERT_EQ(w.size(), n);
+  const double mid = (static_cast<double>(n) - 1.0) / 2.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double dist = std::abs(static_cast<double>(i) - mid);
+    EXPECT_EQ(w[i], std::max(100.0 - dist, 1.0)) << "index " << i;
+  }
+}
+
+TEST(MiddleOutWeights, TiesBreakByIndexAmongDistinctCenters) {
+  // Two blocks of 12 ties around one distinct center: each tie takes the
+  // rank its input position gives it within its block.
+  std::vector<double> centers;
+  for (int i = 0; i < 12; ++i) centers.push_back(i % 2 == 0 ? 5.0 : 9.0);
+  centers.push_back(7.0);
+  for (int i = 0; i < 12; ++i) centers.push_back(i % 2 == 0 ? 9.0 : 5.0);
+  const std::vector<double> w = middle_out_weights(centers, 100.0, 1.0);
+  std::vector<std::size_t> fives;
+  std::vector<std::size_t> nines;
+  for (std::size_t i = 0; i < centers.size(); ++i) {
+    if (centers[i] == 5.0) fives.push_back(i);
+    if (centers[i] == 9.0) nines.push_back(i);
+  }
+  const double mid = (static_cast<double>(centers.size()) - 1.0) / 2.0;
+  EXPECT_EQ(w[12], 100.0);  // rank 12 of 25: the median
+  for (std::size_t r = 0; r < fives.size(); ++r) {
+    EXPECT_EQ(w[fives[r]], 100.0 - std::abs(static_cast<double>(r) - mid));
+  }
+  for (std::size_t r = 0; r < nines.size(); ++r) {
+    EXPECT_EQ(w[nines[r]],
+              100.0 - std::abs(static_cast<double>(r + 13) - mid));
+  }
 }
 
 TEST(MiddleOutWeights, EmptyAndSingle) {
