@@ -183,9 +183,11 @@ void BM_ChipSampling(benchmark::State& state) {
 }
 BENCHMARK(BM_ChipSampling);
 
-void BM_AlignmentCoordinateDescent(benchmark::State& state) {
-  const FlowFixture& f = FlowFixture::get();
-  stats::Rng rng(5);
+/// Six entries on random monitored pairs at neutral steps (six is the mean
+/// instance size of the per-chip test on s38584).
+core::AlignmentInstance alignment_instance(const FlowFixture& f,
+                                           std::uint64_t seed) {
+  stats::Rng rng(seed);
   core::AlignmentInstance inst;
   inst.problem = &f.problem;
   inst.current_steps = f.problem.neutral_steps();
@@ -196,6 +198,12 @@ void BM_AlignmentCoordinateDescent(benchmark::State& state) {
     inst.entries.push_back(core::AlignmentEntry{
         means[p], 1.0, f.problem.src_buffer(p), f.problem.dst_buffer(p)});
   }
+  return inst;
+}
+
+void BM_AlignmentCoordinateDescent(benchmark::State& state) {
+  const core::AlignmentInstance inst =
+      alignment_instance(FlowFixture::get(), 5);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         core::solve_alignment(inst, core::AlignMethod::kCoordinateDescent));
@@ -203,19 +211,22 @@ void BM_AlignmentCoordinateDescent(benchmark::State& state) {
 }
 BENCHMARK(BM_AlignmentCoordinateDescent);
 
-void BM_AlignmentMilp(benchmark::State& state) {
-  const FlowFixture& f = FlowFixture::get();
-  stats::Rng rng(6);
-  core::AlignmentInstance inst;
-  inst.problem = &f.problem;
-  inst.current_steps = f.problem.neutral_steps();
-  const auto means = f.model.max_means();
-  for (std::size_t i = 0; i < 6; ++i) {
-    const auto p = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(means.size()) - 1));
-    inst.entries.push_back(core::AlignmentEntry{
-        means[p], 1.0, f.problem.src_buffer(p), f.problem.dst_buffer(p)});
+/// The same solve through one reused workspace, as the per-chip test
+/// machine runs it.
+void BM_AlignmentCoordinateDescentReusedWorkspace(benchmark::State& state) {
+  const core::AlignmentInstance inst =
+      alignment_instance(FlowFixture::get(), 5);
+  core::AlignmentWorkspace ws;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::solve_alignment(
+        inst, core::AlignMethod::kCoordinateDescent, {}, &ws));
   }
+}
+BENCHMARK(BM_AlignmentCoordinateDescentReusedWorkspace);
+
+void BM_AlignmentMilp(benchmark::State& state) {
+  const core::AlignmentInstance inst =
+      alignment_instance(FlowFixture::get(), 6);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         core::solve_alignment(inst, core::AlignMethod::kMilpCompact));

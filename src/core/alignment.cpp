@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
-#include <set>
 #include <stdexcept>
 
 namespace effitest::core {
@@ -17,12 +17,18 @@ double x_of(const Problem& problem, std::span<const int> steps, int buf) {
       steps[static_cast<std::size_t>(buf)]);
 }
 
+/// (u + l)/2 + x_src - x_dst of one entry under `steps`.
+double shifted_center(const Problem& problem, const AlignmentEntry& e,
+                      std::span<const int> steps) {
+  return e.center + x_of(problem, steps, e.src_buf) -
+         x_of(problem, steps, e.dst_buf);
+}
+
 double objective_of(const AlignmentInstance& inst, double period,
                     std::span<const int> steps) {
   double acc = 0.0;
   for (const AlignmentEntry& e : inst.entries) {
-    const double shifted = e.center + x_of(*inst.problem, steps, e.src_buf) -
-                           x_of(*inst.problem, steps, e.dst_buf);
+    const double shifted = shifted_center(*inst.problem, e, steps);
     acc += e.weight * std::abs(period - shifted);
   }
   return acc;
@@ -37,190 +43,223 @@ bool hold_ok(const AlignmentInstance& inst, std::span<const int> steps) {
   return true;
 }
 
-/// Sorted static point set with prefix sums: evaluates sum(w |T - m|) and
-/// proposes weighted-median candidates in O(log n).
-class StaticPoints {
- public:
-  void build(std::vector<std::pair<double, double>> pts) {
-    std::sort(pts.begin(), pts.end());
-    m_.resize(pts.size());
-    prefix_w_.resize(pts.size() + 1);
-    prefix_wm_.resize(pts.size() + 1);
-    prefix_w_[0] = 0.0;
-    prefix_wm_[0] = 0.0;
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-      m_[i] = pts[i].first;
-      prefix_w_[i + 1] = prefix_w_[i] + pts[i].second;
-      prefix_wm_[i + 1] = prefix_wm_[i] + pts[i].second * pts[i].first;
+/// Fills ws.involved with the buffers that may move (those referenced by an
+/// entry), ascending, and points ws.slot at their positions. Undone by
+/// release_involved, which keeps ws.involved.
+void collect_involved(const AlignmentInstance& inst, AlignmentWorkspace& ws) {
+  if (ws.slot.size() < inst.problem->num_buffers()) {
+    ws.slot.resize(inst.problem->num_buffers(), -1);
+  }
+  ws.involved.clear();
+  if (!inst.allow_buffer_moves) return;
+  const auto mark = [&](int b) {
+    if (b >= 0 && ws.slot[static_cast<std::size_t>(b)] < 0) {
+      ws.slot[static_cast<std::size_t>(b)] = 0;
+      ws.involved.push_back(b);
     }
+  };
+  for (const AlignmentEntry& e : inst.entries) {
+    mark(e.src_buf);
+    mark(e.dst_buf);
   }
-
-  [[nodiscard]] double total_weight() const {
-    return prefix_w_.empty() ? 0.0 : prefix_w_.back();
+  std::sort(ws.involved.begin(), ws.involved.end());
+  for (std::size_t v = 0; v < ws.involved.size(); ++v) {
+    ws.slot[static_cast<std::size_t>(ws.involved[v])] = static_cast<int>(v);
   }
+}
 
-  /// sum over static points of w * |T - m|.
-  [[nodiscard]] double objective(double t) const {
-    const std::size_t k = static_cast<std::size_t>(
-        std::upper_bound(m_.begin(), m_.end(), t) - m_.begin());
-    const double left = t * prefix_w_[k] - prefix_wm_[k];
-    const double right = (prefix_wm_.back() - prefix_wm_[k]) -
-                         t * (prefix_w_.back() - prefix_w_[k]);
-    return left + right;
+void release_involved(AlignmentWorkspace& ws) {
+  for (int b : ws.involved) ws.slot[static_cast<std::size_t>(b)] = -1;
+}
+
+/// CSR lists of the items (entries or hold bounds) referencing each
+/// involved buffer, each list in ascending item order.
+template <typename Item>
+void group_by_buffer(std::span<const Item> items, const AlignmentWorkspace& ws,
+                     std::vector<std::size_t>& start,
+                     std::vector<std::size_t>& index) {
+  const auto slot_of = [&](int b) {
+    return b < 0 ? -1 : ws.slot[static_cast<std::size_t>(b)];
+  };
+  // Calls fn once per involved buffer the item references.
+  const auto for_each_slot = [&](const Item& it, auto&& fn) {
+    const int s = slot_of(it.src_buf);
+    const int d = it.dst_buf == it.src_buf ? -1 : slot_of(it.dst_buf);
+    if (s >= 0) fn(static_cast<std::size_t>(s));
+    if (d >= 0) fn(static_cast<std::size_t>(d));
+  };
+  const std::size_t groups = ws.involved.size();
+  start.assign(groups + 1, 0);
+  for (const Item& it : items) {
+    for_each_slot(it, [&](std::size_t v) { ++start[v + 1]; });
   }
-
-  /// Static point whose cumulative weight first reaches `target`.
-  [[nodiscard]] double point_at_mass(double target) const {
-    if (m_.empty()) return 0.0;
-    const std::size_t k = static_cast<std::size_t>(
-        std::lower_bound(prefix_w_.begin() + 1, prefix_w_.end(), target) -
-        (prefix_w_.begin() + 1));
-    return m_[std::min(k, m_.size() - 1)];
+  for (std::size_t v = 0; v < groups; ++v) start[v + 1] += start[v];
+  index.resize(start[groups]);
+  // Fill with start[v] as the write cursor, then shift the starts back.
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    for_each_slot(items[i], [&](std::size_t v) { index[start[v]++] = i; });
   }
+  for (std::size_t v = groups; v > 0; --v) start[v] = start[v - 1];
+  start[0] = 0;
+}
 
-  [[nodiscard]] bool empty() const { return m_.empty(); }
+/// Sorts ws.points and builds their prefix sums: the static point set whose
+/// sum(w |T - m|) evaluates in O(log n).
+void build_static(AlignmentWorkspace& ws) {
+  std::sort(ws.points.begin(), ws.points.end());
+  const std::size_t n = ws.points.size();
+  ws.prefix_w.resize(n + 1);
+  ws.prefix_wm.resize(n + 1);
+  ws.prefix_w[0] = 0.0;
+  ws.prefix_wm[0] = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto [m, w] = ws.points[i];
+    ws.prefix_w[i + 1] = ws.prefix_w[i] + w;
+    ws.prefix_wm[i + 1] = ws.prefix_wm[i] + w * m;
+  }
+}
 
- private:
-  std::vector<double> m_;
-  std::vector<double> prefix_w_;
-  std::vector<double> prefix_wm_;
-};
+/// sum over static points of w * |T - m|.
+double static_objective(const AlignmentWorkspace& ws, double t) {
+  const std::size_t n = ws.points.size();
+  const std::size_t k = static_cast<std::size_t>(
+      std::upper_bound(ws.points.begin(), ws.points.end(), t,
+                       [](double v, const std::pair<double, double>& p) {
+                         return v < p.first;
+                       }) -
+      ws.points.begin());
+  const double left = t * ws.prefix_w[k] - ws.prefix_wm[k];
+  const double right = (ws.prefix_wm[n] - ws.prefix_wm[k]) -
+                       t * (ws.prefix_w[n] - ws.prefix_w[k]);
+  return left + right;
+}
 
-AlignmentResult solve_coordinate_descent(const AlignmentInstance& inst) {
+/// Static point whose cumulative weight first reaches `target`.
+double point_at_mass(const AlignmentWorkspace& ws, double target) {
+  const std::size_t n = ws.points.size();
+  const std::size_t k = static_cast<std::size_t>(
+      std::lower_bound(ws.prefix_w.begin() + 1, ws.prefix_w.end(), target) -
+      (ws.prefix_w.begin() + 1));
+  return ws.points[std::min(k, n - 1)].first;
+}
+
+/// The static mass crossings for every split of the dynamic weight, each
+/// with its static objective. They depend on the dynamic weights, not the
+/// dynamic values, so one set serves every step of the moving buffer.
+void prepare_crossings(AlignmentWorkspace& ws) {
+  ws.crossings.clear();
+  if (ws.points.empty()) return;
+  double dyn_w = 0.0;
+  for (const auto& [m, w] : ws.dynamic) dyn_w += w;
+  const double half = 0.5 * (ws.prefix_w.back() + dyn_w);
+  const auto add = [&](double target) {
+    const double t = point_at_mass(ws, target);
+    ws.crossings.emplace_back(t, static_objective(ws, t));
+  };
+  add(half);
+  double left_dyn = 0.0;
+  for (const auto& [m, w] : ws.dynamic) {
+    left_dyn += w;
+    add(half - left_dyn);
+  }
+}
+
+/// Best (T, objective) for the static points plus ws.dynamic. The L1
+/// optimum sits on one of the points; the candidates are the dynamic points,
+/// then the crossings, and the first strict improvement wins.
+std::pair<double, double> best_period(const AlignmentWorkspace& ws) {
+  double best_t = !ws.dynamic.empty()     ? ws.dynamic.front().first
+                  : !ws.crossings.empty() ? ws.crossings.front().first
+                                          : 0.0;
+  double best_obj = std::numeric_limits<double>::infinity();
+  const auto evaluate = [&](double t, double static_obj) {
+    double obj = static_obj;
+    for (const auto& [m, w] : ws.dynamic) obj += w * std::abs(t - m);
+    if (obj < best_obj) {
+      best_obj = obj;
+      best_t = t;
+    }
+  };
+  for (const auto& [m, w] : ws.dynamic) evaluate(m, static_objective(ws, m));
+  for (const auto& [t, static_obj] : ws.crossings) evaluate(t, static_obj);
+  return {best_t, best_obj};
+}
+
+AlignmentResult solve_coordinate_descent(const AlignmentInstance& inst,
+                                         AlignmentWorkspace& ws) {
   const Problem& problem = *inst.problem;
+  const std::span<const AlignmentEntry> entries = inst.entries;
   AlignmentResult out;
   out.steps = inst.current_steps;
-  out.feasible = hold_ok(inst, out.steps);
 
-  // Buffers that may move: those referenced by an entry.
-  std::set<int> involved_set;
-  if (inst.allow_buffer_moves) {
-    for (const AlignmentEntry& e : inst.entries) {
-      if (e.src_buf >= 0) involved_set.insert(e.src_buf);
-      if (e.dst_buf >= 0) involved_set.insert(e.dst_buf);
-    }
+  // Buffers that may move: those referenced by an entry. Moving buffer b
+  // changes only the entries that reference it and can break only the hold
+  // bounds that reference it, so only those are re-evaluated per step.
+  collect_involved(inst, ws);
+  group_by_buffer(entries, ws, ws.entry_start, ws.entry_index);
+  group_by_buffer(std::span<const HoldConstraintX>(inst.hold), ws,
+                  ws.hold_start, ws.hold_index);
+  release_involved(ws);
+
+  // Initial (T, objective) with every entry static.
+  ws.shifted.resize(entries.size());
+  ws.points.clear();
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    ws.shifted[i] = shifted_center(problem, entries[i], out.steps);
+    ws.points.emplace_back(ws.shifted[i], entries[i].weight);
   }
-  const std::vector<int> involved(involved_set.begin(), involved_set.end());
-
-  // Entries / hold bounds touching each movable buffer, precomputed once.
-  // In a legal batch a buffer touches at most two entries (its FF appears
-  // once as source and once as sink), which is what makes the prefix-sum
-  // scan below cheap. Moving buffer b cannot change the state of hold
-  // bounds that do not reference b, so only those are rechecked per step.
-  std::vector<std::vector<std::size_t>> dyn_of(involved.size());
-  std::vector<std::vector<std::size_t>> hold_of(involved.size());
-  for (std::size_t v = 0; v < involved.size(); ++v) {
-    const int b = involved[v];
-    for (std::size_t i = 0; i < inst.entries.size(); ++i) {
-      if (inst.entries[i].src_buf == b || inst.entries[i].dst_buf == b) {
-        dyn_of[v].push_back(i);
-      }
-    }
-    for (std::size_t h = 0; h < inst.hold.size(); ++h) {
-      if (inst.hold[h].src_buf == b || inst.hold[h].dst_buf == b) {
-        hold_of[v].push_back(h);
-      }
-    }
-  }
-  const auto hold_ok_for = [&](std::span<const std::size_t> idx,
-                               std::span<const int> steps) {
-    for (std::size_t h : idx) {
-      const HoldConstraintX& hc = inst.hold[h];
-      const double skew = x_of(problem, steps, hc.src_buf) -
-                          x_of(problem, steps, hc.dst_buf);
-      if (skew < hc.lambda - 1e-9) return false;
-    }
-    return true;
-  };
-
-  const auto shifted = [&](const AlignmentEntry& e, std::span<const int> steps) {
-    return e.center + x_of(problem, steps, e.src_buf) -
-           x_of(problem, steps, e.dst_buf);
-  };
-
-  // Best (T, objective) for the point multiset (static via prefix sums,
-  // dynamic explicit). The L1 optimum sits on one of the points; candidates
-  // are the dynamic points plus the static mass-crossings for every possible
-  // split of the dynamic weight.
-  const auto best_period = [&](const StaticPoints& stat,
-                               std::span<const std::pair<double, double>> dyn) {
-    double dyn_w = 0.0;
-    for (const auto& [m, w] : dyn) dyn_w += w;
-    const double half = 0.5 * (stat.total_weight() + dyn_w);
-    std::vector<double> candidates;
-    for (const auto& [m, w] : dyn) candidates.push_back(m);
-    if (!stat.empty()) {
-      double left_dyn = 0.0;
-      candidates.push_back(stat.point_at_mass(half));
-      for (const auto& [m, w] : dyn) {
-        left_dyn += w;
-        candidates.push_back(stat.point_at_mass(half - left_dyn));
-      }
-    }
-    double best_t = candidates.empty() ? 0.0 : candidates.front();
-    double best_obj = std::numeric_limits<double>::infinity();
-    for (double t : candidates) {
-      double obj = stat.objective(t);
-      for (const auto& [m, w] : dyn) obj += w * std::abs(t - m);
-      if (obj < best_obj) {
-        best_obj = obj;
-        best_t = t;
-      }
-    }
-    return std::make_pair(best_t, best_obj);
-  };
-
-  {
-    // Initial (T, objective) with everything static.
-    StaticPoints all;
-    std::vector<std::pair<double, double>> pts;
-    pts.reserve(inst.entries.size());
-    for (const AlignmentEntry& e : inst.entries) {
-      pts.emplace_back(shifted(e, out.steps), e.weight);
-    }
-    all.build(std::move(pts));
-    const auto [t, obj] = best_period(all, {});
-    out.period = t;
-    out.objective = obj;
-  }
-  double best = out.objective;
+  build_static(ws);
+  ws.dynamic.clear();
+  prepare_crossings(ws);
+  const auto [period, objective] = best_period(ws);
+  out.period = period;
+  double best = objective;
 
   for (int round = 0; round < 32; ++round) {
     bool changed = false;
-    for (std::size_t v = 0; v < involved.size(); ++v) {
-      const int b = involved[v];
+    for (std::size_t v = 0; v < ws.involved.size(); ++v) {
+      const int b = ws.involved[v];
       const auto bi = static_cast<std::size_t>(b);
       const TunableBuffer& buf = problem.buffers()[bi];
-      const std::vector<std::size_t>& dyn_idx = dyn_of[v];
+      const std::span<const std::size_t> dyn_idx(
+          ws.entry_index.data() + ws.entry_start[v],
+          ws.entry_start[v + 1] - ws.entry_start[v]);
+      const std::span<const std::size_t> hold_idx(
+          ws.hold_index.data() + ws.hold_start[v],
+          ws.hold_start[v + 1] - ws.hold_start[v]);
 
       // Static part: every entry not touching b, at the current steps.
-      StaticPoints stat;
-      {
-        std::vector<std::pair<double, double>> pts;
-        pts.reserve(inst.entries.size());
-        for (std::size_t i = 0; i < inst.entries.size(); ++i) {
-          if (std::find(dyn_idx.begin(), dyn_idx.end(), i) != dyn_idx.end()) {
-            continue;
-          }
-          pts.emplace_back(shifted(inst.entries[i], out.steps),
-                           inst.entries[i].weight);
-        }
-        stat.build(std::move(pts));
+      ws.points.clear();
+      for (std::size_t i = 0; i < entries.size(); ++i) {
+        if (entries[i].src_buf == b || entries[i].dst_buf == b) continue;
+        ws.points.emplace_back(ws.shifted[i], entries[i].weight);
       }
+      build_static(ws);
 
       const int saved = out.steps[bi];
       int best_step = saved;
       double best_t = out.period;
-      std::vector<std::pair<double, double>> dyn(dyn_idx.size());
+      ws.dynamic.resize(dyn_idx.size());
+      for (std::size_t d = 0; d < dyn_idx.size(); ++d) {
+        ws.dynamic[d].second = entries[dyn_idx[d]].weight;
+      }
+      prepare_crossings(ws);
       for (int k = 0; k < buf.steps; ++k) {
         if (k == saved) continue;
         out.steps[bi] = k;
-        if (!hold_ok_for(hold_of[v], out.steps)) continue;
+        const bool hold_broken =
+            std::any_of(hold_idx.begin(), hold_idx.end(), [&](std::size_t h) {
+              const HoldConstraintX& hc = inst.hold[h];
+              const double skew = x_of(problem, out.steps, hc.src_buf) -
+                                  x_of(problem, out.steps, hc.dst_buf);
+              return skew < hc.lambda - 1e-9;
+            });
+        if (hold_broken) continue;
         for (std::size_t d = 0; d < dyn_idx.size(); ++d) {
-          dyn[d] = {shifted(inst.entries[dyn_idx[d]], out.steps),
-                    inst.entries[dyn_idx[d]].weight};
+          ws.dynamic[d].first =
+              shifted_center(problem, entries[dyn_idx[d]], out.steps);
         }
-        const auto [t, obj] = best_period(stat, dyn);
+        const auto [t, obj] = best_period(ws);
         if (obj < best - 1e-12) {
           best = obj;
           best_step = k;
@@ -231,6 +270,9 @@ AlignmentResult solve_coordinate_descent(const AlignmentInstance& inst) {
       if (best_step != saved) {
         out.period = best_t;
         changed = true;
+        for (std::size_t i : dyn_idx) {
+          ws.shifted[i] = shifted_center(problem, entries[i], out.steps);
+        }
       }
     }
     if (!changed) break;
@@ -244,7 +286,8 @@ AlignmentResult solve_coordinate_descent(const AlignmentInstance& inst) {
 /// callback the linear expression terms of (T - shifted_center_p) for each
 /// entry, then solves and extracts the assignment.
 AlignmentResult solve_milp(const AlignmentInstance& inst, bool big_m,
-                           const lp::SolveOptions& options) {
+                           const lp::SolveOptions& options,
+                           AlignmentWorkspace& ws) {
   const Problem& problem = *inst.problem;
   lp::Model model;
 
@@ -260,15 +303,10 @@ AlignmentResult solve_milp(const AlignmentInstance& inst, bool big_m,
   const int var_t = model.add_continuous(-t_hi, t_hi, 0.0, "T");
 
   // Step variables for involved buffers; frozen buffers contribute constants.
-  std::set<int> involved_set;
-  if (inst.allow_buffer_moves) {
-    for (const AlignmentEntry& e : inst.entries) {
-      if (e.src_buf >= 0) involved_set.insert(e.src_buf);
-      if (e.dst_buf >= 0) involved_set.insert(e.dst_buf);
-    }
-  }
+  collect_involved(inst, ws);
+  release_involved(ws);
   std::vector<int> step_var(problem.num_buffers(), -1);
-  for (int b : involved_set) {
+  for (int b : ws.involved) {
     const auto& buf = problem.buffers()[static_cast<std::size_t>(b)];
     step_var[static_cast<std::size_t>(b)] = model.add_integer(
         0.0, static_cast<double>(buf.steps - 1), 0.0, "s" + std::to_string(b));
@@ -388,7 +426,7 @@ AlignmentResult solve_milp(const AlignmentInstance& inst, bool big_m,
     return out;
   }
   out.period = sol.values[static_cast<std::size_t>(var_t)];
-  for (int b : involved_set) {
+  for (int b : ws.involved) {
     const auto bi = static_cast<std::size_t>(b);
     out.steps[bi] = static_cast<int>(
         std::lround(sol.values[static_cast<std::size_t>(step_var[bi])]));
@@ -421,7 +459,8 @@ std::vector<double> middle_out_weights(std::span<const double> centers,
 
 AlignmentResult solve_alignment(const AlignmentInstance& instance,
                                 AlignMethod method,
-                                const lp::SolveOptions& lp_options) {
+                                const lp::SolveOptions& lp_options,
+                                AlignmentWorkspace* workspace) {
   if (instance.problem == nullptr) {
     throw std::invalid_argument("solve_alignment: missing problem");
   }
@@ -433,13 +472,15 @@ AlignmentResult solve_alignment(const AlignmentInstance& instance,
   if (instance.current_steps.size() != instance.problem->num_buffers()) {
     throw std::invalid_argument("solve_alignment: bad current_steps size");
   }
+  AlignmentWorkspace local;
+  AlignmentWorkspace& ws = workspace != nullptr ? *workspace : local;
   switch (method) {
     case AlignMethod::kCoordinateDescent:
-      return solve_coordinate_descent(instance);
+      return solve_coordinate_descent(instance, ws);
     case AlignMethod::kMilpCompact:
-      return solve_milp(instance, /*big_m=*/false, lp_options);
+      return solve_milp(instance, /*big_m=*/false, lp_options, ws);
     case AlignMethod::kMilpBigM:
-      return solve_milp(instance, /*big_m=*/true, lp_options);
+      return solve_milp(instance, /*big_m=*/true, lp_options, ws);
   }
   throw std::logic_error("solve_alignment: unknown method");
 }

@@ -16,9 +16,11 @@
 //                    (eqs. 8-13), exact; kept for fidelity and as an oracle
 //                    in tests (both MILPs must agree);
 //  * kCoordinateDescent — weighted-median updates of T interleaved with
-//                    per-buffer discrete line search; orders of magnitude
-//                    faster, used inside the Monte-Carlo loop. An ablation
-//                    bench quantifies its optimality gap.
+//                    per-buffer discrete line search; used inside the
+//                    Monte-Carlo loop. bench_ablation_alignment (s13207,
+//                    2-6 entries) measures 13-15 us per solve against
+//                    190-220 us for kMilpCompact and 170-190 ms for
+//                    kMilpBigM, and quantifies its optimality gap.
 //
 // Weights follow the paper: sort the range centers, give the middle one k0
 // and decrease by kd per rank outward (k0 >> kd), which breaks the
@@ -26,6 +28,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/problem.hpp"
@@ -67,6 +70,27 @@ struct AlignmentResult {
   bool feasible = true;        ///< hold bounds satisfiable
 };
 
+/// Scratch memory of the coordinate-descent solver, reused across solves so
+/// that a warm solve allocates nothing but its result. The members are the
+/// solver's working state, meaningful only inside one solve_alignment call;
+/// a workspace serves one thread at a time and any instance shape.
+struct AlignmentWorkspace {
+  /// Per buffer: index into `involved`, or -1. Always all -1 between solves.
+  std::vector<int> slot;
+  std::vector<int> involved;  ///< movable buffers, ascending
+  /// CSR lists per involved buffer, ascending: the entries and the hold
+  /// bounds that reference it.
+  std::vector<std::size_t> entry_start, entry_index;
+  std::vector<std::size_t> hold_start, hold_index;
+  std::vector<double> shifted;  ///< per entry: center + x_src - x_dst
+  /// Static (value, weight) points, sorted, with prefix sums of w and w*m.
+  std::vector<std::pair<double, double>> points;
+  std::vector<double> prefix_w, prefix_wm;
+  std::vector<std::pair<double, double>> dynamic;  ///< moving buffer's points
+  /// Static mass crossings (period, static objective) of the moving buffer.
+  std::vector<std::pair<double, double>> crossings;
+};
+
 enum class AlignMethod : std::uint8_t {
   kCoordinateDescent,
   kMilpCompact,
@@ -79,8 +103,11 @@ enum class AlignMethod : std::uint8_t {
 [[nodiscard]] std::vector<double> middle_out_weights(
     std::span<const double> centers, double k0, double kd);
 
+/// Solves one alignment instance. `workspace` is scratch memory to reuse
+/// across calls (a local one is used when null); it never changes a result.
 [[nodiscard]] AlignmentResult solve_alignment(
     const AlignmentInstance& instance, AlignMethod method,
-    const lp::SolveOptions& lp_options = {});
+    const lp::SolveOptions& lp_options = {},
+    AlignmentWorkspace* workspace = nullptr);
 
 }  // namespace effitest::core

@@ -38,10 +38,7 @@ DelayTestMachine::DelayTestMachine(const Problem& problem,
                                    std::span<const double> prior_upper,
                                    std::span<const HoldConstraintX> hold,
                                    const TestOptions& options)
-    : problem_(&problem),
-      batches_(&batches),
-      hold_(hold.begin(), hold.end()),
-      options_(options) {
+    : problem_(&problem), batches_(&batches), options_(options) {
   const std::size_t np = problem.model().num_pairs();
   if (prior_lower.size() != np || prior_upper.size() != np) {
     throw std::invalid_argument(
@@ -51,6 +48,9 @@ DelayTestMachine::DelayTestMachine(const Problem& problem,
   result_.upper.assign(prior_upper.begin(), prior_upper.end());
   result_.tested.assign(np, false);
   result_.final_steps = problem.neutral_steps();
+  instance_.problem = problem_;
+  instance_.hold.assign(hold.begin(), hold.end());
+  instance_.allow_buffer_moves = options_.align_with_buffers;
   settle();
 }
 
@@ -91,34 +91,30 @@ const Stimulus& DelayTestMachine::next_stimulus() {
   }
   if (stimulus_ready_) return stimulus_;
 
-  // Build the alignment instance over the still-unresolved paths.
-  AlignmentInstance inst;
-  inst.problem = problem_;
-  inst.current_steps = result_.final_steps;
-  inst.allow_buffer_moves = options_.align_with_buffers;
-  inst.hold = hold_;
-  std::vector<double> centers;
-  centers.reserve(active_.size());
+  // Refill the alignment instance over the still-unresolved paths.
+  instance_.current_steps = result_.final_steps;
+  centers_.clear();
   for (std::size_t p : active_) {
-    centers.push_back(0.5 * (result_.lower[p] + result_.upper[p]));
+    centers_.push_back(0.5 * (result_.lower[p] + result_.upper[p]));
   }
   const std::vector<double> weights =
-      middle_out_weights(centers, options_.k0, options_.kd);
+      middle_out_weights(centers_, options_.k0, options_.kd);
+  instance_.entries.clear();
   for (std::size_t i = 0; i < active_.size(); ++i) {
     const std::size_t p = active_[i];
-    inst.entries.push_back(AlignmentEntry{centers[i], weights[i],
-                                          problem_->src_buffer(p),
-                                          problem_->dst_buffer(p)});
+    instance_.entries.push_back(AlignmentEntry{centers_[i], weights[i],
+                                               problem_->src_buffer(p),
+                                               problem_->dst_buffer(p)});
   }
 
   const auto t0 = Clock::now();
-  const AlignmentResult aligned =
-      solve_alignment(inst, options_.method, options_.lp);
+  AlignmentResult aligned =
+      solve_alignment(instance_, options_.method, options_.lp, &workspace_);
   result_.align_seconds += seconds_since(t0);
-  result_.final_steps = aligned.steps;
+  stimulus_.steps = aligned.steps;
+  result_.final_steps = std::move(aligned.steps);
 
   stimulus_.period = aligned.period;
-  stimulus_.steps = aligned.steps;
   stimulus_.armed = active_;
   stimulus_ready_ = true;
   return stimulus_;
@@ -135,7 +131,8 @@ void DelayTestMachine::record_response(const std::vector<bool>& pass) {
   }
   ++result_.iterations;
   ++batch_iters_;
-  std::vector<std::size_t> still_active;
+  // The armed list is the previous active set; rebuild active_ in place.
+  active_.clear();
   for (std::size_t i = 0; i < stimulus_.armed.size(); ++i) {
     const std::size_t p = stimulus_.armed[i];
     const double skew = problem_->pair_skew(p, result_.final_steps);
@@ -160,10 +157,9 @@ void DelayTestMachine::record_response(const std::vector<bool>& pass) {
         result_.upper[p] - result_.lower[p] < options_.epsilon_ps) {
       result_.tested[p] = true;
     } else {
-      still_active.push_back(p);
+      active_.push_back(p);
     }
   }
-  active_ = std::move(still_active);
   stimulus_ready_ = false;
   settle();
 }

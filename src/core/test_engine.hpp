@@ -106,8 +106,12 @@ class DelayTestMachine {
 
   const Problem* problem_;
   const std::vector<Batch>* batches_;
-  std::vector<HoldConstraintX> hold_;
   TestOptions options_;
+  /// The alignment instance (hold bounds set once) and the solver scratch,
+  /// refilled in place for every stimulus.
+  AlignmentInstance instance_;
+  AlignmentWorkspace workspace_;
+  std::vector<double> centers_;
   TestRunResult result_;
   Stimulus stimulus_;
   std::vector<std::size_t> active_;

@@ -6,16 +6,27 @@
 //   - xi never increases as T_d grows;
 //   - the per-die minimal feasible period against an LP oracle, and between
 //     the static lower bound and the untuned required period, also on wider
-//     problems (nb <= 14), where a cycle-ratio iteration needs several raises.
+//     problems (nb <= 14), where a cycle-ratio iteration needs several raises;
+//   - the coordinate-descent alignment solver against a verbatim copy of its
+//     allocating predecessor (the equivalence-test idiom: old and new run
+//     side by side on the same inputs), bit for bit, through one reused
+//     workspace.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <memory>
+#include <numeric>
+#include <set>
+#include <span>
 #include <vector>
 
 #include "analytic/engine.hpp"
+#include "core/alignment.hpp"
 #include "core/configurator.hpp"
 #include "core/problem.hpp"
 #include "core/yield.hpp"
@@ -212,6 +223,370 @@ TEST(PropMinFeasiblePeriod, MatchesLpOracleWithinBounds) {
 TEST(PropMinFeasiblePeriod, MatchesLpOracleOnWiderProblems) {
   // Case 16 die 8 needs a raise past a cycle whose ratio rounds to T.
   check_min_feasible_period(kWideShape, 80, 10);
+}
+
+// The coordinate-descent solver as it stood before it moved onto a reused
+// AlignmentWorkspace, copied verbatim: the reference the new solver must
+// reproduce bit for bit.
+namespace reference_cd {
+using namespace core;
+
+/// Buffer value for a (possibly absent) buffer index under `steps`.
+double x_of(const Problem& problem, std::span<const int> steps, int buf) {
+  if (buf < 0) return 0.0;
+  return problem.buffers()[static_cast<std::size_t>(buf)].value(
+      steps[static_cast<std::size_t>(buf)]);
+}
+
+bool hold_ok(const AlignmentInstance& inst, std::span<const int> steps) {
+  for (const HoldConstraintX& h : inst.hold) {
+    const double skew = x_of(*inst.problem, steps, h.src_buf) -
+                        x_of(*inst.problem, steps, h.dst_buf);
+    if (skew < h.lambda - 1e-9) return false;
+  }
+  return true;
+}
+
+/// Sorted static point set with prefix sums: evaluates sum(w |T - m|) and
+/// proposes weighted-median candidates in O(log n).
+class StaticPoints {
+ public:
+  void build(std::vector<std::pair<double, double>> pts) {
+    std::sort(pts.begin(), pts.end());
+    m_.resize(pts.size());
+    prefix_w_.resize(pts.size() + 1);
+    prefix_wm_.resize(pts.size() + 1);
+    prefix_w_[0] = 0.0;
+    prefix_wm_[0] = 0.0;
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      m_[i] = pts[i].first;
+      prefix_w_[i + 1] = prefix_w_[i] + pts[i].second;
+      prefix_wm_[i + 1] = prefix_wm_[i] + pts[i].second * pts[i].first;
+    }
+  }
+
+  [[nodiscard]] double total_weight() const {
+    return prefix_w_.empty() ? 0.0 : prefix_w_.back();
+  }
+
+  /// sum over static points of w * |T - m|.
+  [[nodiscard]] double objective(double t) const {
+    const std::size_t k = static_cast<std::size_t>(
+        std::upper_bound(m_.begin(), m_.end(), t) - m_.begin());
+    const double left = t * prefix_w_[k] - prefix_wm_[k];
+    const double right = (prefix_wm_.back() - prefix_wm_[k]) -
+                         t * (prefix_w_.back() - prefix_w_[k]);
+    return left + right;
+  }
+
+  /// Static point whose cumulative weight first reaches `target`.
+  [[nodiscard]] double point_at_mass(double target) const {
+    if (m_.empty()) return 0.0;
+    const std::size_t k = static_cast<std::size_t>(
+        std::lower_bound(prefix_w_.begin() + 1, prefix_w_.end(), target) -
+        (prefix_w_.begin() + 1));
+    return m_[std::min(k, m_.size() - 1)];
+  }
+
+  [[nodiscard]] bool empty() const { return m_.empty(); }
+
+ private:
+  std::vector<double> m_;
+  std::vector<double> prefix_w_;
+  std::vector<double> prefix_wm_;
+};
+
+AlignmentResult solve_coordinate_descent(const AlignmentInstance& inst) {
+  const Problem& problem = *inst.problem;
+  AlignmentResult out;
+  out.steps = inst.current_steps;
+  out.feasible = hold_ok(inst, out.steps);
+
+  // Buffers that may move: those referenced by an entry.
+  std::set<int> involved_set;
+  if (inst.allow_buffer_moves) {
+    for (const AlignmentEntry& e : inst.entries) {
+      if (e.src_buf >= 0) involved_set.insert(e.src_buf);
+      if (e.dst_buf >= 0) involved_set.insert(e.dst_buf);
+    }
+  }
+  const std::vector<int> involved(involved_set.begin(), involved_set.end());
+
+  // Entries / hold bounds touching each movable buffer, precomputed once.
+  // In a legal batch a buffer touches at most two entries (its FF appears
+  // once as source and once as sink), which is what makes the prefix-sum
+  // scan below cheap. Moving buffer b cannot change the state of hold
+  // bounds that do not reference b, so only those are rechecked per step.
+  std::vector<std::vector<std::size_t>> dyn_of(involved.size());
+  std::vector<std::vector<std::size_t>> hold_of(involved.size());
+  for (std::size_t v = 0; v < involved.size(); ++v) {
+    const int b = involved[v];
+    for (std::size_t i = 0; i < inst.entries.size(); ++i) {
+      if (inst.entries[i].src_buf == b || inst.entries[i].dst_buf == b) {
+        dyn_of[v].push_back(i);
+      }
+    }
+    for (std::size_t h = 0; h < inst.hold.size(); ++h) {
+      if (inst.hold[h].src_buf == b || inst.hold[h].dst_buf == b) {
+        hold_of[v].push_back(h);
+      }
+    }
+  }
+  const auto hold_ok_for = [&](std::span<const std::size_t> idx,
+                               std::span<const int> steps) {
+    for (std::size_t h : idx) {
+      const HoldConstraintX& hc = inst.hold[h];
+      const double skew = x_of(problem, steps, hc.src_buf) -
+                          x_of(problem, steps, hc.dst_buf);
+      if (skew < hc.lambda - 1e-9) return false;
+    }
+    return true;
+  };
+
+  const auto shifted = [&](const AlignmentEntry& e, std::span<const int> steps) {
+    return e.center + x_of(problem, steps, e.src_buf) -
+           x_of(problem, steps, e.dst_buf);
+  };
+
+  // Best (T, objective) for the point multiset (static via prefix sums,
+  // dynamic explicit). The L1 optimum sits on one of the points; candidates
+  // are the dynamic points plus the static mass-crossings for every possible
+  // split of the dynamic weight.
+  const auto best_period = [&](const StaticPoints& stat,
+                               std::span<const std::pair<double, double>> dyn) {
+    double dyn_w = 0.0;
+    for (const auto& [m, w] : dyn) dyn_w += w;
+    const double half = 0.5 * (stat.total_weight() + dyn_w);
+    std::vector<double> candidates;
+    for (const auto& [m, w] : dyn) candidates.push_back(m);
+    if (!stat.empty()) {
+      double left_dyn = 0.0;
+      candidates.push_back(stat.point_at_mass(half));
+      for (const auto& [m, w] : dyn) {
+        left_dyn += w;
+        candidates.push_back(stat.point_at_mass(half - left_dyn));
+      }
+    }
+    double best_t = candidates.empty() ? 0.0 : candidates.front();
+    double best_obj = std::numeric_limits<double>::infinity();
+    for (double t : candidates) {
+      double obj = stat.objective(t);
+      for (const auto& [m, w] : dyn) obj += w * std::abs(t - m);
+      if (obj < best_obj) {
+        best_obj = obj;
+        best_t = t;
+      }
+    }
+    return std::make_pair(best_t, best_obj);
+  };
+
+  {
+    // Initial (T, objective) with everything static.
+    StaticPoints all;
+    std::vector<std::pair<double, double>> pts;
+    pts.reserve(inst.entries.size());
+    for (const AlignmentEntry& e : inst.entries) {
+      pts.emplace_back(shifted(e, out.steps), e.weight);
+    }
+    all.build(std::move(pts));
+    const auto [t, obj] = best_period(all, {});
+    out.period = t;
+    out.objective = obj;
+  }
+  double best = out.objective;
+
+  for (int round = 0; round < 32; ++round) {
+    bool changed = false;
+    for (std::size_t v = 0; v < involved.size(); ++v) {
+      const int b = involved[v];
+      const auto bi = static_cast<std::size_t>(b);
+      const TunableBuffer& buf = problem.buffers()[bi];
+      const std::vector<std::size_t>& dyn_idx = dyn_of[v];
+
+      // Static part: every entry not touching b, at the current steps.
+      StaticPoints stat;
+      {
+        std::vector<std::pair<double, double>> pts;
+        pts.reserve(inst.entries.size());
+        for (std::size_t i = 0; i < inst.entries.size(); ++i) {
+          if (std::find(dyn_idx.begin(), dyn_idx.end(), i) != dyn_idx.end()) {
+            continue;
+          }
+          pts.emplace_back(shifted(inst.entries[i], out.steps),
+                           inst.entries[i].weight);
+        }
+        stat.build(std::move(pts));
+      }
+
+      const int saved = out.steps[bi];
+      int best_step = saved;
+      double best_t = out.period;
+      std::vector<std::pair<double, double>> dyn(dyn_idx.size());
+      for (int k = 0; k < buf.steps; ++k) {
+        if (k == saved) continue;
+        out.steps[bi] = k;
+        if (!hold_ok_for(hold_of[v], out.steps)) continue;
+        for (std::size_t d = 0; d < dyn_idx.size(); ++d) {
+          dyn[d] = {shifted(inst.entries[dyn_idx[d]], out.steps),
+                    inst.entries[dyn_idx[d]].weight};
+        }
+        const auto [t, obj] = best_period(stat, dyn);
+        if (obj < best - 1e-12) {
+          best = obj;
+          best_step = k;
+          best_t = t;
+        }
+      }
+      out.steps[bi] = best_step;
+      if (best_step != saved) {
+        out.period = best_t;
+        changed = true;
+      }
+    }
+    if (!changed) break;
+  }
+  out.objective = best;
+  out.feasible = hold_ok(inst, out.steps);
+  return out;
+}
+
+}  // namespace reference_cd
+
+/// Bitwise double equality (distinguishes -0.0 and NaN payloads).
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(PropAlignment, ReusedWorkspaceMatchesReferenceBitwise) {
+  // Problems with nb = 1..8 buffers, each at several step counts in 2..20.
+  std::vector<std::unique_ptr<Tiny>> problems;
+  for (std::size_t nb = 1; nb <= 8; ++nb) {
+    for (const int steps : {2, 3, 5, 8, 13, 20}) {
+      netlist::GeneratorSpec s;
+      s.num_flip_flops = 16;
+      s.num_gates = 200;
+      s.num_buffers = nb;
+      s.num_critical_paths = 8;
+      s.seed = 3000 + nb;
+      problems.push_back(std::make_unique<Tiny>(s, steps));
+    }
+  }
+
+  stats::Rng rng(1705);
+  constexpr std::size_t kInstances = 2400;
+  std::vector<core::AlignmentInstance> instances(kInstances);
+  for (core::AlignmentInstance& inst : instances) {
+    const core::Problem& problem =
+        problems[static_cast<std::size_t>(rng.uniform_int(
+                     0, static_cast<std::int64_t>(problems.size()) - 1))]
+            ->problem;
+    const int nb = static_cast<int>(problem.num_buffers());
+    const double tau = problem.buffers()[0].tau;
+    inst.problem = &problem;
+    inst.allow_buffer_moves = rng.uniform() >= 0.15;
+    for (const core::TunableBuffer& b : problem.buffers()) {
+      inst.current_steps.push_back(
+          static_cast<int>(rng.uniform_int(0, b.steps - 1)));
+    }
+    const auto n = static_cast<std::size_t>(rng.uniform_int(0, 14));
+    std::vector<double> centers;
+    for (std::size_t i = 0; i < n; ++i) {
+      // About one center in four repeats an earlier one: ties in the sorts.
+      const bool repeat = i > 0 && rng.uniform() < 0.25;
+      centers.push_back(
+          repeat ? centers[static_cast<std::size_t>(rng.uniform_int(
+                       0, static_cast<std::int64_t>(i) - 1))]
+                 : rng.uniform(180.0, 220.0));
+    }
+    const bool middle_out = rng.uniform() < 0.5;
+    const std::vector<double> weights =
+        core::middle_out_weights(centers, 1000.0, 1.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      inst.entries.push_back(core::AlignmentEntry{
+          centers[i], middle_out ? weights[i] : rng.uniform(0.5, 5.0),
+          static_cast<int>(rng.uniform_int(-1, nb - 1)),
+          static_cast<int>(rng.uniform_int(-1, nb - 1))});
+    }
+    for (int h = static_cast<int>(rng.uniform_int(0, 4)); h > 0; --h) {
+      core::HoldConstraintX hold{static_cast<int>(rng.uniform_int(-1, nb - 1)),
+                                 static_cast<int>(rng.uniform_int(-1, nb - 1)),
+                                 0.0};
+      if (rng.uniform() < 0.3) {
+        // A skew some step pair attains exactly, nudged across the 1e-9
+        // tolerance of the hold check.
+        const auto x = [&](int b) {
+          if (b < 0) return 0.0;
+          const core::TunableBuffer& buf =
+              problem.buffers()[static_cast<std::size_t>(b)];
+          return buf.value(static_cast<int>(rng.uniform_int(0, buf.steps - 1)));
+        };
+        hold.lambda = x(hold.src_buf) - x(hold.dst_buf) +
+                      static_cast<double>(rng.uniform_int(-1, 1)) * 2e-9;
+      } else {
+        // Up to 1.2 tau: some bounds no step assignment can meet.
+        hold.lambda = rng.uniform(-tau, 1.2 * tau);
+      }
+      inst.hold.push_back(hold);
+    }
+  }
+
+  // Solve in shuffled order through one workspace, so state left behind by
+  // a differently shaped instance would show.
+  std::vector<std::size_t> order(kInstances);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  for (std::size_t i = kInstances - 1; i > 0; --i) {
+    std::swap(order[i], order[static_cast<std::size_t>(rng.uniform_int(
+                            0, static_cast<std::int64_t>(i)))]);
+  }
+  core::AlignmentWorkspace ws;
+  std::size_t crowded = 0;  // some buffer referenced by >= 3 entries
+  std::size_t infeasible = 0;
+  std::size_t frozen = 0;
+  std::size_t moved = 0;
+  std::set<std::size_t> sizes;
+  std::set<std::size_t> buffer_counts;
+  for (const std::size_t c : order) {
+    const core::AlignmentInstance& inst = instances[c];
+    SCOPED_TRACE("instance " + std::to_string(c));
+    const core::AlignmentResult got = core::solve_alignment(
+        inst, core::AlignMethod::kCoordinateDescent, {}, &ws);
+    core::AlignmentResult want;
+    if (inst.entries.empty()) {
+      want.steps = inst.current_steps;  // solve_alignment's early return
+    } else {
+      want = reference_cd::solve_coordinate_descent(inst);
+    }
+    ASSERT_TRUE(same_bits(got.period, want.period))
+        << got.period << " vs " << want.period;
+    ASSERT_TRUE(same_bits(got.objective, want.objective))
+        << got.objective << " vs " << want.objective;
+    ASSERT_EQ(got.steps, want.steps);
+    ASSERT_EQ(got.feasible, want.feasible);
+
+    sizes.insert(inst.entries.size());
+    buffer_counts.insert(inst.problem->num_buffers());
+    std::vector<int> refs(inst.problem->num_buffers(), 0);
+    for (const core::AlignmentEntry& e : inst.entries) {
+      if (e.src_buf >= 0) ++refs[static_cast<std::size_t>(e.src_buf)];
+      if (e.dst_buf >= 0 && e.dst_buf != e.src_buf) {
+        ++refs[static_cast<std::size_t>(e.dst_buf)];
+      }
+    }
+    crowded += std::any_of(refs.begin(), refs.end(),
+                           [](int r) { return r >= 3; })
+                   ? 1
+                   : 0;
+    infeasible += got.feasible ? 0 : 1;
+    frozen += inst.allow_buffer_moves ? 0 : 1;
+    moved += got.steps != inst.current_steps ? 1 : 0;
+  }
+  // The sweep covers what it claims to.
+  EXPECT_EQ(sizes.size(), 15u);          // 0..14 entries
+  EXPECT_EQ(buffer_counts.size(), 8u);   // nb 1..8
+  EXPECT_GT(crowded, kInstances / 4);
+  EXPECT_GT(infeasible, kInstances / 20);
+  EXPECT_GT(frozen, kInstances / 20);
+  EXPECT_GT(moved, kInstances / 4);
 }
 
 }  // namespace
