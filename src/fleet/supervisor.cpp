@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "io/tune_protocol.hpp"
 #include "obs/log.hpp"
 
 namespace effitest::fleet {
@@ -108,6 +109,7 @@ void ProcessSupervisor::spawn_locked(std::size_t index) {
   child.pid = pid;
   child.pipe = net::Socket(fds[0]);
   child.line_buf.clear();
+  child.discarding_line = false;
   child.awaiting_banner = true;
   child.restart_pending = false;
   if (options_.log != nullptr) {
@@ -139,6 +141,7 @@ void ProcessSupervisor::drain_pipe_locked(std::size_t index) {
     while ((nl = child.line_buf.find('\n')) != std::string::npos) {
       std::string line = child.line_buf.substr(0, nl);
       child.line_buf.erase(0, nl + 1);
+      if (std::exchange(child.discarding_line, false)) continue;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (!child.awaiting_banner) continue;
       const std::optional<WorkerEndpoint> endpoint = parse_serving_banner(line);
@@ -154,6 +157,13 @@ void ProcessSupervisor::drain_pipe_locked(std::size_t index) {
         cb(index, ep);
         mutex_.lock();
       }
+    }
+    // io::read_line's bound, by hand (an istream reader cannot poll this
+    // non-blocking pipe): a partial line over io::kMaxLineBytes is dropped
+    // through its '\n', so a newline-free child costs bounded memory.
+    if (child.line_buf.size() > io::kMaxLineBytes) {
+      child.line_buf.clear();
+      child.discarding_line = true;
     }
   }
 }

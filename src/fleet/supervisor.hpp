@@ -108,6 +108,7 @@ class ProcessSupervisor {
     pid_t pid = -1;
     net::Socket pipe;        ///< read end of the child's stdout
     std::string line_buf;    ///< partial banner line across reads
+    bool discarding_line = false;  ///< inside a line over io::kMaxLineBytes
     bool awaiting_banner = false;
     std::size_t restarts = 0;
     bool restart_pending = false;

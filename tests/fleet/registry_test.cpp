@@ -1,8 +1,9 @@
 // Unit suite for the fleet worker registry (fleet/registry.hpp): the
 // three-state health machine stepped with an injected prober (no
 // wall-clock), deterministic least-loaded routing, the report_failure
-// fast path, the status/banner wire parsers, and one integration round
-// against a real TuneServeLoop's in-band status endpoint.
+// fast path, the status/banner wire parsers, the supervisor's banner scrape
+// past an over-long line, and one integration round against a real
+// TuneServeLoop's in-band status endpoint.
 
 #include <gtest/gtest.h>
 
@@ -211,6 +212,28 @@ TEST(ParseServingBanner, RejectsEverythingElse) {
       fleet::parse_serving_banner("serving on 127.0.0.1:65536").has_value());
   EXPECT_FALSE(
       fleet::parse_serving_banner("serving on 127.0.0.1:42x").has_value());
+}
+
+TEST(ProcessSupervisor, FindsTheBannerAfterAnOverlongLine) {
+  // A child floods 200 KB without a newline (past io::kMaxLineBytes), then
+  // announces itself: the supervisor discards the flood through its '\n'
+  // and still scrapes the banner that follows.
+  fleet::SupervisorOptions options;
+  options.argv = {"/bin/sh", "-c",
+                  "printf '%0200000d\\nserving on 127.0.0.1:4242\\n' 0; "
+                  "exec sleep 60"};
+  options.children = 1;
+  options.restart_on_crash = false;
+  options.startup_timeout_seconds = 30.0;  // start() throws if never found
+  std::optional<WorkerEndpoint> announced;
+  fleet::ProcessSupervisor supervisor(
+      options, [&announced](std::size_t, const WorkerEndpoint& endpoint) {
+        announced = endpoint;
+      });
+  supervisor.start();
+  ASSERT_TRUE(announced.has_value());
+  EXPECT_EQ(announced->port, 4242);
+  supervisor.drain();
 }
 
 TEST(WorkerRegistry, DefaultProberSpeaksToARealServeLoop) {

@@ -1,68 +1,27 @@
 // effitest_cli — command-line front end for the EffiTest library.
 //
-// Subcommands (`effitest_cli help [command]` prints each one's options
-// from the CommandSpec table that also validates them):
-//   help      Print usage (for one command or all of them).
-//   generate  Generate a clustered benchmark circuit (Table-1 statistics)
-//             and optionally export it as ISCAS89 .bench with placement.
-//   info      Print structural and timing statistics.
-//   ssta      Analytic (Clark) vs Monte-Carlo untuned-period distribution.
-//             --tuned adds the post-tuning analysis (src/analytic/):
-//             analytic tuned-period mean/sigma/quantiles against the exact
-//             per-die Monte-Carlo reference, with wall-clock for both.
-//             --criticality (implies --tuned) also ranks register pairs by
-//             their probability of limiting the tuned period. --json writes
-//             the numbers as effitest-bench-v1 records.
-//   run       Run the full EffiTest flow and print the metrics.
-//   campaign  Fan whole-circuit / T_d-sweep jobs out across all cores with
-//             FlowArtifacts reuse (Table 1/2-style multi-circuit runs from
-//             one invocation). With --spec, circuits/quantiles/periods and
-//             flow knobs come from a declarative scenario JSON
-//             (io/scenario_json.hpp) whose catalog can mix paper,
-//             .bench-imported, scaled and inline-generated circuits;
-//             explicit CLI options still override the spec's knobs.
-//             --checkpoint persists every finished job to an
-//             effitest-checkpoint-v1 file (atomically, after each job);
-//             --resume loads it back, skips the finished jobs, and — the
-//             whole campaign being deterministically seeded per job —
-//             produces results bit-identical to an uninterrupted run.
-//             --stop-after=K stops cleanly after K pending jobs (exit 3
-//             when jobs remain), which makes kill/resume testable at
-//             every job boundary.
-//   circuits  List the circuit catalog (paper registry, or the spec's).
-//   tune      Stream per-chip TuningSessions over the line protocol of
-//             src/io/tune_protocol.hpp (its header is the grammar):
-//             stimuli on stdout, responses from stdin, a replayed
-//             --responses log, or --simulate; --lenient abandons only the
-//             chip a bad frame names. --connect=host:port makes it the
-//             tester side of a networked session (dies simulated locally,
-//             seeded by the server's greeting; reports byte-identical to
-//             --simulate).
-//   serve     TCP serve mode (src/net/serve.hpp): one prepared circuit,
-//             concurrent sessions over a bounded worker pool. Prints
-//             `serving on <host>:<port>` when ready (and `status on ...`
-//             for --status-port); SIGTERM/SIGINT drain gracefully and
-//             print the session metrics on stderr.
-//   balance   Front balancer for a multi-process fleet (src/fleet/): route
-//             each session to the least-loaded live worker (--workers
-//             and/or --spawn=N local `serve --port=0` children), replay it
-//             on a survivor when its worker dies. Prints `balancing on
-//             <host>:<port>`; SIGTERM/SIGINT drain like serve.
-//   status    Poll a serve or balance endpoint's live metrics: the
-//             effitest-status-v1 JSON line on stdout and a human summary
-//             on stderr, or --format=prometheus text.
+// One table, commands() at the end of this file, declares every command:
+// its handler, the summary `effitest_cli help` prints, and its options,
+// mostly by shared groups (circuit, tuner, flow, log, listen). Each option
+// is declared once, with the kind its value is parsed and range-checked as
+// and the placeholder the usage shows, so usage, validation and parsing
+// cannot drift apart. parse_cli() checks the whole command line against the
+// table before any command runs: an unknown command, option or flag, a
+// stray argument, or a malformed or out-of-range value exits 2 naming the
+// offending --opt=value — a typo like --chip=200 must not silently run the
+// defaults, and a bad number must not wait for a circuit to be built.
+// Commands read the typed values through Cli::get.
 //
-// run/campaign/tune/serve also accept --log-format=text|json and
-// --log-file=path: a structured event log (obs::StructuredLog,
-// effitest-log-v1 JSON lines or the same data as text) of run/job/session/
-// chip transitions, written to the file or to stderr when no file is
-// given. Purely observational — results are bit-identical with logging on
-// or off, and the perf gates run with it off (one null-pointer test per
-// would-be event).
+// The log group (--log-format=text|json, --log-file=path; ssta, run,
+// campaign, tune, serve and balance) enables a structured event log
+// (obs::StructuredLog, effitest-log-v1 JSON lines or the same data as text)
+// of run/job/session/chip transitions, written to the file or to stderr
+// when no file is given. Purely observational — results are bit-identical
+// with logging on or off, and the perf gates run with it off (one
+// null-pointer test per would-be event).
 //
-// Unknown options, unknown flags and stray positional arguments are
-// rejected with a clear error (exit code 2) — a typo like --chip=200 must
-// not silently run the defaults.
+// Exit codes: 0 success, 1 runtime failure, 2 usage error (bad options,
+// scenario spec or checkpoint), 3 campaign stopped with jobs left.
 //
 // Examples:
 //   effitest_cli generate --circuit=s9234 --out=/tmp/s9234_like.bench
@@ -77,14 +36,18 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "analytic/engine.hpp"
@@ -114,35 +77,195 @@ namespace {
 
 using namespace effitest;
 
-struct Cli {
-  std::string command;
-  std::map<std::string, std::string> options;
-  std::vector<std::string> flags;
-  std::vector<std::string> positionals;  ///< non-option args after command
-
-  [[nodiscard]] std::optional<std::string> get(const std::string& key) const {
-    const auto it = options.find(key);
-    return it == options.end() ? std::nullopt
-                               : std::optional<std::string>(it->second);
-  }
-  [[nodiscard]] bool has_flag(const std::string& f) const {
-    return std::find(flags.begin(), flags.end(), f) != flags.end();
-  }
-};
-
-/// Usage errors discovered after option whitelisting (conflicting or
-/// inapplicable combinations) — mapped to exit code 2 like any other
-/// usage mistake.
+/// Usage errors — an unknown or malformed option, a bad value, a
+/// conflicting or inapplicable combination — exit with code 2.
 struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Checked numeric option parsing. The raw std::stoul/std::stod calls these
-/// replace terminated the process with an uncaught std::invalid_argument on
-/// --chips=abc (and std::out_of_range on an oversized --seed) instead of
-/// the documented usage exit code 2. Every parse names the offending
-/// option and value and rejects trailing junk ("12x"), signs on unsigned
-/// options ("-3") and non-finite doubles ("nan").
+/// How an option's value is parsed and range-checked (parse_value).
+enum class Kind {
+  kFlag,       ///< bare --switch, no value
+  kText,       ///< any string
+  kChoice,     ///< one of the placeholder's '|'-separated words
+  kNames,      ///< non-empty comma-separated list
+  kU64,        ///< unsigned integer
+  kSize,       ///< unsigned integer that fits std::size_t
+  kCount,      ///< kSize, at least 1
+  kPort,       ///< TCP port, 0-65535
+  kPeriod,     ///< finite number > 0
+  kSeconds,    ///< finite number >= 0
+  kFactor,     ///< finite number >= 1
+  kQuantile,   ///< finite number in [0, 1]
+  kQuantiles,  ///< comma-separated kQuantile list (may be empty)
+  kEndpoint,   ///< host:port with a nonzero port
+  kEndpoints,  ///< comma-separated kEndpoint list
+};
+
+struct Option {
+  const char* name;
+  Kind kind;
+  const char* placeholder;  ///< the usage's --name=<placeholder>; flags: ""
+};
+
+using OptionList = std::vector<const Option*>;
+
+/// The parts in order, each option once (the circuit and tuner groups
+/// share --seed).
+OptionList join(std::initializer_list<OptionList> parts) {
+  OptionList out;
+  for (const OptionList& part : parts) {
+    for (const Option* option : part) {
+      if (std::find(out.begin(), out.end(), option) == out.end()) {
+        out.push_back(option);
+      }
+    }
+  }
+  return out;
+}
+
+// Every option, declared once.
+const Option kBench{"bench", Kind::kText, "file"};
+const Option kBuffers{"buffers", Kind::kSize, "N"};
+const Option kPolicy{"policy", Kind::kChoice, "hub-count|worst-delay"};
+const Option kCircuit{"circuit", Kind::kText, "<name>"};
+const Option kSeed{"seed", Kind::kU64, "S"};
+const Option kChips{"chips", Kind::kCount, "N"};
+const Option kTd{"td", Kind::kPeriod, "ps"};
+const Option kQuantile{"quantile", Kind::kQuantile, "q"};
+const Option kThreads{"threads", Kind::kSize, "N"};
+const Option kLogFormat{"log-format", Kind::kChoice, "text|json"};
+const Option kLogFile{"log-file", Kind::kText, "path"};
+const Option kHost{"host", Kind::kText, "H"};
+const Option kPort{"port", Kind::kPort, "P"};
+const Option kMaxPending{"max-pending", Kind::kSize, "N"};
+const Option kMaxSessions{"max-sessions", Kind::kSize, "N"};
+const Option kIoTimeout{"io-timeout", Kind::kSeconds, "secs"};
+const Option kStatusPort{"status-port", Kind::kPort, "P"};
+const Option kOut{"out", Kind::kText, "file.bench"};
+const Option kJson{"json", Kind::kText, "file"};
+const Option kTuned{"tuned", Kind::kFlag, ""};
+const Option kCriticality{"criticality", Kind::kFlag, ""};
+const Option kNoPrediction{"no-prediction", Kind::kFlag, ""};
+const Option kNoAlignment{"no-alignment", Kind::kFlag, ""};
+const Option kSpec{"spec", Kind::kText, "file.json"};
+const Option kCircuits{"circuits", Kind::kNames, "a,b,..."};
+const Option kQuantiles{"quantiles", Kind::kQuantiles, "q1,q2,..."};
+const Option kModes{"modes", Kind::kText, "flow,analytic"};
+const Option kInflation{"inflation", Kind::kFactor, "k"};
+const Option kCheckpoint{"checkpoint", Kind::kText, "file"};
+const Option kResume{"resume", Kind::kFlag, ""};
+const Option kStopAfter{"stop-after", Kind::kCount, "K"};
+const Option kSimulate{"simulate", Kind::kFlag, ""};
+const Option kLenient{"lenient", Kind::kFlag, ""};
+const Option kLog{"log", Kind::kText, "file"};
+const Option kResponses{"responses", Kind::kText, "file"};
+const Option kWindow{"window", Kind::kSize, "W"};
+const Option kConnect{"connect", Kind::kEndpoint, "host:port"};
+const Option kConnectRetries{"connect-retries", Kind::kSize, "N"};
+const Option kServeWorkers{"workers", Kind::kCount, "N"};
+const Option kMaxChips{"max-chips", Kind::kSize, "N"};
+const Option kFleetWorkers{"workers", Kind::kEndpoints, "host:port,..."};
+const Option kSpawn{"spawn", Kind::kSize, "N"};
+const Option kRelayWorkers{"relay-workers", Kind::kCount, "N"};
+const Option kRetries{"retries", Kind::kSize, "N"};
+const Option kProbeInterval{"probe-interval", Kind::kSeconds, "secs"};
+const Option kFormat{"format", Kind::kChoice, "json|prometheus"};
+
+/// One circuit: a .bench import (--buffers/--policy shape it) or a named
+/// generated one (--seed also steers its generation).
+const OptionList kCircuitGroup = {&kBench, &kBuffers, &kPolicy, &kCircuit,
+                                  &kSeed};
+/// What a TunerService is built with: a serve process decides these for
+/// all its sessions, so `balance` forwards them to its children and
+/// `tune --connect` rejects them.
+const OptionList kTunerGroup = {&kTd, &kQuantile, &kSeed, &kThreads};
+const OptionList kFlowGroup = join({{&kChips}, kTunerGroup});
+const OptionList kLogGroup = {&kLogFormat, &kLogFile};
+const OptionList kListenGroup = {&kHost,        &kPort,      &kMaxPending,
+                                 &kMaxSessions, &kIoTimeout, &kStatusPort};
+
+/// A parsed option value; text kinds keep only the text.
+using Value =
+    std::variant<std::monostate, std::uint64_t, double, std::vector<double>,
+                 std::vector<std::string>, fleet::WorkerEndpoint,
+                 std::vector<fleet::WorkerEndpoint>>;
+
+struct Cli;
+
+struct Command {
+  const char* name;
+  int (*run)(const Cli&);
+  const char* summary;
+  OptionList options;
+  const char* operand = nullptr;  ///< its one positional argument, if any
+
+  [[nodiscard]] const Option* find(const std::string& option) const {
+    for (const Option* o : options) {
+      if (option == o->name) return o;
+    }
+    return nullptr;
+  }
+};
+
+const std::vector<Command>& commands();
+
+const Command& find_command(const std::string& name) {
+  for (const Command& command : commands()) {
+    if (name == command.name) return command;
+  }
+  throw UsageError("unknown command '" + name +
+                   "' (effitest_cli help lists the commands)");
+}
+
+/// A validated command line.
+struct Cli {
+  const Command* command = nullptr;
+  /// --name=text of every option given, with the text parsed by kind.
+  std::map<std::string, std::pair<std::string, Value>> options;
+  std::set<std::string> flags;
+  std::optional<std::string> operand;  ///< the command's positional
+
+  [[nodiscard]] bool has(const std::string& option) const {
+    return options.count(option) != 0;
+  }
+  [[nodiscard]] bool flag(const std::string& name) const {
+    return flags.count(name) != 0;
+  }
+  /// --option's value as its table kind parsed it: std::string for the text
+  /// as given, any integer type for the unsigned kinds (already range-checked
+  /// to fit), double, or the list/endpoint type of the kind.
+  template <class T>
+  [[nodiscard]] std::optional<T> get(const std::string& option) const {
+    const auto it = options.find(option);
+    if (it == options.end()) return std::nullopt;
+    if constexpr (std::is_same_v<T, std::string>) {
+      return it->second.first;
+    } else if constexpr (std::is_integral_v<T>) {
+      return static_cast<T>(std::get<std::uint64_t>(it->second.second));
+    } else {
+      return std::get<T>(it->second.second);
+    }
+  }
+  template <class T>
+  [[nodiscard]] T get(const std::string& option, T fallback) const {
+    return get<T>(option).value_or(std::move(fallback));
+  }
+};
+
+/// `text` split at `sep`, empty pieces dropped.
+std::vector<std::string> split(const std::string& text, char sep) {
+  std::vector<std::string> out;
+  std::istringstream in(text);
+  for (std::string piece; std::getline(in, piece, sep);) {
+    if (!piece.empty()) out.push_back(piece);
+  }
+  return out;
+}
+
+/// Checked numeric parsing. Every parse names the offending option and
+/// value and rejects trailing junk ("12x"), signs on unsigned options
+/// ("-3") and non-finite doubles ("nan").
 std::uint64_t parse_u64(const std::string& option, const std::string& value) {
   std::uint64_t out = 0;
   const char* first = value.data();
@@ -159,23 +282,6 @@ std::uint64_t parse_u64(const std::string& option, const std::string& value) {
                      ": expected an unsigned integer");
   }
   return out;
-}
-
-std::size_t parse_size(const std::string& option, const std::string& value) {
-  const std::uint64_t out = parse_u64(option, value);
-  if (out > std::numeric_limits<std::size_t>::max()) {
-    throw UsageError("--" + option + "=" + value + " is out of range");
-  }
-  return static_cast<std::size_t>(out);
-}
-
-std::uint16_t parse_port(const std::string& option, const std::string& value) {
-  const std::uint64_t port = parse_u64(option, value);
-  if (port > 65535) {
-    throw UsageError("--" + option + "=" + value +
-                     " is not a TCP port (0-65535)");
-  }
-  return static_cast<std::uint16_t>(port);
 }
 
 double parse_double(const std::string& option, const std::string& value) {
@@ -201,326 +307,286 @@ double parse_double(const std::string& option, const std::string& value) {
   return out;
 }
 
+/// A number of one of the bounded kinds (kPeriod ... kQuantile).
+double parse_bounded(Kind kind, const std::string& option,
+                     const std::string& value) {
+  const double x = parse_double(option, value);
+  const char* violated = nullptr;
+  if (kind == Kind::kPeriod && !(x > 0.0)) violated = "must be positive";
+  if (kind == Kind::kSeconds && x < 0.0) violated = "must not be negative";
+  if (kind == Kind::kFactor && x < 1.0) violated = "must be at least 1";
+  if (kind == Kind::kQuantile && (x < 0.0 || x > 1.0)) {
+    violated = "must be within [0, 1]";
+  }
+  if (violated != nullptr) {
+    throw UsageError("--" + option + "=" + value + ": " + violated);
+  }
+  return x;
+}
+
+/// host:port with a nonzero port; every error names the whole target.
+fleet::WorkerEndpoint parse_endpoint(const std::string& option,
+                                     const std::string& target) {
+  const auto colon = target.rfind(':');
+  std::uint64_t port = 0;
+  if (colon != std::string::npos && colon != 0) {
+    const char* last = target.data() + target.size();
+    const auto [ptr, ec] =
+        std::from_chars(target.data() + colon + 1, last, port);
+    if (ec != std::errc() || ptr != last) port = 0;
+  }
+  if (port == 0 || port > 65535) {
+    throw UsageError("--" + option + "=" + target +
+                     ": expected host:port with a port in 1-65535");
+  }
+  return {target.substr(0, colon), static_cast<std::uint16_t>(port)};
+}
+
+Value parse_value(const Option& option, const std::string& text) {
+  const std::string name = option.name;
+  const std::string shown = "--" + name + "=" + text;
+  switch (option.kind) {
+    case Kind::kFlag:
+    case Kind::kText:
+      return std::monostate{};
+    case Kind::kChoice: {
+      const std::vector<std::string> choices = split(option.placeholder, '|');
+      if (std::find(choices.begin(), choices.end(), text) == choices.end()) {
+        throw UsageError(shown + ": expected " + option.placeholder);
+      }
+      return std::monostate{};
+    }
+    case Kind::kNames: {
+      std::vector<std::string> names = split(text, ',');
+      if (names.empty()) {
+        throw UsageError(shown + ": expected a comma-separated list");
+      }
+      return names;
+    }
+    case Kind::kU64:
+      return parse_u64(name, text);
+    case Kind::kSize:
+    case Kind::kCount: {
+      const std::uint64_t n = parse_u64(name, text);
+      if (n > std::numeric_limits<std::size_t>::max()) {
+        throw UsageError(shown + " is out of range");
+      }
+      if (option.kind == Kind::kCount && n == 0) {
+        throw UsageError(shown + ": must be at least 1");
+      }
+      return n;
+    }
+    case Kind::kPort: {
+      const std::uint64_t port = parse_u64(name, text);
+      if (port > 65535) {
+        throw UsageError(shown + " is not a TCP port (0-65535)");
+      }
+      return port;
+    }
+    case Kind::kPeriod:
+    case Kind::kSeconds:
+    case Kind::kFactor:
+    case Kind::kQuantile:
+      return parse_bounded(option.kind, name, text);
+    case Kind::kQuantiles: {
+      std::vector<double> quantiles;
+      for (const std::string& q : split(text, ',')) {
+        quantiles.push_back(parse_bounded(Kind::kQuantile, name, q));
+      }
+      return quantiles;
+    }
+    case Kind::kEndpoint:
+      return parse_endpoint(name, text);
+    case Kind::kEndpoints: {
+      std::vector<fleet::WorkerEndpoint> endpoints;
+      for (const std::string& target : split(text, ',')) {
+        endpoints.push_back(parse_endpoint(name, target));
+      }
+      return endpoints;
+    }
+  }
+  return std::monostate{};  // unreachable: the switch covers every kind
+}
+
+/// argv against the command table: every option known to the command,
+/// flags bare, values parsed by kind. Throws UsageError.
 Cli parse_cli(int argc, char** argv) {
   Cli cli;
-  if (argc > 1) cli.command = argv[1];
+  cli.command = &find_command(argv[1]);
+  const std::string for_command =
+      std::string(" for command '") + cli.command->name + "'";
   for (int i = 2; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a.rfind("--", 0) != 0) {
-      cli.positionals.push_back(std::move(a));
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) {
+      if (cli.command->operand == nullptr || cli.operand) {
+        throw UsageError("unexpected argument '" + arg + "'" + for_command +
+                         " (options are --key=value)");
+      }
+      cli.operand = arg;
       continue;
     }
-    a = a.substr(2);
-    const std::size_t eq = a.find('=');
-    if (eq == std::string::npos) {
-      cli.flags.push_back(a);
-    } else {
-      cli.options[a.substr(0, eq)] = a.substr(eq + 1);
+    const std::size_t eq = arg.find('=');
+    const bool bare = eq == std::string::npos;
+    const std::string name = arg.substr(2, bare ? std::string::npos : eq - 2);
+    const Option* option = cli.command->find(name);
+    if (option == nullptr) {
+      throw UsageError(std::string("unknown ") + (bare ? "flag " : "option ") +
+                       arg + for_command + " (effitest_cli help " +
+                       cli.command->name + " lists its options)");
     }
+    if (bare != (option->kind == Kind::kFlag)) {
+      throw UsageError(bare ? arg + " needs a value: " + arg + "=" +
+                                  option->placeholder
+                            : arg + ": --" + name +
+                                  " is a flag and takes no value");
+    }
+    if (bare) {
+      cli.flags.insert(name);
+      continue;
+    }
+    const std::string text = arg.substr(eq + 1);
+    cli.options.insert_or_assign(
+        name, std::make_pair(text, parse_value(*option, text)));
   }
   return cli;
 }
 
-/// What each command accepts. `options` take --key=value, `flags` are bare
-/// --switches; anything else is rejected.
-struct CommandSpec {
-  std::set<std::string> options;
-  std::set<std::string> flags;
-  const char* usage;
-};
+/// Prints `words` after `line`'s lead, wrapped at 79 columns onto lines
+/// that start with `indent`.
+void print_wrapped(std::ostream& os, std::string line,
+                   const std::string& indent,
+                   const std::vector<std::string>& words) {
+  bool fresh = true;  // nothing after the lead yet
+  for (const std::string& word : words) {
+    if (!fresh && line.size() + 1 + word.size() > 79) {
+      os << line << '\n';
+      line = indent;
+      fresh = true;
+    }
+    line += (fresh ? "" : " ") + word;
+    fresh = false;
+  }
+  os << line << '\n';
+}
 
-const std::map<std::string, CommandSpec>& command_specs() {
-  static const std::map<std::string, CommandSpec> specs = {
-      {"help", {{}, {}, "help [command]"}},
-      {"generate",
-       {{"circuit", "out", "seed"},
-        {},
-        "generate --circuit=<name> [--out=file.bench] [--seed=S]"}},
-      {"info",
-       {{"bench", "circuit", "buffers", "policy", "seed"},
-        {},
-        "info     --bench=file | --circuit=<name> [--buffers=N] "
-        "[--policy=p]"}},
-      {"ssta",
-       {{"bench", "circuit", "buffers", "policy", "seed", "chips", "threads",
-         "json", "log-format", "log-file"},
-        {"tuned", "criticality"},
-        "ssta     --bench=file | --circuit=<name> [--chips=N] [--threads=N]\n"
-        "         [--tuned] [--criticality] [--json=file]\n"
-        "         [--log-format=text|json] [--log-file=path]"}},
-      {"run",
-       {{"bench", "buffers", "policy", "circuit", "chips", "td", "quantile",
-         "seed", "threads", "json", "log-format", "log-file"},
-        {"no-prediction", "no-alignment"},
-        "run      --bench=file [--buffers=N] [--policy=p] | "
-        "--circuit=<name>\n"
-        "         [--chips=N] [--td=ps] [--quantile=q] [--seed=S]\n"
-        "         [--no-prediction] [--no-alignment] [--threads=N]\n"
-        "         [--json=file] [--log-format=text|json] "
-        "[--log-file=path]"}},
-      {"campaign",
-       {{"spec", "circuits", "quantiles", "modes", "chips", "seed", "threads",
-         "inflation", "json", "checkpoint", "stop-after", "log-format",
-         "log-file"},
-        {"resume"},
-        "campaign --spec=file.json | [--circuits=a,b,...] "
-        "[--quantiles=q1,q2,...]\n"
-        "         [--modes=flow,analytic] [--chips=N] [--seed=S] "
-        "[--threads=N]\n"
-        "         [--inflation=k] [--json=file] [--checkpoint=file "
-        "[--resume]]\n"
-        "         [--stop-after=K] [--log-format=text|json] "
-        "[--log-file=path]"}},
-      {"circuits",
-       {{"spec"}, {}, "circuits [--spec=file.json]"}},
-      {"tune",
-       {{"bench", "buffers", "policy", "circuit", "chips", "td", "quantile",
-         "seed", "threads", "log", "responses", "connect", "connect-retries",
-         "window", "log-format", "log-file"},
-        {"simulate", "lenient"},
-        "tune     --bench=file [--buffers=N] [--policy=p] | "
-        "--circuit=<name>\n"
-        "         [--chips=N] [--td=ps] [--quantile=q] [--seed=S]\n"
-        "         [--threads=N] [--simulate] [--lenient] [--log=file] "
-        "[--responses=file]\n"
-        "         [--window=W] [--connect=host:port] [--connect-retries=N]\n"
-        "         [--log-format=text|json] [--log-file=path]"}},
-      {"serve",
-       {{"bench", "buffers", "policy", "circuit", "td", "quantile", "seed",
-         "threads", "host", "port", "workers", "max-pending", "window",
-         "max-chips", "max-sessions", "io-timeout", "status-port",
-         "log-format", "log-file"},
-        {},
-        "serve    --bench=file [--buffers=N] [--policy=p] | "
-        "--circuit=<name>\n"
-        "         [--td=ps] [--quantile=q] [--seed=S] [--threads=N]\n"
-        "         [--host=H] [--port=P] [--workers=N] [--max-pending=N]\n"
-        "         [--window=W] [--max-chips=N] [--max-sessions=N] "
-        "[--io-timeout=S]\n"
-        "         [--status-port=P] [--log-format=text|json] "
-        "[--log-file=path]"}},
-      {"balance",
-       {{"workers", "spawn", "bench", "buffers", "policy", "circuit", "td",
-         "quantile", "seed", "threads", "host", "port", "relay-workers",
-         "max-pending", "max-sessions", "retries", "io-timeout",
-         "status-port", "probe-interval", "log-format", "log-file"},
-        {},
-        "balance  --workers=host:port,... and/or --spawn=N\n"
-        "         [--bench=file [--buffers=N] [--policy=p] | "
-        "--circuit=<name>]\n"
-        "         [--td=ps] [--quantile=q] [--seed=S] [--threads=N]\n"
-        "         [--host=H] [--port=P] [--relay-workers=N] "
-        "[--max-pending=N]\n"
-        "         [--max-sessions=N] [--retries=N] [--io-timeout=S]\n"
-        "         [--status-port=P] [--probe-interval=S] "
-        "[--log-format=text|json] [--log-file=path]"}},
-      {"status",
-       {{"connect", "format"},
-        {},
-        "status   --connect=host:port [--format=json|prometheus]"}},
+/// `effitest_cli help`: every command (or just `only`) rendered from the
+/// table — its options as [--name=placeholder], then its summary.
+void print_usage(std::ostream& os, const Command* only = nullptr) {
+  os << "usage: effitest_cli <command> [options]\n";
+  for (const Command& command : commands()) {
+    if (only != nullptr && only != &command) continue;
+    std::vector<std::string> words;
+    if (command.operand != nullptr) words.emplace_back(command.operand);
+    for (const Option* o : command.options) {
+      words.push_back(std::string("[--") + o->name +
+                      (o->kind == Kind::kFlag ? "" : "=") + o->placeholder +
+                      "]");
+    }
+    std::string lead = std::string("  ") + command.name;
+    lead.resize(11, ' ');
+    print_wrapped(os, lead, std::string(11, ' '), words);
+    print_wrapped(os, "      ", "      ", split(command.summary, ' '));
+  }
+  if (only != nullptr) return;
+  const auto names = [](const std::vector<netlist::GeneratorSpec>& specs) {
+    std::vector<std::string> out;
+    for (const netlist::GeneratorSpec& spec : specs) out.push_back(spec.name);
+    return out;
   };
-  return specs;
-}
-
-void usage(std::ostream& os) {
-  os << "usage: effitest_cli <command> [options]\ncommands:\n";
-  // Stable presentation order (not the map's alphabetical one).
-  for (const char* name : {"help", "generate", "info", "ssta", "run",
-                           "campaign", "circuits", "tune", "serve",
-                           "balance", "status"}) {
-    os << "  " << command_specs().at(name).usage << '\n';
-  }
-  os << "paper circuits: s9234 s13207 s15850 s38584 mem_ctrl usb_funct "
-        "ac97_ctrl pci_bridge32\n"
-        "extended circuits (full ISCAS89 scale): s35932 s38417\n"
-        "buffer policies (--policy, .bench imports): hub-count worst-delay\n";
-}
-
-std::string join_sorted(const std::set<std::string>& names,
-                        const char* prefix) {
-  std::string out;
-  for (const std::string& n : names) {
-    if (!out.empty()) out += ' ';
-    out += prefix;
-    out += n;
-  }
-  return out;
-}
-
-/// Reject unknown options/flags/positionals. Returns 0 when valid.
-int validate_cli(const Cli& cli) {
-  const auto it = command_specs().find(cli.command);
-  if (it == command_specs().end()) {
-    std::cerr << "error: unknown command '" << cli.command << "'\n";
-    usage(std::cerr);
-    return 2;
-  }
-  const CommandSpec& spec = it->second;
-  for (const auto& [key, value] : cli.options) {
-    if (spec.options.count(key) != 0) continue;
-    std::cerr << "error: unknown option --" << key << "=" << value
-              << " for command '" << cli.command << "'\n";
-    if (spec.flags.count(key) != 0) {
-      std::cerr << "(--" << key << " is a flag and takes no value)\n";
-    } else if (!spec.options.empty()) {
-      std::cerr << "valid options: " << join_sorted(spec.options, "--")
-                << '\n';
-    }
-    return 2;
-  }
-  for (const std::string& flag : cli.flags) {
-    if (spec.flags.count(flag) != 0) continue;
-    std::cerr << "error: unknown flag --" << flag << " for command '"
-              << cli.command << "'\n";
-    if (spec.options.count(flag) != 0) {
-      std::cerr << "(--" << flag << " needs a value: --" << flag << "=...)\n";
-    } else if (!spec.flags.empty()) {
-      std::cerr << "valid flags: " << join_sorted(spec.flags, "--") << '\n';
-    }
-    return 2;
-  }
-  // `help <command>` is the one legal positional.
-  if (!cli.positionals.empty() && cli.command != "help") {
-    std::cerr << "error: unexpected argument '" << cli.positionals.front()
-              << "' for command '" << cli.command
-              << "' (options are --key=value)\n";
-    return 2;
-  }
-  return 0;
+  print_wrapped(os, "paper circuits: ", "  ",
+                names(netlist::paper_benchmark_specs()));
+  print_wrapped(os, "extended circuits (full ISCAS89 scale): ", "  ",
+                names(netlist::extended_benchmark_specs()));
 }
 
 int cmd_help(const Cli& cli) {
-  if (!cli.positionals.empty()) {
-    const auto it = command_specs().find(cli.positionals.front());
-    if (it == command_specs().end()) {
-      std::cerr << "error: unknown command '" << cli.positionals.front()
-                << "'\n";
-      usage(std::cerr);
-      return 2;
-    }
-    std::cout << "usage: effitest_cli " << it->second.usage << '\n';
-    return 0;
-  }
-  usage(std::cout);
+  print_usage(std::cout,
+              cli.operand ? &find_command(*cli.operand) : nullptr);
   return 0;
 }
 
-/// CLI flags -> CircuitSpec: the one-shot catalog entry run/info/ssta/tune
-/// resolve through. The buffer-insertion stand-in and model assembly live
-/// in scenario::CircuitCatalog — the same construction path campaigns and
-/// scenario specs use.
+/// The one-shot catalog entry --circuit or --bench names: the same
+/// construction path (scenario::CircuitCatalog) campaigns and scenario
+/// specs use.
 std::shared_ptr<const scenario::PreparedCircuit> provision_circuit(
     const Cli& cli) {
   scenario::CircuitCatalog catalog;
-  std::string name;
-  if (const auto circuit = cli.get("circuit")) {
+  if (const auto circuit = cli.get<std::string>("circuit")) {
     // No-silent-surprises: these knobs only shape .bench imports
     // (generated circuits carry their own buffer set).
-    if (cli.get("buffers") || cli.get("policy")) {
+    if (cli.has("buffers") || cli.has("policy")) {
       throw UsageError(
           "--buffers/--policy apply to --bench imports only; --circuit "
           "circuits carry their own buffer set");
     }
-    scenario::PaperCircuit spec{*circuit, std::nullopt};
-    if (const auto seed = cli.get("seed")) {
-      spec.seed = parse_u64("seed", *seed);
-    }
-    name = *circuit;
-    catalog.add(name, spec);
-  } else if (const auto path = cli.get("bench")) {
-    scenario::BenchCircuit spec;
-    spec.path = *path;
-    if (const auto buffers = cli.get("buffers")) {
-      spec.num_buffers = parse_size("buffers", *buffers);
-    }
-    if (const auto policy = cli.get("policy")) {
-      spec.policy = scenario::buffer_policy_from(*policy);
-    }
-    name = "bench";
-    catalog.add(name, spec);
-  } else {
-    throw std::runtime_error("need --circuit=<name> or --bench=<file>");
+    catalog.add(*circuit, scenario::PaperCircuit{
+                              *circuit, cli.get<std::uint64_t>("seed")});
+    return catalog.resolve(*circuit);
   }
-  return catalog.resolve(name);
+  const auto path = cli.get<std::string>("bench");
+  if (!path) throw UsageError("need --circuit=<name> or --bench=<file>");
+  scenario::BenchCircuit spec;
+  spec.path = *path;
+  spec.num_buffers = cli.get<std::size_t>("buffers");
+  if (const auto policy = cli.get<std::string>("policy")) {
+    spec.policy = scenario::buffer_policy_from(*policy);
+  }
+  catalog.add("bench", spec);
+  return catalog.resolve("bench");
 }
 
-/// The one shared --log-format/--log-file implementation (run, campaign,
-/// tune and serve all resolve through here; every other command rejects
-/// the options via its whitelist). Logging is enabled iff at least one of
-/// the two options is present: the format defaults to JSON, the sink to
-/// stderr. `log` stays nullptr when logging is off — the zero-overhead
-/// contract call sites rely on.
-struct LogSink {
-  std::unique_ptr<obs::StructuredLog> owned;
-  obs::StructuredLog* log = nullptr;
-};
+/// provision_circuit for the commands that tune chips, which need at least
+/// one monitored path.
+std::shared_ptr<const scenario::PreparedCircuit> provision_tunable(
+    const Cli& cli) {
+  auto circuit = provision_circuit(cli);
+  if (circuit->model.num_pairs() == 0) {
+    throw std::runtime_error(
+        "no monitored paths (no FF pair touches a buffer)");
+  }
+  return circuit;
+}
 
-LogSink make_structured_log(const Cli& cli) {
-  LogSink sink;
-  const auto format_text = cli.get("log-format");
-  const auto file_path = cli.get("log-file");
-  if (!format_text && !file_path) return sink;
+/// The log group: logging is enabled iff at least one of its two options
+/// is present; the format defaults to JSON, the sink to stderr. nullptr
+/// when logging is off — the zero-overhead contract call sites rely on.
+std::unique_ptr<obs::StructuredLog> make_structured_log(const Cli& cli) {
+  if (!cli.has("log-format") && !cli.has("log-file")) return nullptr;
   obs::LogFormat format = obs::LogFormat::kJson;
-  if (format_text && !obs::parse_log_format(*format_text, format)) {
-    throw UsageError("--log-format=" + *format_text +
-                     ": expected text or json");
+  // The table admitted only text|json.
+  (void)obs::parse_log_format(cli.get("log-format", std::string("json")),
+                              format);
+  if (const auto file_path = cli.get<std::string>("log-file")) {
+    return obs::StructuredLog::open_file(*file_path, format);
   }
-  if (file_path) {
-    sink.owned = obs::StructuredLog::open_file(*file_path, format);
-  } else {
-    // std::clog: stderr, buffered — event lines never interleave with the
-    // command's stdout tables/JSON announcements.
-    sink.owned = std::make_unique<obs::StructuredLog>(std::clog, format);
-  }
-  sink.log = sink.owned.get();
-  return sink;
+  // std::clog: stderr, buffered — event lines never interleave with the
+  // command's stdout tables/JSON announcements.
+  return std::make_unique<obs::StructuredLog>(std::clog, format);
 }
 
-/// `host:port` → (host, port) with the usual usage-error reporting.
-std::pair<std::string, std::uint16_t> split_host_port(
-    const std::string& option, const std::string& target) {
-  const auto colon = target.rfind(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 == target.size()) {
-    throw UsageError("--" + option + "=" + target + ": expected host:port");
-  }
-  return {target.substr(0, colon),
-          parse_port(option, target.substr(colon + 1))};
-}
-
-/// The net::ListenOptions that `serve` and `balance` share.
-void parse_listen_options(const Cli& cli, net::ListenOptions& listen) {
-  if (const auto host = cli.get("host")) listen.host = *host;
-  if (const auto port = cli.get("port")) {
-    listen.port = parse_port("port", *port);
-  }
-  if (const auto status_port = cli.get("status-port")) {
-    listen.status_port =
-        static_cast<int>(parse_port("status-port", *status_port));
-  }
-  if (const auto pending = cli.get("max-pending")) {
-    listen.max_pending = parse_size("max-pending", *pending);
-  }
-  if (const auto sessions = cli.get("max-sessions")) {
-    listen.max_sessions = parse_size("max-sessions", *sessions);
-  }
-  if (const auto timeout = cli.get("io-timeout")) {
-    listen.io_timeout_seconds = parse_double("io-timeout", *timeout);
-  }
+/// The listen group, shared by serve and balance.
+void listen_options_from(const Cli& cli, net::ListenOptions& listen) {
+  listen.host = cli.get("host", listen.host);
+  listen.port = cli.get("port", listen.port);
+  listen.status_port = cli.get("status-port", listen.status_port);
+  listen.max_pending = cli.get("max-pending", listen.max_pending);
+  listen.max_sessions = cli.get("max-sessions", listen.max_sessions);
+  listen.io_timeout_seconds =
+      cli.get("io-timeout", listen.io_timeout_seconds);
 }
 
 int cmd_generate(const Cli& cli) {
-  const auto name = cli.get("circuit");
-  if (!name) throw std::runtime_error("generate needs --circuit=<name>");
+  const auto name = cli.get<std::string>("circuit");
+  if (!name) throw UsageError("generate needs --circuit=<name>");
   netlist::GeneratorSpec spec = netlist::paper_benchmark_spec(*name);
-  if (const auto seed = cli.get("seed")) spec.seed = parse_u64("seed", *seed);
+  spec.seed = cli.get("seed", spec.seed);
   const netlist::GeneratedCircuit gen = netlist::generate_circuit(spec);
   std::cout << "generated " << spec.name << ": "
             << gen.netlist.num_flip_flops() << " FFs, "
             << gen.netlist.num_combinational_gates() << " gates, "
             << gen.buffered_ffs.size() << " buffers, "
             << gen.critical_edges.size() << " monitored paths\n";
-  if (const auto out = cli.get("out")) {
+  if (const auto out = cli.get<std::string>("out")) {
     netlist::write_bench_file(gen.netlist, *out);
     std::cout << "wrote " << *out << " (with #!place placement sidecar)\n";
     std::cout << "buffered flip-flops:";
@@ -553,7 +619,7 @@ int cmd_info(const Cli& cli) {
 }
 
 int cmd_ssta(const Cli& cli) {
-  const LogSink sink = make_structured_log(cli);
+  const auto log = make_structured_log(cli);
   const auto circuit = provision_circuit(cli);
   const timing::VariationModel variation(timing::VariationParams{},
                                          circuit->library);
@@ -561,14 +627,12 @@ int cmd_ssta(const Cli& cli) {
       circuit->netlist, circuit->library, variation);
 
   const core::Problem& problem = circuit->problem;
-  const std::size_t chips =
-      cli.get("chips") ? parse_size("chips", *cli.get("chips")) : 4000;
-  const std::size_t threads =
-      cli.get("threads") ? parse_size("threads", *cli.get("threads")) : 0;
-  const bool criticality = cli.has_flag("criticality");
-  const bool tuned = cli.has_flag("tuned") || criticality;
-  if (sink.log != nullptr) {
-    sink.log->emit(
+  const std::size_t chips = cli.get("chips", std::size_t{4000});
+  const std::size_t threads = cli.get("threads", std::size_t{0});
+  const bool criticality = cli.flag("criticality");
+  const bool tuned = cli.flag("tuned") || criticality;
+  if (log != nullptr) {
+    log->emit(
         "ssta", "ssta_begin",
         {obs::LogField::str("circuit", circuit->netlist.name()),
          obs::LogField::u64("chips", static_cast<std::uint64_t>(chips)),
@@ -660,9 +724,9 @@ int cmd_ssta(const Cli& cli) {
     ct.print(std::cout);
   }
 
-  if (sink.log != nullptr) {
+  if (log != nullptr) {
     if (tuned) {
-      sink.log->emit(
+      log->emit(
           "ssta", "ssta_complete",
           {obs::LogField::str("circuit", circuit->netlist.name()),
            obs::LogField::f64("untuned_mean", analytic.mean),
@@ -672,7 +736,7 @@ int cmd_ssta(const Cli& cli) {
            obs::LogField::f64("tuned_sigma", tuned_analysis->tuned.sigma()),
            obs::LogField::f64("mc_tuned_mean", tuned_mc.mean)});
     } else {
-      sink.log->emit(
+      log->emit(
           "ssta", "ssta_complete",
           {obs::LogField::str("circuit", circuit->netlist.name()),
            obs::LogField::f64("untuned_mean", analytic.mean),
@@ -681,7 +745,7 @@ int cmd_ssta(const Cli& cli) {
     }
   }
 
-  if (const auto json_path = cli.get("json")) {
+  if (const auto json_path = cli.get<std::string>("json")) {
     io::JsonReporter json("ssta", threads);
     const std::string label = circuit->netlist.name();
     const auto record = [&](const char* metric, double value,
@@ -704,42 +768,30 @@ int cmd_ssta(const Cli& cli) {
   return 0;
 }
 
-/// Shared run/tune option plumbing: chips/seed/td/quantile/threads plus the
-/// prediction/alignment switches.
+/// The flow group plus run's prediction/alignment switches.
 core::FlowOptions flow_options_from(const Cli& cli,
                                     const core::Problem& problem) {
   core::FlowOptions opts;
-  if (const auto chips = cli.get("chips")) {
-    opts.chips = parse_size("chips", *chips);
-  }
-  if (const auto seed = cli.get("seed")) opts.seed = parse_u64("seed", *seed);
-  if (const auto td = cli.get("td")) {
-    opts.designated_period = parse_double("td", *td);
-  }
-  opts.use_prediction = !cli.has_flag("no-prediction");
-  opts.test.align_with_buffers = !cli.has_flag("no-alignment");
-  if (const auto threads = cli.get("threads")) {
-    opts.threads = parse_size("threads", *threads);
-  }
-  if (const auto q = cli.get("quantile")) {
+  opts.chips = cli.get("chips", opts.chips);
+  opts.seed = cli.get("seed", opts.seed);
+  opts.designated_period = cli.get("td", opts.designated_period);
+  opts.use_prediction = !cli.flag("no-prediction");
+  opts.test.align_with_buffers = !cli.flag("no-alignment");
+  opts.threads = cli.get("threads", opts.threads);
+  if (const auto q = cli.get<double>("quantile")) {
     stats::Rng rng(opts.seed ^ core::kQuantileCalibrationSeedXor);
-    opts.designated_period =
-        core::period_quantile(problem, parse_double("quantile", *q), 2000, rng);
+    opts.designated_period = core::period_quantile(problem, *q, 2000, rng);
   }
   return opts;
 }
 
 int cmd_run(const Cli& cli) {
-  const LogSink sink = make_structured_log(cli);  // bad --log-format: fast
-  const auto circuit = provision_circuit(cli);
-  if (circuit->model.num_pairs() == 0) {
-    std::cout << "no monitored paths (no FF pair touches a buffer)\n";
-    return 1;
-  }
+  const auto log = make_structured_log(cli);
+  const auto circuit = provision_tunable(cli);
   const core::FlowOptions opts = flow_options_from(cli, circuit->problem);
 
-  if (sink.log != nullptr) {
-    sink.log->emit(
+  if (log != nullptr) {
+    log->emit(
         "run", "run_begin",
         {obs::LogField::str("circuit", circuit->netlist.name()),
          obs::LogField::u64("chips", static_cast<std::uint64_t>(opts.chips)),
@@ -747,8 +799,8 @@ int cmd_run(const Cli& cli) {
   }
   const core::FlowResult r = core::run_flow(circuit->problem, opts);
   const core::FlowMetrics& m = r.metrics;
-  if (sink.log != nullptr) {
-    sink.log->emit("run", "run_complete",
+  if (log != nullptr) {
+    log->emit("run", "run_complete",
                    {obs::LogField::str("circuit", circuit->netlist.name()),
                     obs::LogField::f64("td", m.designated_period),
                     obs::LogField::f64("ta", m.ta),
@@ -778,7 +830,7 @@ int cmd_run(const Cli& cli) {
   t.add_row({"config Ts (s/chip)", core::Table::num(m.ts_seconds_per_chip, 5)});
   t.print(std::cout);
 
-  if (const auto json_path = cli.get("json")) {
+  if (const auto json_path = cli.get<std::string>("json")) {
     io::JsonReporter json("run", opts.threads);
     const std::string label = circuit->netlist.name();
     const auto record = [&](const char* metric, double value) {
@@ -803,31 +855,16 @@ int cmd_run(const Cli& cli) {
   return 0;
 }
 
-std::vector<std::string> split_list(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::string piece = csv.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!piece.empty()) out.push_back(piece);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
 int cmd_campaign(const Cli& cli) {
-  const LogSink sink = make_structured_log(cli);
+  const auto log = make_structured_log(cli);
   core::CampaignOptions copts;
   std::vector<core::CampaignJob> jobs;
 
-  if (const auto spec_path = cli.get("spec")) {
-    if (cli.get("circuits") || cli.get("quantiles") || cli.get("modes")) {
-      std::cerr << "error: campaign: --spec carries its own circuits, "
-                   "quantiles and modes; drop --circuits/--quantiles/"
-                   "--modes\n";
-      return 2;
+  if (const auto spec_path = cli.get<std::string>("spec")) {
+    if (cli.has("circuits") || cli.has("quantiles") || cli.has("modes")) {
+      throw UsageError(
+          "campaign: --spec carries its own circuits, quantiles and modes; "
+          "drop --circuits/--quantiles/--modes");
     }
     io::Scenario scenario = io::load_scenario_file(*spec_path);
     copts = std::move(scenario.options);
@@ -835,69 +872,41 @@ int cmd_campaign(const Cli& cli) {
     std::cout << "scenario " << scenario.name << ": " << jobs.size()
               << " job(s) over " << scenario.catalog->names().size()
               << " registered circuit(s)\n";
+  } else {
+    std::vector<core::JobKind> kinds;
+    for (const std::string& mode :
+         split(cli.get("modes", std::string()), ',')) {
+      try {
+        kinds.push_back(core::job_kind_from(mode));
+      } catch (const std::invalid_argument& e) {
+        throw UsageError("--modes=" + mode + ": " + e.what());
+      }
+    }
+    std::vector<std::string> circuits;
+    for (const netlist::GeneratorSpec& spec :
+         netlist::paper_benchmark_specs()) {
+      circuits.push_back(spec.name);
+    }
+    jobs = core::CampaignRunner::cross(
+        cli.get("circuits", std::move(circuits)),
+        cli.get("quantiles", std::vector<double>()), kinds);
   }
 
   // Explicit CLI options override the spec's knobs (and fill the defaults
   // of the spec-less path).
-  if (const auto chips = cli.get("chips")) {
-    copts.flow.chips = parse_size("chips", *chips);
-  }
-  if (const auto seed = cli.get("seed")) {
-    copts.flow.seed = parse_u64("seed", *seed);
-  }
-  if (const auto threads = cli.get("threads")) {
-    // flow.threads of 0 inherits this
-    copts.threads = parse_size("threads", *threads);
-  }
-  if (const auto inflation = cli.get("inflation")) {
-    copts.random_inflation = parse_double("inflation", *inflation);
-  }
-
-  if (!cli.get("spec")) {
-    std::vector<std::string> circuits;
-    if (const auto names = cli.get("circuits")) {
-      circuits = split_list(*names);
-    } else {
-      for (const netlist::GeneratorSpec& spec :
-           netlist::paper_benchmark_specs()) {
-        circuits.push_back(spec.name);
-      }
-    }
-    std::vector<double> quantiles;
-    if (const auto qs = cli.get("quantiles")) {
-      for (const std::string& q : split_list(*qs)) {
-        quantiles.push_back(parse_double("quantiles", q));
-      }
-    }
-    std::vector<core::JobKind> kinds;
-    if (const auto modes = cli.get("modes")) {
-      for (const std::string& mode : split_list(*modes)) {
-        try {
-          kinds.push_back(core::job_kind_from(mode));
-        } catch (const std::invalid_argument& e) {
-          std::cerr << "error: campaign: --modes: " << e.what() << '\n';
-          return 2;
-        }
-      }
-    }
-    jobs = core::CampaignRunner::cross(circuits, quantiles, kinds);
-  }
+  copts.flow.chips = cli.get("chips", copts.flow.chips);
+  copts.flow.seed = cli.get("seed", copts.flow.seed);
+  copts.threads = cli.get("threads", copts.threads);  // flow.threads 0 inherits
+  copts.random_inflation = cli.get("inflation", copts.random_inflation);
+  copts.max_jobs = cli.get("stop-after", copts.max_jobs);
 
   // Checkpoint/resume plumbing (io/checkpoint_json.hpp). The identity hash
   // covers the result-affecting options and the full job list, so a
   // checkpoint from a different campaign is rejected before anything runs.
-  const auto checkpoint_path = cli.get("checkpoint");
-  const bool resume = cli.has_flag("resume");
+  const auto checkpoint_path = cli.get<std::string>("checkpoint");
+  const bool resume = cli.flag("resume");
   if (resume && !checkpoint_path) {
-    std::cerr << "error: campaign: --resume needs --checkpoint=<file>\n";
-    return 2;
-  }
-  if (const auto stop = cli.get("stop-after")) {
-    copts.max_jobs = parse_size("stop-after", *stop);
-    if (copts.max_jobs == 0) {
-      std::cerr << "error: campaign: --stop-after must be at least 1\n";
-      return 2;
-    }
+    throw UsageError("campaign: --resume needs --checkpoint=<file>");
   }
   std::unique_ptr<io::CheckpointWriter> writer;
   if (checkpoint_path) {
@@ -914,10 +923,9 @@ int cmd_campaign(const Cli& cli) {
     } else if (std::ifstream(*checkpoint_path).good()) {
       // Never clobber a checkpoint silently: it may belong to a run the
       // user meant to resume.
-      std::cerr << "error: campaign: checkpoint " << *checkpoint_path
-                << " already exists; pass --resume to continue it or remove "
-                   "it first\n";
-      return 2;
+      throw UsageError("campaign: checkpoint " + *checkpoint_path +
+                       " already exists; pass --resume to continue it or "
+                       "remove it first");
     }
     writer = std::make_unique<io::CheckpointWriter>(
         *checkpoint_path, identity, jobs.size(), copts.completed);
@@ -926,7 +934,7 @@ int cmd_campaign(const Cli& cli) {
       writer->record(index, r);
     };
   }
-  copts.log = sink.log;  // one job_complete event per finished job
+  copts.log = log.get();  // one job_complete event per finished job
 
   const core::CampaignResult result = core::CampaignRunner(copts).run(jobs);
 
@@ -963,7 +971,7 @@ int cmd_campaign(const Cli& cli) {
             << core::Table::num(job_seconds, 2)
             << " s of job time; artifacts reused within circuits)\n";
 
-  if (const auto json_path = cli.get("json")) {
+  if (const auto json_path = cli.get<std::string>("json")) {
     io::JsonReporter json("campaign", copts.threads);
     for (const core::CampaignJobResult& r : result.jobs) {
       if (!r.completed) continue;
@@ -1018,7 +1026,7 @@ int cmd_campaign(const Cli& cli) {
 
 int cmd_circuits(const Cli& cli) {
   std::shared_ptr<const scenario::CircuitCatalog> catalog;
-  if (const auto spec_path = cli.get("spec")) {
+  if (const auto spec_path = cli.get<std::string>("spec")) {
     catalog = io::load_scenario_file(*spec_path).catalog;
   } else {
     catalog = scenario::CircuitCatalog::shared_paper();
@@ -1037,41 +1045,30 @@ int cmd_circuits(const Cli& cli) {
 /// provision the circuit locally (the variation model is all a simulated
 /// tester needs — no offline phase), run one session against the server,
 /// and echo its report lines on stdout.
-int cmd_tune_connect(const Cli& cli, const std::string& target) {
+int cmd_tune_connect(const Cli& cli, const fleet::WorkerEndpoint& server) {
   // Everything the server decides is rejected loudly rather than silently
-  // ignored: designated period, seeding and threading all live server-side.
-  for (const char* opt : {"responses", "log", "td", "quantile", "seed",
-                          "threads", "log-format", "log-file"}) {
-    if (cli.get(opt)) {
-      throw UsageError(std::string("tune: --") + opt +
+  // ignored: the tuner group, its logging, and the local response sources.
+  for (const Option* option :
+       join({kTunerGroup, kLogGroup, {&kLog, &kResponses}})) {
+    if (cli.has(option->name)) {
+      throw UsageError(std::string("tune: --") + option->name +
                        " is a server-side decision in --connect mode");
     }
   }
-  if (cli.has_flag("simulate")) {
+  if (cli.flag("simulate")) {
     throw UsageError(
         "tune: --simulate and --connect are mutually exclusive (a connected "
         "session already simulates its dies against the server)");
   }
-  const auto [host, port] = split_host_port("connect", target);
 
-  const auto circuit = provision_circuit(cli);
-  if (circuit->model.num_pairs() == 0) {
-    std::cerr << "no monitored paths (no FF pair touches a buffer)\n";
-    return 1;
-  }
+  const auto circuit = provision_tunable(cli);
   net::ClientOptions copts;
-  if (const auto chips = cli.get("chips")) {
-    copts.chips = parse_size("chips", *chips);
-  }
-  if (const auto window = cli.get("window")) {
-    copts.window = parse_size("window", *window);
-  }
-  if (const auto retries = cli.get("connect-retries")) {
-    copts.connect_retries = parse_size("connect-retries", *retries);
-  }
-  copts.lenient = cli.has_flag("lenient");
-  const net::ClientResult result =
-      net::run_loopback_client(host, port, circuit->problem, copts);
+  copts.chips = cli.get("chips", copts.chips);
+  copts.window = cli.get("window", copts.window);
+  copts.connect_retries = cli.get("connect-retries", copts.connect_retries);
+  copts.lenient = cli.flag("lenient");
+  const net::ClientResult result = net::run_loopback_client(
+      server.host, server.port, circuit->problem, copts);
   for (const std::string& line : result.report_lines) {
     std::cout << line << '\n';
   }
@@ -1079,7 +1076,7 @@ int cmd_tune_connect(const Cli& cli, const std::string& target) {
     std::cerr << line << '\n';
   }
   std::cerr << "tuned " << result.report_lines.size() << " chip(s) over "
-            << host << ':' << port << " (session " << result.session_id
+            << server.to_string() << " (session " << result.session_id
             << ", seed " << result.seed_base << ", "
             << result.stimuli_answered << " tester iterations)";
   if (!result.error_lines.empty()) {
@@ -1090,62 +1087,51 @@ int cmd_tune_connect(const Cli& cli, const std::string& target) {
 }
 
 int cmd_tune(const Cli& cli) {
-  if (const auto target = cli.get("connect")) {
-    return cmd_tune_connect(cli, *target);
+  if (const auto server = cli.get<fleet::WorkerEndpoint>("connect")) {
+    return cmd_tune_connect(cli, *server);
   }
-  if (cli.get("connect-retries")) {
+  if (cli.has("connect-retries")) {
     throw UsageError(
         "tune: --connect-retries only applies with --connect=host:port");
   }
-  // Mode exclusivity up front, in the same no-silent-surprises spirit (and
-  // with the same usage exit code 2) as the option whitelists: --simulate
-  // answers stimuli itself, so a --responses log would be ignored; --log
-  // records the simulated responses and means nothing without --simulate.
-  if (cli.has_flag("simulate") && cli.get("responses")) {
-    std::cerr << "error: tune: --simulate and --responses are mutually "
-                 "exclusive\n";
-    return 2;
+  // Mode exclusivity up front: --simulate answers stimuli itself, so a
+  // --responses log would be ignored; --log records the simulated
+  // responses and means nothing without --simulate.
+  if (cli.flag("simulate") && cli.has("responses")) {
+    throw UsageError("tune: --simulate and --responses are mutually exclusive");
   }
-  if (cli.get("log") && !cli.has_flag("simulate")) {
-    std::cerr << "error: tune: --log only records simulated responses; "
-                 "combine it with --simulate\n";
-    return 2;
+  if (cli.has("log") && !cli.flag("simulate")) {
+    throw UsageError(
+        "tune: --log only records simulated responses; combine it with "
+        "--simulate");
   }
-  const LogSink sink = make_structured_log(cli);
-  const auto circuit = provision_circuit(cli);
-  if (circuit->model.num_pairs() == 0) {
-    std::cerr << "no monitored paths (no FF pair touches a buffer)\n";
-    return 1;
-  }
+  const auto log = make_structured_log(cli);
+  const auto circuit = provision_tunable(cli);
   core::FlowOptions opts = flow_options_from(cli, circuit->problem);
-  const std::size_t chips = cli.get("chips")
-                                ? parse_size("chips", *cli.get("chips"))
-                                : std::size_t{1};
+  const std::size_t chips = cli.get("chips", std::size_t{1});
 
   // The shared-ownership constructor: the service keeps the provisioned
   // bundle alive for every session it mints.
   const core::TunerService service(circuit, opts);
   io::TuneServerOptions topts;
-  topts.lenient = cli.has_flag("lenient");
-  if (const auto window = cli.get("window")) {
-    topts.chip_window = parse_size("window", *window);
-  }
-  topts.log = sink.log;  // per-chip begin/final_test/report events
+  topts.lenient = cli.flag("lenient");
+  topts.chip_window = cli.get("window", topts.chip_window);
+  topts.log = log.get();  // per-chip begin/final_test/report events
   io::TuneServer server(service, chips, topts);
 
   io::TuneServerResult result;
-  if (cli.has_flag("simulate")) {
-    std::ofstream log;
+  if (cli.flag("simulate")) {
+    std::ofstream log_file;
     std::ostream* log_stream = nullptr;
-    if (const auto log_path = cli.get("log")) {
-      log.open(*log_path);
-      if (!log) {
+    if (const auto log_path = cli.get<std::string>("log")) {
+      log_file.open(*log_path);
+      if (!log_file) {
         throw std::runtime_error("tune: cannot open --log file " + *log_path);
       }
-      log_stream = &log;
+      log_stream = &log_file;
     }
     result = server.run_simulated(std::cout, log_stream);
-  } else if (const auto responses = cli.get("responses")) {
+  } else if (const auto responses = cli.get<std::string>("responses")) {
     std::ifstream in(*responses);
     if (!in) {
       throw std::runtime_error("tune: cannot open --responses file " +
@@ -1179,30 +1165,16 @@ int cmd_tune(const Cli& cli) {
 }
 
 int cmd_serve(const Cli& cli) {
-  // Options first, so a typo fails in milliseconds instead of after the
-  // offline phase.
-  const LogSink sink = make_structured_log(cli);
+  const auto log = make_structured_log(cli);
   net::ServeOptions sopts;
-  sopts.log = sink.log;
-  parse_listen_options(cli, sopts);
-  if (const auto workers = cli.get("workers")) {
-    sopts.workers = parse_size("workers", *workers);
-    if (sopts.workers == 0) {
-      throw UsageError("--workers must be at least 1");
-    }
-  }
-  if (const auto window = cli.get("window")) {
-    sopts.chip_window = parse_size("window", *window);
-  }
-  if (const auto chips = cli.get("max-chips")) {
-    sopts.max_chips_per_session = parse_size("max-chips", *chips);
-  }
+  sopts.log = log.get();
+  listen_options_from(cli, sopts);
+  sopts.workers = cli.get("workers", sopts.workers);
+  sopts.chip_window = cli.get("window", sopts.chip_window);
+  sopts.max_chips_per_session =
+      cli.get("max-chips", sopts.max_chips_per_session);
 
-  const auto circuit = provision_circuit(cli);
-  if (circuit->model.num_pairs() == 0) {
-    std::cerr << "no monitored paths (no FF pair touches a buffer)\n";
-    return 1;
-  }
+  const auto circuit = provision_tunable(cli);
   core::FlowOptions opts = flow_options_from(cli, circuit->problem);
   const core::TunerService service(circuit, opts);
 
@@ -1241,51 +1213,37 @@ int cmd_serve(const Cli& cli) {
 }
 
 int cmd_balance(const Cli& cli) {
-  const LogSink sink = make_structured_log(cli);
+  const auto log = make_structured_log(cli);
 
-  std::vector<fleet::WorkerEndpoint> endpoints;
-  if (const auto workers = cli.get("workers")) {
-    for (const std::string& target : split_list(*workers)) {
-      const auto [host, port] = split_host_port("workers", target);
-      if (port == 0) {
-        throw UsageError("--workers=" + target +
-                         ": a worker needs a nonzero port");
-      }
-      endpoints.push_back(fleet::WorkerEndpoint{host, port});
-    }
-  }
-  std::size_t spawn = 0;
-  if (const auto s = cli.get("spawn")) spawn = parse_size("spawn", *s);
+  const auto endpoints =
+      cli.get("workers", std::vector<fleet::WorkerEndpoint>());
+  const std::size_t spawn = cli.get("spawn", std::size_t{0});
   if (endpoints.empty() && spawn == 0) {
     throw UsageError("balance needs --workers=host:port,... and/or --spawn=N");
   }
-  // Circuit/flow options configure the spawned serve children; with only
-  // external --workers they would be silently ignored — reject instead.
-  static const char* kForwarded[] = {"circuit", "bench",     "buffers",
-                                     "policy",  "td",        "quantile",
-                                     "seed",    "threads"};
+  // The circuit and tuner groups configure the spawned serve children;
+  // with only external --workers they would be silently ignored — reject
+  // instead.
+  const OptionList forwarded = join({kCircuitGroup, kTunerGroup});
   if (spawn == 0) {
-    for (const char* opt : kForwarded) {
-      if (cli.get(opt)) {
-        throw UsageError(std::string("balance: --") + opt +
+    for (const Option* option : forwarded) {
+      if (cli.has(option->name)) {
+        throw UsageError(std::string("balance: --") + option->name +
                          " configures --spawn'd workers; external --workers "
                          "carry their own circuit");
       }
     }
-  } else {
+  } else if (!cli.has("circuit") && !cli.has("bench")) {
     // The children must be able to provision a circuit at all; fail here
     // rather than with N cryptic child exits.
-    if (!cli.get("circuit") && !cli.get("bench")) {
-      throw UsageError(
-          "balance: --spawn needs --circuit=<name> or --bench=<file> for "
-          "the workers");
-    }
+    throw UsageError(
+        "balance: --spawn needs --circuit=<name> or --bench=<file> for the "
+        "workers");
   }
 
   fleet::RegistryOptions ropts;
-  if (const auto interval = cli.get("probe-interval")) {
-    ropts.probe_interval_seconds = parse_double("probe-interval", *interval);
-  }
+  ropts.probe_interval_seconds =
+      cli.get("probe-interval", ropts.probe_interval_seconds);
   fleet::WorkerRegistry registry(ropts);
   for (const fleet::WorkerEndpoint& endpoint : endpoints) {
     (void)registry.add_worker(endpoint);
@@ -1302,11 +1260,11 @@ int cmd_balance(const Cli& cli) {
   if (spawn > 0) {
     fleet::SupervisorOptions sup;
     sup.children = spawn;
-    sup.log = sink.log;
+    sup.log = log.get();
     sup.argv = {"/proc/self/exe", "serve", "--port=0"};
-    for (const char* opt : kForwarded) {
-      if (const auto value = cli.get(opt)) {
-        sup.argv.push_back("--" + std::string(opt) + "=" + *value);
+    for (const Option* option : forwarded) {
+      if (const auto value = cli.get<std::string>(option->name)) {
+        sup.argv.push_back(std::string("--") + option->name + "=" + *value);
       }
     }
     supervisor = std::make_unique<fleet::ProcessSupervisor>(
@@ -1318,17 +1276,10 @@ int cmd_balance(const Cli& cli) {
   }
 
   fleet::BalancerOptions bopts;
-  bopts.log = sink.log;
-  parse_listen_options(cli, bopts);
-  if (const auto relay = cli.get("relay-workers")) {
-    bopts.relay_workers = parse_size("relay-workers", *relay);
-    if (bopts.relay_workers == 0) {
-      throw UsageError("--relay-workers must be at least 1");
-    }
-  }
-  if (const auto retries = cli.get("retries")) {
-    bopts.max_session_retries = parse_size("retries", *retries);
-  }
+  bopts.log = log.get();
+  listen_options_from(cli, bopts);
+  bopts.relay_workers = cli.get("relay-workers", bopts.relay_workers);
+  bopts.max_session_retries = cli.get("retries", bopts.max_session_retries);
 
   // All registry slots exist by here (the FleetBalancer per-slot gauge
   // contract); endpoints still flow in from banners afterwards.
@@ -1366,19 +1317,13 @@ int cmd_balance(const Cli& cli) {
 }
 
 int cmd_status(const Cli& cli) {
-  const auto target = cli.get("connect");
-  if (!target) throw UsageError("status needs --connect=host:port");
-  const auto [host, port] = split_host_port("connect", *target);
-  if (const auto format = cli.get("format")) {
-    if (*format == "prometheus") {
-      std::cout << net::fetch_prometheus(host, port);
-      return 0;
-    }
-    if (*format != "json") {
-      throw UsageError("--format=" + *format + ": expected json or prometheus");
-    }
+  const auto server = cli.get<fleet::WorkerEndpoint>("connect");
+  if (!server) throw UsageError("status needs --connect=host:port");
+  if (cli.get<std::string>("format") == "prometheus") {
+    std::cout << net::fetch_prometheus(server->host, server->port);
+    return 0;
   }
-  const std::string line = net::fetch_status(host, port);
+  const std::string line = net::fetch_status(server->host, server->port);
   // The machine-readable line alone on stdout (pipe into python/jq); the
   // human summary goes to stderr like every other end-of-run summary.
   std::cout << line << '\n';
@@ -1418,41 +1363,72 @@ int cmd_status(const Cli& cli) {
   return 0;
 }
 
+/// The command table, in `help` order.
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"help", cmd_help, "Print every command's usage, or the named one's.",
+       {}, "[command]"},
+      {"generate", cmd_generate,
+       "Generate --circuit (Table-1 statistics); --out writes it as .bench.",
+       {&kCircuit, &kOut, &kSeed}},
+      {"info", cmd_info,
+       "Structural and timing statistics of --bench or --circuit.",
+       kCircuitGroup},
+      {"ssta", cmd_ssta,
+       "Clark vs Monte-Carlo period distribution; --tuned adds post-tuning.",
+       join({kCircuitGroup,
+             {&kChips, &kThreads, &kTuned, &kCriticality, &kJson},
+             kLogGroup})},
+      {"run", cmd_run, "Run the full EffiTest flow and print the metrics.",
+       join({kCircuitGroup, kFlowGroup,
+             {&kNoPrediction, &kNoAlignment, &kJson}, kLogGroup})},
+      {"campaign", cmd_campaign,
+       "Run --circuits x --quantiles x --modes (or --spec) jobs on all cores.",
+       join({{&kSpec, &kCircuits, &kQuantiles, &kModes, &kChips, &kSeed,
+              &kThreads, &kInflation, &kJson, &kCheckpoint, &kResume,
+              &kStopAfter},
+             kLogGroup})},
+      {"circuits", cmd_circuits,
+       "List the paper circuit catalog, or the --spec scenario's.", {&kSpec}},
+      {"tune", cmd_tune,
+       "Stream per-chip tuning sessions over the line protocol (or --connect).",
+       join({kCircuitGroup, kFlowGroup,
+             {&kSimulate, &kLenient, &kLog, &kResponses, &kWindow, &kConnect,
+              &kConnectRetries},
+             kLogGroup})},
+      {"serve", cmd_serve,
+       "Serve the tune protocol over TCP; prints `serving on <host>:<port>`.",
+       join({kCircuitGroup, kTunerGroup, kListenGroup,
+             {&kServeWorkers, &kWindow, &kMaxChips}, kLogGroup})},
+      {"balance", cmd_balance,
+       "Route tester sessions over --workers and/or --spawn=N serve workers.",
+       join({{&kFleetWorkers, &kSpawn}, kCircuitGroup, kTunerGroup,
+             kListenGroup, {&kRelayWorkers, &kRetries, &kProbeInterval},
+             kLogGroup})},
+      {"status", cmd_status,
+       "Print a serve or balance endpoint's live metrics.",
+       {&kConnect, &kFormat}},
+  };
+  return table;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Cli cli = parse_cli(argc, argv);
-  if (cli.command.empty()) {
-    usage(std::cerr);
+  if (argc < 2) {
+    print_usage(std::cerr);
     return 1;
   }
-  if (const int rc = validate_cli(cli); rc != 0) return rc;
   try {
-    if (cli.command == "help") return cmd_help(cli);
-    if (cli.command == "generate") return cmd_generate(cli);
-    if (cli.command == "info") return cmd_info(cli);
-    if (cli.command == "ssta") return cmd_ssta(cli);
-    if (cli.command == "run") return cmd_run(cli);
-    if (cli.command == "campaign") return cmd_campaign(cli);
-    if (cli.command == "circuits") return cmd_circuits(cli);
-    if (cli.command == "tune") return cmd_tune(cli);
-    if (cli.command == "serve") return cmd_serve(cli);
-    if (cli.command == "balance") return cmd_balance(cli);
-    if (cli.command == "status") return cmd_status(cli);
-    return 2;  // unreachable: validate_cli rejected unknown commands
-  } catch (const UsageError& e) {
-    std::cerr << "error: " << e.what() << '\n';
-    return 2;
-  } catch (const io::ScenarioError& e) {
-    // A malformed scenario spec is a usage error, same as a bad option.
-    std::cerr << "error: " << e.what() << '\n';
-    return 2;
-  } catch (const io::CheckpointError& e) {
-    // Corrupt or mismatched checkpoints are bad inputs, not crashes.
-    std::cerr << "error: " << e.what() << '\n';
-    return 2;
+    const Cli cli = parse_cli(argc, argv);
+    return cli.command->run(cli);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
-    return 1;
+    // Bad options, scenario specs and checkpoints are bad inputs (2), not
+    // runtime failures (1).
+    const bool usage = dynamic_cast<const UsageError*>(&e) != nullptr ||
+                       dynamic_cast<const io::ScenarioError*>(&e) != nullptr ||
+                       dynamic_cast<const io::CheckpointError*>(&e) != nullptr;
+    return usage ? 2 : 1;
   }
 }
