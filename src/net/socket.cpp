@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -34,6 +35,17 @@ sockaddr_in ipv4_address(const std::string& host, std::uint16_t port) {
     throw std::runtime_error("net: not an IPv4 address: \"" + host + "\"");
   }
   return addr;
+}
+
+/// Nagle off (DESIGN.md §13 "Latency"): every socket the protocol talks
+/// over goes through here, so a short line is never held back waiting for
+/// the ACK of the one before it.
+Socket no_delay(Socket s) {
+  const int one = 1;
+  if (s.valid()) {
+    (void)::setsockopt(s.fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  }
+  return s;
 }
 
 }  // namespace
@@ -86,8 +98,10 @@ bool send_all(int fd, std::string_view data) {
 }
 
 bool SocketStreambuf::flush_put_area() {
-  if (!send_all(socket_.fd(),
+  if (send_failed_ ||
+      !send_all(socket_.fd(),
                 {pbase(), static_cast<std::size_t>(pptr() - pbase())})) {
+    send_failed_ = true;
     return false;
   }
   setp(out_.data(), out_.data() + out_.size());
@@ -119,6 +133,11 @@ SocketStreambuf::int_type SocketStreambuf::overflow(int_type ch) {
 
 int SocketStreambuf::sync() { return flush_put_area() ? 0 : -1; }
 
+bool SocketStreambuf::has_buffered_line() const {
+  const auto buffered = static_cast<std::size_t>(egptr() - gptr());
+  return std::memchr(gptr(), '\n', buffered) != nullptr;
+}
+
 Listener::Listener(const std::string& host, std::uint16_t port, int backlog)
     : host_(host) {
   const sockaddr_in addr = ipv4_address(host, port);
@@ -145,7 +164,7 @@ Socket Listener::accept() {
   do {
     fd = ::accept4(socket_.fd(), nullptr, nullptr, SOCK_CLOEXEC);
   } while (fd < 0 && errno == EINTR);
-  return Socket(fd);
+  return no_delay(Socket(fd));
 }
 
 Socket connect_with_backoff(const std::string& host, std::uint16_t port,
@@ -186,7 +205,7 @@ Socket connect_to(const std::string& host, std::uint16_t port) {
   if (rc != 0) {
     throw_errno("net: connect " + host + ":" + std::to_string(port));
   }
-  return s;
+  return no_delay(std::move(s));
 }
 
 }  // namespace effitest::net

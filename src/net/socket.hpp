@@ -10,7 +10,18 @@
 // plain `stream << line << '\n'` followed by `io::read_line(stream, ...)`
 // pushes the line onto the wire first. Sends
 // use MSG_NOSIGNAL so a peer that disappeared mid-session surfaces as
-// stream failure (badbit/eof), never as a process-killing SIGPIPE.
+// stream failure (badbit/eof), never as a process-killing SIGPIPE. A send
+// that failed once — peer gone, or not reading for the send timeout —
+// fails every later flush at once, so a half-open peer costs its session
+// one blocked send, not one per pending write, and no byte is sent twice.
+//
+// Latency (DESIGN.md §13): every socket from Listener::accept and
+// connect_to has TCP_NODELAY set, here and nowhere else. The protocol is
+// request/response in small lines; with Nagle on, a line written while
+// the previous one is unacknowledged waits for the peer's delayed ACK
+// (~40 ms on Linux). Batching is the writer's job instead: the streambuf
+// sends its put area once per read, and the fleet relay sends one burst
+// of whole lines per read (fleet/balancer.hpp).
 //
 // All of this is deliberately IPv4-loopback-grade: the serve mode binds
 // 127.0.0.1 by default and the bench drives in-process clients. Nothing
@@ -63,6 +74,10 @@ class SocketStreambuf final : public std::streambuf {
 
   [[nodiscard]] const Socket& socket() const { return socket_; }
 
+  /// True when the get area already holds a whole line: reading it will
+  /// not block on the peer.
+  [[nodiscard]] bool has_buffered_line() const;
+
  protected:
   int_type underflow() override;
   int_type overflow(int_type ch) override;
@@ -74,6 +89,8 @@ class SocketStreambuf final : public std::streambuf {
   Socket socket_;
   std::vector<char> in_;
   std::vector<char> out_;
+  /// Part of the put area may already be on the wire (header comment).
+  bool send_failed_ = false;
 };
 
 /// The iostream the tune protocol runs over: pass one object as both the
@@ -86,6 +103,9 @@ class SocketStream final : public std::iostream {
   }
 
   [[nodiscard]] const Socket& socket() const { return buf_.socket(); }
+  [[nodiscard]] bool has_buffered_line() const {
+    return buf_.has_buffered_line();
+  }
 
  private:
   SocketStreambuf buf_;
@@ -103,7 +123,8 @@ class Listener {
   [[nodiscard]] const std::string& host() const { return host_; }
 
   /// Accept one pending connection (the caller has already polled the fd
-  /// readable). Returns an invalid Socket on transient failure.
+  /// readable), TCP_NODELAY set. Returns an invalid Socket on transient
+  /// failure.
   [[nodiscard]] Socket accept();
 
   void close() { socket_.close(); }
@@ -114,7 +135,8 @@ class Listener {
   std::uint16_t port_ = 0;
 };
 
-/// Blocking IPv4 connect. Throws std::runtime_error on failure.
+/// Blocking IPv4 connect, TCP_NODELAY set. Throws std::runtime_error on
+/// failure.
 [[nodiscard]] Socket connect_to(const std::string& host, std::uint16_t port);
 
 /// Retry policy for connect_with_backoff: `retries` extra attempts after

@@ -1,11 +1,12 @@
 // Integration suite for the fleet front balancer (fleet/balancer.hpp):
 // sessions relayed through the balancer must reproduce `tune --simulate`
 // reports byte-for-byte — including a session whose worker dies mid-flight
-// and is replayed on a survivor, and a session whose worker process is
-// SIGKILL'd outright. Plus the failure edges (fleet exhaustion, seed
-// mismatch, deterministic worker rejections) and the fleet status
-// endpoints. Runs under the ThreadSanitizer CI label (`fleet`): the relay
-// is two threads per session against a shared registry.
+// or mid-burst and is replayed on a survivor, and a session whose worker
+// process is SIGKILL'd outright. Plus the failure edges (fleet exhaustion,
+// seed mismatch, deterministic worker rejections, a fatal line mid-burst,
+// flooding and half-open peers) and the fleet status endpoints. Runs
+// under the ThreadSanitizer CI label (`fleet`): the relay is two threads
+// per session against a shared registry.
 //
 // Everything binds 127.0.0.1 port 0 (kernel-chosen), so parallel ctest
 // invocations never collide.
@@ -17,6 +18,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <optional>
 #include <string>
@@ -110,13 +112,15 @@ TEST(FleetBalancer, RelayedSessionsMatchSimulatedReports) {
   EXPECT_GT(m.gauge(fleet::kFleetSessionsPerSec), 0.0);
 }
 
-TEST(FleetBalancer, SessionMigratesWhenItsWorkerDiesMidFlight) {
-  // Slot 0 is a proxy that relays the first few REAL server lines from a
-  // genuine worker and half of the next one, then hard-closes — a
-  // deterministic mid-session, mid-line death with genuine bytes already
-  // forwarded. Slot 1 is the survivor. The migrated session must replay
-  // its backlog, discard exactly the prefix
-  // the client already holds, and still match the golden transcript.
+/// Slot 0 is a proxy in front of a genuine worker: it forwards the hello,
+/// lets `die` forward a prefix of the REAL server lines and part of the
+/// next one, then hard-closes — a deterministic mid-session, mid-line
+/// death with genuine bytes already forwarded. Slot 1 is the survivor. The
+/// migrated session must replay its backlog, discard exactly the prefix
+/// the client already holds, and still match the golden transcript.
+void expect_migration_matches_golden(
+    const std::function<void(net::SocketStream& backend,
+                             net::SocketStream& client_side)>& die) {
   net::ServeOptions soptions;
   soptions.workers = 2;
   net::TuneServeLoop survivor(holder().service, soptions);
@@ -133,17 +137,7 @@ TEST(FleetBalancer, SessionMigratesWhenItsWorkerDiesMidFlight) {
         net::connect_to(survivor.host(), survivor.port()));
     backend << hello << '\n';
     backend.flush();
-    // Greeting + header + one stimulus line, then death in the middle of
-    // the second: the torn line must never reach the client.
-    std::string line;
-    for (int i = 0; i < 3 && std::getline(backend, line); ++i) {
-      client_side << line << '\n';
-      client_side.flush();
-    }
-    if (std::getline(backend, line)) {
-      client_side << line.substr(0, line.size() / 2);
-      client_side.flush();
-    }
+    die(backend, client_side);
   });
 
   fleet::WorkerRegistry registry;
@@ -172,6 +166,95 @@ TEST(FleetBalancer, SessionMigratesWhenItsWorkerDiesMidFlight) {
   EXPECT_EQ(m.counter(fleet::kFleetSessionsFailed), 0u);
   // The relay's fast path marked the dead proxy's slot, no prober needed.
   EXPECT_EQ(registry.health(0), fleet::WorkerHealth::kDead);
+}
+
+TEST(FleetBalancer, SessionMigratesWhenItsWorkerDiesMidFlight) {
+  // Greeting + header + one stimulus line, one flush each, then death in
+  // the middle of the second: the torn line must never reach the client.
+  expect_migration_matches_golden([](net::SocketStream& backend,
+                                     net::SocketStream& client_side) {
+    std::string line;
+    for (int i = 0; i < 3 && std::getline(backend, line); ++i) {
+      client_side << line << '\n';
+      client_side.flush();
+    }
+    if (std::getline(backend, line)) {
+      client_side << line.substr(0, line.size() / 2);
+      client_side.flush();
+    }
+  });
+}
+
+TEST(FleetBalancer, SessionMigratesWhenItsWorkerDiesMidBurst) {
+  // The greeting, then header + stimulus + half of the next line in ONE
+  // flush: the relay reads two whole lines and a torn one from a single
+  // recv. It must send exactly the two whole lines, count exactly those
+  // as forwarded, and migrate on the torn one.
+  expect_migration_matches_golden([](net::SocketStream& backend,
+                                     net::SocketStream& client_side) {
+    std::string line;
+    if (!std::getline(backend, line)) return;
+    client_side << line << '\n';
+    client_side.flush();
+    for (int i = 0; i < 2 && std::getline(backend, line); ++i) {
+      client_side << line << '\n';
+    }
+    if (std::getline(backend, line)) {
+      client_side << line.substr(0, line.size() / 2);
+    }
+    client_side.flush();
+  });
+}
+
+TEST(FleetBalancer, WorkerErrorMidBurstEndsTheRelayAfterIt) {
+  // A worker's burst carries an `error -` line with more lines behind it,
+  // all in one flush. The client receives everything up to and including
+  // the error and nothing after it; the fatal line is never retried.
+  const std::string greeting = io::format_greeting(
+      {0, holder().service.monte_carlo_seed_base()});
+  const std::vector<std::string> sent = {
+      greeting,
+      "effitest-tune-v1 chips=1 np=6 nb=2 td=900",
+      "stimulus 0 0 108.5 steps 13 5 arm 0 3 4",
+      io::format_error("tune: response stream ended"),
+      "stimulus 0 1 108.5 steps 13 5 arm 0 3 4",
+      "bye",
+  };
+  net::Listener faulty("127.0.0.1", 0, 8);
+  std::thread fake([&] {
+    net::Socket conn = faulty.accept();
+    if (!conn.valid()) return;
+    net::SocketStream stream(std::move(conn));
+    std::string line;
+    if (!std::getline(stream, line)) return;
+    for (const std::string& l : sent) stream << l << '\n';
+    stream.flush();
+    while (std::getline(stream, line)) {
+    }  // until the balancer hangs up
+  });
+
+  fleet::WorkerRegistry registry;
+  (void)registry.add_worker({faulty.host(), faulty.port()});
+  fleet::FleetBalancer balancer(registry, fast_options());
+  balancer.start();
+
+  std::vector<std::string> received;
+  {
+    net::SocketStream stream(net::connect_to("127.0.0.1", balancer.port()));
+    stream << io::format_hello({1, 0, false}) << '\n';
+    stream.flush();
+    std::string line;
+    while (std::getline(stream, line)) received.push_back(line);
+  }
+  fake.join();
+  balancer.request_drain();
+  balancer.wait();
+
+  EXPECT_EQ(received, std::vector<std::string>(sent.begin(), sent.begin() + 4));
+  const obs::RegistrySnapshot m = balancer.metrics();
+  EXPECT_EQ(m.counter(fleet::kFleetSessionsFailed), 1u);
+  EXPECT_EQ(m.counter(fleet::kFleetSessionsCompleted), 0u);
+  EXPECT_EQ(m.counter(fleet::kFleetSessionsRetried), 0u);
 }
 
 TEST(FleetBalancer, ExhaustedRetriesSurfaceAsAFleetError) {
@@ -388,6 +471,49 @@ TEST(FleetBalancer, FloodingWorkerFailsOnlyItsSession) {
   EXPECT_EQ(m.counter(fleet::kFleetSessionsFailed), 1u);
   EXPECT_EQ(m.counter(fleet::kFleetSessionsCompleted), 1u);
   EXPECT_EQ(m.counter(fleet::kFleetSessionsRetried), 0u);
+}
+
+TEST(FleetBalancer, HalfOpenClientFailsOnlyItsSessionWithinTheIoTimeout) {
+  // A tester that sends its hello and all its responses but never reads.
+  // The relay's sends to it block once the kernel buffers fill; the send
+  // timeout fails that session (at most two timeouts, as for serve), and
+  // the only relay thread and the only worker are free for the next one.
+  net::ServeOptions soptions;
+  soptions.workers = 1;
+  net::TuneServeLoop worker(holder().service, soptions);
+  worker.start();
+  fleet::WorkerRegistry registry;
+  (void)registry.add_worker({worker.host(), worker.port()});
+  fleet::BalancerOptions options = fast_options();
+  options.relay_workers = 1;
+  options.io_timeout_seconds = 0.5;
+  fleet::FleetBalancer balancer(registry, options);
+  balancer.start();
+
+  std::chrono::steady_clock::duration elapsed{};
+  net::ClientResult next;
+  {
+    const fleet_test::HalfOpenPeer peer(balancer.port(), 6000);
+    const auto begin = std::chrono::steady_clock::now();
+    net::ClientOptions copts;
+    copts.chips = 1;
+    next = net::run_loopback_client("127.0.0.1", balancer.port(),
+                                    holder().problem, copts);
+    elapsed = std::chrono::steady_clock::now() - begin;
+  }  // the peer hangs up only now, after its session already failed
+  balancer.request_drain();
+  balancer.wait();
+  worker.request_drain();
+  worker.wait();
+
+  EXPECT_EQ(sorted_by_chip(next.report_lines), simulated_report_lines(1));
+  EXPECT_LT(elapsed, std::chrono::seconds(30));
+  const obs::RegistrySnapshot m = balancer.metrics();
+  EXPECT_EQ(m.counter(fleet::kFleetSessionsFailed), 1u);
+  EXPECT_EQ(m.counter(fleet::kFleetSessionsCompleted), 1u);
+  EXPECT_EQ(m.counter(fleet::kFleetSessionsRetried), 0u);
+  // It failed mid-session, on the blocked relay, not at its hello.
+  EXPECT_GT(worker.metrics().counter(net::kMetricStimuli), 1000u);
 }
 
 io::json::Value parse_status(const std::string& line) {

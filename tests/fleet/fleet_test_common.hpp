@@ -1,11 +1,11 @@
 #pragma once
-// Shared fixture for the fleet suite (and the fleet_worker helper binary):
-// the same tiny 16-FF/60-gate/2-buffer circuit the net suite serves, with
-// an explicit designated period so construction is protocol-speed. Every
-// worker in a fleet test — in-process TuneServeLoop, fake dying listener,
-// or spawned helper process — is built from this one spec, which is what
-// makes the byte-identity assertions meaningful: any two workers answer a
-// replayed session with the same bytes.
+// Shared fixture for the net and fleet suites (and the fleet_worker helper
+// binary): one tiny 16-FF/60-gate/2-buffer circuit with an explicit
+// designated period, so construction is protocol-speed. Every worker in a
+// test — in-process TuneServeLoop, fake dying listener, or spawned helper
+// process — is built from this one spec, which is what makes the
+// byte-identity assertions meaningful: any two workers answer a replayed
+// session with the same bytes.
 //
 // Deliberately gtest-free so fleet_worker_main.cpp can include it.
 
@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/problem.hpp"
@@ -116,5 +117,47 @@ inline std::string flood(std::uint16_t port, std::size_t bytes) {
   }
   return received;
 }
+
+/// A half-open tester: it sends its hello and every response of a
+/// `chips`-die session up front — the replies of a local simulated run,
+/// so the server accepts each one and keeps writing — and never reads.
+/// Once that output fills the kernel buffers between the two ends (about
+/// 4 MB on loopback; 6,000 dies write about 5 MB), the server's next send
+/// blocks. The connection stays open, unread, until the peer is destroyed.
+class HalfOpenPeer {
+ public:
+  HalfOpenPeer(std::uint16_t port, std::size_t chips)
+      : script_(script(chips)), socket_(net::connect_to("127.0.0.1", port)) {
+    // A small receive buffer, so the server's output fills the path soon.
+    const int bytes = 4096;
+    (void)::setsockopt(socket_.fd(), SOL_SOCKET, SO_RCVBUF, &bytes,
+                       sizeof(bytes));
+    // The server stops reading once it blocks, so this send may block too:
+    // it ends when the server gives up on the session and resets the
+    // connection, or at the latest after this timeout.
+    socket_.set_io_timeout(60.0);
+    sender_ = std::thread([this] {
+      (void)net::send_all(socket_.fd(), script_);
+    });
+  }
+  ~HalfOpenPeer() { sender_.join(); }
+
+  HalfOpenPeer(const HalfOpenPeer&) = delete;
+  HalfOpenPeer& operator=(const HalfOpenPeer&) = delete;
+
+ private:
+  /// Computed before connecting: a slow peer would otherwise meet the
+  /// server's hello timeout instead of the blocked send under test.
+  static std::string script(std::size_t chips) {
+    io::TuneServer server(holder().service, chips);
+    std::ostringstream out, responses;
+    (void)server.run_simulated(out, &responses);
+    return io::format_hello({chips, 0, false}) + "\n" + responses.str();
+  }
+
+  std::string script_;
+  net::Socket socket_;
+  std::thread sender_;
+};
 
 }  // namespace effitest::fleet_test

@@ -1,8 +1,10 @@
 // Integration suite for the TCP serve mode (net/serve.hpp): concurrent
 // loopback sessions must reproduce `tune --simulate` reports
 // byte-for-byte, an abandoned connection must never disturb its siblings,
-// CRLF framing must survive the wire, and a drain must finish every
-// in-flight session. Runs under the ThreadSanitizer CI label (`net`)
+// CRLF framing must survive the wire, a drain must finish every
+// in-flight session, a hostile peer (flooding, silent or half-open) must
+// fail only its own session, and every socket must have Nagle off. Runs
+// under the ThreadSanitizer CI label (`net`)
 // alongside the parallel/session suites — the whole point of the suite is
 // the concurrency.
 //
@@ -11,107 +13,37 @@
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/tuner_service.hpp"
+#include "../fleet/fleet_test_common.hpp"
 #include "io/json.hpp"
 #include "io/tune_protocol.hpp"
 #include "net/client.hpp"
 #include "net/serve.hpp"
 #include "net/session_server.hpp"
 #include "net/socket.hpp"
-#include "netlist/generator.hpp"
 #include "obs/metrics.hpp"
-#include "timing/model.hpp"
 
 namespace {
 
 using namespace effitest;
 
-/// One tiny shared circuit/service for the whole suite (the fuzz harness's
-/// 16-FF/60-gate/2-buffer generator with an explicit designated period, so
-/// construction is protocol-speed, not flow-calibration-speed).
-struct ServiceHolder {
-  netlist::GeneratedCircuit circuit;
-  netlist::CellLibrary lib = netlist::CellLibrary::standard();
-  timing::CircuitModel model;
-  core::Problem problem;
-  core::TunerService service;
-
-  static netlist::GeneratorSpec spec() {
-    netlist::GeneratorSpec s;
-    s.num_flip_flops = 16;
-    s.num_gates = 60;
-    s.num_buffers = 2;
-    s.num_critical_paths = 6;
-    s.seed = 7;
-    return s;
-  }
-
-  static core::FlowOptions options() {
-    core::FlowOptions o;
-    o.seed = 11;
-    o.designated_period = 900.0;
-    o.threads = 1;
-    return o;
-  }
-
-  ServiceHolder()
-      : circuit(netlist::generate_circuit(spec())),
-        model(circuit.netlist, lib, circuit.buffered_ffs),
-        problem(model),
-        service(problem, options()) {}
-};
-
-const ServiceHolder& holder() {
-  static const ServiceHolder h;
-  return h;
-}
-
-std::vector<std::string> sorted_by_chip(std::vector<std::string> lines);
-
-/// The `report <chip> ...` lines of a local simulated run, in chip order —
-/// the golden transcript every networked session must reproduce
-/// byte-for-byte. (Both modes emit reports in completion order, which
-/// depends on response arrival; chip order is the canonical comparison.)
-std::vector<std::string> simulated_report_lines(std::size_t chips) {
-  io::TuneServer server(holder().service, chips);
-  std::ostringstream out;
-  (void)server.run_simulated(out);
-  std::vector<std::string> reports;
-  std::istringstream is(out.str());
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.rfind("report ", 0) == 0) reports.push_back(line);
-  }
-  return sorted_by_chip(std::move(reports));
-}
-
-std::vector<std::string> sorted_by_chip(std::vector<std::string> lines) {
-  // Chip ids are the second token; lexicographic sort is wrong past chip 9.
-  std::sort(lines.begin(), lines.end(),
-            [](const std::string& a, const std::string& b) {
-              std::istringstream as(a), bs(b);
-              std::string tag;
-              std::size_t ca = 0, cb = 0;
-              as >> tag >> ca;
-              bs >> tag >> cb;
-              return ca < cb;
-            });
-  return lines;
-}
+using fleet_test::flood;
+using fleet_test::holder;
+using fleet_test::simulated_report_lines;
+using fleet_test::sorted_by_chip;
 
 /// Answer every stimulus of a session whose greeting carried `seed` the
 /// way `chips` simulated dies would, ending each response with `eol`, and
@@ -134,27 +66,6 @@ std::vector<std::string> answer_session(net::SocketStream& stream,
            << eol;
   }
   return reports;
-}
-
-/// Send `bytes` newline-free bytes to `port`, half-close, and return
-/// everything the server sent back before it closed the connection.
-std::string flood(std::uint16_t port, std::size_t bytes) {
-  const net::Socket peer = net::connect_to("127.0.0.1", port);
-  const std::string junk(bytes, 'x');
-  for (std::size_t sent = 0; sent < junk.size();) {
-    const ssize_t n = ::send(peer.fd(), junk.data() + sent,
-                             junk.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) break;  // the server gave up on us early: fine too
-    sent += static_cast<std::size_t>(n);
-  }
-  net::shutdown_write(peer);
-  std::string received;
-  char buf[4096];
-  ssize_t n = 0;
-  while ((n = ::recv(peer.fd(), buf, sizeof(buf), 0)) > 0) {
-    received.append(buf, static_cast<std::size_t>(n));
-  }
-  return received;
 }
 
 TEST(ServeLoop, ConcurrentLoopbackSessionsMatchSimulatedReports) {
@@ -587,6 +498,62 @@ TEST(ServeLoop, IdleTimeoutReleasesTheWorkerOfAVanishedPeer) {
   const obs::RegistrySnapshot m = loop.metrics();
   EXPECT_EQ(m.counter(net::kMetricSessionsFailed), 1u);
   EXPECT_EQ(m.counter(net::kMetricSessionsCompleted), 1u);
+}
+
+TEST(ServeLoop, HalfOpenPeerFailsOnlyItsSessionWithinTheIoTimeout) {
+  // A tester that sends its hello and all its responses but never reads
+  // what the server writes back. The server's sends block once the kernel
+  // buffers fill; the send timeout turns that into a failed session (a
+  // send that times out part-way returns short and the retry waits once
+  // more, so at most two timeouts), and the only session thread is free
+  // for the next tester.
+  net::ServeOptions options;
+  options.workers = 1;
+  options.io_timeout_seconds = 0.5;
+  net::TuneServeLoop loop(holder().service, options);
+  loop.start();
+
+  std::chrono::steady_clock::duration elapsed{};
+  net::ClientResult next;
+  {
+    const fleet_test::HalfOpenPeer peer(loop.port(), 6000);
+    const auto begin = std::chrono::steady_clock::now();
+    net::ClientOptions copts;
+    copts.chips = 1;
+    next = net::run_loopback_client("127.0.0.1", loop.port(),
+                                    holder().problem, copts);
+    elapsed = std::chrono::steady_clock::now() - begin;
+  }  // the peer hangs up only now, after its session already failed
+  loop.request_drain();
+  loop.wait();
+
+  EXPECT_EQ(next.report_lines, simulated_report_lines(1));
+  EXPECT_LT(elapsed, std::chrono::seconds(30));
+  const obs::RegistrySnapshot m = loop.metrics();
+  EXPECT_EQ(m.counter(net::kMetricSessionsFailed), 1u);
+  EXPECT_EQ(m.counter(net::kMetricSessionsCompleted), 1u);
+  // It failed mid-session, on the blocked send, not at its hello.
+  EXPECT_GT(m.counter(net::kMetricStimuli), 1000u);
+}
+
+TEST(Socket, AcceptedAndConnectedSocketsHaveNagleOff) {
+  // The tune protocol writes small lines and waits for small replies; with
+  // Nagle on, every second line of a burst waits out the peer's delayed
+  // ACK. Both ends of every protocol socket must have it off.
+  const auto nodelay = [](const net::Socket& socket) {
+    int value = 0;
+    socklen_t len = sizeof(value);
+    EXPECT_EQ(::getsockopt(socket.fd(), IPPROTO_TCP, TCP_NODELAY, &value,
+                           &len),
+              0);
+    return value != 0;
+  };
+  net::Listener listener("127.0.0.1", 0, 1);
+  const net::Socket connected = net::connect_to("127.0.0.1", listener.port());
+  const net::Socket accepted = listener.accept();
+  ASSERT_TRUE(accepted.valid());
+  EXPECT_TRUE(nodelay(connected));
+  EXPECT_TRUE(nodelay(accepted));
 }
 
 TEST(SessionQueue, CloseDrainsBacklogThenReleasesWorkers) {
