@@ -2,13 +2,13 @@
 
 #include <sys/socket.h>
 
-#include <algorithm>
 #include <chrono>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "io/tune_protocol.hpp"
 #include "obs/log.hpp"
@@ -23,39 +23,9 @@ namespace {
 /// uplink never writes to a socket the downlink is closing.
 struct SessionState {
   std::mutex mutex;
-  std::string backlog;  ///< client lines after hello, each with its '\n'
-  int worker_fd = -1;   ///< -1 while detached / migrating
+  std::vector<std::string> backlog;  ///< client lines after hello, no '\n'
+  int worker_fd = -1;                ///< -1 while detached / migrating
   bool client_gone = false;
-};
-
-/// The whole lines one relay direction has read from `source` and not yet
-/// sent on (DESIGN.md §13 "Latency"). They leave in one send(2) as soon as
-/// the burst is due: before any read from `source` that could block, the
-/// rule net::SocketStreambuf follows. A line is held back only while
-/// `source` already buffers another whole line, so a partial line never
-/// holds whole lines back, and a read that fails (death, EOF, timeout, an
-/// over-long line) always finds the burst sent: a read of a line already
-/// buffered cannot fail, since the stream buffer is no larger than
-/// io::kMaxLineBytes.
-struct Burst {
-  explicit Burst(const net::SocketStream& from) : source(&from) {}
-
-  void add(const std::string& line) {
-    bytes += line;
-    bytes += '\n';
-    ++lines;
-  }
-  [[nodiscard]] bool due() const {
-    return lines != 0 && !source->has_buffered_line();
-  }
-  void clear() {
-    bytes.clear();
-    lines = 0;
-  }
-
-  const net::SocketStream* source;
-  std::string bytes;
-  std::size_t lines = 0;
 };
 
 }  // namespace
@@ -158,27 +128,17 @@ void FleetBalancer::relay_session(net::Socket client_socket) {
   if (first == io::LineRead::kOverlong) fail("hello " + io::line_too_long());
 
   // Uplink: record every client line for replay and forward it to the
-  // current worker, if any, one burst at a time (a failed forward surfaces
-  // on the downlink's next read). A torn or over-long client line ends it
-  // like a disconnect.
+  // current worker, if any (a failed forward surfaces on the downlink's
+  // next read). A torn or over-long client line ends it like a disconnect.
   std::thread uplink([&] {
-    Burst burst(client);
-    const auto flush = [&] {
-      std::lock_guard<std::mutex> lock(state.mutex);
-      state.backlog += burst.bytes;
-      if (state.worker_fd >= 0) {
-        (void)net::send_all(state.worker_fd, burst.bytes);
-      }
-      burst.clear();
-    };
     std::string line;
-    for (;;) {
-      if (burst.due()) flush();
-      if (io::read_line(client, line) != io::LineRead::kLine ||
-          client.eof()) {
-        break;
+    while (io::read_line(client, line) == io::LineRead::kLine &&
+           !client.eof()) {
+      std::lock_guard<std::mutex> lock(state.mutex);
+      state.backlog.push_back(line);
+      if (state.worker_fd >= 0) {
+        (void)net::send_all(state.worker_fd, line + "\n");
       }
-      burst.add(line);
     }
     int worker_fd = -1;
     {
@@ -266,9 +226,11 @@ void FleetBalancer::relay_session(net::Socket client_socket) {
       bool replay_ok = false;
       {
         std::lock_guard<std::mutex> lock(state.mutex);
-        replayed = static_cast<std::size_t>(
-            std::count(state.backlog.begin(), state.backlog.end(), '\n'));
-        replay_ok = net::send_all(worker_fd, state.backlog);
+        while (replayed < state.backlog.size() &&
+               net::send_all(worker_fd, state.backlog[replayed] + "\n")) {
+          ++replayed;
+        }
+        replay_ok = replayed == state.backlog.size();
         if (replay_ok) state.worker_fd = worker_fd;
       }
       if (!replay_ok) {
@@ -294,36 +256,25 @@ void FleetBalancer::relay_session(net::Socket client_socket) {
       }
     }
     // ---- relay: worker -> client until bye, death, or fatal error ----
-    // A line counts in `forwarded` only once the client has it, so a
-    // migration discards exactly what the client holds.
-    Burst burst(*worker);
-    const auto flush = [&] {
-      if (!net::send_all(client_fd, burst.bytes)) {
+    std::string line;
+    while (read_worker(line)) {
+      const bool fatal = io::is_fatal_error(line);
+      if (!net::send_all(client_fd, line + "\n")) {
         {
           std::lock_guard<std::mutex> lock(state.mutex);
           state.client_gone = true;
         }
         stop("client disconnected");  // the closed socket EOFs the worker
-        return false;
+        break;
       }
-      forwarded += burst.lines;
-      burst.clear();
-      return true;
-    };
-    std::string line;
-    while ((!burst.due() || flush()) && read_worker(line)) {
-      burst.add(line);
-      if (io::is_fatal_error(line)) {
-        // A mid-session strict-mode abort: deterministic. Nothing the
-        // worker sent after it reaches the client.
-        if (flush()) stop(line);
+      ++forwarded;
+      if (fatal) {
+        stop(line);  // a mid-session strict-mode abort: deterministic
         break;
       }
       if (line == io::kBye) {
-        if (flush()) {
-          completed = true;
-          drop_worker(false);
-        }
+        completed = true;
+        drop_worker(false);
         break;
       }
     }

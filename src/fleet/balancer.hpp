@@ -33,13 +33,10 @@
 // replay against live lines. Half-closes (net::shutdown_read/write)
 // unblock the peer thread without racing fd lifetimes.
 //
-// Latency (DESIGN.md §13): each direction sends one burst per send(2) —
-// every whole line its source already delivered — and sends it before any
-// read that could block, the rule net::SocketStreambuf follows. A line is
-// held back only while the source buffers another whole line, so a torn
-// line never holds whole lines back. A worker line counts as forwarded
-// only once the client has it; a death, a fatal line or `bye` finds every
-// whole line before it already sent.
+// Latency (DESIGN.md §13): each direction forwards a line with one
+// send(2) as soon as it has read it whole. Both sockets have TCP_NODELAY
+// (net/socket.hpp), so the line leaves at once instead of waiting for the
+// ACK of the one before it.
 //
 // Accept/drain: the net::SessionServer shell (net/session_server.hpp)
 // shared with TuneServeLoop; a drain lets every in-flight session finish,

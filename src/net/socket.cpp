@@ -133,11 +133,6 @@ SocketStreambuf::int_type SocketStreambuf::overflow(int_type ch) {
 
 int SocketStreambuf::sync() { return flush_put_area() ? 0 : -1; }
 
-bool SocketStreambuf::has_buffered_line() const {
-  const auto buffered = static_cast<std::size_t>(egptr() - gptr());
-  return std::memchr(gptr(), '\n', buffered) != nullptr;
-}
-
 Listener::Listener(const std::string& host, std::uint16_t port, int backlog)
     : host_(host) {
   const sockaddr_in addr = ipv4_address(host, port);

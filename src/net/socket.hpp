@@ -19,9 +19,9 @@
 // connect_to has TCP_NODELAY set, here and nowhere else. The protocol is
 // request/response in small lines; with Nagle on, a line written while
 // the previous one is unacknowledged waits for the peer's delayed ACK
-// (~40 ms on Linux). Batching is the writer's job instead: the streambuf
-// sends its put area once per read, and the fleet relay sends one burst
-// of whole lines per read (fleet/balancer.hpp).
+// (~40 ms on Linux). With Nagle off, each write leaves at once: the
+// streambuf sends its put area once per read, and the fleet relay sends
+// each line as it reads it (fleet/balancer.hpp).
 //
 // All of this is deliberately IPv4-loopback-grade: the serve mode binds
 // 127.0.0.1 by default and the bench drives in-process clients. Nothing
@@ -74,10 +74,6 @@ class SocketStreambuf final : public std::streambuf {
 
   [[nodiscard]] const Socket& socket() const { return socket_; }
 
-  /// True when the get area already holds a whole line: reading it will
-  /// not block on the peer.
-  [[nodiscard]] bool has_buffered_line() const;
-
  protected:
   int_type underflow() override;
   int_type overflow(int_type ch) override;
@@ -103,9 +99,6 @@ class SocketStream final : public std::iostream {
   }
 
   [[nodiscard]] const Socket& socket() const { return buf_.socket(); }
-  [[nodiscard]] bool has_buffered_line() const {
-    return buf_.has_buffered_line();
-  }
 
  private:
   SocketStreambuf buf_;

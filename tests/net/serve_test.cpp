@@ -3,7 +3,8 @@
 // byte-for-byte, an abandoned connection must never disturb its siblings,
 // CRLF framing must survive the wire, a drain must finish every
 // in-flight session, a hostile peer (flooding, silent or half-open) must
-// fail only its own session, and every socket must have Nagle off. Runs
+// fail only its own session, every socket must have Nagle off, and a
+// send that failed once must never be retried. Runs
 // under the ThreadSanitizer CI label (`net`)
 // alongside the parallel/session suites — the whole point of the suite is
 // the concurrency.
@@ -21,6 +22,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -554,6 +556,58 @@ TEST(Socket, AcceptedAndConnectedSocketsHaveNagleOff) {
   ASSERT_TRUE(accepted.valid());
   EXPECT_TRUE(nodelay(connected));
   EXPECT_TRUE(nodelay(accepted));
+}
+
+TEST(Socket, FailedSendIsNeverRetried) {
+  // A writer whose peer stops reading: once a flush has timed out, part of
+  // its put area may already be on the wire. Every later flush must fail
+  // at once instead of waiting out another send timeout, and must never
+  // send those bytes a second time.
+  constexpr std::size_t kWidth = 16;  // one fixed-width numbered line
+  const auto numbered = [](std::size_t k) {
+    std::string line = std::to_string(k);
+    line.insert(0, kWidth - 1 - line.size(), '0');
+    return line + '\n';
+  };
+  net::Listener listener("127.0.0.1", 0, 1);
+  net::Socket writer_socket = net::connect_to("127.0.0.1", listener.port());
+  net::Socket peer = listener.accept();
+  ASSERT_TRUE(peer.valid());
+  writer_socket.set_io_timeout(0.5);
+  auto writer = std::make_unique<net::SocketStream>(std::move(writer_socket));
+
+  // The peer reads nothing, so the kernel buffers fill and a flush fails.
+  std::size_t written = 0;
+  while (*writer << numbered(written)) ++written;
+
+  const auto begin = std::chrono::steady_clock::now();
+  EXPECT_EQ(writer->rdbuf()->pubsync(), -1);
+  EXPECT_LT(std::chrono::steady_clock::now() - begin,
+            std::chrono::milliseconds(250));
+
+  // Now the peer drains everything; the writer flushes again and hangs up.
+  std::string received;
+  std::thread reader([&] {
+    char chunk[1 << 16];
+    ssize_t n = 0;
+    while ((n = ::recv(peer.fd(), chunk, sizeof(chunk), 0)) > 0) {
+      received.append(chunk, static_cast<std::size_t>(n));
+    }
+  });
+  EXPECT_EQ(writer->rdbuf()->pubsync(), -1);
+  writer.reset();
+  reader.join();
+
+  // Every byte arrived once, in order: lines 0, 1, 2, ... then at most a
+  // torn prefix of the next one.
+  const std::size_t whole = received.size() / kWidth;
+  ASSERT_GT(whole, 0u);
+  EXPECT_LE(whole, written + 1);
+  for (std::size_t k = 0; k < whole; ++k) {
+    ASSERT_EQ(received.substr(k * kWidth, kWidth), numbered(k)) << k;
+  }
+  EXPECT_EQ(numbered(whole).substr(0, received.size() % kWidth),
+            received.substr(whole * kWidth));
 }
 
 TEST(SessionQueue, CloseDrainsBacklogThenReleasesWorkers) {
