@@ -1,9 +1,9 @@
 // Ablation: quality and cost of the alignment solvers (DESIGN.md §5).
 //
 // The paper solves eqs. 7-14 with Gurobi per tester iteration. This build
-// offers three solvers; the Monte-Carlo loop uses coordinate descent for
-// speed. This bench quantifies, over randomly sampled mid-test alignment
-// instances:
+// runs coordinate descent in the Monte-Carlo loop for speed and keeps the
+// exact MILP, in its compact and big-M forms, as the oracle. This bench
+// quantifies, over randomly sampled mid-test alignment instances:
 //   * the optimality gap of coordinate descent vs. the exact compact MILP,
 //   * the agreement of the paper's literal big-M MILP with the compact MILP,
 //   * wall-clock per solve for each method (coordinate descent through one
@@ -25,12 +25,13 @@ int main(int argc, char** argv) {
                "===\n"
             << "instances: " << instances << "\n\n";
 
-  const netlist::GeneratorSpec spec = netlist::paper_benchmark_spec("s13207");
-  const bench::Instance inst(spec);
+  const auto circuit =
+      scenario::CircuitCatalog::shared_paper()->resolve("s13207");
+  const core::Problem& problem = circuit->problem;
   stats::Rng rng(args.seed);
 
-  const auto means = inst.model.max_means();
-  const auto sigmas = inst.model.max_sigmas();
+  const auto means = circuit->model.max_means();
+  const auto sigmas = circuit->model.max_sigmas();
 
   double gap_sum = 0.0;
   double gap_max = 0.0;
@@ -44,8 +45,8 @@ int main(int argc, char** argv) {
   for (std::size_t k = 0; k < instances; ++k) {
     // Random mid-test state: 2-6 unresolved paths with shrunken ranges.
     core::AlignmentInstance ai;
-    ai.problem = &inst.problem;
-    ai.current_steps = inst.problem.neutral_steps();
+    ai.problem = &problem;
+    ai.current_steps = problem.neutral_steps();
     const std::size_t n = 2 + static_cast<std::size_t>(rng.uniform_int(0, 4));
     std::vector<double> centers;
     for (std::size_t i = 0; i < n; ++i) {
@@ -58,18 +59,16 @@ int main(int argc, char** argv) {
       const auto p = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(means.size()) - 1));
       ai.entries.push_back(core::AlignmentEntry{
-          centers[i], w[i], inst.problem.src_buffer(p),
-          inst.problem.dst_buffer(p)});
+          centers[i], w[i], problem.src_buffer(p), problem.dst_buffer(p)});
     }
 
     const auto t0 = Clock::now();
-    const auto cd = core::solve_alignment(
-        ai, core::AlignMethod::kCoordinateDescent, {}, &workspace);
+    const auto cd = core::solve_alignment(ai, &workspace);
     const auto t1 = Clock::now();
     const auto compact =
-        core::solve_alignment(ai, core::AlignMethod::kMilpCompact);
+        core::solve_alignment_milp(ai, core::MilpForm::kCompact);
     const auto t2 = Clock::now();
-    const auto bigm = core::solve_alignment(ai, core::AlignMethod::kMilpBigM);
+    const auto bigm = core::solve_alignment_milp(ai, core::MilpForm::kBigM);
     const auto t3 = Clock::now();
 
     t_cd += std::chrono::duration<double>(t1 - t0).count();

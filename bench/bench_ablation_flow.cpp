@@ -11,17 +11,19 @@ int main(int argc, char** argv) {
   bench::BenchArgs args = bench::parse_args(argc, argv);
   const std::size_t chips = args.chips > 0 ? args.chips : 150;
   const std::string circuit =
-      args.circuits.empty() ? "s13207" : args.circuits.front();
+      args.circuits.empty() ? "s13207"
+                            : bench::selected_circuits(args).front();
 
   std::cout << "=== Flow ablations on " << circuit << " (chips=" << chips
             << ") ===\n\n";
-  const bench::Instance inst(netlist::paper_benchmark_spec(circuit));
+  const auto prepared =
+      scenario::CircuitCatalog::shared_paper()->resolve(circuit);
 
   const auto run = [&](core::FlowOptions opts) {
     opts.chips = chips;
     opts.seed = args.seed;
     opts.threads = args.threads;
-    return core::run_flow(inst.problem, opts);
+    return core::run_flow(prepared->problem, opts);
   };
 
   {
@@ -101,9 +103,7 @@ int main(int argc, char** argv) {
     for (bool excl : {false, true}) {
       core::FlowOptions o;
       if (excl) {
-        o.batching.exclusions = core::map_edge_exclusions(
-            inst.model, inst.circuit.critical_edges,
-            inst.circuit.exclusive_edge_pairs);
+        o.batching.exclusions = prepared->exclusions;
       }
       const core::FlowResult r = run(o);
       t.add_row({excl ? "with exclusions" : "no exclusions",
@@ -118,12 +118,15 @@ int main(int argc, char** argv) {
     std::cout << "\n--- 6) analytic (Clark SSTA) vs Monte-Carlo period "
                  "calibration ---\n";
     stats::Rng rng(args.seed ^ 0x55);
-    const double t1_mc = core::period_quantile(inst.problem, 0.5, 3000, rng);
-    const double t1_an = core::period_quantile_estimate(inst.problem, 0.5);
+    const double t1_mc =
+        core::period_quantile(prepared->problem, 0.5, 3000, rng);
+    const double t1_an =
+        core::period_quantile_estimate(prepared->problem, 0.5);
     stats::Rng rng2(args.seed ^ 0x55);
     const double t2_mc =
-        core::period_quantile(inst.problem, 0.8413, 3000, rng2);
-    const double t2_an = core::period_quantile_estimate(inst.problem, 0.8413);
+        core::period_quantile(prepared->problem, 0.8413, 3000, rng2);
+    const double t2_an =
+        core::period_quantile_estimate(prepared->problem, 0.8413);
     core::Table t({"quantile", "Monte-Carlo (ps)", "Clark SSTA (ps)"});
     t.add_row({"T1 (50%)", core::Table::num(t1_mc, 2),
                core::Table::num(t1_an, 2)});

@@ -37,15 +37,20 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// Resolve a bench circuit name: paper/extended registry, or a scaled
-/// catalog name like "s9234@x1.8".
-effitest::netlist::GeneratorSpec spec_for(const std::string& name) {
-  const std::size_t at = name.find("@x");
-  if (at != std::string::npos) {
-    return effitest::scenario::scaled_paper_spec(
-        name.substr(0, at), std::stod(name.substr(at + 2)));
+/// The paper/extended catalog plus every scaled name like "s9234@x1.8"
+/// in `names`.
+std::shared_ptr<const effitest::scenario::CircuitCatalog> catalog_for(
+    const std::vector<std::string>& names) {
+  auto catalog = effitest::scenario::CircuitCatalog::make_paper();
+  for (const std::string& name : names) {
+    const std::size_t at = name.find("@x");
+    if (at != std::string::npos && !catalog->contains(name)) {
+      catalog->add(name, effitest::scenario::ScaledCircuit{
+                             name.substr(0, at),
+                             std::stod(name.substr(at + 2)), std::nullopt});
+    }
   }
-  return effitest::netlist::paper_benchmark_spec(name);
+  return catalog;
 }
 
 }  // namespace
@@ -69,12 +74,13 @@ int main(int argc, char** argv) {
                      "eng(ms)", "mc(ms)", "speedup"});
   io::JsonReporter json("analytic", args.threads);
 
+  const auto catalog = catalog_for(names);
   for (const std::string& name : names) {
-    const bench::Instance inst(spec_for(name));
+    const auto circuit = catalog->resolve(name);
 
     const auto e0 = Clock::now();
     const analytic::TunedPeriodAnalysis analysis =
-        analytic::analyze_tuned_period(inst.problem);
+        analytic::analyze_tuned_period(circuit->problem);
     const double engine_seconds = seconds_since(e0);
 
     analytic::McTunedOptions mopts;
@@ -83,7 +89,7 @@ int main(int argc, char** argv) {
     mopts.threads = args.threads;
     const auto m0 = Clock::now();
     const analytic::McTunedPeriod mc =
-        analytic::mc_tuned_period(inst.problem, mopts);
+        analytic::mc_tuned_period(circuit->problem, mopts);
     const double mc_seconds = seconds_since(m0);
 
     const auto record = [&](const char* metric, double value,
@@ -102,10 +108,10 @@ int main(int argc, char** argv) {
 
     table.add_row({
         name,
-        core::Table::num(inst.circuit.netlist.num_flip_flops()),
-        core::Table::num(inst.circuit.netlist.num_combinational_gates()),
-        core::Table::num(inst.problem.num_buffers()),
-        core::Table::num(inst.problem.model().num_pairs()),
+        core::Table::num(circuit->netlist.num_flip_flops()),
+        core::Table::num(circuit->netlist.num_combinational_gates()),
+        core::Table::num(circuit->problem.num_buffers()),
+        core::Table::num(circuit->problem.model().num_pairs()),
         core::Table::num(analysis.candidates.size()),
         core::Table::num(analysis.untuned.mean, 2),
         core::Table::num(analysis.untuned.sigma(), 2),

@@ -16,6 +16,7 @@ int main(int argc, char** argv) {
   using namespace effitest;
   bench::BenchArgs args = bench::parse_args(argc, argv);
   const std::size_t chips = args.chips > 0 ? args.chips : 1000;
+  const std::vector<std::string> names = bench::selected_circuits(args);
   constexpr double kInflation = 1.10;  // +10% sigma, covariances unchanged
 
   std::cout << "=== Figure 7: yield with enlarged random variation (+10% "
@@ -24,22 +25,23 @@ int main(int argc, char** argv) {
 
   core::Table table({"Circuit", "no-buffer(%)", "proposed(%)", "ideal(%)"});
 
-  for (const netlist::GeneratorSpec& spec : bench::selected_specs(args)) {
+  const auto catalog = scenario::CircuitCatalog::shared_paper();
+  for (const std::string& name : names) {
     // The designated period stays at the *nominal* T1 (the design's clock
     // does not change); only the manufactured population gets noisier.
-    const bench::Instance nominal(spec);
+    const auto nominal = catalog->resolve(name);
     stats::Rng cal(args.seed ^ core::kQuantileCalibrationSeedXor);
-    const double t1 = core::period_quantile(nominal.problem, 0.5, 2000, cal);
+    const double t1 = core::period_quantile(nominal->problem, 0.5, 2000, cal);
 
-    const bench::Instance inst(spec, kInflation);
+    const auto inflated = catalog->resolve(name, kInflation);
     core::FlowOptions opts;
     opts.chips = chips;
     opts.seed = args.seed;
     opts.threads = args.threads;
     opts.designated_period = t1;
-    const core::FlowResult r = core::run_flow(inst.problem, opts);
+    const core::FlowResult r = core::run_flow(inflated->problem, opts);
     table.add_row({
-        spec.name,
+        name,
         bench::pct(r.metrics.yield_no_buffer),
         bench::pct(r.metrics.yield_proposed),
         bench::pct(r.metrics.yield_ideal),

@@ -12,6 +12,7 @@ int main(int argc, char** argv) {
   using namespace effitest;
   bench::BenchArgs args = bench::parse_args(argc, argv);
   const std::size_t chips = args.chips > 0 ? args.chips : 100;
+  const std::vector<std::string> names = bench::selected_circuits(args);
 
   std::cout << "=== Figure 8: iterations per path without statistical "
                "prediction ===\n"
@@ -20,8 +21,9 @@ int main(int argc, char** argv) {
   core::Table table(
       {"Circuit", "path-wise", "multiplexing", "proposed (aligned)"});
 
-  for (const netlist::GeneratorSpec& spec : bench::selected_specs(args)) {
-    const bench::Instance inst(spec);
+  const auto catalog = scenario::CircuitCatalog::shared_paper();
+  for (const std::string& name : names) {
+    const auto circuit = catalog->resolve(name);
 
     core::FlowOptions base;
     base.chips = chips;
@@ -33,13 +35,13 @@ int main(int argc, char** argv) {
     core::FlowOptions frozen = base;
     frozen.test.align_with_buffers = false;
 
-    const core::FlowResult mux = core::run_flow(inst.problem, frozen);
+    const core::FlowResult mux = core::run_flow(circuit->problem, frozen);
     // Batches/hold bounds are identical for both regimes; reuse them.
     const core::FlowResult aligned =
-        core::run_flow(inst.problem, base, mux.artifacts);
+        core::run_flow(circuit->problem, base, mux.artifacts);
 
     table.add_row({
-        spec.name,
+        name,
         core::Table::num(mux.metrics.tv_pathwise, 2),
         core::Table::num(mux.metrics.tv, 2),
         core::Table::num(aligned.metrics.tv, 2),

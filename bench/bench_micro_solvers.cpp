@@ -205,8 +205,7 @@ void BM_AlignmentCoordinateDescent(benchmark::State& state) {
   const core::AlignmentInstance inst =
       alignment_instance(FlowFixture::get(), 5);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::solve_alignment(inst, core::AlignMethod::kCoordinateDescent));
+    benchmark::DoNotOptimize(core::solve_alignment(inst));
   }
 }
 BENCHMARK(BM_AlignmentCoordinateDescent);
@@ -218,8 +217,7 @@ void BM_AlignmentCoordinateDescentReusedWorkspace(benchmark::State& state) {
       alignment_instance(FlowFixture::get(), 5);
   core::AlignmentWorkspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::solve_alignment(
-        inst, core::AlignMethod::kCoordinateDescent, {}, &ws));
+    benchmark::DoNotOptimize(core::solve_alignment(inst, &ws));
   }
 }
 BENCHMARK(BM_AlignmentCoordinateDescentReusedWorkspace);
@@ -228,8 +226,7 @@ void BM_AlignmentMilp(benchmark::State& state) {
   const core::AlignmentInstance inst =
       alignment_instance(FlowFixture::get(), 6);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::solve_alignment(inst, core::AlignMethod::kMilpCompact));
+    benchmark::DoNotOptimize(core::solve_alignment_milp(inst));
   }
 }
 BENCHMARK(BM_AlignmentMilp);

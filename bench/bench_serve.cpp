@@ -58,7 +58,7 @@ struct ServeBenchArgs {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // bench_common's parser warns on the serve-specific options; strip them
+  // bench_common's parser rejects the serve-specific options; strip them
   // first and hand it the rest.
   ServeBenchArgs sargs;
   std::vector<char*> passthrough;
@@ -66,16 +66,16 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a.rfind("--clients=", 0) == 0) {
-      sargs.clients = std::stoul(a.substr(10));
+      sargs.clients = bench::parse_unsigned(a, 10);
     } else if (a.rfind("--sessions=", 0) == 0) {
-      sargs.sessions = std::stoul(a.substr(11));
+      sargs.sessions = bench::parse_unsigned(a, 11);
     } else if (a.rfind("--workers=", 0) == 0) {
-      sargs.workers = std::stoul(a.substr(10));
+      sargs.workers = bench::parse_unsigned(a, 10);
     } else if (a == "--fleet") {
       sargs.fleet = true;
     } else if (a.rfind("--fleet=", 0) == 0) {
       sargs.fleet = true;
-      sargs.fleet_workers = std::stoul(a.substr(8));
+      sargs.fleet_workers = bench::parse_unsigned(a, 8);
     } else {
       passthrough.push_back(argv[i]);
     }
@@ -86,13 +86,13 @@ int main(int argc, char** argv) {
   if (args.chips != 0) sargs.chips = args.chips;
   if (args.circuits.empty()) args.circuits = {"s9234"};
 
-  const netlist::GeneratorSpec spec =
-      netlist::paper_benchmark_spec(args.circuits.front());
-  const bench::Instance instance(spec);
+  const std::string circuit = bench::selected_circuits(args).front();
+  const auto prepared =
+      scenario::CircuitCatalog::shared_paper()->resolve(circuit);
   core::FlowOptions fopts;
   fopts.seed = args.seed;
   fopts.threads = 1;  // the serve loop provides the parallelism here
-  const core::TunerService service(instance.problem, fopts);
+  const core::TunerService service(prepared->problem, fopts);
 
   net::ServeOptions sopts;
   sopts.workers = sargs.workers;
@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
     balancer = std::make_unique<fleet::FleetBalancer>(*registry, bopts);
     balancer->start();
     port = balancer->port();
-    std::cout << "bench_serve: " << spec.name << ", " << sargs.clients
+    std::cout << "bench_serve: " << circuit << ", " << sargs.clients
               << " clients x " << sargs.sessions << " sessions x "
               << sargs.chips << " chips, balancer over "
               << sargs.fleet_workers << " workers on " << balancer->host()
@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
   } else {
     loop.start();
     port = loop.port();
-    std::cout << "bench_serve: " << spec.name << ", " << sargs.clients
+    std::cout << "bench_serve: " << circuit << ", " << sargs.clients
               << " clients x " << sargs.sessions << " sessions x "
               << sargs.chips << " chips, " << sargs.workers << " workers on "
               << loop.host() << ":" << loop.port() << "\n";
@@ -147,7 +147,7 @@ int main(int argc, char** argv) {
           copts.chips = sargs.chips;
           try {
             const net::ClientResult r = net::run_loopback_client(
-                "127.0.0.1", port, instance.problem, copts);
+                "127.0.0.1", port, prepared->problem, copts);
             if (r.report_lines.size() != sargs.chips) {
               bad_sessions.fetch_add(1);
             }
@@ -228,7 +228,6 @@ int main(int argc, char** argv) {
   t.print(std::cout);
 
   io::JsonReporter json(sargs.fleet ? "fleet" : "serve", sargs.workers);
-  const std::string circuit = spec.name;
   json.add(circuit, "sessions_per_sec", sessions_per_sec, wall_seconds);
   json.add(circuit, "stimuli_per_session", stimuli_per_session, wall_seconds);
   json.add(circuit, "chips_tuned", double(chips_tuned), wall_seconds);

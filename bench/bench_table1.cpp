@@ -38,10 +38,7 @@ int main(int argc, char** argv) {
   copts.flow.chips = chips;
   copts.flow.seed = args.seed;
   copts.threads = args.threads;  // flow.threads of 0 inherits this
-  std::vector<std::string> names;
-  for (const netlist::GeneratorSpec& spec : bench::selected_specs(args)) {
-    names.push_back(spec.name);
-  }
+  const std::vector<std::string> names = bench::selected_circuits(args);
   const core::CampaignResult result =
       core::CampaignRunner(copts).run(core::CampaignRunner::cross(names, {}));
 

@@ -139,21 +139,6 @@ double TunedPeriodAnalysis::tuned_quantile(double q) const {
   return tuned.quantile(q);
 }
 
-std::vector<std::pair<double, double>> TunedPeriodAnalysis::yield_curve(
-    double lo, double hi, std::size_t points) const {
-  std::vector<std::pair<double, double>> curve;
-  if (points == 0) return curve;
-  curve.reserve(points);
-  for (std::size_t i = 0; i < points; ++i) {
-    const double t =
-        points == 1 ? lo
-                    : lo + (hi - lo) * static_cast<double>(i) /
-                               static_cast<double>(points - 1);
-    curve.emplace_back(t, yield_at(t));
-  }
-  return curve;
-}
-
 TunedPeriodAnalysis analyze_tuned_period(const core::Problem& problem,
                                          const AnalysisOptions& options) {
   const timing::CircuitModel& model = problem.model();

@@ -45,7 +45,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/problem.hpp"
@@ -97,9 +96,6 @@ struct TunedPeriodAnalysis {
   [[nodiscard]] double yield_at(double period) const;
   /// q-quantile of the tuned period (inverse of yield_at).
   [[nodiscard]] double tuned_quantile(double q) const;
-  /// `points` samples of the yield curve, equally spaced over [lo, hi].
-  [[nodiscard]] std::vector<std::pair<double, double>> yield_curve(
-      double lo, double hi, std::size_t points) const;
 };
 
 /// Analytic post-tuning analysis of one tuning problem. Deterministic, no

@@ -4,7 +4,10 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+
+#include "lp/solver.hpp"
 
 namespace effitest::core {
 
@@ -286,7 +289,6 @@ AlignmentResult solve_coordinate_descent(const AlignmentInstance& inst,
 /// callback the linear expression terms of (T - shifted_center_p) for each
 /// entry, then solves and extracts the assignment.
 AlignmentResult solve_milp(const AlignmentInstance& inst, bool big_m,
-                           const lp::SolveOptions& options,
                            AlignmentWorkspace& ws) {
   const Problem& problem = *inst.problem;
   lp::Model model;
@@ -415,7 +417,7 @@ AlignmentResult solve_milp(const AlignmentInstance& inst, bool big_m,
                          h.lambda - constant);
   }
 
-  const lp::Solution sol = lp::solve(model, options);
+  const lp::Solution sol = lp::solve(model);
   AlignmentResult out;
   out.steps = inst.current_steps;
   if (!sol.feasible()) {
@@ -434,6 +436,24 @@ AlignmentResult solve_milp(const AlignmentInstance& inst, bool big_m,
   out.objective = objective_of(inst, out.period, out.steps);
   out.feasible = hold_ok(inst, out.steps);
   return out;
+}
+
+/// Throws on a malformed instance. An instance without entries has nothing
+/// to align: its result keeps the current steps.
+std::optional<AlignmentResult> trivial_result(
+    const AlignmentInstance& instance) {
+  if (instance.problem == nullptr) {
+    throw std::invalid_argument("solve_alignment: missing problem");
+  }
+  if (instance.entries.empty()) {
+    AlignmentResult out;
+    out.steps = instance.current_steps;
+    return out;
+  }
+  if (instance.current_steps.size() != instance.problem->num_buffers()) {
+    throw std::invalid_argument("solve_alignment: bad current_steps size");
+  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -458,31 +478,18 @@ std::vector<double> middle_out_weights(std::span<const double> centers,
 }
 
 AlignmentResult solve_alignment(const AlignmentInstance& instance,
-                                AlignMethod method,
-                                const lp::SolveOptions& lp_options,
                                 AlignmentWorkspace* workspace) {
-  if (instance.problem == nullptr) {
-    throw std::invalid_argument("solve_alignment: missing problem");
-  }
-  if (instance.entries.empty()) {
-    AlignmentResult out;
-    out.steps = instance.current_steps;
-    return out;
-  }
-  if (instance.current_steps.size() != instance.problem->num_buffers()) {
-    throw std::invalid_argument("solve_alignment: bad current_steps size");
-  }
+  if (auto done = trivial_result(instance)) return *std::move(done);
   AlignmentWorkspace local;
-  AlignmentWorkspace& ws = workspace != nullptr ? *workspace : local;
-  switch (method) {
-    case AlignMethod::kCoordinateDescent:
-      return solve_coordinate_descent(instance, ws);
-    case AlignMethod::kMilpCompact:
-      return solve_milp(instance, /*big_m=*/false, lp_options, ws);
-    case AlignMethod::kMilpBigM:
-      return solve_milp(instance, /*big_m=*/true, lp_options, ws);
-  }
-  throw std::logic_error("solve_alignment: unknown method");
+  return solve_coordinate_descent(
+      instance, workspace != nullptr ? *workspace : local);
+}
+
+AlignmentResult solve_alignment_milp(const AlignmentInstance& instance,
+                                     MilpForm form) {
+  if (auto done = trivial_result(instance)) return *std::move(done);
+  AlignmentWorkspace ws;
+  return solve_milp(instance, form == MilpForm::kBigM, ws);
 }
 
 }  // namespace effitest::core

@@ -10,17 +10,18 @@
 // subject to the buffer range/step constraints (eq. 14 / eq. 3) and the
 // hold-time lower bounds x_i - x_j >= lambda_ij (§3.5, eq. 21).
 //
-// Three interchangeable solvers:
-//  * kMilpCompact  — the absolute values linearized as eta >= +/-(...), exact;
-//  * kMilpBigM     — the paper's literal indicator-variable formulation
-//                    (eqs. 8-13), exact; kept for fidelity and as an oracle
-//                    in tests (both MILPs must agree);
-//  * kCoordinateDescent — weighted-median updates of T interleaved with
-//                    per-buffer discrete line search; used inside the
-//                    Monte-Carlo loop. bench_ablation_alignment (s13207,
-//                    2-6 entries) measures 13-15 us per solve against
-//                    190-220 us for kMilpCompact and 170-190 ms for
-//                    kMilpBigM, and quantifies its optimality gap.
+// Two solvers:
+//  * solve_alignment — coordinate descent: weighted-median updates of T
+//    interleaved with per-buffer discrete line search. The production
+//    solver: the per-chip test machine runs it every frequency step.
+//    bench_ablation_alignment (s13207, 2-6 entries) measures 13-15 us per
+//    solve against 190-220 us for the compact MILP and 170-190 ms for the
+//    big-M MILP, and quantifies its optimality gap.
+//  * solve_alignment_milp — the exact oracle that tests and the ablation
+//    bench compare against, in two forms (MilpForm): kCompact linearizes
+//    the absolute values as eta >= +/-(...); kBigM is the paper's literal
+//    indicator-variable formulation (eqs. 8-13), kept for fidelity. Both
+//    forms must agree.
 //
 // Weights follow the paper: sort the range centers, give the middle one k0
 // and decrease by kd per rank outward (k0 >> kd), which breaks the
@@ -32,7 +33,6 @@
 #include <vector>
 
 #include "core/problem.hpp"
-#include "lp/solver.hpp"
 
 namespace effitest::core {
 
@@ -91,10 +91,10 @@ struct AlignmentWorkspace {
   std::vector<std::pair<double, double>> crossings;
 };
 
-enum class AlignMethod : std::uint8_t {
-  kCoordinateDescent,
-  kMilpCompact,
-  kMilpBigM,
+/// Formulation of the exact MILP oracle.
+enum class MilpForm : std::uint8_t {
+  kCompact,  ///< |.| linearized by eta >= +/-(...)
+  kBigM,     ///< the paper's indicator variables (eqs. 8-13)
 };
 
 /// Middle-out weight assignment over range centers (k0 to the median center,
@@ -103,11 +103,16 @@ enum class AlignMethod : std::uint8_t {
 [[nodiscard]] std::vector<double> middle_out_weights(
     std::span<const double> centers, double k0, double kd);
 
-/// Solves one alignment instance. `workspace` is scratch memory to reuse
-/// across calls (a local one is used when null); it never changes a result.
+/// Solves one alignment instance by coordinate descent. `workspace` is
+/// scratch memory to reuse across calls (a local one is used when null); it
+/// never changes a result.
 [[nodiscard]] AlignmentResult solve_alignment(
-    const AlignmentInstance& instance, AlignMethod method,
-    const lp::SolveOptions& lp_options = {},
+    const AlignmentInstance& instance,
     AlignmentWorkspace* workspace = nullptr);
+
+/// Solves one alignment instance exactly by branch & bound on `form`. The
+/// oracle for solve_alignment; too slow for the per-chip loop.
+[[nodiscard]] AlignmentResult solve_alignment_milp(
+    const AlignmentInstance& instance, MilpForm form = MilpForm::kCompact);
 
 }  // namespace effitest::core

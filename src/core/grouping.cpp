@@ -102,7 +102,7 @@ SelectionResult select_paths(const linalg::Matrix& cov,
     const stats::Pca pca = stats::pca_from_covariance(std::move(block));
     group.num_components =
         options.use_kaiser
-            ? pca.significant_by_kaiser(options.kaiser_scale)
+            ? pca.significant_by_kaiser()
             : pca.significant_components(options.pca_coverage);
     const std::vector<std::size_t> local =
         stats::select_representatives(pca, group.num_components);

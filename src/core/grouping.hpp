@@ -19,13 +19,12 @@ namespace effitest::core {
 struct GroupingOptions {
   double corr_start = 0.95;   ///< initial correlation threshold
   double corr_step = 0.05;    ///< per-round threshold decrease
-  /// |PC_i| rule. Kaiser (default): components above `kaiser_scale` times
-  /// the average eigenvalue — stable under group size and independent-
-  /// variance inflation (Fig. 7). Coverage: smallest count explaining
-  /// `pca_coverage` of the variance — grows with group size once coverage
-  /// exceeds the intra-group correlation.
+  /// |PC_i| rule. Kaiser (default): components at or above the average
+  /// eigenvalue — stable under group size and independent-variance
+  /// inflation (Fig. 7). Coverage: smallest count explaining `pca_coverage`
+  /// of the variance — grows with group size once coverage exceeds the
+  /// intra-group correlation.
   bool use_kaiser = true;
-  double kaiser_scale = 1.0;
   double pca_coverage = 0.98;
   /// Groups larger than this are PCA-decomposed on a deterministic member
   /// subsample (Jacobi is O(n^3); the PC count and the representative

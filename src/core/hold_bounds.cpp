@@ -6,6 +6,7 @@
 #include <map>
 #include <stdexcept>
 
+#include "lp/solver.hpp"
 #include "parallel/deterministic_for.hpp"
 
 namespace effitest::core {
@@ -83,8 +84,7 @@ std::vector<double> greedy_discard_bounds(
 }
 
 std::vector<double> exact_milp_bounds(
-    const std::vector<std::vector<double>>& delta, double yield,
-    const lp::SolveOptions& options) {
+    const std::vector<std::vector<double>>& delta, double yield) {
   const std::size_t m = delta.size();
   if (m == 0) return {};
   const std::size_t n_pairs = delta.front().size();
@@ -122,7 +122,7 @@ std::vector<double> exact_milp_bounds(
   model.add_constraint(std::move(cover), lp::Sense::kGreaterEqual,
                        std::ceil(yield * static_cast<double>(m)));
 
-  const lp::Solution sol = lp::solve(model, options);
+  const lp::Solution sol = lp::solve(model);
   if (!sol.feasible()) {
     throw std::runtime_error("exact_milp_bounds: solver failed");
   }
@@ -180,9 +180,7 @@ std::vector<HoldConstraintX> compute_hold_bounds(
   const std::vector<std::vector<double>>& delta = samples.delta;
 
   const std::vector<double> lambda =
-      options.method == HoldBoundOptions::Method::kExactMilp
-          ? exact_milp_bounds(delta, options.yield, options.lp)
-          : greedy_discard_bounds(delta, options.yield);
+      greedy_discard_bounds(delta, options.yield);
 
   // Merge per buffer combination (max lambda binds) and prune bounds that
   // can never bind within the buffer ranges.

@@ -9,20 +9,16 @@
 // the bound set { lambda_ij } must cover at least Y*M complete samples while
 // the sum of all lambda (the freedom taken from the buffers) is minimized.
 //
-// Two solvers:
-//  * kGreedyDiscard — start from full coverage (lambda = per-pair max) and
-//    greedily discard the (1-Y)*M samples whose removal shrinks sum(lambda)
-//    most. Scales to M = thousands.
-//  * kExactMilp — the paper's indicator formulation (eqs. 19-20) solved by
-//    the in-house branch & bound; practical for small M, used as the oracle
-//    in tests.
+// The bounds come from greedy scenario discard: start from full coverage
+// (lambda = per-pair max) and greedily discard the (1-Y)*M samples whose
+// removal shrinks sum(lambda) most. It scales to M = thousands. The paper's
+// indicator formulation (eqs. 19-20), solved by the in-house branch & bound,
+// stays as exact_milp_bounds: practical for small M, the oracle in tests.
 
-#include <cstdint>
 #include <vector>
 
 #include "core/alignment.hpp"
 #include "core/problem.hpp"
-#include "lp/solver.hpp"
 #include "stats/rng.hpp"
 
 namespace effitest::core {
@@ -30,9 +26,6 @@ namespace effitest::core {
 struct HoldBoundOptions {
   double yield = 0.99;          ///< Y of eq. 20
   std::size_t samples = 1000;   ///< M
-  enum class Method : std::uint8_t { kGreedyDiscard, kExactMilp };
-  Method method = Method::kGreedyDiscard;
-  lp::SolveOptions lp{};
   /// Worker threads for margin sampling. Each sample draws from its own
   /// seed-derived stream (parallel::index_seed), so the bounds are
   /// bit-identical for any value. 0 = shared-pool width; inside the flow, 0
@@ -71,9 +64,9 @@ struct HoldMarginSamples {
 [[nodiscard]] std::vector<double> greedy_discard_bounds(
     const std::vector<std::vector<double>>& delta, double yield);
 
-/// Exact MILP version of the same selection (eqs. 19-20).
+/// Exact MILP version of the same selection (eqs. 19-20); the oracle for
+/// greedy_discard_bounds.
 [[nodiscard]] std::vector<double> exact_milp_bounds(
-    const std::vector<std::vector<double>>& delta, double yield,
-    const lp::SolveOptions& options = {});
+    const std::vector<std::vector<double>>& delta, double yield);
 
 }  // namespace effitest::core

@@ -7,70 +7,40 @@ namespace effitest::core {
 DelayPredictor::DelayPredictor(const linalg::Matrix& covariance,
                                std::vector<double> means,
                                std::vector<std::size_t> tested)
-    : means_(std::move(means)),
-      tested_(tested),
-      conditional_(covariance, std::move(tested), /*jitter=*/1e-9),
-      num_paths_(covariance.rows()) {
-  if (means_.size() != num_paths_) {
-    throw std::invalid_argument("DelayPredictor: means/covariance mismatch");
-  }
-}
-
-namespace {
-
-const std::vector<std::size_t>& checked_measured(
-    const std::shared_ptr<const stats::PredictionGain>& gain) {
-  if (gain == nullptr) {
-    throw std::invalid_argument("DelayPredictor: null PredictionGain");
-  }
-  return gain->measured;
-}
-
-}  // namespace
+    : DelayPredictor(stats::PredictionGain::compute(
+                         covariance, std::move(tested), /*jitter=*/1e-9),
+                     std::move(means)) {}
 
 DelayPredictor::DelayPredictor(
     std::shared_ptr<const stats::PredictionGain> gain,
     std::vector<double> means)
-    : means_(std::move(means)),
-      tested_(checked_measured(gain)),
-      conditional_(std::move(gain)),
-      num_paths_(conditional_.measured_indices().size() +
-                 conditional_.predicted_indices().size()) {
-  if (means_.size() != num_paths_) {
+    : means_(std::move(means)), gain_(std::move(gain)) {
+  if (gain_ == nullptr) {
+    throw std::invalid_argument("DelayPredictor: null PredictionGain");
+  }
+  if (means_.size() != gain_->measured.size() + gain_->predicted.size()) {
     throw std::invalid_argument("DelayPredictor: means/gain size mismatch");
   }
 }
 
-const std::vector<std::size_t>& DelayPredictor::tested_indices() const {
-  return conditional_.measured_indices();
-}
-
-const std::vector<std::size_t>& DelayPredictor::predicted_indices() const {
-  return conditional_.predicted_indices();
-}
-
-const std::vector<double>& DelayPredictor::posterior_sigma() const {
-  return conditional_.posterior_sigma();
-}
-
 DelayBounds DelayPredictor::predict(std::span<const double> measured_lower,
                                     std::span<const double> measured_upper) const {
-  if (measured_lower.size() != tested_.size() ||
-      measured_upper.size() != tested_.size()) {
+  const std::vector<std::size_t>& tested = gain_->measured;
+  if (measured_lower.size() != tested.size() ||
+      measured_upper.size() != tested.size()) {
     throw std::invalid_argument("DelayPredictor: measurement size mismatch");
   }
   DelayBounds out;
-  out.lower.assign(num_paths_, 0.0);
-  out.upper.assign(num_paths_, 0.0);
-  for (std::size_t t = 0; t < tested_.size(); ++t) {
-    out.lower[tested_[t]] = measured_lower[t];
-    out.upper[tested_[t]] = measured_upper[t];
+  out.lower.assign(means_.size(), 0.0);
+  out.upper.assign(means_.size(), 0.0);
+  for (std::size_t t = 0; t < tested.size(); ++t) {
+    out.lower[tested[t]] = measured_lower[t];
+    out.upper[tested[t]] = measured_upper[t];
   }
   // Conservative conditioning on the measured upper bounds (§3.4).
-  const std::vector<double> mu =
-      conditional_.posterior_mean(means_, measured_upper);
-  const std::vector<double>& sigma = conditional_.posterior_sigma();
-  const auto& predicted = conditional_.predicted_indices();
+  const std::vector<double> mu = gain_->posterior_mean(means_, measured_upper);
+  const std::vector<double>& sigma = gain_->posterior_sigma;
+  const std::vector<std::size_t>& predicted = gain_->predicted;
   for (std::size_t k = 0; k < predicted.size(); ++k) {
     out.lower[predicted[k]] = mu[k] - 3.0 * sigma[k];
     out.upper[predicted[k]] = mu[k] + 3.0 * sigma[k];

@@ -43,15 +43,21 @@ class DelayPredictor {
   /// sigmas).
   [[nodiscard]] const std::shared_ptr<const stats::PredictionGain>&
   shared_gain() const {
-    return conditional_.shared_gain();
+    return gain_;
   }
 
-  [[nodiscard]] const std::vector<std::size_t>& tested_indices() const;
-  [[nodiscard]] const std::vector<std::size_t>& predicted_indices() const;
+  [[nodiscard]] const std::vector<std::size_t>& tested_indices() const {
+    return gain_->measured;
+  }
+  [[nodiscard]] const std::vector<std::size_t>& predicted_indices() const {
+    return gain_->predicted;
+  }
 
   /// Posterior sigma of each *predicted* path (ordered as
   /// predicted_indices()); does not depend on measurements (eq. 5).
-  [[nodiscard]] const std::vector<double>& posterior_sigma() const;
+  [[nodiscard]] const std::vector<double>& posterior_sigma() const {
+    return gain_->posterior_sigma;
+  }
 
   /// Fill bounds for every path: tested paths keep their measured bounds;
   /// predicted paths get mu'_k +/- 3 sigma'_k with mu'_k computed from the
@@ -63,9 +69,7 @@ class DelayPredictor {
 
  private:
   std::vector<double> means_;
-  std::vector<std::size_t> tested_;
-  stats::ConditionalGaussian conditional_;
-  std::size_t num_paths_ = 0;
+  std::shared_ptr<const stats::PredictionGain> gain_;
 };
 
 }  // namespace effitest::core

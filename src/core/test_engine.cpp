@@ -108,8 +108,7 @@ const Stimulus& DelayTestMachine::next_stimulus() {
   }
 
   const auto t0 = Clock::now();
-  AlignmentResult aligned =
-      solve_alignment(instance_, options_.method, options_.lp, &workspace_);
+  AlignmentResult aligned = solve_alignment(instance_, &workspace_);
   result_.align_seconds += seconds_since(t0);
   stimulus_.steps = aligned.steps;
   result_.final_steps = std::move(aligned.steps);

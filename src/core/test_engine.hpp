@@ -33,12 +33,10 @@ struct TestOptions {
   double epsilon_ps = 0.5;  ///< stop when upper - lower < epsilon
   double k0 = 1000.0;       ///< middle weight (k0 >> kd, §3.3)
   double kd = 1.0;          ///< per-rank weight decrease
-  AlignMethod method = AlignMethod::kCoordinateDescent;
   /// false freezes buffers at their current values during test
   /// (multiplexing-without-alignment, Fig. 8 case 2).
   bool align_with_buffers = true;
   std::size_t max_iterations_per_batch = 2000;  ///< safety stop
-  lp::SolveOptions lp{};
 };
 
 /// One tester iteration's programming: run the chip at clock period `period`

@@ -65,15 +65,6 @@ double untuned_required_period(const Problem& problem,
   return worst;
 }
 
-double untuned_yield_estimate(const Problem& problem,
-                              double designated_period) {
-  const timing::CanonicalDelay required =
-      timing::ssta_required_period(problem.model());
-  const double sigma = required.sigma();
-  if (sigma <= 0.0) return designated_period >= required.mean ? 1.0 : 0.0;
-  return stats::normal_cdf((designated_period - required.mean) / sigma);
-}
-
 double period_quantile_estimate(const Problem& problem, double q) {
   return timing::ssta_required_period(problem.model()).quantile(q);
 }

@@ -50,13 +50,8 @@ inline constexpr std::uint64_t kQuantileCalibrationSeedXor = 0x7157;
 [[nodiscard]] double period_quantile(const Problem& problem, double q,
                                      std::size_t chips, stats::Rng& rng);
 
-/// Analytic (block-based SSTA, Clark's max) estimate of the untuned yield
-/// P(required period <= designated_period). Cross-checks the Monte-Carlo
-/// estimators; exact up to the Gaussian-max approximation.
-[[nodiscard]] double untuned_yield_estimate(const Problem& problem,
-                                            double designated_period);
-
-/// Analytic counterpart of period_quantile (no sampling).
+/// Analytic counterpart of period_quantile (no sampling): block-based SSTA
+/// with Clark's max, exact up to the Gaussian-max approximation.
 [[nodiscard]] double period_quantile_estimate(const Problem& problem,
                                               double q);
 

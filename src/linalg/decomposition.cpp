@@ -1,6 +1,5 @@
 #include "linalg/decomposition.hpp"
 
-#include <cmath>
 #include <cstddef>
 
 #include "linalg/kernels.hpp"
@@ -23,12 +22,6 @@ Matrix Cholesky::solve(const Matrix& b) const {
   kernels::trsm_lower(l, x);
   kernels::trsm_lower_transposed(l, x);
   return x;
-}
-
-double Cholesky::log_det() const {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < l.rows(); ++i) acc += std::log(l(i, i));
-  return 2.0 * acc;
 }
 
 Cholesky cholesky(const Matrix& a, double jitter) {
@@ -69,59 +62,6 @@ std::vector<double> backward_substitute(const Matrix& l,
     double v = y[ii];
     for (std::size_t k = ii + 1; k < n; ++k) v -= l(k, ii) * x[k];
     x[ii] = v / l(ii, ii);
-  }
-  return x;
-}
-
-std::vector<double> solve_spd(const Matrix& a, std::span<const double> b,
-                              double jitter) {
-  return cholesky(a, jitter).solve(b);
-}
-
-Matrix solve_spd(const Matrix& a, const Matrix& b, double jitter) {
-  return cholesky(a, jitter).solve(b);
-}
-
-Matrix inverse_spd(const Matrix& a, double jitter) {
-  return cholesky(a, jitter).solve(Matrix::identity(a.rows()));
-}
-
-std::vector<double> solve_general(Matrix a, std::vector<double> b) {
-  const std::size_t n = a.rows();
-  if (!a.is_square() || b.size() != n) {
-    throw LinalgError("solve_general dimension mismatch");
-  }
-  // Gaussian elimination with partial pivoting.
-  std::vector<std::size_t> perm(n);
-  for (std::size_t i = 0; i < n; ++i) perm[i] = i;
-  for (std::size_t col = 0; col < n; ++col) {
-    std::size_t pivot = col;
-    double best = std::abs(a(col, col));
-    for (std::size_t r = col + 1; r < n; ++r) {
-      if (std::abs(a(r, col)) > best) {
-        best = std::abs(a(r, col));
-        pivot = r;
-      }
-    }
-    if (best < 1e-14) throw LinalgError("solve_general: singular matrix");
-    if (pivot != col) {
-      for (std::size_t c = 0; c < n; ++c) std::swap(a(pivot, c), a(col, c));
-      std::swap(b[pivot], b[col]);
-    }
-    const double inv_piv = 1.0 / a(col, col);
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double f = a(r, col) * inv_piv;
-      if (f == 0.0) continue;
-      a(r, col) = 0.0;
-      for (std::size_t c = col + 1; c < n; ++c) a(r, c) -= f * a(col, c);
-      b[r] -= f * b[col];
-    }
-  }
-  std::vector<double> x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double v = b[ii];
-    for (std::size_t c = ii + 1; c < n; ++c) v -= a(ii, c) * x[c];
-    x[ii] = v / a(ii, ii);
   }
   return x;
 }

@@ -1,10 +1,11 @@
 #pragma once
-// Cholesky factorization and linear solves for symmetric positive
-// (semi-)definite systems.
+// Cholesky factorization and triangular solves for symmetric positive
+// definite systems.
 //
-// EffiTest uses these for two jobs:
-//  * sampling correlated path delays (Sigma = L L^T, sample = mu + L z), and
-//  * the conditional-Gaussian gain Sigma_{k,t} Sigma_t^{-1} of eqs. (4)-(5).
+// EffiTest uses these for one job: the conditional-Gaussian gain
+// Sigma_{k,t} Sigma_t^{-1} of eqs. (4)-(5) (stats::PredictionGain). Monte-
+// Carlo dies come from timing::CircuitModel's factor model, not from a
+// factored covariance.
 
 #include <span>
 #include <vector>
@@ -22,9 +23,6 @@ struct Cholesky {
 
   /// Solve A X = B column-by-column.
   [[nodiscard]] Matrix solve(const Matrix& b) const;
-
-  /// log(det(A)) = 2 * sum(log(diag(L))).
-  [[nodiscard]] double log_det() const;
 };
 
 /// Factor a symmetric positive definite matrix. Throws LinalgError if the
@@ -43,22 +41,5 @@ struct Cholesky {
 /// Solve L^T x = y for lower-triangular L.
 [[nodiscard]] std::vector<double> backward_substitute(
     const Matrix& l, std::span<const double> y);
-
-/// Solve the SPD system A x = b (factors internally).
-[[nodiscard]] std::vector<double> solve_spd(const Matrix& a,
-                                            std::span<const double> b,
-                                            double jitter = 0.0);
-
-/// Solve A X = B for SPD A.
-[[nodiscard]] Matrix solve_spd(const Matrix& a, const Matrix& b,
-                               double jitter = 0.0);
-
-/// Inverse of an SPD matrix via Cholesky.
-[[nodiscard]] Matrix inverse_spd(const Matrix& a, double jitter = 0.0);
-
-/// General square solve via Gaussian elimination with partial pivoting.
-/// Used by the simplex basis routines where systems are not symmetric.
-[[nodiscard]] std::vector<double> solve_general(Matrix a,
-                                                std::vector<double> b);
 
 }  // namespace effitest::linalg

@@ -192,8 +192,6 @@ double dot(std::span<const double> a, std::span<const double> b) {
   return acc;
 }
 
-double norm2(std::span<const double> v) { return std::sqrt(dot(v, v)); }
-
 void axpy(double alpha, std::span<const double> x, std::span<double> y) {
   if (x.size() != y.size()) throw LinalgError("axpy size mismatch");
   for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
@@ -212,13 +210,6 @@ std::vector<double> add(std::span<const double> a, std::span<const double> b) {
   std::vector<double> out(a.size());
   for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] + b[i];
   return out;
-}
-
-double quadratic_form(const Matrix& m, std::span<const double> v) {
-  if (!m.is_square() || m.rows() != v.size()) {
-    throw LinalgError("quadratic_form dimension mismatch");
-  }
-  return dot(v, m * v);
 }
 
 }  // namespace effitest::linalg

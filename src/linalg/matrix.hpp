@@ -130,9 +130,6 @@ std::ostream& operator<<(std::ostream& os, const Matrix& m);
 /// Dot product; sizes must match.
 [[nodiscard]] double dot(std::span<const double> a, std::span<const double> b);
 
-/// Euclidean norm.
-[[nodiscard]] double norm2(std::span<const double> v);
-
 /// y += alpha * x.
 void axpy(double alpha, std::span<const double> x, std::span<double> y);
 
@@ -143,8 +140,5 @@ void axpy(double alpha, std::span<const double> x, std::span<double> y);
 /// Element-wise a + b.
 [[nodiscard]] std::vector<double> add(std::span<const double> a,
                                       std::span<const double> b);
-
-/// v^T * M * v for square M (quadratic form).
-[[nodiscard]] double quadratic_form(const Matrix& m, std::span<const double> v);
 
 }  // namespace effitest::linalg

@@ -68,18 +68,8 @@ std::shared_ptr<const PredictionGain> PredictionGain::compute(
   return out;
 }
 
-ConditionalGaussian::ConditionalGaussian(
-    std::shared_ptr<const PredictionGain> gain)
-    : gain_(std::move(gain)) {
-  if (gain_ == nullptr) {
-    throw std::invalid_argument("ConditionalGaussian: null PredictionGain");
-  }
-}
-
-std::vector<double> ConditionalGaussian::posterior_mean(
+std::vector<double> PredictionGain::posterior_mean(
     std::span<const double> mean, std::span<const double> observed) const {
-  const auto& measured = gain_->measured;
-  const auto& predicted = gain_->predicted;
   if (observed.size() != measured.size()) {
     throw std::invalid_argument("posterior_mean: observation size mismatch");
   }
@@ -91,7 +81,7 @@ std::vector<double> ConditionalGaussian::posterior_mean(
   for (std::size_t k = 0; k < predicted.size(); ++k) {
     double acc = mean[predicted[k]];
     for (std::size_t t = 0; t < measured.size(); ++t) {
-      acc += gain_->gain(k, t) * innovation[t];
+      acc += gain(k, t) * innovation[t];
     }
     out[k] = acc;
   }

@@ -31,7 +31,8 @@ namespace effitest::stats {
 /// The chip-independent part of conditional-Gaussian prediction over a
 /// fixed index split: Cholesky of Sigma_t, the gain W and the posterior
 /// sigmas. Immutable once computed; share via shared_ptr instead of
-/// refactorizing or deep-copying.
+/// refactorizing or deep-copying (core::DelayPredictor and every copy of
+/// core::FlowArtifacts hold it that way).
 struct PredictionGain {
   std::vector<std::size_t> measured;   ///< observed indices (input order)
   std::vector<std::size_t> predicted;  ///< remaining indices, ascending
@@ -50,52 +51,12 @@ struct PredictionGain {
   [[nodiscard]] static std::shared_ptr<const PredictionGain> compute(
       const linalg::Matrix& cov, std::vector<std::size_t> measured,
       double jitter = 1e-12);
-};
-
-/// Conditional-Gaussian predictor over a fixed index split. A thin handle
-/// on a shared PredictionGain: copying a ConditionalGaussian (or anything
-/// holding one, e.g. core::FlowArtifacts) shares the factorization instead
-/// of duplicating it.
-class ConditionalGaussian {
- public:
-  /// Compute a fresh gain (see PredictionGain::compute).
-  ConditionalGaussian(const linalg::Matrix& cov,
-                      std::vector<std::size_t> measured, double jitter = 1e-12)
-      : gain_(PredictionGain::compute(cov, std::move(measured), jitter)) {}
-
-  /// Adopt an already-computed gain; no factorization happens.
-  explicit ConditionalGaussian(std::shared_ptr<const PredictionGain> gain);
-
-  [[nodiscard]] const std::vector<std::size_t>& measured_indices() const {
-    return gain_->measured;
-  }
-  [[nodiscard]] const std::vector<std::size_t>& predicted_indices() const {
-    return gain_->predicted;
-  }
-
-  /// Gain matrix W (|predicted| x |measured|).
-  [[nodiscard]] const linalg::Matrix& gain() const { return gain_->gain; }
-
-  /// Posterior standard deviations sigma'_k, one per predicted index
-  /// (chip-independent, paper eq. 5).
-  [[nodiscard]] const std::vector<double>& posterior_sigma() const {
-    return gain_->posterior_sigma;
-  }
-
-  /// The shared chip-independent prediction operator.
-  [[nodiscard]] const std::shared_ptr<const PredictionGain>& shared_gain()
-      const {
-    return gain_;
-  }
 
   /// Posterior means mu'_k for the predicted indices given the measured
   /// values (paper eq. 4). `mean` is the full-length prior mean vector;
-  /// `observed` follows the order of measured_indices().
+  /// `observed` follows the order of `measured`.
   [[nodiscard]] std::vector<double> posterior_mean(
       std::span<const double> mean, std::span<const double> observed) const;
-
- private:
-  std::shared_ptr<const PredictionGain> gain_;
 };
 
 }  // namespace effitest::stats

@@ -11,12 +11,11 @@ std::size_t Pca::significant_components(double coverage) const {
   return tmp.components_for_coverage(coverage);
 }
 
-std::size_t Pca::significant_by_kaiser(double scale) const {
+std::size_t Pca::significant_by_kaiser() const {
   if (component_variance.empty()) return 0;
   double total = 0.0;
   for (double v : component_variance) total += std::max(v, 0.0);
-  const double floor =
-      scale * total / static_cast<double>(component_variance.size());
+  const double floor = total / static_cast<double>(component_variance.size());
   std::size_t count = 0;
   for (double v : component_variance) {
     if (v >= floor * (1.0 - 1e-9)) ++count;

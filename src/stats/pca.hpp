@@ -24,13 +24,13 @@ struct Pca {
   /// the total variance (at least 1 for non-empty input).
   [[nodiscard]] std::size_t significant_components(double coverage) const;
 
-  /// Kaiser-style criterion: components whose eigenvalue reaches `scale`
-  /// times the average eigenvalue (the white-noise floor). Unlike the
+  /// Kaiser criterion: components whose eigenvalue reaches the average
+  /// eigenvalue (the white-noise floor). Unlike the
   /// coverage rule this is stable under group size and under uniform
   /// independent-variance inflation (the Fig.-7 protocol): shared factor
   /// directions stay above the floor, per-path noise stays below it.
   /// Returns at least 1 for non-empty input.
-  [[nodiscard]] std::size_t significant_by_kaiser(double scale = 1.0) const;
+  [[nodiscard]] std::size_t significant_by_kaiser() const;
 
   /// |loading| of variable `var` on component `comp`.
   [[nodiscard]] double loading(std::size_t var, std::size_t comp) const {

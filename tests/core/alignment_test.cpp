@@ -119,10 +119,12 @@ TEST(Alignment, SingleEntryPeriodHitsShiftedCenter) {
   inst.problem = &f.problem;
   inst.current_steps = f.problem.neutral_steps();
   inst.entries.push_back(AlignmentEntry{150.0, 1.0, 0, -1});
-  for (AlignMethod m : {AlignMethod::kCoordinateDescent,
-                        AlignMethod::kMilpCompact, AlignMethod::kMilpBigM}) {
-    const AlignmentResult r = solve_alignment(inst, m);
-    EXPECT_NEAR(r.objective, 0.0, 1e-6) << "method " << static_cast<int>(m);
+  const AlignmentResult cd = solve_alignment(inst);
+  EXPECT_NEAR(cd.objective, 0.0, 1e-6) << "coordinate descent";
+  EXPECT_NEAR(objective_at(inst, cd), cd.objective, 1e-9);
+  for (MilpForm form : {MilpForm::kCompact, MilpForm::kBigM}) {
+    const AlignmentResult r = solve_alignment_milp(inst, form);
+    EXPECT_NEAR(r.objective, 0.0, 1e-6) << "form " << static_cast<int>(form);
     EXPECT_NEAR(objective_at(inst, r), r.objective, 1e-9);
   }
 }
@@ -137,9 +139,8 @@ TEST(Alignment, TwoOpposedEntriesMeetInMiddle) {
   inst.entries.push_back(AlignmentEntry{100.0, 1.0, 0, -1});
   inst.entries.push_back(AlignmentEntry{110.0, 1.0, -1, 0});
   const double half_range = f.problem.buffers()[0].tau / 2.0;
-  const AlignmentResult cd =
-      solve_alignment(inst, AlignMethod::kCoordinateDescent);
-  const AlignmentResult milp = solve_alignment(inst, AlignMethod::kMilpCompact);
+  const AlignmentResult cd = solve_alignment(inst);
+  const AlignmentResult milp = solve_alignment_milp(inst);
   if (half_range >= 5.0) {
     // Residual bounded by one step of quantization across two entries.
     EXPECT_NEAR(milp.objective, 0.0,
@@ -155,15 +156,14 @@ TEST(Alignment, EmptyInstanceNoop) {
   AlignmentInstance inst;
   inst.problem = &f.problem;
   inst.current_steps = f.problem.neutral_steps();
-  const AlignmentResult r =
-      solve_alignment(inst, AlignMethod::kCoordinateDescent);
+  const AlignmentResult r = solve_alignment(inst);
   EXPECT_EQ(r.steps, inst.current_steps);
 }
 
 TEST(Alignment, MissingProblemThrows) {
   AlignmentInstance inst;
-  EXPECT_THROW(solve_alignment(inst, AlignMethod::kCoordinateDescent),
-               std::invalid_argument);
+  EXPECT_THROW((void)solve_alignment(inst), std::invalid_argument);
+  EXPECT_THROW((void)solve_alignment_milp(inst), std::invalid_argument);
 }
 
 TEST(Alignment, BadStepsSizeThrows) {
@@ -172,8 +172,8 @@ TEST(Alignment, BadStepsSizeThrows) {
   inst.problem = &f.problem;
   inst.current_steps = {0};  // wrong size
   inst.entries.push_back(AlignmentEntry{100.0, 1.0, 0, -1});
-  EXPECT_THROW(solve_alignment(inst, AlignMethod::kCoordinateDescent),
-               std::invalid_argument);
+  EXPECT_THROW((void)solve_alignment(inst), std::invalid_argument);
+  EXPECT_THROW((void)solve_alignment_milp(inst), std::invalid_argument);
 }
 
 TEST(Alignment, FrozenBuffersRespected) {
@@ -184,8 +184,7 @@ TEST(Alignment, FrozenBuffersRespected) {
   inst.allow_buffer_moves = false;
   inst.entries.push_back(AlignmentEntry{100.0, 1.0, 0, -1});
   inst.entries.push_back(AlignmentEntry{140.0, 1.0, 1, -1});
-  const AlignmentResult r =
-      solve_alignment(inst, AlignMethod::kCoordinateDescent);
+  const AlignmentResult r = solve_alignment(inst);
   EXPECT_EQ(r.steps, inst.current_steps);  // nothing moved
   EXPECT_GT(r.objective, 0.0);             // centers cannot be merged
 }
@@ -199,11 +198,10 @@ TEST(Alignment, HoldConstraintsBlockSkew) {
   inst.entries.push_back(AlignmentEntry{100.0, 1.0, 0, -1});
   inst.entries.push_back(AlignmentEntry{120.0, 1.0, -1, -1});
   inst.hold.push_back(HoldConstraintX{0, -1, 0.0});  // x0 >= 0
-  for (AlignMethod m :
-       {AlignMethod::kCoordinateDescent, AlignMethod::kMilpCompact}) {
-    const AlignmentResult r = solve_alignment(inst, m);
+  for (const AlignmentResult& r :
+       {solve_alignment(inst), solve_alignment_milp(inst)}) {
     const double x0 = f.problem.buffers()[0].value(r.steps[0]);
-    EXPECT_GE(x0, -1e-9) << "method " << static_cast<int>(m);
+    EXPECT_GE(x0, -1e-9);
   }
 }
 
@@ -227,8 +225,8 @@ TEST(Alignment, BigMAndCompactMilpAgree) {
       inst.entries.push_back(AlignmentEntry{centers[i], w[i], src, dst});
     }
     const AlignmentResult compact =
-        solve_alignment(inst, AlignMethod::kMilpCompact);
-    const AlignmentResult bigm = solve_alignment(inst, AlignMethod::kMilpBigM);
+        solve_alignment_milp(inst, MilpForm::kCompact);
+    const AlignmentResult bigm = solve_alignment_milp(inst, MilpForm::kBigM);
     EXPECT_NEAR(compact.objective, bigm.objective,
                 1e-4 * (1.0 + compact.objective))
         << "trial " << trial;
@@ -257,10 +255,8 @@ TEST_P(CdQualityTest, NearOptimalOnRandomInstances) {
     if (dst == src && src >= 0) dst = -1;
     inst.entries.push_back(AlignmentEntry{centers[i], w[i], src, dst});
   }
-  const AlignmentResult cd =
-      solve_alignment(inst, AlignMethod::kCoordinateDescent);
-  const AlignmentResult exact =
-      solve_alignment(inst, AlignMethod::kMilpCompact);
+  const AlignmentResult cd = solve_alignment(inst);
+  const AlignmentResult exact = solve_alignment_milp(inst);
   // CD cannot beat the exact solver...
   EXPECT_GE(cd.objective, exact.objective - 1e-6);
   // ...and should be within 25% + epsilon of it on these instance sizes.

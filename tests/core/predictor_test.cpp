@@ -87,5 +87,35 @@ TEST(DelayPredictor, AllTestedNoPrediction) {
   EXPECT_DOUBLE_EQ(b.upper[1], 2.5);
 }
 
+TEST(DelayPredictor, AdoptingASharedGainSkipsRefactorization) {
+  const linalg::Matrix cov{
+      {2.0, 0.5, 0.3}, {0.5, 1.5, 0.2}, {0.3, 0.2, 1.0}};
+  const std::vector<double> mu{1.0, 2.0, 3.0};
+  const auto gain = stats::PredictionGain::compute(cov, {2});
+  const DelayPredictor fresh(cov, mu, {2});
+  const DelayPredictor adopted(gain, mu);
+
+  // Same split, same numbers — and the adopting instance aliases the very
+  // object it was handed instead of copying or recomputing it.
+  EXPECT_EQ(adopted.shared_gain().get(), gain.get());
+  ASSERT_EQ(adopted.predicted_indices(), fresh.predicted_indices());
+  for (std::size_t k = 0; k < fresh.posterior_sigma().size(); ++k) {
+    EXPECT_EQ(adopted.posterior_sigma()[k], fresh.posterior_sigma()[k]);
+  }
+  const std::vector<double> obs{3.5};
+  const DelayBounds pa = adopted.predict(obs, obs);
+  const DelayBounds pf = fresh.predict(obs, obs);
+  EXPECT_EQ(pa.lower, pf.lower);
+  EXPECT_EQ(pa.upper, pf.upper);
+  const std::vector<double> ma = gain->posterior_mean(mu, obs);
+  const std::vector<double> mf = fresh.shared_gain()->posterior_mean(mu, obs);
+  EXPECT_EQ(ma, mf);
+
+  // Copying a DelayPredictor shares the gain too.
+  const DelayPredictor copy = fresh;  // NOLINT(performance-unnecessary-copy-initialization)
+  EXPECT_EQ(copy.shared_gain().get(), fresh.shared_gain().get());
+  EXPECT_THROW(DelayPredictor(nullptr, mu), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace effitest::core

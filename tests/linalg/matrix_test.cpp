@@ -179,11 +179,6 @@ TEST(VectorOps, Dot) {
   EXPECT_THROW(static_cast<void>(dot(a, c)), LinalgError);
 }
 
-TEST(VectorOps, Norm2) {
-  const std::vector<double> v{3.0, 4.0};
-  EXPECT_DOUBLE_EQ(norm2(v), 5.0);
-}
-
 TEST(VectorOps, Axpy) {
   const std::vector<double> x{1.0, 2.0};
   std::vector<double> y{10.0, 20.0};
@@ -197,12 +192,6 @@ TEST(VectorOps, AddSubtract) {
   const std::vector<double> b{2.0, 3.0};
   EXPECT_DOUBLE_EQ(subtract(a, b)[1], 4.0);
   EXPECT_DOUBLE_EQ(add(a, b)[0], 7.0);
-}
-
-TEST(VectorOps, QuadraticForm) {
-  const Matrix m{{2.0, 0.0}, {0.0, 3.0}};
-  const std::vector<double> v{1.0, 2.0};
-  EXPECT_DOUBLE_EQ(quadratic_form(m, v), 2.0 + 12.0);
 }
 
 }  // namespace

@@ -548,8 +548,7 @@ TEST(PropAlignment, ReusedWorkspaceMatchesReferenceBitwise) {
   for (const std::size_t c : order) {
     const core::AlignmentInstance& inst = instances[c];
     SCOPED_TRACE("instance " + std::to_string(c));
-    const core::AlignmentResult got = core::solve_alignment(
-        inst, core::AlignMethod::kCoordinateDescent, {}, &ws);
+    const core::AlignmentResult got = core::solve_alignment(inst, &ws);
     core::AlignmentResult want;
     if (inst.entries.empty()) {
       want.steps = inst.current_steps;  // solve_alignment's early return
