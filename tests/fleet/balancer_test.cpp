@@ -630,6 +630,12 @@ TEST(FleetBalancer, SigkilledWorkerProcessSessionsAreRetried) {
       "127.0.0.1", balancer.port(), holder().problem, copts);
   EXPECT_EQ(sorted_by_chip(before.report_lines), golden);
 
+  // The client returns on its last report, possibly before the balancer's
+  // relay thread releases slot 0; wait for that, or the next session
+  // routes around slot 0 and never meets the dead worker.
+  while (registry.in_flight(slots[0]) != 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   const pid_t victim = supervisor.pid(0);
   ASSERT_GT(victim, 0);
   ASSERT_EQ(::kill(victim, SIGKILL), 0);
