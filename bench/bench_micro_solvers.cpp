@@ -2,7 +2,8 @@
 // the critical path of the Monte-Carlo experiments: the blocked linalg
 // kernels against their seed naive references, Cholesky, Jacobi PCA, the
 // simplex/branch&bound solver, the coordinate-descent alignment, the
-// conditional-Gaussian predictor, chip sampling and buffer configuration.
+// conditional-Gaussian predictor, chip sampling, buffer configuration and
+// circuit model construction.
 //
 // Besides the google-benchmark cases, a manual blocked-vs-naive comparison
 // runs at the end and emits BENCH_micro_solvers.json with the measured
@@ -275,6 +276,25 @@ void BM_CovarianceBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CovarianceBuild);
+
+/// Whole CircuitModel construction: one cone sweep per launching FF, path
+/// enumeration and form building. s38584 is the largest tester-floor
+/// circuit; ac97_ctrl promotes the most background pairs, which re-sweep
+/// their source in pass 2.
+void BM_CircuitModelBuild(benchmark::State& state) {
+  static const char* const kNames[] = {"s38584", "ac97_ctrl"};
+  const char* name = kNames[state.range(0)];
+  static const netlist::CellLibrary lib = netlist::CellLibrary::standard();
+  const netlist::GeneratedCircuit circuit =
+      netlist::generate_circuit(netlist::paper_benchmark_spec(name));
+  state.SetLabel(name);
+  for (auto _ : state) {
+    const timing::CircuitModel model(circuit.netlist, lib,
+                                     circuit.buffered_ffs);
+    benchmark::DoNotOptimize(model.num_pairs());
+  }
+}
+BENCHMARK(BM_CircuitModelBuild)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // -- Manual blocked-vs-naive comparison + JSON emission ---------------------
 

@@ -2,76 +2,93 @@
 
 #include <algorithm>
 #include <limits>
-#include <stdexcept>
 
 namespace effitest::timing {
 
 namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-}
+std::size_t at(int id) { return static_cast<std::size_t>(id); }
+}  // namespace
 
 TimingGraph::TimingGraph(const netlist::Netlist& netlist,
                          const netlist::CellLibrary& library)
-    : netlist_(&netlist), library_(&library) {
+    : netlist_(&netlist) {
   const std::size_t n = netlist.num_cells();
   delays_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     delays_[i] = library.timing(netlist.cell(static_cast<int>(i)).type)
                      .nominal_delay_ps;
   }
-  topo_order_ = netlist.topological_order();
+  const std::vector<int> order = netlist.topological_order();
+  rank_.resize(n);
+  for (std::size_t r = 0; r < n; ++r) rank_[at(order[r])] = static_cast<int>(r);
   fanouts_ = netlist.fanouts();
 }
 
-TimingGraph::ConeArrival TimingGraph::sweep(int src_ff) const {
+void TimingGraph::sweep(int src_ff, ConeArrival& cone) const {
   const std::size_t n = netlist_->num_cells();
-  ConeArrival cone;
-  cone.max_arrival.assign(n, kNegInf);
-  cone.min_arrival.assign(n, kNegInf);
-  cone.max_arrival[static_cast<std::size_t>(src_ff)] = delays_[static_cast<std::size_t>(src_ff)];
-  cone.min_arrival[static_cast<std::size_t>(src_ff)] = delays_[static_cast<std::size_t>(src_ff)];
+  if (cone.max_arrival.size() != n) cone = ConeArrival{};  // first use
+  cone.max_arrival.resize(n, kNegInf);
+  cone.min_arrival.resize(n, kNegInf);
+  for (int id : cone.members) {
+    cone.max_arrival[at(id)] = cone.min_arrival[at(id)] = kNegInf;
+  }
+  cone.members.assign(1, src_ff);
+  cone.max_arrival[at(src_ff)] = cone.min_arrival[at(src_ff)] =
+      delays_[at(src_ff)];
 
-  for (int id : topo_order_) {
-    const netlist::Cell& c = netlist_->cell(id);
-    if (!netlist::is_combinational(c.type)) continue;
-    double best_max = kNegInf;
-    double best_min = kNegInf;
-    for (int u : c.fanins) {
-      const double am = cone.max_arrival[static_cast<std::size_t>(u)];
-      if (am == kNegInf) continue;
-      best_max = std::max(best_max, am);
-      const double an = cone.min_arrival[static_cast<std::size_t>(u)];
-      best_min = (best_min == kNegInf) ? an : std::min(best_min, an);
-    }
-    if (best_max != kNegInf) {
-      const auto i = static_cast<std::size_t>(id);
-      cone.max_arrival[i] = best_max + delays_[i];
-      cone.min_arrival[i] = best_min + delays_[i];
+  // Collect the combinational fan-out cone, with the member list as the
+  // work list. A finite max_arrival marks a cell as found; the fold below
+  // overwrites it before any reader sees it.
+  for (std::size_t k = 0; k < cone.members.size(); ++k) {
+    for (int v : fanouts_[at(cone.members[k])]) {
+      if (cone.max_arrival[at(v)] == kNegInf &&
+          netlist::is_combinational(netlist_->cell(v).type)) {
+        cone.max_arrival[at(v)] = 0.0;
+        cone.members.push_back(v);
+      }
     }
   }
-  return cone;
+  std::sort(cone.members.begin() + 1, cone.members.end(),
+            [&](int a, int b) { return rank_[at(a)] < rank_[at(b)]; });
+
+  // The full-netlist fold restricted to the cone: in topological order, so
+  // every fanin is final when read, and over the fanins in netlist order,
+  // so the doubles are those of a sweep over every cell.
+  for (auto it = cone.members.begin() + 1; it != cone.members.end(); ++it) {
+    double best_max = kNegInf;
+    double best_min = kNegInf;
+    for (int u : netlist_->cell(*it).fanins) {
+      const double am = cone.max_arrival[at(u)];
+      if (am == kNegInf) continue;
+      best_max = std::max(best_max, am);
+      const double an = cone.min_arrival[at(u)];
+      best_min = (best_min == kNegInf) ? an : std::min(best_min, an);
+    }
+    cone.max_arrival[at(*it)] = best_max + delays_[at(*it)];
+    cone.min_arrival[at(*it)] = best_min + delays_[at(*it)];
+  }
 }
 
 std::vector<PairDelay> TimingGraph::all_pair_delays() const {
   std::vector<PairDelay> out;
-  const std::vector<int> ffs = netlist_->flip_flops();
-  for (int s : ffs) {
-    const ConeArrival cone = sweep(s);
-    for (int t : ffs) {
-      const int w = netlist_->cell(t).fanins.empty() ? -1 : netlist_->cell(t).fanins[0];
-      if (w < 0) continue;
-      const double am = cone.max_arrival[static_cast<std::size_t>(w)];
-      if (am == kNegInf) continue;
-      out.push_back(PairDelay{s, t, am, cone.min_arrival[static_cast<std::size_t>(w)]});
+  ConeArrival cone;
+  for (int s : netlist_->flip_flops()) {
+    sweep(s, cone);
+    // A pair exists where a DFF's D pin is driven from inside the cone
+    // (the source itself included); report them by capturing-FF id.
+    const auto first = static_cast<std::ptrdiff_t>(out.size());
+    for (int w : cone.members) {
+      for (int t : fanouts_[at(w)]) {
+        const netlist::Cell& tc = netlist_->cell(t);
+        if (tc.type != netlist::CellType::kDff || tc.fanins[0] != w) continue;
+        out.push_back(PairDelay{s, t, cone.max_arrival[at(w)],
+                                cone.min_arrival[at(w)]});
+      }
     }
+    std::ranges::sort(out.begin() + first, out.end(), {}, &PairDelay::dst_ff);
   }
   return out;
-}
-
-std::vector<StructuralPath> TimingGraph::near_critical_paths(
-    int src_ff, int dst_ff, double slack_window, std::size_t max_paths) const {
-  return near_critical_paths(sweep(src_ff), src_ff, dst_ff, slack_window,
-                             max_paths);
 }
 
 std::vector<StructuralPath> TimingGraph::near_critical_paths(
@@ -132,10 +149,6 @@ std::vector<StructuralPath> TimingGraph::near_critical_paths(
   return out;
 }
 
-StructuralPath TimingGraph::min_path(int src_ff, int dst_ff) const {
-  return min_path(sweep(src_ff), src_ff, dst_ff);
-}
-
 StructuralPath TimingGraph::min_path(const ConeArrival& cone, int src_ff,
                                      int dst_ff) const {
   const netlist::Cell& dst = netlist_->cell(dst_ff);
@@ -178,14 +191,6 @@ StructuralPath TimingGraph::min_path(const ConeArrival& cone, int src_ff,
   }
   std::reverse(p.gates.begin(), p.gates.end());
   return p;
-}
-
-double TimingGraph::nominal_critical_delay() const {
-  double worst = 0.0;
-  for (const PairDelay& pd : all_pair_delays()) {
-    worst = std::max(worst, pd.max_delay);
-  }
-  return worst;
 }
 
 }  // namespace effitest::timing

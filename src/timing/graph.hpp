@@ -39,55 +39,52 @@ struct PairDelay {
 
 class TimingGraph {
  public:
-  /// Arrival times across one launching FF's combinational cone.
+  /// Arrival times across one launching FF's combinational fan-out cone.
+  /// Owned by the caller and reused between sweeps: a sweep resets only the
+  /// cells the previous one wrote, so its cost is the cone, not the netlist.
   struct ConeArrival {
     // Per cell: -inf when unreachable from the source FF.
     std::vector<double> max_arrival;
     std::vector<double> min_arrival;
+    // Cells the last sweep wrote: the source FF, then its cone in
+    // topological order.
+    std::vector<int> members;
   };
 
   TimingGraph(const netlist::Netlist& netlist,
               const netlist::CellLibrary& library);
-
-  [[nodiscard]] const netlist::Netlist& netlist() const { return *netlist_; }
-  [[nodiscard]] const netlist::CellLibrary& library() const { return *library_; }
 
   /// Nominal delay of one cell (0 for inputs/outputs; clk->Q for DFFs).
   [[nodiscard]] double cell_delay(int id) const {
     return delays_[static_cast<std::size_t>(id)];
   }
 
-  /// All connected FF pairs with nominal max/min delays (single STA sweep per
-  /// launching FF, restricted to its fanout cone).
+  /// All connected FF pairs with nominal max/min delays, by launching FF
+  /// then capturing FF id (one cone sweep per launching FF, one buffer).
   [[nodiscard]] std::vector<PairDelay> all_pair_delays() const;
 
-  /// Forward sweep from one launching FF across its combinational cone.
-  /// Reusable by the per-pair queries below, which also have convenience
-  /// overloads that sweep internally.
-  [[nodiscard]] ConeArrival sweep(int src_ff) const;
+  /// Forward sweep from one launching FF across its combinational fan-out
+  /// cone, into `cone` (any previous contents are discarded). Feeds the
+  /// per-pair queries below.
+  void sweep(int src_ff, ConeArrival& cone) const;
 
   /// Enumerate, for the given FF pair, every path whose nominal delay is
   /// within `slack_window` of the pair's max delay, longest first, capped at
-  /// `max_paths`. Always contains the critical path.
-  [[nodiscard]] std::vector<StructuralPath> near_critical_paths(
-      int src_ff, int dst_ff, double slack_window, std::size_t max_paths) const;
+  /// `max_paths`. Always contains the critical path. `cone` is the sweep of
+  /// `src_ff`.
   [[nodiscard]] std::vector<StructuralPath> near_critical_paths(
       const ConeArrival& cone, int src_ff, int dst_ff, double slack_window,
       std::size_t max_paths) const;
 
   /// The single shortest structural path for the pair (hold analysis).
-  [[nodiscard]] StructuralPath min_path(int src_ff, int dst_ff) const;
+  /// `cone` is the sweep of `src_ff`.
   [[nodiscard]] StructuralPath min_path(const ConeArrival& cone, int src_ff,
                                         int dst_ff) const;
 
-  /// Nominal critical delay over all FF pairs (ignores setup margins).
-  [[nodiscard]] double nominal_critical_delay() const;
-
  private:
   const netlist::Netlist* netlist_;
-  const netlist::CellLibrary* library_;
   std::vector<double> delays_;
-  std::vector<int> topo_order_;
+  std::vector<int> rank_;  // position of each cell in the topological order
   std::vector<std::vector<int>> fanouts_;
 };
 

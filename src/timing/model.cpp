@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "linalg/kernels.hpp"
-#include "parallel/deterministic_for.hpp"
 
 namespace effitest::timing {
 
@@ -15,7 +15,6 @@ CircuitModel::CircuitModel(const netlist::Netlist& netlist,
                            const netlist::CellLibrary& library,
                            std::vector<int> buffered_ffs, ModelOptions options)
     : netlist_(&netlist),
-      library_(&library),
       options_(options),
       variation_(options.variation, library),
       buffered_ffs_(std::move(buffered_ffs)) {
@@ -34,64 +33,62 @@ CircuitModel::CircuitModel(const netlist::Netlist& netlist,
     }
   }
 
+  // Pairs arrive in source order, so each source is swept at most once per
+  // pass for its path queries.
   const TimingGraph graph(netlist, library);
-  const std::vector<int> ffs = netlist.flip_flops();
-
-  // Pass 1: discover pairs per source FF; build monitored pairs fully and
-  // keep background candidates (mean only) for the static check below.
-  struct StaticCandidate {
-    int src, dst;
-    double mean;
+  TimingGraph::ConeArrival cone;
+  int swept = -1;
+  const auto cone_of = [&](int src) -> const TimingGraph::ConeArrival& {
+    if (std::exchange(swept, src) != src) graph.sweep(src, cone);
+    return cone;
   };
-  std::vector<StaticCandidate> background;
-  double crit = 0.0;
 
-  for (int s : ffs) {
-    const TimingGraph::ConeArrival cone = graph.sweep(s);
-    for (int t : ffs) {
-      const netlist::Cell& tc = netlist.cell(t);
-      if (tc.fanins.empty()) continue;
-      const int w = tc.fanins[0];
-      const double am = cone.max_arrival[static_cast<std::size_t>(w)];
-      if (am == -std::numeric_limits<double>::infinity()) continue;
-      const bool src_buf = buffer_index_.contains(s);
-      const bool dst_buf = buffer_index_.contains(t);
-      crit = std::max(crit, am + setup_time_);
-      if (!src_buf && !dst_buf) {
-        background.push_back({s, t, am + setup_time_});
-        continue;
-      }
-      MonitoredPair p;
-      p.id = static_cast<int>(pairs_.size());
-      p.src_ff = s;
-      p.dst_ff = t;
-      p.src_buffered = src_buf;
-      p.dst_buffered = dst_buf;
-      const auto alts = graph.near_critical_paths(
-          cone, s, t, options_.slack_window_ps, options_.max_paths_per_pair);
-      if (alts.empty()) continue;
-      for (const StructuralPath& sp : alts) {
-        p.max_alts.push_back(build_form(sp, setup_time_));
-      }
-      p.max_form = p.max_alts.front();
-      p.min_form = build_form(graph.min_path(cone, s, t), 0.0);
-      pairs_.push_back(std::move(p));
+  // Pass 1: build monitored pairs fully and keep background candidates
+  // (nominal delay only) for the static check below.
+  std::vector<PairDelay> background;
+  double crit = 0.0;
+  for (const PairDelay& pd : graph.all_pair_delays()) {
+    const int s = pd.src_ff;
+    const int t = pd.dst_ff;
+    const bool src_buf = buffer_index_.contains(s);
+    const bool dst_buf = buffer_index_.contains(t);
+    crit = std::max(crit, pd.max_delay + setup_time_);
+    if (!src_buf && !dst_buf) {
+      background.push_back(pd);
+      continue;
     }
+    MonitoredPair p;
+    p.id = static_cast<int>(pairs_.size());
+    p.src_ff = s;
+    p.dst_ff = t;
+    p.src_buffered = src_buf;
+    p.dst_buffered = dst_buf;
+    const auto alts =
+        graph.near_critical_paths(cone_of(s), s, t, options_.slack_window_ps,
+                                  options_.max_paths_per_pair);
+    if (alts.empty()) continue;
+    for (const StructuralPath& sp : alts) {
+      p.max_alts.push_back(build_form(sp, setup_time_));
+    }
+    p.max_form = p.max_alts.front();
+    p.min_form = build_form(graph.min_path(cone_of(s), s, t), 0.0);
+    pairs_.push_back(std::move(p));
   }
   critical_ = crit;
 
   // Pass 2: background pairs — discard statically safe ones, promote others.
   const double threshold = options_.static_discard_fraction * critical_;
-  for (const StaticCandidate& c : background) {
+  for (const PairDelay& c : background) {
     // Conservative sigma bound without path extraction: systematic fraction
     // of the mean (fully correlated gates) plus mismatch margin.
-    const double sigma_bound = 0.2 * c.mean * options_.random_inflation;
-    if (c.mean + 6.0 * sigma_bound < threshold) {
+    const double mean = c.max_delay + setup_time_;
+    const double sigma_bound = 0.2 * mean * options_.random_inflation;
+    if (mean + 6.0 * sigma_bound < threshold) {
       ++discarded_pairs_;
       continue;
     }
     const auto paths = graph.near_critical_paths(
-        c.src, c.dst, options_.slack_window_ps, 1);
+        cone_of(c.src_ff), c.src_ff, c.dst_ff, options_.slack_window_ps, 1);
     if (!paths.empty()) {
       static_forms_.push_back(build_form(paths.front(), setup_time_));
     }

@@ -171,7 +171,6 @@ class CircuitModel {
   void apply_inflation(DelayForm& f) const;
 
   const netlist::Netlist* netlist_;
-  const netlist::CellLibrary* library_;
   ModelOptions options_;
   VariationModel variation_;
   std::vector<int> buffered_ffs_;

@@ -10,7 +10,11 @@
 //   - the coordinate-descent alignment solver against a verbatim copy of its
 //     allocating predecessor (the equivalence-test idiom: old and new run
 //     side by side on the same inputs), bit for bit, through one reused
-//     workspace.
+//     workspace;
+//   - the cone-limited STA sweep, and the FF-pair list built from it,
+//     against verbatim copies of the full-netlist sweep and the
+//     every-FF scan they replaced, bit for bit, on seeded random
+//     netlists, through one reused arrival buffer.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +27,7 @@
 #include <numeric>
 #include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "analytic/engine.hpp"
@@ -32,7 +37,9 @@
 #include "core/yield.hpp"
 #include "lp/solver.hpp"
 #include "netlist/generator.hpp"
+#include "netlist/netlist.hpp"
 #include "stats/rng.hpp"
+#include "timing/graph.hpp"
 #include "timing/model.hpp"
 
 namespace effitest {
@@ -586,6 +593,184 @@ TEST(PropAlignment, ReusedWorkspaceMatchesReferenceBitwise) {
   EXPECT_GT(infeasible, kInstances / 20);
   EXPECT_GT(frozen, kInstances / 20);
   EXPECT_GT(moved, kInstances / 4);
+}
+
+namespace reference_sweep {
+
+constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+
+// The full-netlist sweep TimingGraph::sweep replaced: every cell in
+// topological order, verbatim except that the graph's members arrive as
+// arguments.
+timing::TimingGraph::ConeArrival sweep(const netlist::Netlist& nl,
+                                       const timing::TimingGraph& g,
+                                       const std::vector<int>& topo_order,
+                                       int src_ff) {
+  const std::size_t n = nl.num_cells();
+  timing::TimingGraph::ConeArrival cone;
+  cone.max_arrival.assign(n, kNegInf);
+  cone.min_arrival.assign(n, kNegInf);
+  cone.max_arrival[static_cast<std::size_t>(src_ff)] = g.cell_delay(src_ff);
+  cone.min_arrival[static_cast<std::size_t>(src_ff)] = g.cell_delay(src_ff);
+
+  for (int id : topo_order) {
+    const netlist::Cell& c = nl.cell(id);
+    if (!netlist::is_combinational(c.type)) continue;
+    double best_max = kNegInf;
+    double best_min = kNegInf;
+    for (int u : c.fanins) {
+      const double am = cone.max_arrival[static_cast<std::size_t>(u)];
+      if (am == kNegInf) continue;
+      best_max = std::max(best_max, am);
+      const double an = cone.min_arrival[static_cast<std::size_t>(u)];
+      best_min = (best_min == kNegInf) ? an : std::min(best_min, an);
+    }
+    if (best_max != kNegInf) {
+      const auto i = static_cast<std::size_t>(id);
+      cone.max_arrival[i] = best_max + g.cell_delay(id);
+      cone.min_arrival[i] = best_min + g.cell_delay(id);
+    }
+  }
+  return cone;
+}
+
+// The all_pair_delays that scanned every capturing FF per source, verbatim
+// except for its arguments and the sweep above.
+std::vector<timing::PairDelay> all_pair_delays(
+    const netlist::Netlist& nl, const timing::TimingGraph& g,
+    const std::vector<int>& topo_order) {
+  std::vector<timing::PairDelay> out;
+  const std::vector<int> ffs = nl.flip_flops();
+  for (int s : ffs) {
+    const timing::TimingGraph::ConeArrival cone = sweep(nl, g, topo_order, s);
+    for (int t : ffs) {
+      const int w = nl.cell(t).fanins.empty() ? -1 : nl.cell(t).fanins[0];
+      if (w < 0) continue;
+      const double am = cone.max_arrival[static_cast<std::size_t>(w)];
+      if (am == kNegInf) continue;
+      out.push_back(timing::PairDelay{
+          s, t, am, cone.min_arrival[static_cast<std::size_t>(w)]});
+    }
+  }
+  return out;
+}
+
+}  // namespace reference_sweep
+
+/// A seeded random netlist: 1-3 inputs, 2-10 DFFs, 4-60 gates of 1-4
+/// fanins drawn from everything built before them (so paths reconverge and
+/// fanins repeat), a few primary outputs, and D pins driven by a gate, by
+/// another DFF directly, or by the DFF itself. Some DFFs feed no gate, so
+/// their combinational cone is empty.
+netlist::Netlist random_netlist(stats::Rng& rng) {
+  static constexpr netlist::CellType kUnary[] = {netlist::CellType::kBuf,
+                                                 netlist::CellType::kNot};
+  static constexpr netlist::CellType kMulti[] = {
+      netlist::CellType::kAnd, netlist::CellType::kNand,
+      netlist::CellType::kOr,  netlist::CellType::kNor,
+      netlist::CellType::kXor, netlist::CellType::kXnor};
+  const auto pick = [&rng](const auto& from) {
+    return from[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(std::size(from)) - 1))];
+  };
+  netlist::Netlist nl;
+  std::vector<int> drivers;  // cells a gate may read
+  const auto inputs = rng.uniform_int(1, 3);
+  for (std::int64_t i = 0; i < inputs; ++i) {
+    drivers.push_back(nl.add_cell("i" + std::to_string(i),
+                                  netlist::CellType::kInput));
+  }
+  std::vector<int> ffs;
+  const auto num_ffs = rng.uniform_int(2, 10);
+  for (std::int64_t i = 0; i < num_ffs; ++i) {
+    ffs.push_back(nl.add_cell("f" + std::to_string(i),
+                              netlist::CellType::kDff));
+    if (rng.uniform() < 0.75) drivers.push_back(ffs.back());
+  }
+  std::vector<int> gates;
+  const auto num_gates = rng.uniform_int(4, 60);
+  for (std::int64_t i = 0; i < num_gates; ++i) {
+    const auto arity = rng.uniform_int(1, 4);
+    std::vector<int> fanins;
+    for (std::int64_t k = 0; k < arity; ++k) fanins.push_back(pick(drivers));
+    const netlist::CellType type = arity == 1 ? pick(kUnary) : pick(kMulti);
+    gates.push_back(
+        nl.add_cell("g" + std::to_string(i), type, std::move(fanins)));
+    drivers.push_back(gates.back());
+  }
+  for (int o = 0; o < 2; ++o) {
+    nl.add_cell("o" + std::to_string(o), netlist::CellType::kOutput,
+                {pick(gates)});
+  }
+  for (int ff : ffs) {
+    const double u = rng.uniform();
+    nl.set_fanins(ff, {u < 0.1 ? ff : u < 0.25 ? pick(ffs) : pick(gates)});
+  }
+  nl.validate();
+  return nl;
+}
+
+bool same_arrivals(const timing::TimingGraph::ConeArrival& a,
+                   const timing::TimingGraph::ConeArrival& b) {
+  return std::equal(a.max_arrival.begin(), a.max_arrival.end(),
+                    b.max_arrival.begin(), b.max_arrival.end(), same_bits) &&
+         std::equal(a.min_arrival.begin(), a.min_arrival.end(),
+                    b.min_arrival.begin(), b.min_arrival.end(), same_bits);
+}
+
+TEST(PropSweep, ConeSweepMatchesFullNetlistSweepBitwise) {
+  const netlist::CellLibrary library = netlist::CellLibrary::standard();
+  stats::Rng rng(2016);
+  for (int c = 0; c < kCases; ++c) {
+    const netlist::Netlist nl = random_netlist(rng);
+    const timing::TimingGraph g(nl, library);
+    const std::vector<int> topo = nl.topological_order();
+    const std::vector<int> ffs = nl.flip_flops();
+    // Every source in turn through one buffer: each sweep starts from the
+    // previous source's leftovers.
+    timing::TimingGraph::ConeArrival reused;
+    for (int s : ffs) {
+      g.sweep(s, reused);
+      ASSERT_TRUE(same_arrivals(reused, reference_sweep::sweep(nl, g, topo, s)))
+          << "case " << c << " source " << s;
+    }
+    // A then B into one buffer equals a fresh sweep of B.
+    for (int k = 0; k < 4; ++k) {
+      const auto pick = [&rng, &ffs] {
+        return ffs[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(ffs.size()) - 1))];
+      };
+      const int a = pick();
+      const int b = pick();
+      timing::TimingGraph::ConeArrival chained;
+      timing::TimingGraph::ConeArrival fresh;
+      g.sweep(a, chained);
+      g.sweep(b, chained);
+      g.sweep(b, fresh);
+      ASSERT_TRUE(same_arrivals(chained, fresh))
+          << "case " << c << " sources " << a << " then " << b;
+    }
+  }
+}
+
+TEST(PropSweep, PairDelaysMatchFullScanBitwise) {
+  const netlist::CellLibrary library = netlist::CellLibrary::standard();
+  stats::Rng rng(2017);
+  for (int c = 0; c < kCases; ++c) {
+    const netlist::Netlist nl = random_netlist(rng);
+    const timing::TimingGraph g(nl, library);
+    const std::vector<timing::PairDelay> got = g.all_pair_delays();
+    const std::vector<timing::PairDelay> want =
+        reference_sweep::all_pair_delays(nl, g, nl.topological_order());
+    ASSERT_EQ(got.size(), want.size()) << "case " << c;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].src_ff, want[i].src_ff) << "case " << c << " pair " << i;
+      ASSERT_EQ(got[i].dst_ff, want[i].dst_ff) << "case " << c << " pair " << i;
+      ASSERT_TRUE(same_bits(got[i].max_delay, want[i].max_delay) &&
+                  same_bits(got[i].min_delay, want[i].min_delay))
+          << "case " << c << " pair " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "netlist/generator.hpp"
@@ -25,6 +27,58 @@ netlist::GeneratedCircuit tiny_circuit() {
   s.num_critical_paths = 16;
   s.seed = 11;
   return netlist::generate_circuit(s);
+}
+
+/// FNV-1a over the model's structure, field by field. A loading entry is
+/// hashed as (index, weight) rather than as raw std::pair bytes, which
+/// would read the padding between the int and the double.
+class Digest {
+ public:
+  void add(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h_ ^= (v >> (8 * b)) & 0xffu;
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  void add(int v) {
+    add(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  void add(const DelayForm& f) {
+    add(f.mean);
+    add(static_cast<std::uint64_t>(f.loading.size()));
+    for (const auto& [index, weight] : f.loading) {
+      add(index);
+      add(weight);
+    }
+    add(static_cast<std::uint64_t>(f.mismatch_slots.size()));
+    for (int slot : f.mismatch_slots) add(slot);
+    add(f.mismatch_var);
+    add(f.extra_indep_var);
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+std::uint64_t model_digest(const CircuitModel& m) {
+  Digest d;
+  d.add(static_cast<std::uint64_t>(m.num_pairs()));
+  for (const MonitoredPair& p : m.pairs()) {
+    d.add(p.id);
+    d.add(p.src_ff);
+    d.add(p.dst_ff);
+    d.add(static_cast<std::uint64_t>(p.max_alts.size()));
+    for (const DelayForm& f : p.max_alts) d.add(f);
+    d.add(p.max_form);
+    d.add(p.min_form);
+  }
+  d.add(static_cast<std::uint64_t>(m.num_static_pairs()));
+  for (const DelayForm& f : m.static_forms()) d.add(f);
+  d.add(static_cast<std::uint64_t>(m.num_discarded_pairs()));
+  d.add(m.nominal_critical_delay());
+  return d.value();
 }
 
 TEST(CircuitModel, MonitoredPairsMatchGeneratorEdges) {
@@ -243,6 +297,49 @@ TEST(CircuitModel, SpecializedSamplersShareTheChipStream) {
       EXPECT_EQ(min_rng.engine()(), next);
       EXPECT_EQ(ws_rng.engine()(), next);
     }
+  }
+}
+
+TEST(CircuitModel, CatalogModelDigestsArePinned) {
+  // Locks model construction (pair discovery, path enumeration, mismatch
+  // slot numbering, background promotion and inflation) on all 10 catalog
+  // circuits: any change to the STA sweep or the pass order that moves one
+  // double or one id fails here. Recorded from the full-netlist sweep that
+  // preceded the cone-limited one, under libstdc++ like the other goldens
+  // (the generator draws through std::normal_distribution).
+  struct Golden {
+    const char* name;
+    std::uint64_t base;      // random_inflation 1.0
+    std::uint64_t inflated;  // random_inflation 1.5
+  };
+  static constexpr Golden kGoldens[] = {
+      {"s9234", 0xc554a3de4e5f42fdull, 0xa20d57db557a8d70ull},
+      {"s13207", 0xee8a226679bd6d79ull, 0x4aabacc56a6a4411ull},
+      {"s15850", 0xec6740881ba4d03aull, 0x6abf16579c300a1eull},
+      {"s38584", 0x170b25e889f1e0cdull, 0x3915327740636bc1ull},
+      {"mem_ctrl", 0x0aa389de25b571caull, 0x134259d608ed132cull},
+      {"usb_funct", 0xf6d483c2ac5764b7ull, 0x95749f3d3a71e639ull},
+      {"ac97_ctrl", 0xce54bd60a5c0d74eull, 0x17862a89e604cd82ull},
+      {"pci_bridge32", 0x2ea4cf7712fdff1bull, 0x447c6c524d1beda4ull},
+      {"s35932", 0xca917e7b72b3b75full, 0x7c4ae26c10a2698aull},
+      {"s38417", 0xe5613a7497d37b3bull, 0x4533d6a3ac58541cull},
+  };
+  for (const Golden& g : kGoldens) {
+    const auto c =
+        netlist::generate_circuit(netlist::paper_benchmark_spec(g.name));
+    ModelOptions inflated;
+    inflated.random_inflation = 1.5;
+    const std::uint64_t base =
+        model_digest(CircuitModel(c.netlist, lib(), c.buffered_ffs));
+    const std::uint64_t infl =
+        model_digest(CircuitModel(c.netlist, lib(), c.buffered_ffs, inflated));
+#if defined(__GLIBCXX__)
+    EXPECT_EQ(base, g.base) << g.name;
+    EXPECT_EQ(infl, g.inflated) << g.name << " @1.5";
+#else
+    (void)base;
+    (void)infl;
+#endif
   }
 }
 
