@@ -1,9 +1,11 @@
 #pragma once
-// Shared plumbing for the benchmark harness binaries.
+// Shared plumbing for the benchmark harness binaries (the ablations,
+// bench_analytic and bench_serve; the paper's tables and figures are
+// scenario specs under paper/, run by `effitest_cli campaign --spec`).
 //
 // Every bench accepts:
 //   --chips=N      Monte-Carlo dies per circuit (paper: 10,000; defaults
-//                  here are smaller so the whole suite finishes in minutes —
+//                  here are smaller so each bench finishes in seconds —
 //                  yields/iteration counts are unbiased, only the confidence
 //                  interval shrinks with N; see EXPERIMENTS.md)
 //   --circuits=a,b comma-separated subset of the 8 paper benchmarks

@@ -156,6 +156,15 @@ CampaignResult CampaignRunner::run(
     const std::shared_ptr<const scenario::PreparedCircuit> circuit =
         catalog->resolve(name, options_.random_inflation);
     const Problem& problem = circuit->problem;
+    // Quantile T_d belongs to the design, so it is calibrated on the
+    // nominal model; only an inflated campaign resolves that second key,
+    // and only once a job calibrates.
+    std::shared_ptr<const scenario::PreparedCircuit> nominal;
+    const auto nominal_problem = [&]() -> const Problem& {
+      if (options_.random_inflation == 1.0) return problem;
+      if (nominal == nullptr) nominal = catalog->resolve(name, 1.0);
+      return nominal->problem;
+    };
 
     // Null for the first job (fresh prepare); every later job of the
     // circuit aliases the first job's artifacts — no copies. The analytic
@@ -181,8 +190,9 @@ CampaignResult CampaignRunner::run(
       if (opts.designated_period <= 0.0 && quantile >= 0.0) {
         stats::Rng calibration(options_.flow.seed ^
                                kQuantileCalibrationSeedXor);
-        opts.designated_period = period_quantile(
-            problem, quantile, options_.calibration_chips, calibration);
+        opts.designated_period =
+            period_quantile(nominal_problem(), quantile,
+                            options_.calibration_chips, calibration);
       }
 
       CampaignJobResult& slot = out.jobs[idx];

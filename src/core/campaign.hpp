@@ -68,8 +68,10 @@ struct CampaignJob {
   double designated_period = 0.0;
   /// Untuned required-period quantile to calibrate T_d from (0.5 = T1,
   /// 0.8413 = T2); < 0 disables. Calibration reseeds from the campaign seed
-  /// the same way the CLI and Table-2 bench always have
-  /// (seed ^ core::kQuantileCalibrationSeedXor).
+  /// the same way `effitest_cli run --quantile` does
+  /// (seed ^ core::kQuantileCalibrationSeedXor) and always samples the
+  /// nominal model: the designated period is the design's clock, whatever
+  /// CampaignOptions::random_inflation does to the manufactured dies.
   double quantile = -1.0;
   /// What this job computes. Analytic jobs share the circuit group's
   /// prepared model (the engine runs once per circuit — its result is
@@ -114,7 +116,10 @@ struct CampaignOptions {
   /// run sequentially (they share the prepared artifacts).
   std::size_t threads = 0;
   /// ModelOptions::random_inflation for the built circuit models (Fig. 7);
-  /// part of the catalog's memoization key.
+  /// part of the catalog's memoization key. Dies are sampled from the
+  /// inflated model; quantile jobs take T_d from the nominal one (see
+  /// CampaignJob::quantile), while default-convention flow jobs calibrate
+  /// T1 inside run_flow, on the inflated model.
   double random_inflation = 1.0;
   /// Monte-Carlo dies for quantile calibration of jobs with `quantile` set.
   std::size_t calibration_chips = 2000;

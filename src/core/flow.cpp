@@ -177,7 +177,6 @@ FlowResult run_flow(const Problem& problem, const FlowOptions& options,
     double ts_sum = 0.0;
   };
   const std::uint64_t chip_seed_base = service.monte_carlo_seed_base();
-  const SessionOptions session_options{options.evaluate_yield};
 
   const auto process_chip = [&](std::size_t c, stats::Rng& chip_rng,
                                 Tally& tally) {
@@ -186,7 +185,7 @@ FlowResult run_flow(const Problem& problem, const FlowOptions& options,
     const timing::Chip chip = model.sample_chip(chip_rng, sample_ws);
     SimulatedChip tester(problem, chip);
 
-    TuningSession session = service.begin_chip(session_options);
+    TuningSession session = service.begin_chip();
     session.drive(tester);
     const ChipReport& report = session.report();
 
@@ -196,16 +195,14 @@ FlowResult run_flow(const Problem& problem, const FlowOptions& options,
     tally.ts_sum += report.config_seconds;
 
     if (!report.config.feasible) ++tally.infeasible;
-    if (options.evaluate_yield) {
-      if (report.passed.value_or(false)) ++tally.pass_proposed;
-      const ConfigResult ideal =
-          configure_ideal(problem, td, chip, options.config);
-      if (ideal.feasible &&
-          chip_passes(problem, chip, buffer_values(problem, ideal.steps), td)) {
-        ++tally.pass_ideal;
-      }
-      if (chip_passes_untuned(problem, chip, td)) ++tally.pass_untuned;
+    if (report.passed.value_or(false)) ++tally.pass_proposed;
+    const ConfigResult ideal =
+        configure_ideal(problem, td, chip, options.config);
+    if (ideal.feasible &&
+        chip_passes(problem, chip, buffer_values(problem, ideal.steps), td)) {
+      ++tally.pass_ideal;
     }
+    if (chip_passes_untuned(problem, chip, td)) ++tally.pass_untuned;
   };
 
   parallel::ForOptions fopts;
@@ -240,12 +237,10 @@ FlowResult run_flow(const Problem& problem, const FlowOptions& options,
                              : 0.0;
   m.tt_seconds_per_chip = tt_sum / n;
   m.ts_seconds_per_chip = ts_sum / n;
-  if (options.evaluate_yield) {
-    m.yield_no_buffer = static_cast<double>(pass_untuned) / n;
-    m.yield_ideal = static_cast<double>(pass_ideal) / n;
-    m.yield_proposed = static_cast<double>(pass_proposed) / n;
-    m.yield_drop = m.yield_ideal - m.yield_proposed;
-  }
+  m.yield_no_buffer = static_cast<double>(pass_untuned) / n;
+  m.yield_ideal = static_cast<double>(pass_ideal) / n;
+  m.yield_proposed = static_cast<double>(pass_proposed) / n;
+  m.yield_drop = m.yield_ideal - m.yield_proposed;
   out.artifacts = service.shared_artifacts();  // shared, no copy
   return out;
 }

@@ -57,7 +57,6 @@ struct FlowOptions {
   /// false: skip statistical prediction and test every path (Fig. 8 modes).
   bool use_prediction = true;
   bool fill_slots = true;
-  bool evaluate_yield = true;
   /// <= 0 calibrates epsilon to 6*sigma_median / 2^8.5, matching the
   /// paper's ~8-9 path-wise iterations per path.
   double epsilon_override = 0.0;

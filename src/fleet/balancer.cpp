@@ -113,12 +113,18 @@ void FleetBalancer::relay_session(net::Socket client_socket) {
     stop(reason);
   };
   // One whole worker line. False: the worker died, possibly mid-line
-  // (migrate), or sent an over-long line (the session failed).
+  // (migrate), or sent an over-long line or nothing for the io timeout
+  // (the session failed).
   const auto read_worker = [&](std::string& line) {
     const io::LineRead got = io::read_line(*worker, line);
     if (got == io::LineRead::kLine && !worker->eof()) return true;
     if (got == io::LineRead::kOverlong) {
       fail("fleet worker " + io::line_too_long());
+    } else if (worker->timed_out()) {
+      // Silent is not dead: the connection stands, so the worker keeps its
+      // routing health (a slow worker is the prober's call) and the session
+      // ends rather than replaying its backlog onto a loaded fleet.
+      fail("fleet worker sent nothing within the io timeout");
     } else {
       drop_worker(true);  // died, possibly mid-line
     }

@@ -16,7 +16,10 @@
 // byte-identical session. Retries are bounded by max_session_retries;
 // exhaustion sends `error - fleet exhausted ...`. A worker's own
 // `error - <reason>` is forwarded and never retried: it would recur on any
-// worker.
+// worker. A worker that stays connected but sends nothing for
+// io_timeout_seconds is not dead: the session fails without a retry and
+// the slot keeps its health, so one stalled exchange on a loaded host
+// cannot demote the fleet's only worker.
 //
 // Wire format: io/tune_protocol.hpp. Lines are relayed verbatim and read
 // with io::read_line, so either peer can make the relay hold at most

@@ -216,7 +216,6 @@ std::string campaign_identity(const std::vector<core::CampaignJob>& jobs,
   canon += " align=" +
            std::to_string(options.flow.test.align_with_buffers ? 1 : 0);
   canon += " fill=" + std::to_string(options.flow.fill_slots ? 1 : 0);
-  canon += " yield=" + std::to_string(options.flow.evaluate_yield ? 1 : 0);
   canon += " epsilon=" + json::format_double(options.flow.epsilon_override);
   canon += " inflation=" + json::format_double(options.random_inflation);
   canon += " calibration=" + std::to_string(options.calibration_chips);

@@ -10,7 +10,7 @@
 //
 //   {
 //     "schema": "effitest-scenario-v1",
-//     "name": "mixed-demo",            // optional, default: file stem
+//     "name": "mixed-demo",            // default: file stem; --json bench
 //     "chips": 200,                    // optional flow/campaign knobs
 //     "seed": 2016,
 //     "threads": 0,
@@ -34,7 +34,12 @@
 //
 // Jobs are the circuit-major cross of circuits x modes x (periods +
 // quantiles) (one default-convention job per circuit and mode when both
-// grids are empty), so the runner prepares each circuit once. The catalog starts from the
+// grids are empty), so the runner prepares each circuit once.
+// "inflation" widens the random variation of the sampled dies (Fig. 7);
+// T_d stays the design's: quantile T_d is calibrated on the nominal
+// model, while default-convention flow jobs calibrate T1 inside the flow,
+// on the inflated model. The paper's tables and figures are specs of
+// this schema under paper/. The catalog starts from the
 // eight paper benchmarks; a {"paper": ...} entry without overrides just
 // references the pre-registered circuit, while any override (seed, scale)
 // must pick a distinct "name". Relative .bench paths resolve against the
@@ -61,7 +66,8 @@ class ScenarioError : public std::runtime_error {
 
 /// A loaded campaign spec, ready to run.
 struct Scenario {
-  std::string name;  ///< "name" field, else the source/file stem
+  std::string name;  ///< "name" field, else the source/file stem; the
+                     ///< bench name of `campaign --spec --json` reports
   /// Paper benchmarks + the spec's circuits. Also set as
   /// `options.catalog`; kept mutable here so callers can extend it.
   std::shared_ptr<scenario::CircuitCatalog> catalog;

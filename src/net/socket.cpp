@@ -117,6 +117,7 @@ SocketStreambuf::int_type SocketStreambuf::underflow() {
   do {
     n = ::recv(socket_.fd(), in_.data(), in_.size(), 0);
   } while (n < 0 && errno == EINTR);
+  timed_out_ = n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
   if (n <= 0) return traits_type::eof();  // closed, reset, or recv timeout
   setg(in_.data(), in_.data(), in_.data() + n);
   return traits_type::to_int_type(*gptr());

@@ -73,6 +73,9 @@ class SocketStreambuf final : public std::streambuf {
   ~SocketStreambuf() override;
 
   [[nodiscard]] const Socket& socket() const { return socket_; }
+  /// True when the last refill ended on the receive timeout: the peer is
+  /// still connected but sent nothing, as opposed to closed or reset.
+  [[nodiscard]] bool timed_out() const { return timed_out_; }
 
  protected:
   int_type underflow() override;
@@ -87,6 +90,7 @@ class SocketStreambuf final : public std::streambuf {
   std::vector<char> out_;
   /// Part of the put area may already be on the wire (header comment).
   bool send_failed_ = false;
+  bool timed_out_ = false;
 };
 
 /// The iostream the tune protocol runs over: pass one object as both the
@@ -99,6 +103,7 @@ class SocketStream final : public std::iostream {
   }
 
   [[nodiscard]] const Socket& socket() const { return buf_.socket(); }
+  [[nodiscard]] bool timed_out() const { return buf_.timed_out(); }
 
  private:
   SocketStreambuf buf_;

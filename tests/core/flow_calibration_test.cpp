@@ -42,7 +42,6 @@ TEST(CalibratedEpsilon, FlowUsesCalibrationUnlessOverridden) {
   const Fixture f;
   FlowOptions opts;
   opts.chips = 10;
-  opts.evaluate_yield = false;
 
   const FlowResult calibrated = run_flow(f.problem, opts);
   EXPECT_DOUBLE_EQ(calibrated.metrics.epsilon_ps, calibrated_epsilon(f.problem));

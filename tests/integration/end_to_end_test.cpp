@@ -75,7 +75,6 @@ TEST(EndToEnd, Figure8OrderingHolds) {
   base.chips = 25;
   base.seed = 99;
   base.use_prediction = false;  // Fig. 8: no statistical prediction
-  base.evaluate_yield = false;
 
   FlowOptions frozen = base;
   frozen.test.align_with_buffers = false;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <stdexcept>
 #include <thread>
@@ -16,7 +17,9 @@
 #include "core/campaign.hpp"
 #include "core/flow.hpp"
 #include "core/tuner_service.hpp"
+#include "core/yield.hpp"
 #include "netlist/generator.hpp"
+#include "stats/rng.hpp"
 
 namespace effitest::scenario {
 namespace {
@@ -286,6 +289,78 @@ TEST(CircuitCatalog, BenchBackedCampaignEndToEnd) {
       (void)core::CampaignRunner(options).run(
           {core::CampaignJob{"missing", 0.0, -1.0}}),
       std::invalid_argument);
+}
+
+TEST(CircuitCatalog, InflatedCampaignTakesQuantileTdFromTheNominalDesign) {
+  // Fig. 7: the dies get 10% more random variation, the clock stays the
+  // design's T1. The campaign job must equal the loop written out by hand:
+  // calibrate on the nominal model, run the flow on the inflated one.
+  auto catalog = std::make_shared<CircuitCatalog>();
+  catalog->add("tiny", small_spec("tiny", 7));
+  core::CampaignOptions options;
+  options.flow = fast_flow_options();
+  options.catalog = catalog;
+  options.random_inflation = 1.1;
+  options.calibration_chips = 200;
+  const core::CampaignResult result = core::CampaignRunner(options).run(
+      {core::CampaignJob{"tiny", 0.0, 0.5}});
+  ASSERT_EQ(result.jobs.size(), 1u);
+  const core::FlowMetrics& got = result.jobs[0].metrics;
+
+  const auto calibrate = [&](double inflation) {
+    stats::Rng rng(options.flow.seed ^ core::kQuantileCalibrationSeedXor);
+    return core::period_quantile(catalog->resolve("tiny", inflation)->problem,
+                                 0.5, options.calibration_chips, rng);
+  };
+  const double td = calibrate(1.0);
+  ASSERT_NE(td, calibrate(1.1));  // the two models disagree on T1
+  core::FlowOptions flow = options.flow;
+  flow.designated_period = td;
+  const core::FlowMetrics want =
+      core::run_flow(catalog->resolve("tiny", 1.1)->problem, flow).metrics;
+
+  EXPECT_EQ(got.designated_period, td);
+  EXPECT_EQ(got.npt, want.npt);
+  EXPECT_EQ(got.ta, want.ta);
+  EXPECT_EQ(got.yield_no_buffer, want.yield_no_buffer);
+  EXPECT_EQ(got.yield_ideal, want.yield_ideal);
+  EXPECT_EQ(got.yield_proposed, want.yield_proposed);
+}
+
+TEST(CircuitCatalog, CampaignBuildsOnlyTheModelsItsJobsNeed) {
+  // Resolve failures show builds: once the .bench file is gone, only
+  // already-built (circuit, inflation) keys can still resolve.
+  const std::string path = write_demo_bench("campaign_keys.bench");
+  const std::string path2 = write_demo_bench("campaign_keys2.bench");
+  auto catalog = std::make_shared<CircuitCatalog>();
+  catalog->add("demo", BenchCircuit{path, 2, BufferPolicy::kHubCount});
+  catalog->add("demo2", BenchCircuit{path2, 2, BufferPolicy::kHubCount});
+  const auto nominal = catalog->resolve("demo");
+  const auto inflated = catalog->resolve("demo", 1.1);
+  (void)catalog->resolve("demo2", 1.1);  // demo2 has no nominal model
+  std::remove(path.c_str());
+  std::remove(path2.c_str());
+
+  core::CampaignOptions options;
+  options.flow = fast_flow_options();
+  options.catalog = catalog;
+  options.calibration_chips = 200;
+  const core::CampaignJob t1{"demo", 0.0, -1.0};
+  const core::CampaignJob q50{"demo", 0.0, 0.5};
+  // Nominal: one model serves the dies and the calibration.
+  EXPECT_NO_THROW((void)core::CampaignRunner(options).run({q50, t1}));
+  EXPECT_EQ(catalog->resolve("demo").get(), nominal.get());
+  // Inflated: the dies' model, plus the nominal one for quantile T_d.
+  options.random_inflation = 1.1;
+  EXPECT_NO_THROW((void)core::CampaignRunner(options).run({q50, t1}));
+  EXPECT_EQ(catalog->resolve("demo", 1.1).get(), inflated.get());
+  // Default-T1 jobs calibrate inside the flow and never need the nominal
+  // model, while a quantile job does.
+  const core::CampaignJob t1_2{"demo2", 0.0, -1.0};
+  const core::CampaignJob q50_2{"demo2", 0.0, 0.5};
+  EXPECT_NO_THROW((void)core::CampaignRunner(options).run({t1_2}));
+  EXPECT_THROW((void)core::CampaignRunner(options).run({q50_2}),
+               std::exception);
 }
 
 TEST(CircuitCatalog, TunerServiceKeepsProvisionedCircuitAlive) {

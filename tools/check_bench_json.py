@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Validate BENCH_*.json bench reports and gate paper metrics against a
-committed baseline.
+"""Validate BENCH_*.json bench reports and gate paper metrics and claims
+against committed baselines.
 
-Two jobs, both exercised by the perf-smoke CI job:
+The checks below are all exercised by the perf-smoke CI job:
 
 1. Schema validation ("effitest-bench-v1"): every file must be a JSON
    object with the exact top-level keys {schema, bench, git_sha, threads,
@@ -25,14 +25,36 @@ Baseline format (bench/baselines/s9234.json):
     {
       "bench": "table1",
       "circuit": "s9234",
-      "args": "--circuits=s9234 --chips=100 --threads=2",
+      "args": "effitest_cli campaign --spec=paper/table1.scenario.json ...",
       "metrics": {
         "ra":  {"value": 96.27, "tol": 1.0, "higher_is_better": true},
         "t'v": {"value": 9.0,   "tol": 0.25, "higher_is_better": false}
       }
     }
 
-3. Equivalence check (--diff A B): both reports must carry the same bench
+3. Paper claims: a baseline file with a "claims" list instead of
+   circuit/metrics states the paper's qualitative results as data
+   (bench/baselines/paper_claims.json) and is applied in the same
+   --baseline / --baselines-dir pass. Each claim compares two
+   expressions with one of > >= < <=:
+
+    {"claim": "Fig. 8: multiplexing beats path-wise stepping",
+     "each": "fig8_mux:t'v", "op": ">", "than": "fig8_mux:tv"}
+
+   A term is bench:metric[@job]; it reads the record of that metric in
+   the report of that bench, under the label circuit[@job] (a campaign
+   labels quantile jobs circuit@q0.5000). An expression is one term or
+   terms joined by " - "; "than" may also be a number. "each" checks
+   the claim on every circuit of the first term's report; "mean"
+   compares the means over circuits. So one claim can be a threshold,
+   an ordering inside one report, or an ordering across reports.
+   Metrics named yield_* are Monte-Carlo proportions: a claim on them
+   fails only when it is violated by more than the 95% binomial
+   half-width at the report's `chips` record (variances summed over
+   the terms, unpaired, so the bound is conservative). Other metrics
+   are compared exactly.
+
+4. Equivalence check (--diff A B): both reports must carry the same bench
    name and the same record sequence — circuit, metric and value compared
    EXACTLY (values are bit-identical doubles by the determinism contract,
    so no tolerance) — ignoring only wall_seconds, git_sha and threads,
@@ -118,9 +140,132 @@ def lookup(doc: dict, circuit: str, metric: str):
     return None
 
 
+Z_95 = 1.96
+CLAIM_OPS = {
+    ">": lambda diff, margin: diff > -margin,
+    ">=": lambda diff, margin: diff >= -margin,
+    "<": lambda diff, margin: diff < margin,
+    "<=": lambda diff, margin: diff <= margin,
+}
+CLAIM_KEYS = {"claim", "op", "than"}
+
+
+def report_for(docs: list[dict], bench: str, where: str) -> dict:
+    for doc in docs:
+        if doc["bench"] == bench:
+            return doc
+    fail(f"no validated report came from bench {bench!r} (needed by {where})")
+
+
+def parse_expr(expr, where: str) -> list[tuple[int, str, str, str]]:
+    """[(sign, bench, metric, job)] for "b:m[@job] - b:m[@job] ..."."""
+    if not isinstance(expr, str) or not expr:
+        fail(f"{where}: expression {expr!r} must be a non-empty string")
+    terms = []
+    for i, text in enumerate(expr.split(" - ")):
+        bench, sep, rest = text.strip().partition(":")
+        metric, _, job = rest.partition("@")
+        if not sep or not bench or not metric:
+            fail(f"{where}: term {text!r} is not bench:metric[@job]")
+        terms.append((1 if i == 0 else -1, bench, metric, job))
+    return terms
+
+
+def expr_circuits(docs: list[dict], terms, where: str) -> list[str]:
+    """Circuits of the first term's report that carry its metric."""
+    _, bench, metric, job = terms[0]
+    doc = report_for(docs, bench, where)
+    circuits = []
+    for rec in doc["records"]:
+        circuit, _, rec_job = rec["circuit"].partition("@")
+        if rec["metric"] == metric and rec_job == job:
+            circuits.append(circuit)
+    if not circuits:
+        fail(f"{where}: no {bench!r} record of {metric!r}"
+             + (f" at @{job}" if job else ""))
+    return circuits
+
+
+def eval_expr(docs: list[dict], terms, circuit: str, where: str):
+    """(value, binomial variance) of the expression on one circuit."""
+    value, var = 0.0, 0.0
+    for sign, bench, metric, job in terms:
+        doc = report_for(docs, bench, where)
+        label = f"{circuit}@{job}" if job else circuit
+        v = lookup(doc, label, metric)
+        if v is None:
+            fail(f"{where}: {bench!r} report has no {metric!r} for {label!r}")
+        value += sign * v
+        if metric.startswith("yield_"):
+            chips = lookup(doc, label, "chips")
+            if not chips or chips <= 0:
+                fail(f"{where}: {bench!r} report has no chips record for "
+                     f"{label!r}, so {metric!r} has no binomial half-width")
+            var += v * (1.0 - v) / chips
+    return value, var
+
+
+def expr_values(docs: list[dict], terms, than, circuits: list[str],
+                where: str) -> list[tuple[float, float]]:
+    """[(value, variance)] per circuit; a number (terms None) is exact."""
+    if terms is None:
+        return [(than, 0.0)] * len(circuits)
+    return [eval_expr(docs, terms, c, where) for c in circuits]
+
+
+def mean_of(values: list[tuple[float, float]]) -> tuple[float, float]:
+    k = len(values)
+    return (sum(v for v, _ in values) / k,
+            sum(var for _, var in values) / (k * k))
+
+
+def check_claims(baseline_path: str, base: dict, docs: list[dict]) -> None:
+    if not isinstance(base["claims"], list) or not base["claims"]:
+        fail(f"{baseline_path}: claims must be a non-empty list")
+    for i, claim in enumerate(base["claims"]):
+        where = f"{baseline_path}: claims[{i}]"
+        if not isinstance(claim, dict):
+            fail(f"{where} is not an object")
+        scopes = [k for k in ("each", "mean") if k in claim]
+        if len(scopes) != 1 or set(claim) != CLAIM_KEYS | set(scopes):
+            fail(f"{where}: keys {sorted(claim)} != claim, op, than and "
+                 "one of each/mean")
+        scope = scopes[0]
+        if claim["op"] not in CLAIM_OPS:
+            fail(f"{where}: op {claim['op']!r} not in {sorted(CLAIM_OPS)}")
+        holds = CLAIM_OPS[claim["op"]]
+        where = f"claim {claim['claim']!r} ({baseline_path})"
+        lhs = parse_expr(claim[scope], where)
+        than = claim["than"]
+        rhs = None if is_finite_number(than) else parse_expr(than, where)
+
+        circuits = expr_circuits(docs, lhs, where)
+        left = expr_values(docs, lhs, None, circuits, where)
+        if scope == "each":
+            right = expr_values(docs, rhs, than, circuits, where)
+            rows = [(c, *l, *r) for c, l, r in zip(circuits, left, right)]
+        else:
+            rhs_circuits = (circuits if rhs is None
+                            else expr_circuits(docs, rhs, where))
+            right = expr_values(docs, rhs, than, rhs_circuits, where)
+            rows = [(f"the mean over {len(circuits)} circuits",
+                     *mean_of(left), *mean_of(right))]
+        for circuit, lv, lvar, rv, rvar in rows:
+            margin = Z_95 * math.sqrt(lvar + rvar)
+            if not holds(lv - rv, margin):
+                fail(f"{where} violated on {circuit}: {claim[scope]} = {lv:.6g} "
+                     f"is not {claim['op']} {than} = {rv:.6g} "
+                     f"(binomial half-width {margin:.3g})")
+        print(f"OK: claim {claim['claim']!r} holds "
+              f"({scope} of {len(circuits)} circuits)")
+
+
 def check_baseline(baseline_path: str, docs: list[dict]) -> None:
     with open(baseline_path, encoding="utf-8") as f:
         base = json.load(f)
+    if "claims" in base:
+        check_claims(baseline_path, base, docs)
+        return
     for key in ("bench", "circuit", "metrics"):
         if key not in base:
             fail(f"{baseline_path}: missing baseline key {key!r}")

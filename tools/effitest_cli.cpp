@@ -861,6 +861,9 @@ int cmd_campaign(const Cli& cli) {
   const auto log = make_structured_log(cli);
   core::CampaignOptions copts;
   std::vector<core::CampaignJob> jobs;
+  // The report's bench name: a spec run reports under the scenario's name,
+  // so committed baselines and claims can name the artifact it reproduces.
+  std::string bench = "campaign";
 
   if (const auto spec_path = cli.get<std::string>("spec")) {
     if (cli.has("circuits") || cli.has("quantiles") || cli.has("modes")) {
@@ -871,6 +874,7 @@ int cmd_campaign(const Cli& cli) {
     io::Scenario scenario = io::load_scenario_file(*spec_path);
     copts = std::move(scenario.options);
     jobs = std::move(scenario.jobs);
+    bench = scenario.name;
     std::cout << "scenario " << scenario.name << ": " << jobs.size()
               << " job(s) over " << scenario.catalog->names().size()
               << " registered circuit(s)\n";
@@ -974,7 +978,7 @@ int cmd_campaign(const Cli& cli) {
             << " s of job time; artifacts reused within circuits)\n";
 
   if (const auto json_path = cli.get<std::string>("json")) {
-    io::JsonReporter json("campaign", copts.threads);
+    io::JsonReporter json(bench, copts.threads);
     for (const core::CampaignJobResult& r : result.jobs) {
       if (!r.completed) continue;
       const core::FlowMetrics& m = r.metrics;
@@ -993,6 +997,9 @@ int cmd_campaign(const Cli& cli) {
         json.add(label, metric, value, r.seconds);
       };
       record("td", m.designated_period);
+      record("ns", static_cast<double>(m.ns));
+      record("ng", static_cast<double>(m.ng));
+      record("nb", static_cast<double>(m.nb));
       record("np", static_cast<double>(m.np));
       record("yield_no_buffer", m.yield_no_buffer);
       record("yield_ideal", m.yield_ideal);
@@ -1004,10 +1011,15 @@ int cmd_campaign(const Cli& cli) {
       } else {
         record("npt", static_cast<double>(m.npt));
         record("ta", m.ta);
+        record("tv", m.tv);
+        record("t'a", m.ta_pathwise);
         record("t'v", m.tv_pathwise);
         record("ra", m.ra);
         record("rv", m.rv);
         record("yield_proposed", m.yield_proposed);
+        // The sample size behind the yields: claims compare them within
+        // binomial half-widths (tools/check_bench_json.py).
+        record("chips", static_cast<double>(copts.flow.chips));
       }
     }
     std::cout << "machine-readable output: " << json.write_file(*json_path)
