@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the numeric substrates that sit on
 // the critical path of the Monte-Carlo experiments: the blocked linalg
-// kernels against their seed naive references, Cholesky, Jacobi PCA, the
+// kernels against their seed naive references, Cholesky, the Householder +
+// QL symmetric eigensolver under Procedure-1 PCA, the
 // simplex/branch&bound solver, the coordinate-descent alignment, the
 // conditional-Gaussian predictor, chip sampling, buffer configuration and
 // circuit model construction.
@@ -128,14 +129,16 @@ void BM_TrsmNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_TrsmNaive)->Arg(128)->Arg(256)->Arg(384);
 
-void BM_JacobiEigen(benchmark::State& state) {
+// Up to 320 = GroupingOptions::pca_max_block, the largest block a
+// Procedure-1 group decomposes.
+void BM_SymmetricEigen(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const linalg::Matrix a = random_spd(n, 2);
   for (auto _ : state) {
     benchmark::DoNotOptimize(linalg::eigen_symmetric(a));
   }
 }
-BENCHMARK(BM_JacobiEigen)->Arg(16)->Arg(48)->Arg(96);
+BENCHMARK(BM_SymmetricEigen)->Arg(16)->Arg(48)->Arg(96)->Arg(320);
 
 void BM_SimplexLp(benchmark::State& state) {
   // Alignment-LP-shaped problem: T free, eta per path, bounded steps.

@@ -67,10 +67,10 @@ SelectionResult select_paths(const linalg::Matrix& cov,
     threshold -= options.corr_step;
   }
 
-  // The per-group covariance-block assembly + Jacobi PCA dominates offline
-  // preparation on large circuits and is independent across groups: each
-  // group writes only its own slot, so the pool fans groups out while the
-  // result stays bit-identical for any worker count.
+  // The per-group covariance-block assembly + eigendecomposition is
+  // independent across groups: each group writes only its own slot, so the
+  // pool fans groups out while the result stays bit-identical for any
+  // worker count.
   out.groups.resize(clusters.size());
   parallel::ForOptions fopts;
   fopts.threads = options.threads;

@@ -27,8 +27,10 @@ struct GroupingOptions {
   bool use_kaiser = true;
   double pca_coverage = 0.98;
   /// Groups larger than this are PCA-decomposed on a deterministic member
-  /// subsample (Jacobi is O(n^3); the PC count and the representative
-  /// choice of an equicorrelated block are insensitive to subsampling).
+  /// subsample (the PC count and the representative choice of an
+  /// equicorrelated block are insensitive to subsampling). The cap bounds
+  /// the O(n^3) eigensolve, which is cheap at 320; it stays because
+  /// dropping the subsample would change the selections.
   std::size_t pca_max_block = 320;
   /// Worker threads for the per-group covariance-block assembly + PCA
   /// (groups are independent). 0 = shared-pool width; inside the flow, 0

@@ -1,5 +1,6 @@
 #pragma once
-// Symmetric eigendecomposition (cyclic Jacobi).
+// Symmetric eigendecomposition (Householder tridiagonalization + implicit
+// QL, the EISPACK tred2/tql2 pair).
 //
 // Used for the PCA step of EffiTest's path selection (paper §3.1): the
 // covariance matrix of a path group is decomposed into principal components,
@@ -25,13 +26,11 @@ struct EigenDecomposition {
   [[nodiscard]] std::size_t components_for_coverage(double coverage) const;
 };
 
-/// Cyclic Jacobi eigendecomposition for symmetric matrices.
-///
-/// `max_sweeps` bounds the number of full off-diagonal sweeps; convergence is
-/// declared when the off-diagonal Frobenius mass falls below `tol` times the
-/// total Frobenius norm. Throws LinalgError for non-square input.
-[[nodiscard]] EigenDecomposition eigen_symmetric(Matrix a,
-                                                 std::size_t max_sweeps = 64,
-                                                 double tol = 1e-12);
+/// Full eigendecomposition of a symmetric matrix: Householder reduction to
+/// tridiagonal form, then implicit-shift QL with the rotations accumulated
+/// into the eigenvectors — O(n^3) with a small constant, no sweep count to
+/// tune. Only the upper triangle of `a` is read. Throws LinalgError for
+/// non-square input.
+[[nodiscard]] EigenDecomposition eigen_symmetric(Matrix a);
 
 }  // namespace effitest::linalg

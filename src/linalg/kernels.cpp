@@ -296,31 +296,6 @@ bool cholesky_blocked(const Matrix& a, double diag_add, Matrix& l_out,
   return true;
 }
 
-void rotate_cols(Matrix& m, std::size_t p, std::size_t q, double c, double s) {
-  const std::size_t n = m.rows();
-  const std::size_t stride = m.cols();
-  double* pm = m.data().data();
-  for (std::size_t k = 0; k < n; ++k) {
-    double* row = pm + k * stride;
-    const double akp = row[p];
-    const double akq = row[q];
-    row[p] = c * akp - s * akq;
-    row[q] = s * akp + c * akq;
-  }
-}
-
-void rotate_rows(Matrix& m, std::size_t p, std::size_t q, double c, double s) {
-  const std::size_t n = m.cols();
-  double* rp = m.data().data() + p * n;
-  double* rq = m.data().data() + q * n;
-  for (std::size_t k = 0; k < n; ++k) {
-    const double apk = rp[k];
-    const double aqk = rq[k];
-    rp[k] = c * apk - s * aqk;
-    rq[k] = s * apk + c * aqk;
-  }
-}
-
 // -- Reference kernels (the seed implementations, kept verbatim) ------------
 
 Matrix reference_matmul(const Matrix& a, const Matrix& b) {

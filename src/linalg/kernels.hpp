@@ -83,15 +83,6 @@ void trsm_lower_transposed(const Matrix& l, Matrix& b,
                                     Matrix& l_out,
                                     const KernelOptions& opts = {});
 
-// -- Jacobi plane rotations (the inner loops of linalg::eigen_symmetric) ----
-
-/// Columns p and q of m: (col_p, col_q) <- (c*col_p - s*col_q,
-/// s*col_p + c*col_q).
-void rotate_cols(Matrix& m, std::size_t p, std::size_t q, double c, double s);
-
-/// Rows p and q of m, same rotation (contiguous row access).
-void rotate_rows(Matrix& m, std::size_t p, std::size_t q, double c, double s);
-
 // -- Seed-era reference kernels (bit-compat oracles; do not "optimize") ----
 
 [[nodiscard]] Matrix reference_matmul(const Matrix& a, const Matrix& b);

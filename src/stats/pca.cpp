@@ -5,6 +5,14 @@
 
 namespace effitest::stats {
 
+namespace {
+
+/// Relative tolerance for "equal" eigenvalues and loadings: absorbs solver
+/// rounding, far below any real difference between components or paths.
+constexpr double kRelTol = 1e-9;
+
+}  // namespace
+
 std::size_t Pca::significant_components(double coverage) const {
   linalg::EigenDecomposition tmp;
   tmp.values = component_variance;
@@ -18,7 +26,7 @@ std::size_t Pca::significant_by_kaiser() const {
   const double floor = total / static_cast<double>(component_variance.size());
   std::size_t count = 0;
   for (double v : component_variance) {
-    if (v >= floor * (1.0 - 1e-9)) ++count;
+    if (v >= floor * (1.0 - kRelTol)) ++count;
   }
   return std::max<std::size_t>(count, 1);
 }
@@ -38,20 +46,19 @@ std::vector<std::size_t> select_representatives(const Pca& pca,
   selected.reserve(k);
   for (std::size_t comp = 0; comp < k; ++comp) {
     double best = -1.0;
-    std::size_t best_var = 0;
-    bool found = false;
     for (std::size_t var = 0; var < n; ++var) {
-      if (taken[var]) continue;
-      const double l = std::abs(pca.loading(var, comp));
-      if (l > best) {
-        best = l;
-        best_var = var;
-        found = true;
+      if (!taken[var]) best = std::max(best, std::abs(pca.loading(var, comp)));
+    }
+    // Exchangeable paths load equally up to rounding; the lowest index
+    // among them wins, whichever one the solver happened to favour.
+    for (std::size_t var = 0; var < n; ++var) {
+      if (!taken[var] &&
+          std::abs(pca.loading(var, comp)) >= best * (1.0 - kRelTol)) {
+        taken[var] = true;
+        selected.push_back(var);
+        break;
       }
     }
-    if (!found) break;
-    taken[best_var] = true;
-    selected.push_back(best_var);
   }
   return selected;
 }

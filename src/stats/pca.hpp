@@ -44,7 +44,10 @@ struct Pca {
 
 /// Greedy representative selection used by Procedure 1 / ref. [14]:
 /// for each of the first `num_components` PCs in order, pick the not-yet-
-/// selected variable with the largest |loading| on that PC.
+/// selected variable with the largest |loading| on that PC. Loadings within
+/// a relative 1e-9 of that maximum (the significant_by_kaiser tolerance)
+/// count as tied and the lowest index wins, so the pick does not depend on
+/// how the eigensolver rounds exchangeable variables.
 /// Returns selected variable indices (size == num_components, unless fewer
 /// variables exist).
 [[nodiscard]] std::vector<std::size_t> select_representatives(

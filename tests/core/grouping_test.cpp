@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+
+#include "netlist/generator.hpp"
+#include "timing/model.hpp"
 
 namespace effitest::core {
 namespace {
@@ -166,6 +170,74 @@ TEST(CorrelationClusters, NegativeThresholdSwallowsRest) {
   std::size_t total = 0;
   for (const auto& cl : clusters) total += cl.size();
   EXPECT_EQ(total, 2u);
+}
+
+/// FNV-1a over a Procedure-1 result: per group its members, |PC_i| and the
+/// selected representatives, each list length-prefixed.
+std::uint64_t selection_digest(const SelectionResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto add = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  const auto add_list = [&add](const std::vector<std::size_t>& xs) {
+    add(xs.size());
+    for (std::size_t x : xs) add(x);
+  };
+  add(r.groups.size());
+  for (const PathGroup& g : r.groups) {
+    add_list(g.members);
+    add(g.num_components);
+    add_list(g.selected);
+  }
+  return h;
+}
+
+TEST(Grouping, CatalogSelectionDigestsArePinned) {
+  // Locks Procedure 1 (grouping, Kaiser count, representative pick) on the
+  // covariance of all 10 catalog circuits, nominal and at the Fig.-7
+  // inflation: a change to the eigensolver or to select_representatives
+  // that moves one selected path fails here. Recorded under libstdc++ like
+  // the model digests the covariances come from.
+  struct Golden {
+    const char* name;
+    std::uint64_t base;      // random_inflation 1.0
+    std::uint64_t inflated;  // random_inflation 1.5
+  };
+  static constexpr Golden kGoldens[] = {
+      {"s9234", 0x2cb30dc21752c22cull, 0xfa9caa2e9f55497eull},
+      {"s13207", 0xd7c3d49660cc4b82ull, 0xf6489433d7d8b104ull},
+      {"s15850", 0x05f9e156ebefd27bull, 0xecc177747e746446ull},
+      {"s38584", 0xbcf4f134b28f5bb9ull, 0x272ea9d757131ffeull},
+      {"mem_ctrl", 0xaeb4d4102d13f84bull, 0xb70ccd414be7732eull},
+      {"usb_funct", 0x95beaa84550b01e2ull, 0x975108f19b077592ull},
+      {"ac97_ctrl", 0x551500648be88379ull, 0x16b56907ef785f6full},
+      {"pci_bridge32", 0x8ec0a5d1b2fbf42full, 0x04d264219aeb5dabull},
+      {"s35932", 0x9b3cb165475ec809ull, 0x504138ca2d7b6081ull},
+      {"s38417", 0x556b16ab5d2837b3ull, 0x2d9144ce7ef5d1e3ull},
+  };
+  const netlist::CellLibrary lib = netlist::CellLibrary::standard();
+  for (const Golden& g : kGoldens) {
+    const auto c =
+        netlist::generate_circuit(netlist::paper_benchmark_spec(g.name));
+    timing::ModelOptions inflated;
+    inflated.random_inflation = 1.5;
+    const std::uint64_t base = selection_digest(select_paths(
+        timing::CircuitModel(c.netlist, lib, c.buffered_ffs).max_covariance()));
+    const std::uint64_t infl = selection_digest(
+        select_paths(timing::CircuitModel(c.netlist, lib, c.buffered_ffs,
+                                          inflated)
+                         .max_covariance()));
+#if defined(__GLIBCXX__)
+    EXPECT_EQ(base, g.base) << g.name;
+    EXPECT_EQ(infl, g.inflated) << g.name << " @1.5";
+#else
+    (void)base;
+    (void)infl;
+#endif
+  }
 }
 
 }  // namespace

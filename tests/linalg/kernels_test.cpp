@@ -203,30 +203,5 @@ TEST(Kernels, SymmetricFillMatchesCellFunction) {
   }
 }
 
-TEST(Kernels, RotationsMatchManualLoops) {
-  Matrix m = random_matrix(33, 33, 77);
-  Matrix expected = m;
-  const double c = 0.8;
-  const double s = 0.6;
-  // Manual column rotation, the pre-kernel eigen_symmetric inner loop.
-  for (std::size_t k = 0; k < expected.rows(); ++k) {
-    const double akp = expected(k, 3);
-    const double akq = expected(k, 9);
-    expected(k, 3) = c * akp - s * akq;
-    expected(k, 9) = s * akp + c * akq;
-  }
-  kernels::rotate_cols(m, 3, 9, c, s);
-  expect_bits_equal(m, expected, "rotate_cols");
-
-  for (std::size_t k = 0; k < expected.cols(); ++k) {
-    const double apk = expected(3, k);
-    const double aqk = expected(9, k);
-    expected(3, k) = c * apk - s * aqk;
-    expected(9, k) = s * apk + c * aqk;
-  }
-  kernels::rotate_rows(m, 3, 9, c, s);
-  expect_bits_equal(m, expected, "rotate_rows");
-}
-
 }  // namespace
 }  // namespace effitest::linalg

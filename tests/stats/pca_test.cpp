@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 namespace effitest::stats {
 namespace {
@@ -70,6 +71,40 @@ TEST(SelectRepresentatives, NoDuplicates) {
       EXPECT_NE(reps[i], reps[j]);
     }
   }
+}
+
+TEST(SelectRepresentatives, ExchangeablePairPicksLowestIndex) {
+  // [[a,b],[b,a]]: both eigenvectors load equally on the two paths, so
+  // each component's pick is a tie and the lowest untaken index wins.
+  const linalg::Matrix cov{{2.0, 1.5}, {1.5, 2.0}};
+  const Pca pca = pca_from_covariance(cov);
+  EXPECT_EQ(select_representatives(pca, 1), (std::vector<std::size_t>{0}));
+  EXPECT_EQ(select_representatives(pca, 2), (std::vector<std::size_t>{0, 1}));
+}
+
+TEST(SelectRepresentatives, SwappablePathsInLargerBlockPickLowestIndex) {
+  // Paths 1 and 3 are exchangeable (swapping them leaves cov unchanged)
+  // and dominate the leading component.
+  const linalg::Matrix cov{{1.0, 0.2, 0.1, 0.2},
+                           {0.2, 4.0, 0.3, 3.5},
+                           {0.1, 0.3, 1.0, 0.3},
+                           {0.2, 3.5, 0.3, 4.0}};
+  const Pca pca = pca_from_covariance(cov);
+  EXPECT_EQ(select_representatives(pca, 1), (std::vector<std::size_t>{1}));
+}
+
+TEST(SelectRepresentatives, LoadingsWithinToleranceCountAsTied) {
+  // Path 2 out-loads path 0 by a relative 1e-12 (solver rounding), path 1
+  // trails by 1e-6 (a real difference): 0 wins the tie; once it is taken,
+  // 2 beats 1 outright.
+  Pca pca;
+  pca.component_variance = {2.0, 1.0};
+  pca.components = linalg::Matrix{
+      {0.5, 0.5}, {0.5 * (1.0 - 1e-6), 0.0}, {-0.5 * (1.0 + 1e-12), 0.5}};
+  EXPECT_EQ(select_representatives(pca, 1), (std::vector<std::size_t>{0}));
+  pca.components = linalg::Matrix{
+      {0.5, 0.0}, {0.4, 0.5 * (1.0 - 1e-6)}, {0.3, -0.5}};
+  EXPECT_EQ(select_representatives(pca, 2), (std::vector<std::size_t>{0, 2}));
 }
 
 TEST(SelectRepresentatives, RequestMoreThanVariables) {
