@@ -3,8 +3,8 @@
 // kernels against their seed naive references, Cholesky, the Householder +
 // QL symmetric eigensolver under Procedure-1 PCA, the
 // simplex/branch&bound solver, the coordinate-descent alignment, the
-// conditional-Gaussian predictor, chip sampling, buffer configuration and
-// circuit model construction.
+// conditional-Gaussian predictor, normal draws and chip sampling, buffer
+// configuration and circuit model construction.
 //
 // Besides the google-benchmark cases, a manual blocked-vs-naive comparison
 // runs at the end and emits BENCH_micro_solvers.json with the measured
@@ -16,6 +16,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
@@ -177,6 +178,21 @@ struct FlowFixture {
     return f;
   }
 };
+
+/// Standard normals from stats::Rng (the ziggurat), 1,024 per iteration:
+/// the bulk of die sampling, which draws ~4,400 of them per s38584 die.
+void BM_NormalDraw(benchmark::State& state) {
+  stats::Rng rng(5);
+  std::vector<double> out(1024);
+  for (auto _ : state) {
+    for (double& z : out) z = rng.normal();
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(out.size()));
+}
+BENCHMARK(BM_NormalDraw);
 
 void BM_ChipSampling(benchmark::State& state) {
   const FlowFixture& f = FlowFixture::get();

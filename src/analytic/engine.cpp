@@ -395,7 +395,7 @@ McTunedPeriod mc_tuned_period(const core::Problem& problem,
   parallel::deterministic_for(
       options.chips, opts, options.seed,
       [&](std::size_t i, stats::Rng& rng) {
-        timing::SampleWorkspace ws;
+        thread_local timing::SampleWorkspace ws;
         const timing::Chip chip = problem.model().sample_chip(rng, ws);
         out.periods[i] = min_feasible_period(problem, chip);
       });

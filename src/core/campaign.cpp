@@ -171,6 +171,9 @@ CampaignResult CampaignRunner::run(
     // engine result is likewise computed once per circuit (T_d-independent).
     std::shared_ptr<const FlowArtifacts> prepared;
     std::optional<analytic::TunedPeriodAnalysis> analysis;
+    // Every quantile job of the circuit reads its T_d from one sorted
+    // calibration sample, drawn by the first job that needs it.
+    std::vector<double> calibration;
     for (std::size_t idx : indices) {
       const CampaignJob& job = jobs[idx];
       FlowOptions opts = options_.flow;
@@ -188,11 +191,12 @@ CampaignResult CampaignRunner::run(
                                   : (job.kind == JobKind::kAnalytic ? 0.5
                                                                     : -1.0);
       if (opts.designated_period <= 0.0 && quantile >= 0.0) {
-        stats::Rng calibration(options_.flow.seed ^
-                               kQuantileCalibrationSeedXor);
-        opts.designated_period =
-            period_quantile(nominal_problem(), quantile,
-                            options_.calibration_chips, calibration);
+        if (calibration.empty()) {
+          stats::Rng rng(options_.flow.seed ^ kQuantileCalibrationSeedXor);
+          calibration = sample_required_periods(
+              nominal_problem(), options_.calibration_chips, rng, opts.threads);
+        }
+        opts.designated_period = stats::sorted_quantile(calibration, quantile);
       }
 
       CampaignJobResult& slot = out.jobs[idx];

@@ -71,7 +71,9 @@ struct CampaignJob {
   /// the same way `effitest_cli run --quantile` does
   /// (seed ^ core::kQuantileCalibrationSeedXor) and always samples the
   /// nominal model: the designated period is the design's clock, whatever
-  /// CampaignOptions::random_inflation does to the manufactured dies.
+  /// CampaignOptions::random_inflation does to the manufactured dies. A
+  /// circuit's quantile jobs share one calibration sample, so each reads
+  /// the same T_d as a campaign that asks for its quantile alone.
   double quantile = -1.0;
   /// What this job computes. Analytic jobs share the circuit group's
   /// prepared model (the engine runs once per circuit — its result is

@@ -38,10 +38,11 @@ struct FlowOptions {
   ConfigOptions config{};
   std::size_t chips = 1000;     ///< Monte-Carlo dies (paper: 10,000)
   std::uint64_t seed = 2016;
-  /// Worker threads for the parallel sections (per-chip tester loop,
-  /// hold-bound sampling, Procedure-1 PCA — all on the shared pool). Every
-  /// chip/sample draws from its own seed-derived stream and reductions fold
-  /// in a fixed index order, so results are bit-identical for any value.
+  /// Worker threads for the parallel sections (per-chip tester loop, T_d
+  /// calibration, hold-bound sampling, Procedure-1 PCA — all on the shared
+  /// pool). Every chip/sample draws from its own seed-derived stream and
+  /// reductions fold in a fixed index order, so results are bit-identical
+  /// for any value.
   /// 0 = hardware concurrency (the shared-pool width), 1 = serial. The
   /// effective worker count of each section is additionally clamped to its
   /// work-shard count and to the pool width + 1

@@ -208,8 +208,9 @@ TunerService::TunerService(const Problem& problem, const FlowOptions& options,
   designated_period_ = options_.designated_period;
   if (designated_period_ <= 0.0) {
     stats::Rng cal_rng = rng.fork();
-    designated_period_ = period_quantile(
-        problem, 0.5, options_.period_calibration_chips, cal_rng);
+    designated_period_ =
+        period_quantile(problem, 0.5, options_.period_calibration_chips,
+                        cal_rng, options_.threads);
   }
   options_.designated_period = designated_period_;
 

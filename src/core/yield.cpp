@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "parallel/deterministic_for.hpp"
 #include "stats/distributions.hpp"
 #include "timing/ssta.hpp"
 
@@ -69,19 +70,31 @@ double period_quantile_estimate(const Problem& problem, double q) {
   return timing::ssta_required_period(problem.model()).quantile(q);
 }
 
-double period_quantile(const Problem& problem, double q, std::size_t chips,
-                       stats::Rng& rng) {
-  if (chips == 0) throw std::invalid_argument("period_quantile: chips == 0");
-  std::vector<double> required;
-  required.reserve(chips);
-  // Max-delays-only sampling on a reused workspace: same rng stream and
-  // same values as sampling full chips, without the hold-path evaluations
-  // and per-chip allocations this loop never reads.
-  timing::SampleWorkspace ws;
-  for (std::size_t c = 0; c < chips; ++c) {
-    required.push_back(problem.model().sample_required_period(rng, ws));
+std::vector<double> sample_required_periods(const Problem& problem,
+                                            std::size_t chips, stats::Rng& rng,
+                                            std::size_t threads) {
+  if (chips == 0) {
+    throw std::invalid_argument("sample_required_periods: chips == 0");
   }
-  return stats::quantile(std::move(required), q);
+  std::vector<double> required(chips);
+  parallel::ForOptions opts;
+  opts.threads = threads;
+  // Max-delays-only sampling on a per-worker workspace: same per-die stream
+  // and values as sampling full chips, without the hold-path evaluations
+  // and per-chip allocations this loop never reads.
+  parallel::deterministic_for(
+      chips, opts, rng.engine()(), [&](std::size_t c, stats::Rng& die_rng) {
+        thread_local timing::SampleWorkspace ws;
+        required[c] = problem.model().sample_required_period(die_rng, ws);
+      });
+  std::sort(required.begin(), required.end());
+  return required;
+}
+
+double period_quantile(const Problem& problem, double q, std::size_t chips,
+                       stats::Rng& rng, std::size_t threads) {
+  return stats::sorted_quantile(
+      sample_required_periods(problem, chips, rng, threads), q);
 }
 
 }  // namespace effitest::core

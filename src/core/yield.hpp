@@ -44,11 +44,21 @@ namespace effitest::core {
 /// the same master seed.
 inline constexpr std::uint64_t kQuantileCalibrationSeedXor = 0x7157;
 
+/// Untuned required periods of `chips` Monte-Carlo dies, sorted ascending.
+/// One word is drawn from `rng` as a base and die c is sampled on
+/// Rng(parallel::index_seed(base, c)) through parallel::deterministic_for,
+/// so the sample is the same for any `threads` (0 = shared-pool width).
+[[nodiscard]] std::vector<double> sample_required_periods(
+    const Problem& problem, std::size_t chips, stats::Rng& rng,
+    std::size_t threads = 0);
+
 /// Monte-Carlo estimate of the q-quantile of the untuned required period —
 /// used to pick the paper's T1 (q = 0.5, 50% no-buffer yield) and T2
-/// (q = 0.8413, the mu + sigma point).
+/// (q = 0.8413, the mu + sigma point). The q-quantile of
+/// sample_required_periods(problem, chips, rng, threads).
 [[nodiscard]] double period_quantile(const Problem& problem, double q,
-                                     std::size_t chips, stats::Rng& rng);
+                                     std::size_t chips, stats::Rng& rng,
+                                     std::size_t threads = 0);
 
 /// Analytic counterpart of period_quantile (no sampling): block-based SSTA
 /// with Clark's max, exact up to the Gaussian-max approximation.

@@ -74,14 +74,18 @@ double variance(std::span<const double> xs) {
 double stddev(std::span<const double> xs) { return std::sqrt(variance(xs)); }
 
 double quantile(std::vector<double> xs, double q) {
-  if (xs.empty()) throw std::invalid_argument("quantile of empty sample");
-  if (q < 0.0 || q > 1.0) throw std::invalid_argument("quantile q outside [0,1]");
   std::sort(xs.begin(), xs.end());
-  const double pos = q * static_cast<double>(xs.size() - 1);
+  return sorted_quantile(xs, q);
+}
+
+double sorted_quantile(std::span<const double> sorted, double q) {
+  if (sorted.empty()) throw std::invalid_argument("quantile of empty sample");
+  if (q < 0.0 || q > 1.0) throw std::invalid_argument("quantile q outside [0,1]");
+  const double pos = q * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = pos - static_cast<double>(lo);
-  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
 double correlation(std::span<const double> a, std::span<const double> b) {

@@ -29,6 +29,9 @@ namespace effitest::stats {
 /// Empirical quantile with linear interpolation, q in [0,1].
 [[nodiscard]] double quantile(std::vector<double> xs, double q);
 
+/// quantile() of an already ascending-sorted sample (no copy, no sort).
+[[nodiscard]] double sorted_quantile(std::span<const double> sorted, double q);
+
 /// Pearson correlation of two equally sized samples.
 [[nodiscard]] double correlation(std::span<const double> a,
                                  std::span<const double> b);

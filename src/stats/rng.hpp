@@ -4,37 +4,85 @@
 // Every stochastic component of the reproduction (process-variation factors,
 // simulated dies, hold-time scenario sampling) draws from this wrapper so
 // that experiments are reproducible from a single seed.
+//
+// Every draw is specified here rather than by the standard library's
+// distributions (whose algorithms are implementation-defined), so a seed
+// names the same values under any toolchain:
+//
+//  * the engine is std::mt19937_64, whose output sequence the standard fixes;
+//  * uniform() is generate_canonical's reduction of one 64-bit word w,
+//    double(w) / 2^64, with a result of 1 replaced by nextafter(1, 0);
+//  * uniform_int() is Lemire's nearly divisionless method on the 128-bit
+//    product of one word and the range size (rejection re-draws whole
+//    words); a full 64-bit range returns the word itself.
+//    Both return exactly what libstdc++'s uniform_real_distribution and
+//    uniform_int_distribution return on the same engine, bit for bit;
+//  * normal() is a 128-layer ziggurat (Marsaglia & Tsang 2000, with
+//    Doornik's 2005 fix). One word gives both parts of a draw without
+//    sharing bits: the layer from its low 7 bits and the signed abscissa
+//    u = (w >> 11) / 2^52 - 1 from its top 53 bits. About 97% of draws
+//    end there; the wedge test and the tail (|z| > R = 3.442619855899)
+//    draw further words. The layer tables are built once, on first use.
 
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 
 namespace effitest::stats {
 
-/// Seeded pseudo-random generator (mt19937_64) with convenience draws.
+namespace detail {
+
+/// Ziggurat layer tables: x[0] = V / f(R) (the base strip's equivalent
+/// width), x[1] = R, x[128] = 0, and ratio[i] = x[i + 1] / x[i], the part of
+/// layer i that lies wholly under the density.
+struct Ziggurat {
+  double x[129];
+  double ratio[128];
+};
+
+[[nodiscard]] Ziggurat build_ziggurat();
+
+[[nodiscard]] inline const Ziggurat& ziggurat() {
+  static const Ziggurat tables = build_ziggurat();
+  return tables;
+}
+
+}  // namespace detail
+
+/// Seeded pseudo-random generator (mt19937_64) with specified draws.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x5eed) : engine_(seed) {}
 
-  /// Standard normal draw.
-  [[nodiscard]] double normal() { return normal_(engine_); }
+  /// Standard normal draw (ziggurat; see the file comment).
+  [[nodiscard]] double normal() {
+    const detail::Ziggurat& z = detail::ziggurat();
+    const std::uint64_t w = engine_();
+    const std::size_t layer = w & 0x7f;
+    const double u = static_cast<double>(w >> 11) * 0x1p-52 - 1.0;
+    if (std::fabs(u) < z.ratio[layer]) return u * z.x[layer];
+    return normal_outside(layer, u);
+  }
 
   /// Normal draw with given mean / stddev.
   [[nodiscard]] double normal(double mean, double stddev) {
-    return mean + stddev * normal_(engine_);
+    return mean + stddev * normal();
   }
 
   /// Uniform in [0, 1).
-  [[nodiscard]] double uniform() { return uniform_(engine_); }
+  [[nodiscard]] double uniform() {
+    const double u = static_cast<double>(engine_()) * 0x1p-64;
+    return u < 1.0 ? u : std::nextafter(1.0, 0.0);
+  }
 
   /// Uniform in [lo, hi).
   [[nodiscard]] double uniform(double lo, double hi) {
-    return lo + (hi - lo) * uniform_(engine_);
+    return lo + (hi - lo) * uniform();
   }
 
   /// Uniform integer in [lo, hi] (inclusive).
-  [[nodiscard]] std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
-    return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
-  }
+  [[nodiscard]] std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
   /// Derive an independent child generator (useful for per-chip streams).
   [[nodiscard]] Rng fork() { return Rng(engine_()); }
@@ -42,9 +90,12 @@ class Rng {
   [[nodiscard]] std::mt19937_64& engine() { return engine_; }
 
  private:
+  /// The rest of a normal draw whose word fell outside layer `layer`'s
+  /// inner rectangle: the tail for the base strip, else the wedge test,
+  /// with a fresh draw on rejection.
+  [[nodiscard]] double normal_outside(std::size_t layer, double u);
+
   std::mt19937_64 engine_;
-  std::normal_distribution<double> normal_{0.0, 1.0};
-  std::uniform_real_distribution<double> uniform_{0.0, 1.0};
 };
 
 }  // namespace effitest::stats

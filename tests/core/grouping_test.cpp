@@ -199,8 +199,8 @@ TEST(Grouping, CatalogSelectionDigestsArePinned) {
   // Locks Procedure 1 (grouping, Kaiser count, representative pick) on the
   // covariance of all 10 catalog circuits, nominal and at the Fig.-7
   // inflation: a change to the eigensolver or to select_representatives
-  // that moves one selected path fails here. Recorded under libstdc++ like
-  // the model digests the covariances come from.
+  // that moves one selected path fails here. Like the model digests the
+  // covariances come from, it holds under any standard library.
   struct Golden {
     const char* name;
     std::uint64_t base;      // random_inflation 1.0
@@ -230,13 +230,8 @@ TEST(Grouping, CatalogSelectionDigestsArePinned) {
         select_paths(timing::CircuitModel(c.netlist, lib, c.buffered_ffs,
                                           inflated)
                          .max_covariance()));
-#if defined(__GLIBCXX__)
     EXPECT_EQ(base, g.base) << g.name;
     EXPECT_EQ(infl, g.inflated) << g.name << " @1.5";
-#else
-    (void)base;
-    (void)infl;
-#endif
   }
 }
 

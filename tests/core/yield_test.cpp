@@ -139,6 +139,17 @@ TEST(PeriodQuantile, MonotoneInQ) {
   EXPECT_LT(t50, t84);
 }
 
+TEST(PeriodQuantile, ThreadInvariant) {
+  // Die c is sampled on its own index_seed stream, so the worker count
+  // cannot move T_d.
+  Fixture f;
+  stats::Rng serial(10);
+  stats::Rng pooled(10);
+  EXPECT_EQ(period_quantile(f.problem, 0.5, 600, serial, 1),
+            period_quantile(f.problem, 0.5, 600, pooled, 4));
+  EXPECT_EQ(serial.engine()(), pooled.engine()());
+}
+
 TEST(PeriodQuantile, ZeroChipsThrows) {
   Fixture f;
   stats::Rng rng(9);

@@ -4,8 +4,6 @@
 
 #include <cmath>
 
-#include "stats/rng.hpp"
-
 namespace effitest::stats {
 namespace {
 
@@ -89,56 +87,6 @@ TEST(Correlation, ConstantSeriesIsZero) {
   const std::vector<double> a{1.0, 1.0, 1.0};
   const std::vector<double> b{1.0, 2.0, 3.0};
   EXPECT_DOUBLE_EQ(correlation(a, b), 0.0);
-}
-
-TEST(Rng, DeterministicFromSeed) {
-  Rng a(42);
-  Rng b(42);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_DOUBLE_EQ(a.normal(), b.normal());
-  }
-}
-
-TEST(Rng, UniformInRange) {
-  Rng rng(3);
-  for (int i = 0; i < 1000; ++i) {
-    const double u = rng.uniform(2.0, 5.0);
-    EXPECT_GE(u, 2.0);
-    EXPECT_LT(u, 5.0);
-  }
-}
-
-TEST(Rng, UniformIntInclusive) {
-  Rng rng(4);
-  bool saw_lo = false;
-  bool saw_hi = false;
-  for (int i = 0; i < 2000; ++i) {
-    const auto v = rng.uniform_int(1, 3);
-    EXPECT_GE(v, 1);
-    EXPECT_LE(v, 3);
-    saw_lo |= v == 1;
-    saw_hi |= v == 3;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
-TEST(Rng, NormalMomentsRoughlyStandard) {
-  Rng rng(7);
-  std::vector<double> xs(20000);
-  for (double& x : xs) x = rng.normal();
-  EXPECT_NEAR(mean(xs), 0.0, 0.03);
-  EXPECT_NEAR(stddev(xs), 1.0, 0.03);
-}
-
-TEST(Rng, ForkProducesDifferentStream) {
-  Rng a(11);
-  Rng b = a.fork();
-  bool differs = false;
-  for (int i = 0; i < 8; ++i) {
-    if (a.normal() != b.normal()) differs = true;
-  }
-  EXPECT_TRUE(differs);
 }
 
 }  // namespace

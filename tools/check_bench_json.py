@@ -13,8 +13,10 @@ The checks below are all exercised by the perf-smoke CI job:
    applies every *.json in DIR): each baseline names a bench and a circuit
    and pins paper metrics (ra, t'v, ...) with per-metric tolerance and
    direction. The flow metrics are deterministic for a fixed
-   (seed, chips) — bit-identical for any thread count — so the tolerance
-   only absorbs toolchain/libstdc++ drift, not Monte-Carlo noise. A value
+   (seed, chips) — bit-identical for any thread count, with every random
+   draw specified in-tree rather than by the standard library — so the
+   tolerance only absorbs floating-point toolchain drift, not Monte-Carlo
+   noise. A value
    worse than baseline-beyond-tolerance fails; a value better by more than
    the tolerance warns (re-record the baseline to bank the win). A
    baseline whose circuit/metric is absent from every validated report

@@ -55,6 +55,7 @@
 #include "core/flow.hpp"
 #include "core/table.hpp"
 #include "core/tuner_service.hpp"
+#include "core/yield.hpp"
 #include "fleet/balancer.hpp"
 #include "fleet/registry.hpp"
 #include "fleet/supervisor.hpp"
@@ -70,6 +71,7 @@
 #include "netlist/bench_writer.hpp"
 #include "netlist/generator.hpp"
 #include "scenario/circuit_catalog.hpp"
+#include "stats/distributions.hpp"
 #include "timing/graph.hpp"
 #include "timing/ssta.hpp"
 
@@ -641,9 +643,10 @@ int cmd_ssta(const Cli& cli) {
          obs::LogField::boolean("tuned", tuned)});
   }
   stats::Rng rng(11);
-  const double mc_t1 = core::period_quantile(problem, 0.5, chips, rng);
-  stats::Rng rng2(11);
-  const double mc_t2 = core::period_quantile(problem, 0.8413, chips, rng2);
+  const std::vector<double> required =
+      core::sample_required_periods(problem, chips, rng, threads);
+  const double mc_t1 = stats::sorted_quantile(required, 0.5);
+  const double mc_t2 = stats::sorted_quantile(required, 0.8413);
 
   core::Table t({"quantity", "analytic (Clark)", "Monte-Carlo"});
   t.add_row({"mean required period (ps)", core::Table::num(analytic.mean, 2),
@@ -782,7 +785,8 @@ core::FlowOptions flow_options_from(const Cli& cli,
   opts.threads = cli.get("threads", opts.threads);
   if (const auto q = cli.get<double>("quantile")) {
     stats::Rng rng(opts.seed ^ core::kQuantileCalibrationSeedXor);
-    opts.designated_period = core::period_quantile(problem, *q, 2000, rng);
+    opts.designated_period =
+        core::period_quantile(problem, *q, 2000, rng, opts.threads);
   }
   return opts;
 }
