@@ -194,14 +194,34 @@ void BM_NormalDraw(benchmark::State& state) {
 }
 BENCHMARK(BM_NormalDraw);
 
+/// The model a sampling or covariance case runs on: Arg(0) is the flow
+/// fixture's s9234; Arg(1) is mem_ctrl, whose ~3,000 monitored pairs (6,032
+/// forms, 142k loading entries) make both memory-bound.
+const timing::CircuitModel& sized_model(benchmark::State& state) {
+  if (state.range(0) == 0) {
+    state.SetLabel("s9234");
+    return FlowFixture::get().model;
+  }
+  static const netlist::CellLibrary lib = netlist::CellLibrary::standard();
+  static const netlist::GeneratedCircuit circuit =
+      netlist::generate_circuit(netlist::paper_benchmark_spec("mem_ctrl"));
+  static const timing::CircuitModel model(circuit.netlist, lib,
+                                          circuit.buffered_ffs);
+  state.SetLabel("mem_ctrl");
+  return model;
+}
+
+/// One die per iteration through a reused workspace, as the chip loops
+/// sample.
 void BM_ChipSampling(benchmark::State& state) {
-  const FlowFixture& f = FlowFixture::get();
+  const timing::CircuitModel& model = sized_model(state);
   stats::Rng rng(4);
+  timing::SampleWorkspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.model.sample_chip(rng));
+    benchmark::DoNotOptimize(model.sample_chip(rng, ws));
   }
 }
-BENCHMARK(BM_ChipSampling);
+BENCHMARK(BM_ChipSampling)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 /// Six entries on random monitored pairs at neutral steps (six is the mean
 /// instance size of the per-chip test on s38584).
@@ -289,12 +309,12 @@ void BM_BufferConfiguration(benchmark::State& state) {
 BENCHMARK(BM_BufferConfiguration);
 
 void BM_CovarianceBuild(benchmark::State& state) {
-  const FlowFixture& f = FlowFixture::get();
+  const timing::CircuitModel& model = sized_model(state);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.model.max_covariance());
+    benchmark::DoNotOptimize(model.max_covariance());
   }
 }
-BENCHMARK(BM_CovarianceBuild);
+BENCHMARK(BM_CovarianceBuild)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 /// Whole CircuitModel construction: one cone sweep per launching FF, path
 /// enumeration and form building. s38584 is the largest tester-floor

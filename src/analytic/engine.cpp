@@ -35,7 +35,6 @@ using timing::CanonicalDelay;
   std::vector<CanonicalDelay> alts;
   alts.reserve(p.max_alts.size());
   for (const timing::DelayForm& f : p.max_alts) alts.push_back(to_canonical(f));
-  if (alts.empty()) return to_canonical(p.max_form);
   return timing::statistical_max(alts);
 }
 
@@ -161,7 +160,6 @@ TunedPeriodAnalysis analyze_tuned_period(const core::Problem& problem,
     for (const timing::DelayForm& f : p.max_alts) {
       untuned_forms.push_back(to_canonical(f));
     }
-    if (p.max_alts.empty()) untuned_forms.push_back(to_canonical(p.max_form));
   }
   for (const timing::DelayForm& f : model.static_forms()) {
     untuned_forms.push_back(to_canonical(f));

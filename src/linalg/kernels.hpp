@@ -33,8 +33,7 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <utility>
-#include <vector>
+#include <span>
 
 #include "linalg/matrix.hpp"
 #include "parallel/deterministic_for.hpp"
@@ -96,36 +95,37 @@ void trsm_lower_transposed(const Matrix& l, Matrix& b,
 
 // -- Blocked symmetric assembly ---------------------------------------------
 
-/// Fill the symmetric matrix `out` from a pure per-cell function
-/// `cell(i, j)` (called only for j >= i; both mirrored entries are
-/// written). The upper triangle is tiled and tiles fan out over the pool;
-/// since every cell is a pure function of (i, j), the result is
-/// bit-identical for any worker count. Matrices smaller than
-/// `serial_below` rows run inline on the caller.
-template <typename CellFn>
+/// Fill the symmetric matrix `out` from its upper triangle, one tile row at
+/// a time. The triangle is cut into kRowBlock-square tiles and each block
+/// row of tiles is one task on the pool. A task calls `make_row()` once and
+/// then, tile by tile, `row(i, j0, dst)` for each of the tile's rows i:
+/// `row` writes cells (i, j0) ... (i, j0 + dst.size() - 1) into `dst` (the
+/// matrix row itself, j0 >= i) and may keep scratch across the calls of its
+/// task; the kernel mirrors the cells. Since every cell must be a pure
+/// function of (i, j), the result is bit-identical for any worker count.
+/// Matrices smaller than `serial_below` rows run inline on the caller.
+template <typename MakeRow>
 void symmetric_fill(Matrix& out, const KernelOptions& opts,
-                    std::size_t serial_below, CellFn&& cell) {
+                    std::size_t serial_below, MakeRow&& make_row) {
   if (!out.is_square()) {
     throw LinalgError("kernels::symmetric_fill requires square matrix");
   }
   const std::size_t n = out.rows();
   const std::size_t blocks = (n + kRowBlock - 1) / kRowBlock;
-  std::vector<std::pair<std::size_t, std::size_t>> tiles;
-  tiles.reserve(blocks * (blocks + 1) / 2);
-  for (std::size_t ib = 0; ib < blocks; ++ib) {
-    for (std::size_t jb = ib; jb < blocks; ++jb) tiles.emplace_back(ib, jb);
-  }
   parallel::ForOptions fopts;
   fopts.threads = n < serial_below ? 1 : opts.threads;
-  parallel::deterministic_for(tiles.size(), fopts, [&](std::size_t t) {
-    const auto [ib, jb] = tiles[t];
+  // Block rows shrink along the triangle; claiming them in index order
+  // hands out the largest first, which keeps the workers balanced.
+  parallel::deterministic_for(blocks, fopts, [&](std::size_t ib) {
+    auto row = make_row();
     const std::size_t i1 = std::min((ib + 1) * kRowBlock, n);
-    const std::size_t j1 = std::min((jb + 1) * kRowBlock, n);
-    for (std::size_t i = ib * kRowBlock; i < i1; ++i) {
-      for (std::size_t j = std::max(i, jb * kRowBlock); j < j1; ++j) {
-        const double v = cell(i, j);
-        out(i, j) = v;
-        out(j, i) = v;
+    for (std::size_t jb = ib; jb < blocks; ++jb) {
+      const std::size_t j1 = std::min((jb + 1) * kRowBlock, n);
+      for (std::size_t i = ib * kRowBlock; i < i1; ++i) {
+        const std::size_t j0 = std::max(i, jb * kRowBlock);
+        const std::span<double> dst = out.row(i).subspan(j0, j1 - j0);
+        row(i, j0, dst);
+        for (std::size_t j = j0; j < j1; ++j) out(j, i) = dst[j - j0];
       }
     }
   });

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <span>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "linalg/kernels.hpp"
 
@@ -67,10 +70,10 @@ CircuitModel::CircuitModel(const netlist::Netlist& netlist,
         graph.near_critical_paths(cone_of(s), s, t, options_.slack_window_ps,
                                   options_.max_paths_per_pair);
     if (alts.empty()) continue;
+    p.max_alts.reserve(alts.size());
     for (const StructuralPath& sp : alts) {
       p.max_alts.push_back(build_form(sp, setup_time_));
     }
-    p.max_form = p.max_alts.front();
     p.min_form = build_form(graph.min_path(cone_of(s), s, t), 0.0);
     pairs_.push_back(std::move(p));
   }
@@ -98,11 +101,63 @@ CircuitModel::CircuitModel(const netlist::Netlist& netlist,
   if (options_.random_inflation > 1.0) {
     for (MonitoredPair& p : pairs_) {
       for (DelayForm& f : p.max_alts) apply_inflation(f);
-      p.max_form = p.max_alts.front();
       apply_inflation(p.min_form);
     }
     for (DelayForm& f : static_forms_) apply_inflation(f);
   }
+  compile_form_table();
+}
+
+void CircuitModel::compile_form_table() {
+  std::size_t forms = static_forms_.size();
+  std::size_t loads = 0;
+  std::size_t slots = 0;
+  const auto count = [&](const DelayForm& f) {
+    loads += f.loading.size();
+    slots += f.mismatch_slots.size();
+  };
+  for (const MonitoredPair& p : pairs_) {
+    forms += p.max_alts.size() + 1;
+    for (const DelayForm& f : p.max_alts) count(f);
+    count(p.min_form);
+  }
+  for (const DelayForm& f : static_forms_) count(f);
+  if (std::max(loads, slots) > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("CircuitModel: form table exceeds 32-bit ranges");
+  }
+
+  FormTable& t = table_;
+  t.forms.reserve(forms);
+  t.pair_forms.reserve(pairs_.size() + 1);
+  t.load_index.reserve(loads);
+  t.load_weight.reserve(loads);
+  t.slots.reserve(slots);
+  const auto append = [&t](const DelayForm& f) {
+    FormTable::Form row;
+    row.mean = f.mean;
+    row.extra_sd = f.extra_indep_var > 0.0 ? std::sqrt(f.extra_indep_var) : 0.0;
+    row.load_begin = static_cast<std::uint32_t>(t.load_index.size());
+    for (const auto& [index, weight] : f.loading) {
+      t.load_index.push_back(index);
+      t.load_weight.push_back(weight);
+    }
+    row.load_end = static_cast<std::uint32_t>(t.load_index.size());
+    row.slot_begin = static_cast<std::uint32_t>(t.slots.size());
+    t.slots.insert(t.slots.end(), f.mismatch_slots.begin(),
+                   f.mismatch_slots.end());
+    row.slot_end = static_cast<std::uint32_t>(t.slots.size());
+    t.forms.push_back(row);
+  };
+  for (const MonitoredPair& p : pairs_) {
+    t.pair_forms.push_back(static_cast<std::uint32_t>(t.forms.size()));
+    for (const DelayForm& f : p.max_alts) append(f);
+    append(p.min_form);
+  }
+  t.pair_forms.push_back(static_cast<std::uint32_t>(t.forms.size()));
+  for (const DelayForm& f : static_forms_) append(f);
+
+  t.slot_sd.reserve(slot_var_.size());
+  for (double v : slot_var_) t.slot_sd.push_back(std::sqrt(v));
 }
 
 void CircuitModel::apply_inflation(DelayForm& f) const {
@@ -129,6 +184,7 @@ DelayForm CircuitModel::build_form(const StructuralPath& path,
   // The launching FF's clk->Q stage varies too.
   SparseLoading acc = variation_.gate_loading(
       netlist::CellType::kDff, netlist_->cell(path.src_ff).position);
+  f.mismatch_slots.reserve(path.gates.size() + 1);
   f.mismatch_slots.push_back(mismatch_slot(path.src_ff));
   f.mismatch_var = slot_var_[static_cast<std::size_t>(f.mismatch_slots.back())];
   for (int g : path.gates) {
@@ -139,6 +195,9 @@ DelayForm CircuitModel::build_form(const StructuralPath& path,
     f.mismatch_var += slot_var_[static_cast<std::size_t>(slot)];
   }
   std::sort(f.mismatch_slots.begin(), f.mismatch_slots.end());
+  // accumulate() reserves for the worst case; the form lives as long as the
+  // model, so keep only what it holds.
+  acc.shrink_to_fit();
   f.loading = std::move(acc);
   return f;
 }
@@ -150,14 +209,16 @@ int CircuitModel::buffer_index(int ff) const {
 
 std::vector<double> CircuitModel::max_means() const {
   std::vector<double> out(pairs_.size());
-  for (std::size_t i = 0; i < pairs_.size(); ++i) out[i] = pairs_[i].max_form.mean;
+  for (std::size_t i = 0; i < pairs_.size(); ++i) {
+    out[i] = pairs_[i].max_form().mean;
+  }
   return out;
 }
 
 std::vector<double> CircuitModel::max_sigmas() const {
   std::vector<double> out(pairs_.size());
   for (std::size_t i = 0; i < pairs_.size(); ++i) {
-    out[i] = pairs_[i].max_form.sigma();
+    out[i] = pairs_[i].max_form().sigma();
   }
   return out;
 }
@@ -183,53 +244,84 @@ double CircuitModel::form_cov(const DelayForm& a, const DelayForm& b) const {
 }
 
 double CircuitModel::max_cov(std::size_t i, std::size_t j) const {
-  double cov = form_cov(pairs_[i].max_form, pairs_[j].max_form);
-  if (i == j) cov += pairs_[i].max_form.extra_indep_var;
+  double cov = form_cov(pairs_[i].max_form(), pairs_[j].max_form());
+  if (i == j) cov += pairs_[i].max_form().extra_indep_var;
   return cov;
 }
 
 linalg::Matrix CircuitModel::max_covariance(std::size_t threads) const {
   const std::size_t n = pairs_.size();
   linalg::Matrix cov(n, n);
-  // Tiled upper-triangle fill through the kernel layer: tiles of the
-  // triangle fan out over the shared pool and each tile mirrors its block
-  // locally (better write locality than the former long-stride per-row
-  // mirroring). Every cell is a pure function of the model, so the matrix
-  // is bit-identical for any worker count. Small matrices stay serial —
-  // the per-cell work is too cheap to amortize scheduling below ~256 rows.
-  linalg::kernels::symmetric_fill(
-      cov, linalg::kernels::KernelOptions{threads}, /*serial_below=*/256,
-      [&](std::size_t i, std::size_t j) { return max_cov(i, j); });
+  // Tiled upper-triangle fill (linalg::kernels::symmetric_fill). Per tile
+  // row, row i's critical form is scattered into dense scratch (weights by
+  // factor, mismatch variances by slot) and each cell gathers pair j's
+  // entries in j's stored order. An entry j does not share with i adds a
+  // zero product, which is exact, so every cell is max_cov(i, j)'s merge
+  // bit for bit -- and a pure function of the model, so the matrix is
+  // bit-identical for any worker count. Small matrices stay serial: the
+  // per-cell work is too cheap to amortize scheduling below ~256 rows.
+  const FormTable& t = table_;
+  const auto make_row = [&] {
+    return [&, weight = std::vector<double>(variation_.num_factors()),
+            var = std::vector<double>(slot_var_.size())](
+               std::size_t i, std::size_t j0, std::span<double> dst) mutable {
+      const FormTable::Form& a = t.forms[t.pair_forms[i]];
+      const auto scatter = [&](bool set) {
+        for (std::uint32_t k = a.load_begin; k < a.load_end; ++k) {
+          const auto f = static_cast<std::size_t>(t.load_index[k]);
+          weight[f] = set ? t.load_weight[k] : 0.0;
+        }
+        for (std::uint32_t k = a.slot_begin; k < a.slot_end; ++k) {
+          const auto s = static_cast<std::size_t>(t.slots[k]);
+          var[s] = set ? slot_var_[s] : 0.0;
+        }
+      };
+      scatter(true);
+      for (std::size_t c = 0; c < dst.size(); ++c) {
+        const FormTable::Form& b = t.forms[t.pair_forms[j0 + c]];
+        double v = 0.0;
+        for (std::uint32_t k = b.load_begin; k < b.load_end; ++k) {
+          v += weight[static_cast<std::size_t>(t.load_index[k])] *
+               t.load_weight[k];
+        }
+        for (std::uint32_t k = b.slot_begin; k < b.slot_end; ++k) {
+          v += var[static_cast<std::size_t>(t.slots[k])];
+        }
+        dst[c] = v;
+      }
+      if (j0 == i) dst[0] += pairs_[i].max_form().extra_indep_var;
+      scatter(false);
+    };
+  };
+  linalg::kernels::symmetric_fill(cov, linalg::kernels::KernelOptions{threads},
+                                  /*serial_below=*/256, make_row);
   return cov;
 }
 
 void CircuitModel::draw_deviates(stats::Rng& rng, SampleWorkspace& ws) const {
   variation_.sample_factors(rng, ws.factors);
-  ws.mismatch.resize(slot_var_.size());
-  for (std::size_t s = 0; s < slot_var_.size(); ++s) {
-    ws.mismatch[s] = rng.normal(0.0, std::sqrt(slot_var_[s]));
+  const std::vector<double>& sd = table_.slot_sd;
+  ws.mismatch.resize(sd.size());
+  for (std::size_t s = 0; s < sd.size(); ++s) {
+    ws.mismatch[s] = rng.normal(0.0, sd[s]);
   }
 }
 
-double CircuitModel::eval_form(const DelayForm& f, const SampleWorkspace& ws,
-                               stats::Rng& rng) const {
-  double d = f.mean + sparse_apply(f.loading, ws.factors);
-  // Mismatch slots are sorted but may repeat across forms; sum directly.
-  for (int slot : f.mismatch_slots) {
-    d += ws.mismatch[static_cast<std::size_t>(slot)];
-  }
-  if (f.extra_indep_var > 0.0) {
-    d += rng.normal(0.0, std::sqrt(f.extra_indep_var));
-  }
-  return d;
-}
-
-void CircuitModel::discard_form_draw(const DelayForm& f,
+double CircuitModel::FormTable::eval(const Form& f, const SampleWorkspace& ws,
                                      stats::Rng& rng) const {
-  // Keep the stream aligned with a full sample_chip when the evaluation
-  // itself is skipped: under the Fig-7 inflation every form consumes one
-  // independent deviate in evaluation order.
-  if (f.extra_indep_var > 0.0) (void)rng.normal();
+  const double* z = ws.factors.data();
+  double acc = 0.0;
+  for (std::uint32_t k = f.load_begin; k < f.load_end; ++k) {
+    acc += load_weight[k] * z[load_index[k]];
+  }
+  double d = f.mean + acc;
+  // Mismatch slots are sorted but may repeat across forms; sum directly.
+  const double* mismatch = ws.mismatch.data();
+  for (std::uint32_t k = f.slot_begin; k < f.slot_end; ++k) {
+    d += mismatch[slots[k]];
+  }
+  if (f.extra_sd > 0.0) d += rng.normal(0.0, f.extra_sd);
+  return d;
 }
 
 Chip CircuitModel::sample_chip(stats::Rng& rng) const {
@@ -239,36 +331,37 @@ Chip CircuitModel::sample_chip(stats::Rng& rng) const {
 
 Chip CircuitModel::sample_chip(stats::Rng& rng, SampleWorkspace& ws) const {
   draw_deviates(rng, ws);
+  const FormTable& t = table_;
+  const std::size_t np = pairs_.size();
   Chip chip;
-  chip.max_delay.resize(pairs_.size());
-  chip.min_delay.resize(pairs_.size());
-  for (std::size_t i = 0; i < pairs_.size(); ++i) {
+  chip.max_delay.resize(np);
+  chip.min_delay.resize(np);
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < np; ++i) {
+    const std::size_t min_k = t.pair_forms[i + 1] - 1;
     double worst = -std::numeric_limits<double>::infinity();
-    for (const DelayForm& f : pairs_[i].max_alts) {
-      worst = std::max(worst, eval_form(f, ws, rng));
-    }
+    for (; k < min_k; ++k) worst = std::max(worst, t.eval(t.forms[k], ws, rng));
     chip.max_delay[i] = worst;
-    chip.min_delay[i] = eval_form(pairs_[i].min_form, ws, rng);
+    chip.min_delay[i] = t.eval(t.forms[k++], ws, rng);
   }
-  chip.static_delay.resize(static_forms_.size());
-  for (std::size_t i = 0; i < static_forms_.size(); ++i) {
-    chip.static_delay[i] = eval_form(static_forms_[i], ws, rng);
-  }
+  chip.static_delay.resize(t.forms.size() - k);
+  for (double& d : chip.static_delay) d = t.eval(t.forms[k++], ws, rng);
   return chip;
 }
 
 double CircuitModel::sample_required_period(stats::Rng& rng,
                                             SampleWorkspace& ws) const {
   draw_deviates(rng, ws);
+  const FormTable& t = table_;
   double worst = 0.0;
-  for (const MonitoredPair& pair : pairs_) {
-    for (const DelayForm& f : pair.max_alts) {
-      worst = std::max(worst, eval_form(f, ws, rng));
-    }
-    discard_form_draw(pair.min_form, rng);
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < pairs_.size(); ++i) {
+    const std::size_t min_k = t.pair_forms[i + 1] - 1;
+    for (; k < min_k; ++k) worst = std::max(worst, t.eval(t.forms[k], ws, rng));
+    FormTable::skip(t.forms[k++], rng);
   }
-  for (const DelayForm& f : static_forms_) {
-    worst = std::max(worst, eval_form(f, ws, rng));
+  for (; k < t.forms.size(); ++k) {
+    worst = std::max(worst, t.eval(t.forms[k], ws, rng));
   }
   return worst;
 }
@@ -276,14 +369,15 @@ double CircuitModel::sample_required_period(stats::Rng& rng,
 void CircuitModel::sample_min_delays(stats::Rng& rng, SampleWorkspace& ws,
                                      std::vector<double>& min_out) const {
   draw_deviates(rng, ws);
+  const FormTable& t = table_;
   min_out.resize(pairs_.size());
+  std::size_t k = 0;
   for (std::size_t i = 0; i < pairs_.size(); ++i) {
-    for (const DelayForm& f : pairs_[i].max_alts) {
-      discard_form_draw(f, rng);
-    }
-    min_out[i] = eval_form(pairs_[i].min_form, ws, rng);
+    const std::size_t min_k = t.pair_forms[i + 1] - 1;
+    for (; k < min_k; ++k) FormTable::skip(t.forms[k], rng);
+    min_out[i] = t.eval(t.forms[k++], ws, rng);
   }
-  for (const DelayForm& f : static_forms_) discard_form_draw(f, rng);
+  for (; k < t.forms.size(); ++k) FormTable::skip(t.forms[k], rng);
 }
 
 }  // namespace effitest::timing

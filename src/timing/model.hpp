@@ -18,8 +18,21 @@
 // clock period (mean + 6 sigma below a conservative threshold) is discarded
 // from per-chip evaluation; any other non-tunable pair is promoted into the
 // checked set.
+//
+// Sampling and the covariance fill do not walk those DelayForms. At the end
+// of its constructor (after inflation) the model compiles one private,
+// read-only form table: every form in sample_chip order (per pair its max
+// alternatives, then its min form; after the pairs, the static forms), each
+// as a mean, the precomputed sigma of its inflation deviate and ranges into
+// three flat arrays (int32 loading indices, double loading weights, int32
+// mismatch slots), plus per-pair form ranges and per-slot mismatch sigmas.
+// A die is a linear walk over those arrays that evaluates every value with
+// the same expression in the same order as the per-DelayForm sums, so the
+// sampled doubles and the rng stream are unchanged; the arrays are reserved
+// at their exact sizes.
 
 #include <cstddef>
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -51,11 +64,14 @@ struct MonitoredPair {
   int id = -1;
   int src_ff = -1;
   int dst_ff = -1;
-  DelayForm max_form;                ///< critical-path canonical form (+ setup)
   std::vector<DelayForm> max_alts;   ///< all near-critical forms (truth = max)
   DelayForm min_form;                ///< shortest-path form (hold)
   bool src_buffered = false;
   bool dst_buffered = false;
+
+  /// Critical-path canonical form (+ setup): the first near-critical form.
+  /// The model never keeps a pair without one.
+  [[nodiscard]] const DelayForm& max_form() const { return max_alts.front(); }
 };
 
 /// True (sampled) delays of one simulated die.
@@ -117,10 +133,13 @@ class CircuitModel {
   /// Joint covariance of monitored max delays (paper's Sigma). The fill is
   /// fanned out over the shared pool (`threads` workers; 0 = pool width,
   /// 1 = serial); every cell is a pure function of the model, so the matrix
-  /// is bit-identical for any value.
+  /// is bit-identical for any value. Each cell equals max_cov(i, j) bit for
+  /// bit: it gathers the form table's entries of j against row i scattered
+  /// into dense scratch instead of merging two sorted lists.
   [[nodiscard]] linalg::Matrix max_covariance(std::size_t threads = 0) const;
 
-  /// Covariance between two monitored pairs' max forms.
+  /// Covariance between two monitored pairs' max forms (a sorted merge of
+  /// their loadings and mismatch slots; the reference for max_covariance).
   [[nodiscard]] double max_cov(std::size_t i, std::size_t j) const;
 
   /// Sample the true delays of one die.
@@ -164,11 +183,40 @@ class CircuitModel {
                                      double terminal_margin);
   [[nodiscard]] int mismatch_slot(int cell_id);
   void draw_deviates(stats::Rng& rng, SampleWorkspace& ws) const;
-  [[nodiscard]] double eval_form(const DelayForm& f, const SampleWorkspace& ws,
-                                 stats::Rng& rng) const;
-  void discard_form_draw(const DelayForm& f, stats::Rng& rng) const;
   [[nodiscard]] double form_cov(const DelayForm& a, const DelayForm& b) const;
   void apply_inflation(DelayForm& f) const;
+  void compile_form_table();
+
+  /// The compiled form table (see the file comment).
+  struct FormTable {
+    struct Form {
+      double mean = 0.0;
+      double extra_sd = 0.0;  ///< sigma of the inflation deviate; 0 = none
+      std::uint32_t load_begin = 0;
+      std::uint32_t load_end = 0;
+      std::uint32_t slot_begin = 0;
+      std::uint32_t slot_end = 0;
+    };
+    std::vector<Form> forms;
+    /// Pair p owns forms [pair_forms[p], pair_forms[p + 1]): its max
+    /// alternatives, then its min form. The static forms follow
+    /// pair_forms.back().
+    std::vector<std::uint32_t> pair_forms;
+    std::vector<std::int32_t> load_index;
+    std::vector<double> load_weight;
+    std::vector<std::int32_t> slots;
+    std::vector<double> slot_sd;  ///< per mismatch slot: sqrt(variance)
+
+    /// mean + (sum w * z), then the mismatch terms, then the inflation
+    /// deviate.
+    [[nodiscard]] double eval(const Form& f, const SampleWorkspace& ws,
+                              stats::Rng& rng) const;
+    /// A skipped form still consumes its inflation deviate, keeping the
+    /// stream aligned with a full sample_chip.
+    static void skip(const Form& f, stats::Rng& rng) {
+      if (f.extra_sd > 0.0) (void)rng.normal();
+    }
+  };
 
   const netlist::Netlist* netlist_;
   ModelOptions options_;
@@ -185,6 +233,8 @@ class CircuitModel {
   // Mismatch bookkeeping: cell id -> slot, slot -> variance.
   std::unordered_map<int, int> slot_of_cell_;
   std::vector<double> slot_var_;
+
+  FormTable table_;
 };
 
 }  // namespace effitest::timing

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "linalg/decomposition.hpp"
@@ -117,10 +118,11 @@ TEST(Kernels, NonSquareInputsThrow) {
   EXPECT_THROW((void)kernels::cholesky_blocked(Matrix(3, 2), 0.0, l),
                LinalgError);
   Matrix rect(3, 2);
-  EXPECT_THROW(kernels::symmetric_fill(rect, {}, 0,
-                                       [](std::size_t, std::size_t) {
-                                         return 0.0;
-                                       }),
+  EXPECT_THROW(kernels::symmetric_fill(
+                   rect, {}, 0,
+                   [] {
+                     return [](std::size_t, std::size_t, std::span<double>) {};
+                   }),
                LinalgError);
 }
 
@@ -193,7 +195,12 @@ TEST(Kernels, SymmetricFillMatchesCellFunction) {
     const auto cell = [](std::size_t i, std::size_t j) {
       return static_cast<double>(i * 1000 + j) + 0.5;
     };
-    kernels::symmetric_fill(out, {.threads = 0}, /*serial_below=*/0, cell);
+    kernels::symmetric_fill(out, {.threads = 0}, /*serial_below=*/0, [&] {
+      return [&cell](std::size_t i, std::size_t j0, std::span<double> dst) {
+        ASSERT_GE(j0, i);
+        for (std::size_t c = 0; c < dst.size(); ++c) dst[c] = cell(i, j0 + c);
+      };
+    });
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = i; j < n; ++j) {
         ASSERT_EQ(out(i, j), cell(i, j));

@@ -71,7 +71,7 @@ std::uint64_t model_digest(const CircuitModel& m) {
     d.add(p.dst_ff);
     d.add(static_cast<std::uint64_t>(p.max_alts.size()));
     for (const DelayForm& f : p.max_alts) d.add(f);
-    d.add(p.max_form);
+    d.add(p.max_form());
     d.add(p.min_form);
   }
   d.add(static_cast<std::uint64_t>(m.num_static_pairs()));
@@ -125,10 +125,10 @@ TEST(CircuitModel, MeansIncludeSetupAndArePositive) {
   const auto c = tiny_circuit();
   const CircuitModel m(c.netlist, lib(), c.buffered_ffs);
   for (const MonitoredPair& p : m.pairs()) {
-    EXPECT_GT(p.max_form.mean, lib().dff_setup_ps());
-    EXPECT_GE(p.max_form.mean, p.min_form.mean);
+    EXPECT_GT(p.max_form().mean, lib().dff_setup_ps());
+    EXPECT_GE(p.max_form().mean, p.min_form.mean);
     EXPECT_FALSE(p.max_alts.empty());
-    EXPECT_NEAR(p.max_alts.front().mean, p.max_form.mean, 1e-12);
+    EXPECT_NEAR(p.max_alts.front().mean, p.max_form().mean, 1e-12);
   }
 }
 
@@ -167,8 +167,8 @@ TEST(CircuitModel, ChipSamplingMatchesModelStatistics) {
   for (std::size_t k = 0; k < chips; ++k) {
     samples[k] = m.sample_chip(rng).max_delay[probe];
   }
-  const double mu = m.pairs()[probe].max_form.mean;
-  const double sd = m.pairs()[probe].max_form.sigma();
+  const double mu = m.pairs()[probe].max_form().mean;
+  const double sd = m.pairs()[probe].max_form().sigma();
   // Truth is a max over near-critical alternatives, so the sampled mean may
   // sit slightly above the primary-path mean but far within one sigma.
   EXPECT_NEAR(stats::mean(samples), mu, 0.5 * sd);
