@@ -13,6 +13,7 @@
 
 #include "bench_common.hpp"
 #include "core/alignment.hpp"
+#include "milp_oracles.hpp"
 #include "stats/rng.hpp"
 
 int main(int argc, char** argv) {

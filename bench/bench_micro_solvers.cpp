@@ -32,6 +32,7 @@
 #include "linalg/eigen.hpp"
 #include "linalg/kernels.hpp"
 #include "lp/solver.hpp"
+#include "milp_oracles.hpp"
 #include "netlist/generator.hpp"
 #include "stats/conditional.hpp"
 #include "stats/rng.hpp"

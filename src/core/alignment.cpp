@@ -7,7 +7,6 @@
 #include <optional>
 #include <stdexcept>
 
-#include "lp/solver.hpp"
 
 namespace effitest::core {
 
@@ -25,25 +24,6 @@ double shifted_center(const Problem& problem, const AlignmentEntry& e,
                       std::span<const int> steps) {
   return e.center + x_of(problem, steps, e.src_buf) -
          x_of(problem, steps, e.dst_buf);
-}
-
-double objective_of(const AlignmentInstance& inst, double period,
-                    std::span<const int> steps) {
-  double acc = 0.0;
-  for (const AlignmentEntry& e : inst.entries) {
-    const double shifted = shifted_center(*inst.problem, e, steps);
-    acc += e.weight * std::abs(period - shifted);
-  }
-  return acc;
-}
-
-bool hold_ok(const AlignmentInstance& inst, std::span<const int> steps) {
-  for (const HoldConstraintX& h : inst.hold) {
-    const double skew = x_of(*inst.problem, steps, h.src_buf) -
-                        x_of(*inst.problem, steps, h.dst_buf);
-    if (skew < h.lambda - 1e-9) return false;
-  }
-  return true;
 }
 
 /// Fills ws.involved with the buffers that may move (those referenced by an
@@ -281,160 +261,7 @@ AlignmentResult solve_coordinate_descent(const AlignmentInstance& inst,
     if (!changed) break;
   }
   out.objective = best;
-  out.feasible = hold_ok(inst, out.steps);
-  return out;
-}
-
-/// Shared MILP scaffolding: builds variables T and s_b, returns via the
-/// callback the linear expression terms of (T - shifted_center_p) for each
-/// entry, then solves and extracts the assignment.
-AlignmentResult solve_milp(const AlignmentInstance& inst, bool big_m,
-                           AlignmentWorkspace& ws) {
-  const Problem& problem = *inst.problem;
-  lp::Model model;
-
-  // Clock period variable. Delay centers are positive in practice; give T a
-  // generous box so the LP relaxation stays bounded.
-  double center_span = 1.0;
-  for (const AlignmentEntry& e : inst.entries) {
-    center_span = std::max(center_span, std::abs(e.center));
-  }
-  double tau_max = 0.0;
-  for (const auto& b : problem.buffers()) tau_max = std::max(tau_max, b.tau);
-  const double t_hi = 2.0 * center_span + 2.0 * tau_max + 1.0;
-  const int var_t = model.add_continuous(-t_hi, t_hi, 0.0, "T");
-
-  // Step variables for involved buffers; frozen buffers contribute constants.
-  collect_involved(inst, ws);
-  release_involved(ws);
-  std::vector<int> step_var(problem.num_buffers(), -1);
-  for (int b : ws.involved) {
-    const auto& buf = problem.buffers()[static_cast<std::size_t>(b)];
-    step_var[static_cast<std::size_t>(b)] = model.add_integer(
-        0.0, static_cast<double>(buf.steps - 1), 0.0, "s" + std::to_string(b));
-  }
-
-  // x_b as (constant, optional step term).
-  const auto x_terms = [&](int buf, double sign, std::vector<lp::Term>& terms,
-                           double& constant) {
-    if (buf < 0) return;
-    const auto bi = static_cast<std::size_t>(buf);
-    const auto& bspec = problem.buffers()[bi];
-    if (step_var[bi] >= 0) {
-      constant += sign * bspec.r;
-      terms.push_back({step_var[bi], sign * bspec.step_size()});
-    } else {
-      constant += sign * bspec.value(inst.current_steps[bi]);
-    }
-  };
-
-  const double big = 4.0 * (center_span + tau_max + 1.0);
-  std::vector<int> eta_vars;
-  eta_vars.reserve(inst.entries.size());
-  for (std::size_t p = 0; p < inst.entries.size(); ++p) {
-    const AlignmentEntry& e = inst.entries[p];
-    const int eta =
-        model.add_continuous(0.0, lp::kInf, e.weight, "eta" + std::to_string(p));
-    eta_vars.push_back(eta);
-
-    // diff_p = T - (center + x_src - x_dst): expressed as terms + constant.
-    std::vector<lp::Term> diff{{var_t, 1.0}};
-    double constant = -e.center;
-    x_terms(e.src_buf, -1.0, diff, constant);
-    x_terms(e.dst_buf, +1.0, diff, constant);
-    // `diff` terms + constant == diff_p.
-
-    if (!big_m) {
-      // Compact exact form: eta >= diff, eta >= -diff.
-      std::vector<lp::Term> c1 = diff;
-      c1.push_back({eta, -1.0});
-      model.add_constraint(std::move(c1), lp::Sense::kLessEqual, -constant);
-      std::vector<lp::Term> c2;
-      for (const lp::Term& t : diff) c2.push_back({t.var, -t.coeff});
-      c2.push_back({eta, -1.0});
-      model.add_constraint(std::move(c2), lp::Sense::kLessEqual, constant);
-    } else {
-      // Paper's eqs. (8)-(13) with indicator binaries z^p, z^n.
-      const int zp = model.add_binary(0.0, "zp" + std::to_string(p));
-      const int zn = model.add_binary(0.0, "zn" + std::to_string(p));
-      // (8):  diff <= M zp
-      {
-        std::vector<lp::Term> c = diff;
-        c.push_back({zp, -big});
-        model.add_constraint(std::move(c), lp::Sense::kLessEqual, -constant);
-      }
-      // (9):  diff - eta <= M (1 - zp)
-      {
-        std::vector<lp::Term> c = diff;
-        c.push_back({eta, -1.0});
-        c.push_back({zp, big});
-        model.add_constraint(std::move(c), lp::Sense::kLessEqual,
-                             -constant + big);
-      }
-      // (10): -diff + eta <= M (1 - zp)
-      {
-        std::vector<lp::Term> c;
-        for (const lp::Term& t : diff) c.push_back({t.var, -t.coeff});
-        c.push_back({eta, 1.0});
-        c.push_back({zp, big});
-        model.add_constraint(std::move(c), lp::Sense::kLessEqual,
-                             constant + big);
-      }
-      // (11): -diff <= M zn
-      {
-        std::vector<lp::Term> c;
-        for (const lp::Term& t : diff) c.push_back({t.var, -t.coeff});
-        c.push_back({zn, -big});
-        model.add_constraint(std::move(c), lp::Sense::kLessEqual, constant);
-      }
-      // (12): -diff - eta <= M (1 - zn)
-      {
-        std::vector<lp::Term> c;
-        for (const lp::Term& t : diff) c.push_back({t.var, -t.coeff});
-        c.push_back({eta, -1.0});
-        c.push_back({zn, big});
-        model.add_constraint(std::move(c), lp::Sense::kLessEqual,
-                             constant + big);
-      }
-      // (13): diff + eta <= M (1 - zn)
-      {
-        std::vector<lp::Term> c = diff;
-        c.push_back({eta, 1.0});
-        c.push_back({zn, big});
-        model.add_constraint(std::move(c), lp::Sense::kLessEqual,
-                             -constant + big);
-      }
-    }
-  }
-
-  // Hold bounds (eq. 21): x_i - x_j >= lambda.
-  for (const HoldConstraintX& h : inst.hold) {
-    std::vector<lp::Term> terms;
-    double constant = 0.0;
-    x_terms(h.src_buf, +1.0, terms, constant);
-    x_terms(h.dst_buf, -1.0, terms, constant);
-    model.add_constraint(std::move(terms), lp::Sense::kGreaterEqual,
-                         h.lambda - constant);
-  }
-
-  const lp::Solution sol = lp::solve(model);
-  AlignmentResult out;
-  out.steps = inst.current_steps;
-  if (!sol.feasible()) {
-    out.feasible = false;
-    // Fall back to the current state with a median period.
-    out.period = inst.entries.empty() ? 0.0 : inst.entries.front().center;
-    out.objective = objective_of(inst, out.period, out.steps);
-    return out;
-  }
-  out.period = sol.values[static_cast<std::size_t>(var_t)];
-  for (int b : ws.involved) {
-    const auto bi = static_cast<std::size_t>(b);
-    out.steps[bi] = static_cast<int>(
-        std::lround(sol.values[static_cast<std::size_t>(step_var[bi])]));
-  }
-  out.objective = objective_of(inst, out.period, out.steps);
-  out.feasible = hold_ok(inst, out.steps);
+  out.feasible = hold_satisfied(inst, out.steps);
   return out;
 }
 
@@ -485,11 +312,24 @@ AlignmentResult solve_alignment(const AlignmentInstance& instance,
       instance, workspace != nullptr ? *workspace : local);
 }
 
-AlignmentResult solve_alignment_milp(const AlignmentInstance& instance,
-                                     MilpForm form) {
-  if (auto done = trivial_result(instance)) return *std::move(done);
-  AlignmentWorkspace ws;
-  return solve_milp(instance, form == MilpForm::kBigM, ws);
+double alignment_objective(const AlignmentInstance& instance, double period,
+                           std::span<const int> steps) {
+  double acc = 0.0;
+  for (const AlignmentEntry& e : instance.entries) {
+    const double shifted = shifted_center(*instance.problem, e, steps);
+    acc += e.weight * std::abs(period - shifted);
+  }
+  return acc;
+}
+
+bool hold_satisfied(const AlignmentInstance& instance,
+                    std::span<const int> steps) {
+  for (const HoldConstraintX& h : instance.hold) {
+    const double skew = x_of(*instance.problem, steps, h.src_buf) -
+                        x_of(*instance.problem, steps, h.dst_buf);
+    if (skew < h.lambda - 1e-9) return false;
+  }
+  return true;
 }
 
 }  // namespace effitest::core

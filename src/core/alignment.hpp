@@ -10,24 +10,19 @@
 // subject to the buffer range/step constraints (eq. 14 / eq. 3) and the
 // hold-time lower bounds x_i - x_j >= lambda_ij (§3.5, eq. 21).
 //
-// Two solvers:
-//  * solve_alignment — coordinate descent: weighted-median updates of T
-//    interleaved with per-buffer discrete line search. The production
-//    solver: the per-chip test machine runs it every frequency step.
-//    bench_ablation_alignment (s13207, 2-6 entries) measures 13-15 us per
-//    solve against 190-220 us for the compact MILP and 170-190 ms for the
-//    big-M MILP, and quantifies its optimality gap.
-//  * solve_alignment_milp — the exact oracle that tests and the ablation
-//    bench compare against, in two forms (MilpForm): kCompact linearizes
-//    the absolute values as eta >= +/-(...); kBigM is the paper's literal
-//    indicator-variable formulation (eqs. 8-13), kept for fidelity. Both
-//    forms must agree.
+// The solver is coordinate descent (solve_alignment): weighted-median
+// updates of T interleaved with per-buffer discrete line search. The
+// per-chip test machine runs it every frequency step. Where the paper
+// solves eqs. 8-13 as an MILP, that formulation is a test oracle only, in
+// a compact and the paper's big-M form (tests/oracles/milp_oracles.hpp).
+// bench_ablation_alignment (s13207, 2-6 entries) measures 13-15 us per
+// coordinate-descent solve against 190-220 us for the compact MILP and
+// 170-190 ms for the big-M MILP, and quantifies the optimality gap.
 //
 // Weights follow the paper: sort the range centers, give the middle one k0
 // and decrease by kd per rank outward (k0 >> kd), which breaks the
 // degenerate non-overlapping case of Fig. 6e.
 
-#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
@@ -91,12 +86,6 @@ struct AlignmentWorkspace {
   std::vector<std::pair<double, double>> crossings;
 };
 
-/// Formulation of the exact MILP oracle.
-enum class MilpForm : std::uint8_t {
-  kCompact,  ///< |.| linearized by eta >= +/-(...)
-  kBigM,     ///< the paper's indicator variables (eqs. 8-13)
-};
-
 /// Middle-out weight assignment over range centers (k0 to the median center,
 /// decreasing by kd per rank outward; floored at kd). Equal centers take
 /// their ranks in input order.
@@ -110,9 +99,14 @@ enum class MilpForm : std::uint8_t {
     const AlignmentInstance& instance,
     AlignmentWorkspace* workspace = nullptr);
 
-/// Solves one alignment instance exactly by branch & bound on `form`. The
-/// oracle for solve_alignment; too slow for the per-chip loop.
-[[nodiscard]] AlignmentResult solve_alignment_milp(
-    const AlignmentInstance& instance, MilpForm form = MilpForm::kCompact);
+/// The eq.-7 objective of `instance` at clock period `period` and buffer
+/// steps `steps`: sum of weight * |period - shifted center|.
+[[nodiscard]] double alignment_objective(const AlignmentInstance& instance,
+                                         double period,
+                                         std::span<const int> steps);
+
+/// True when `steps` satisfies every hold bound of `instance` (to 1e-9).
+[[nodiscard]] bool hold_satisfied(const AlignmentInstance& instance,
+                                  std::span<const int> steps);
 
 }  // namespace effitest::core

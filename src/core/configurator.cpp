@@ -50,73 +50,13 @@ struct GridEdge {
   }
 };
 
-ConfigResult solve_milp(const Problem& problem, double td,
-                        std::span<const double> lower,
-                        std::span<const double> upper,
-                        std::span<const HoldConstraintX> hold,
-                        const ConfigOptions& options) {
-  lp::Model model;
-  const std::size_t nb = problem.num_buffers();
-  std::vector<int> s_var(nb);
-  for (std::size_t b = 0; b < nb; ++b) {
-    s_var[b] = model.add_integer(
-        0.0, static_cast<double>(problem.buffers()[b].steps - 1), 0.0,
-        "s" + std::to_string(b));
-  }
-  const int xi_var = model.add_continuous(
-      0.0, 2.0 * widest_range(lower, upper) + 10.0, 1.0, "xi");
-
-  const auto x_terms = [&](int buf, double sign, std::vector<lp::Term>& terms,
-                           double& constant) {
-    if (buf < 0) return;
-    const auto& b = problem.buffers()[static_cast<std::size_t>(buf)];
-    constant += sign * b.r;
-    terms.push_back({s_var[static_cast<std::size_t>(buf)], sign * b.step_size()});
-  };
-
-  for (std::size_t p = 0; p < lower.size(); ++p) {
-    const int dp_var = model.add_continuous(lower[p], upper[p], 0.0,
-                                            "D" + std::to_string(p));
-    // (16): D' + x_i - x_j <= td.
-    std::vector<lp::Term> c{{dp_var, 1.0}};
-    double constant = 0.0;
-    x_terms(problem.src_buffer(p), +1.0, c, constant);
-    x_terms(problem.dst_buffer(p), -1.0, c, constant);
-    model.add_constraint(std::move(c), lp::Sense::kLessEqual, td - constant);
-    // (17): xi >= u - D'.
-    model.add_constraint({{xi_var, 1.0}, {dp_var, 1.0}},
-                         lp::Sense::kGreaterEqual, upper[p]);
-  }
-  // (21): hold bounds.
-  for (const HoldConstraintX& h : hold) {
-    std::vector<lp::Term> c;
-    double constant = 0.0;
-    x_terms(h.src_buf, +1.0, c, constant);
-    x_terms(h.dst_buf, -1.0, c, constant);
-    model.add_constraint(std::move(c), lp::Sense::kGreaterEqual,
-                         h.lambda - constant);
-  }
-
-  const lp::Solution sol = lp::solve(model, options.lp);
-  ConfigResult out;
-  if (!sol.feasible()) return out;
-  out.feasible = true;
-  out.xi = sol.values[static_cast<std::size_t>(xi_var)];
-  out.steps.resize(nb);
-  for (std::size_t b = 0; b < nb; ++b) {
-    out.steps[b] = static_cast<int>(
-        std::lround(sol.values[static_cast<std::size_t>(s_var[b])]));
-  }
-  return out;
-}
-
 }  // namespace
 
 ConfigResult configure_buffers(const Problem& problem, double designated_period,
                                std::span<const double> lower,
                                std::span<const double> upper,
                                std::span<const HoldConstraintX> hold,
-                               const ConfigOptions& options) {
+                               const ConfigOptions& /*unused*/) {
   const std::size_t np = problem.model().num_pairs();
   if (lower.size() != np || upper.size() != np) {
     throw std::invalid_argument("configure_buffers: bounds size mismatch");
@@ -128,10 +68,6 @@ ConfigResult configure_buffers(const Problem& problem, double designated_period,
       throw std::invalid_argument("configure_buffers: hold buffer index");
     }
   }
-  if (options.method == ConfigOptions::Method::kMilp) {
-    return solve_milp(problem, designated_period, lower, upper, hold, options);
-  }
-
   // Merge x_i - x_j <= c into the edge node(j) -> node(i) (node 0 = ground,
   // node b + 1 = buffer b). Constant and self constraints never reach the
   // graph: a soft one raises the xi floor, a violated hard one is fatal.
@@ -233,7 +169,7 @@ ConfigResult configure_buffers(const Problem& problem, double designated_period,
 
 ConfigResult configure_ideal(const Problem& problem, double designated_period,
                              const timing::Chip& chip,
-                             const ConfigOptions& options) {
+                             const ConfigOptions& /*unused*/) {
   const timing::CircuitModel& model = problem.model();
   const std::size_t np = model.num_pairs();
   const double h = model.hold_time();
@@ -244,7 +180,7 @@ ConfigResult configure_ideal(const Problem& problem, double designated_period,
                h - chip.min_delay[p]};
   }
   return configure_buffers(problem, designated_period, chip.max_delay,
-                           chip.max_delay, hold, options);
+                           chip.max_delay, hold);
 }
 
 }  // namespace effitest::core

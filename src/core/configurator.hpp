@@ -22,24 +22,23 @@
 // finitely many xi, and the optimum is the first feasible one of them, so
 // xi is the exact minimum over the step grid.
 //
-// A literal MILP of eqs. 15-18 (+21) is provided for cross-validation.
+// This kernel is the only configuration solver. The paper's literal MILP
+// of eqs. 15-18 (+21) is a test oracle (tests/oracles/milp_oracles.hpp:
+// configure_buffers_milp) that cross-validates it.
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "core/alignment.hpp"
 #include "core/problem.hpp"
-#include "lp/solver.hpp"
 #include "timing/model.hpp"
 
 namespace effitest::core {
 
-struct ConfigOptions {
-  enum class Method : std::uint8_t { kDifferenceConstraints, kMilp };
-  Method method = Method::kDifferenceConstraints;
-  lp::SolveOptions lp{};
-};
+/// Configuration has no settings: this empty struct, FlowOptions::config
+/// and the trailing `options` parameters below are unused. They stay only
+/// so that existing callers that pass them keep compiling.
+struct ConfigOptions {};
 
 struct ConfigResult {
   bool feasible = false;

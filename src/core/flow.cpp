@@ -196,8 +196,7 @@ FlowResult run_flow(const Problem& problem, const FlowOptions& options,
 
     if (!report.config.feasible) ++tally.infeasible;
     if (report.passed.value_or(false)) ++tally.pass_proposed;
-    const ConfigResult ideal =
-        configure_ideal(problem, td, chip, options.config);
+    const ConfigResult ideal = configure_ideal(problem, td, chip);
     if (ideal.feasible &&
         chip_passes(problem, chip, buffer_values(problem, ideal.steps), td)) {
       ++tally.pass_ideal;

@@ -35,7 +35,7 @@ struct FlowOptions {
   BatchingOptions batching{};
   TestOptions test{};
   HoldBoundOptions hold{};
-  ConfigOptions config{};
+  ConfigOptions config{};  ///< unused: configuration has no settings
   std::size_t chips = 1000;     ///< Monte-Carlo dies (paper: 10,000)
   std::uint64_t seed = 2016;
   /// Worker threads for the parallel sections (per-chip tester loop, T_d

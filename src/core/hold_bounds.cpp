@@ -6,7 +6,6 @@
 #include <map>
 #include <stdexcept>
 
-#include "lp/solver.hpp"
 #include "parallel/deterministic_for.hpp"
 
 namespace effitest::core {
@@ -79,56 +78,6 @@ std::vector<double> greedy_discard_bounds(
     for (std::size_t p = 0; p < n_pairs; ++p) {
       lambda[p] = std::max(lambda[p], delta[k][p]);
     }
-  }
-  return lambda;
-}
-
-std::vector<double> exact_milp_bounds(
-    const std::vector<std::vector<double>>& delta, double yield) {
-  const std::size_t m = delta.size();
-  if (m == 0) return {};
-  const std::size_t n_pairs = delta.front().size();
-
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -lo;
-  for (const auto& row : delta) {
-    for (double v : row) {
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
-  }
-  const double big = (hi - lo) + 1.0;
-
-  lp::Model model;
-  std::vector<int> lambda_var(n_pairs);
-  for (std::size_t p = 0; p < n_pairs; ++p) {
-    lambda_var[p] =
-        model.add_continuous(lo - 1.0, hi + 1.0, 1.0, "l" + std::to_string(p));
-  }
-  std::vector<int> y_var(m);
-  for (std::size_t k = 0; k < m; ++k) {
-    y_var[k] = model.add_binary(0.0, "y" + std::to_string(k));
-  }
-  // (19): lambda_p - delta[k][p] >= M(y_k - 1).
-  for (std::size_t k = 0; k < m; ++k) {
-    for (std::size_t p = 0; p < n_pairs; ++p) {
-      model.add_constraint({{lambda_var[p], 1.0}, {y_var[k], -big}},
-                           lp::Sense::kGreaterEqual, delta[k][p] - big);
-    }
-  }
-  // (20): sum y_k >= Y*M.
-  std::vector<lp::Term> cover;
-  for (std::size_t k = 0; k < m; ++k) cover.push_back({y_var[k], 1.0});
-  model.add_constraint(std::move(cover), lp::Sense::kGreaterEqual,
-                       std::ceil(yield * static_cast<double>(m)));
-
-  const lp::Solution sol = lp::solve(model);
-  if (!sol.feasible()) {
-    throw std::runtime_error("exact_milp_bounds: solver failed");
-  }
-  std::vector<double> lambda(n_pairs);
-  for (std::size_t p = 0; p < n_pairs; ++p) {
-    lambda[p] = sol.values[static_cast<std::size_t>(lambda_var[p])];
   }
   return lambda;
 }

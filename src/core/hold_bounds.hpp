@@ -12,8 +12,8 @@
 // The bounds come from greedy scenario discard: start from full coverage
 // (lambda = per-pair max) and greedily discard the (1-Y)*M samples whose
 // removal shrinks sum(lambda) most. It scales to M = thousands. The paper's
-// indicator formulation (eqs. 19-20), solved by the in-house branch & bound,
-// stays as exact_milp_bounds: practical for small M, the oracle in tests.
+// indicator formulation (eqs. 19-20) is a test oracle, practical for small
+// M (tests/oracles/milp_oracles.hpp).
 
 #include <vector>
 
@@ -62,11 +62,6 @@ struct HoldMarginSamples {
 /// ceil(Y*M) samples to cover and return per-pair lambda = max over covered
 /// samples. Greedy scenario-discard version.
 [[nodiscard]] std::vector<double> greedy_discard_bounds(
-    const std::vector<std::vector<double>>& delta, double yield);
-
-/// Exact MILP version of the same selection (eqs. 19-20); the oracle for
-/// greedy_discard_bounds.
-[[nodiscard]] std::vector<double> exact_milp_bounds(
     const std::vector<std::vector<double>>& delta, double yield);
 
 }  // namespace effitest::core

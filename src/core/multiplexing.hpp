@@ -43,15 +43,6 @@ struct BatchingOptions {
     const Problem& problem, std::span<const std::size_t> paths,
     const BatchingOptions& options = {});
 
-/// Smallest legal batch count (max per-FF source/sink multiplicity) —
-/// the optimal coloring achieves exactly this when no exclusions exist.
-[[nodiscard]] std::size_t batch_lower_bound(const Problem& problem,
-                                            std::span<const std::size_t> paths);
-
-/// Check batch legality (conflict rule + exclusions).
-[[nodiscard]] bool batch_is_legal(const Problem& problem, const Batch& batch,
-                                  const BatchingOptions& options = {});
-
 /// Fill unoccupied slots: every batch smaller than the largest one is topped
 /// up with paths from `candidates` (ordered by decreasing priority) that do
 /// not conflict. Each candidate is inserted at most once. When `centers` is

@@ -13,9 +13,9 @@
 // state itself. `DelayTestMachine` is the incremental form — it emits one
 // `Stimulus` at a time and consumes the pass/fail response, so a physical
 // tester (or a streamed protocol, core/tuner_service.hpp) can sit on the
-// other side. `run_delay_test`/`run_pathwise_test` drive a `ChipUnderTest`
-// through the same machine; wrap a simulated die in `core::SimulatedChip`
-// to recover the historical in-process behavior bit for bit.
+// other side. `TuningSession::drive` runs the machine against a
+// `ChipUnderTest`; wrap a simulated die in `core::SimulatedChip` to recover
+// the historical in-process behavior bit for bit.
 
 #include <cstddef>
 #include <span>
@@ -26,8 +26,6 @@
 #include "core/problem.hpp"
 
 namespace effitest::core {
-
-class ChipUnderTest;  // core/tuner_service.hpp
 
 struct TestOptions {
   double epsilon_ps = 0.5;  ///< stop when upper - lower < epsilon
@@ -120,29 +118,10 @@ class DelayTestMachine {
   bool done_ = false;
 };
 
-/// Run the aligned delay test on one chip over the given batches.
-/// `prior_lower` / `prior_upper` are indexed by monitored-pair id
-/// (mu -/+ 3 sigma initially, §3.3). The chip is observed exclusively
-/// through the `ChipUnderTest` interface — one `apply` per tester
-/// iteration.
-[[nodiscard]] TestRunResult run_delay_test(
-    const Problem& problem, ChipUnderTest& chip,
-    const std::vector<Batch>& batches, std::span<const double> prior_lower,
-    std::span<const double> prior_upper,
-    std::span<const HoldConstraintX> hold, const TestOptions& options = {});
-
 /// Number of tester iterations for classic path-wise binary search on one
 /// path: halving [lower, upper] until the width is below epsilon. This is
 /// what refs. [2,6,8,9] assume and what columns t'a / t'v of Table 1 count.
 [[nodiscard]] std::size_t pathwise_iterations(double lower, double upper,
                                               double epsilon);
-
-/// Path-wise frequency stepping over all monitored pairs (the comparison
-/// baseline): every path is bisected individually, one armed pair per
-/// tester iteration, buffers frozen at neutral.
-[[nodiscard]] TestRunResult run_pathwise_test(
-    const Problem& problem, ChipUnderTest& chip,
-    std::span<const double> prior_lower, std::span<const double> prior_upper,
-    const TestOptions& options = {});
 
 }  // namespace effitest::core

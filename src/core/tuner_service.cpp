@@ -39,12 +39,10 @@ TuningSession::TuningSession(const Problem& problem,
                              std::shared_ptr<const FlowArtifacts> artifacts,
                              double designated_period,
                              const TestOptions& test_options,
-                             const ConfigOptions& config_options,
                              const SessionOptions& options)
     : problem_(&problem),
       artifacts_(std::move(artifacts)),
       designated_period_(designated_period),
-      config_options_(config_options),
       options_(options),
       machine_(problem, artifacts_->batches, artifacts_->prior_lower,
                artifacts_->prior_upper, artifacts_->hold, test_options) {
@@ -132,7 +130,7 @@ void TuningSession::on_test_complete() {
   }
   report_.config =
       configure_buffers(*problem_, designated_period_, report_.bounds.lower,
-                        report_.bounds.upper, art.hold, config_options_);
+                        report_.bounds.upper, art.hold);
   report_.config_seconds = seconds_since(ts0);
 
   if (report_.config.feasible && options_.final_test) {
@@ -235,7 +233,7 @@ TunerService::TunerService(const Problem& problem, const FlowOptions& options,
 
 TuningSession TunerService::begin_chip(const SessionOptions& options) const {
   return TuningSession(*problem_, artifacts_, designated_period_,
-                       options_.test, options_.config, options);
+                       options_.test, options);
 }
 
 }  // namespace effitest::core

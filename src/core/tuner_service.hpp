@@ -129,7 +129,6 @@ class TuningSession {
   TuningSession(const Problem& problem,
                 std::shared_ptr<const FlowArtifacts> artifacts,
                 double designated_period, const TestOptions& test_options,
-                const ConfigOptions& config_options,
                 const SessionOptions& options = {});
 
   [[nodiscard]] SessionPhase phase() const { return phase_; }
@@ -162,7 +161,6 @@ class TuningSession {
   const Problem* problem_;
   std::shared_ptr<const FlowArtifacts> artifacts_;
   double designated_period_ = 0.0;
-  ConfigOptions config_options_;
   SessionOptions options_;
   DelayTestMachine machine_;
   Stimulus final_stimulus_;

@@ -1,47 +1,19 @@
-// Heap allocations of per-die sampling, pinned like a golden. This binary
-// replaces the global operator new with a counting one, so the library
-// carries no hook; a test reads only the count's change across one call.
+// Heap allocations of per-die sampling, pinned like a golden
+// (counting_new.hpp).
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstddef>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "counting_new.hpp"
 #include "netlist/generator.hpp"
 #include "timing/model.hpp"
-
-namespace {
-std::atomic<std::size_t> g_allocations{0};
-
-// Out of line: inlined next to a `new`, GCC flags the malloc/free pairing
-// of the replacements as mismatched (-Wmismatched-new-delete).
-[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { release(p); }
-void operator delete[](void* p) noexcept { release(p); }
-void operator delete(void* p, std::size_t) noexcept { release(p); }
-void operator delete[](void* p, std::size_t) noexcept { release(p); }
 
 namespace effitest::timing {
 namespace {
 
-template <typename F>
-std::size_t allocations_during(F&& f) {
-  const std::size_t before = g_allocations.load();
-  f();
-  return g_allocations.load() - before;
-}
+using alloc::allocations_during;
 
 TEST(SamplingAllocations, WarmWorkspaceCountsArePinned) {
   const netlist::CellLibrary lib = netlist::CellLibrary::standard();

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "milp_oracles.hpp"
 #include "netlist/generator.hpp"
 #include "stats/rng.hpp"
 

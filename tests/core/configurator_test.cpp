@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "core/yield.hpp"
+#include "milp_oracles.hpp"
 #include "netlist/generator.hpp"
 
 namespace effitest::core {
@@ -131,13 +132,9 @@ TEST(Configurator, MilpAgreesWithDifferenceConstraints) {
   for (double td_offset : {-5.0, 0.0, 15.0}) {
     const double td =
         *std::max_element(means.begin(), means.end()) + td_offset;
-    ConfigOptions diff_opts;
-    ConfigOptions milp_opts;
-    milp_opts.method = ConfigOptions::Method::kMilp;
-    const ConfigResult a =
-        configure_buffers(f.problem, td, lower, upper, {}, diff_opts);
+    const ConfigResult a = configure_buffers(f.problem, td, lower, upper, {});
     const ConfigResult b =
-        configure_buffers(f.problem, td, lower, upper, {}, milp_opts);
+        configure_buffers_milp(f.problem, td, lower, upper, {});
     EXPECT_EQ(a.feasible, b.feasible) << "td offset " << td_offset;
     if (a.feasible && b.feasible) {
       // Same optimum: the difference-constraint xi is exact on the grid.

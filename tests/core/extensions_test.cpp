@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "batch_checks.hpp"
 #include "core/configurator.hpp"
 #include "core/flow.hpp"
 #include "core/table.hpp"

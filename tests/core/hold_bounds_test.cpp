@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "milp_oracles.hpp"
 #include "netlist/generator.hpp"
 
 namespace effitest::core {

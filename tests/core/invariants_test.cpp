@@ -10,6 +10,7 @@
 #include "core/flow.hpp"
 #include "core/tuner_service.hpp"
 #include "netlist/generator.hpp"
+#include "test_drivers.hpp"
 
 namespace effitest::core {
 namespace {

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <set>
 
+#include "batch_checks.hpp"
 #include "netlist/generator.hpp"
 
 namespace effitest::core {

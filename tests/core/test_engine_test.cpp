@@ -6,6 +6,7 @@
 
 #include "core/tuner_service.hpp"
 #include "netlist/generator.hpp"
+#include "test_drivers.hpp"
 
 namespace effitest::core {
 namespace {

@@ -10,6 +10,7 @@
 #include "core/tuner_service.hpp"
 #include "netlist/bench_parser.hpp"
 #include "netlist/generator.hpp"
+#include "test_drivers.hpp"
 
 namespace effitest::core {
 namespace {

@@ -139,7 +139,7 @@ double lp_min_period(const core::Problem& problem, const timing::Chip& chip) {
                      -chip.max_delay[p]);
   }
   const lp::Solution sol = lp::solve(m);
-  EXPECT_TRUE(sol.feasible());
+  EXPECT_EQ(sol.status, lp::SolveStatus::kOptimal) << lp::to_string(sol.status);
   return sol.values[static_cast<std::size_t>(t)];
 }
 
