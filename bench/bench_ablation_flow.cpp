@@ -5,6 +5,7 @@
 //   4) PCA coverage sweep (npt vs yield drop trade-off).
 
 #include "bench_common.hpp"
+#include "timing/ssta.hpp"
 
 int main(int argc, char** argv) {
   using namespace effitest;
@@ -120,13 +121,13 @@ int main(int argc, char** argv) {
     stats::Rng rng(args.seed ^ 0x55);
     const double t1_mc =
         core::period_quantile(prepared->problem, 0.5, 3000, rng);
-    const double t1_an =
-        core::period_quantile_estimate(prepared->problem, 0.5);
     stats::Rng rng2(args.seed ^ 0x55);
     const double t2_mc =
         core::period_quantile(prepared->problem, 0.8413, 3000, rng2);
-    const double t2_an =
-        core::period_quantile_estimate(prepared->problem, 0.8413);
+    const timing::CanonicalDelay clark =
+        timing::ssta_required_period(prepared->problem.model());
+    const double t1_an = clark.quantile(0.5);
+    const double t2_an = clark.quantile(0.8413);
     core::Table t({"quantile", "Monte-Carlo (ps)", "Clark SSTA (ps)"});
     t.add_row({"T1 (50%)", core::Table::num(t1_mc, 2),
                core::Table::num(t1_an, 2)});

@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the numeric substrates that sit on
-// the critical path of the Monte-Carlo experiments: the blocked linalg
-// kernels against their seed naive references, Cholesky, the Householder +
+// the critical path of the Monte-Carlo experiments: the blocked Cholesky and
+// triangular solves against their seed naive references, the Householder +
 // QL symmetric eigensolver under Procedure-1 PCA, the
 // simplex/branch&bound solver, the coordinate-descent alignment, the
 // conditional-Gaussian predictor, normal draws and chip sampling, buffer
@@ -33,6 +33,7 @@
 #include "linalg/kernels.hpp"
 #include "lp/solver.hpp"
 #include "milp_oracles.hpp"
+#include "reference_kernels.hpp"
 #include "netlist/generator.hpp"
 #include "stats/conditional.hpp"
 #include "stats/rng.hpp"
@@ -52,7 +53,8 @@ linalg::Matrix random_dense(std::size_t rows, std::size_t cols,
 }
 
 linalg::Matrix random_spd(std::size_t n, std::uint64_t seed) {
-  linalg::Matrix spd = linalg::kernels::syrk(random_dense(n, n, seed));
+  const linalg::Matrix a = random_dense(n, n, seed);
+  linalg::Matrix spd = a * a.transposed();
   for (std::size_t i = 0; i < n; ++i) spd(i, i) += static_cast<double>(n);
   return spd;
 }
@@ -75,35 +77,6 @@ void BM_CholeskyNaive(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CholeskyNaive)->Arg(128)->Arg(256)->Arg(384);
-
-void BM_GemmBlocked(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const linalg::Matrix a = random_dense(n, n, 21);
-  const linalg::Matrix b = random_dense(n, n, 22);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::kernels::matmul(a, b));
-  }
-}
-BENCHMARK(BM_GemmBlocked)->Arg(128)->Arg(256)->Arg(384);
-
-void BM_GemmNaive(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const linalg::Matrix a = random_dense(n, n, 21);
-  const linalg::Matrix b = random_dense(n, n, 22);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::kernels::reference_matmul(a, b));
-  }
-}
-BENCHMARK(BM_GemmNaive)->Arg(128)->Arg(256)->Arg(384);
-
-void BM_SyrkBlocked(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const linalg::Matrix a = random_dense(n, n, 23);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::kernels::syrk(a));
-  }
-}
-BENCHMARK(BM_SyrkBlocked)->Arg(128)->Arg(256)->Arg(384);
 
 void BM_TrsmBlocked(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

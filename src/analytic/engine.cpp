@@ -19,22 +19,14 @@ constexpr double kNegInf = -kInf;
 
 using timing::CanonicalDelay;
 
-/// DelayForm -> canonical form (the ssta model-variant convention: gate
-/// mismatch and extra inflation become independent variance).
-[[nodiscard]] CanonicalDelay to_canonical(const timing::DelayForm& f) {
-  CanonicalDelay d;
-  d.mean = f.mean;
-  d.loading = f.loading;
-  d.indep_var = f.mismatch_var + f.extra_indep_var;
-  return d;
-}
-
 /// Canonical form of one pair's true max delay (max over near-critical
 /// alternatives — the quantity the pass rule tests).
 [[nodiscard]] CanonicalDelay pair_form(const timing::MonitoredPair& p) {
   std::vector<CanonicalDelay> alts;
   alts.reserve(p.max_alts.size());
-  for (const timing::DelayForm& f : p.max_alts) alts.push_back(to_canonical(f));
+  for (const timing::DelayForm& f : p.max_alts) {
+    alts.push_back(timing::to_canonical(f));
+  }
   return timing::statistical_max(alts);
 }
 
@@ -138,8 +130,7 @@ double TunedPeriodAnalysis::tuned_quantile(double q) const {
   return tuned.quantile(q);
 }
 
-TunedPeriodAnalysis analyze_tuned_period(const core::Problem& problem,
-                                         const AnalysisOptions& options) {
+TunedPeriodAnalysis analyze_tuned_period(const core::Problem& problem) {
   const timing::CircuitModel& model = problem.model();
   const std::size_t np = model.num_pairs();
   if (np == 0) {
@@ -147,26 +138,13 @@ TunedPeriodAnalysis analyze_tuned_period(const core::Problem& problem,
   }
   const std::size_t nb = problem.num_buffers();
   const std::size_t n = nb + 1;  // node 0 = all unbuffered registers (x = 0)
-  const int max_k = options.max_cycle_edges > 0
-                        ? options.max_cycle_edges
-                        : static_cast<int>(n);
+  // Every simple cycle of the contracted graph has at most n delay edges.
+  const int max_k = static_cast<int>(n);
 
   const auto [lo, up] = node_ranges(problem);
 
-  // Untuned required period: statistical max over every monitored
-  // near-critical form plus the promoted static background.
-  std::vector<CanonicalDelay> untuned_forms;
-  for (const timing::MonitoredPair& p : model.pairs()) {
-    for (const timing::DelayForm& f : p.max_alts) {
-      untuned_forms.push_back(to_canonical(f));
-    }
-  }
-  for (const timing::DelayForm& f : model.static_forms()) {
-    untuned_forms.push_back(to_canonical(f));
-  }
-
   TunedPeriodAnalysis out;
-  out.untuned = timing::statistical_max(untuned_forms);
+  out.untuned = timing::ssta_required_period(model);
   out.pair_criticality.assign(np, 0.0);
 
   // Merge parallel pair edges per contracted-graph arc dst -> src in a
@@ -194,7 +172,7 @@ TunedPeriodAnalysis analyze_tuned_period(const core::Problem& problem,
     std::vector<CanonicalDelay> statics;
     statics.reserve(model.num_static_pairs());
     for (const timing::DelayForm& f : model.static_forms()) {
-      statics.push_back(to_canonical(f));
+      statics.push_back(timing::to_canonical(f));
     }
     CandidateConstraint c;
     c.period = timing::statistical_max(statics);
@@ -376,12 +354,7 @@ double min_feasible_period(const core::Problem& problem,
 
 double McTunedPeriod::quantile(double q) const {
   if (periods.empty()) return 0.0;
-  std::vector<double> sorted = periods;
-  std::sort(sorted.begin(), sorted.end());
-  const double rank = q * static_cast<double>(sorted.size());
-  std::size_t idx = rank <= 1.0 ? 0 : static_cast<std::size_t>(std::ceil(rank)) - 1;
-  idx = std::min(idx, sorted.size() - 1);
-  return sorted[idx];
+  return stats::quantile(periods, q);
 }
 
 McTunedPeriod mc_tuned_period(const core::Problem& problem,

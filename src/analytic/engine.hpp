@@ -68,16 +68,11 @@ struct CandidateConstraint {
   double criticality = 0.0;
 };
 
-struct AnalysisOptions {
-  /// Maximum delay edges per cycle; 0 = num_buffers + 1 (covers every
-  /// simple cycle of the contracted graph, hence exact at Clark accuracy).
-  int max_cycle_edges = 0;
-};
-
 /// Result of the analytic post-tuning analysis.
 struct TunedPeriodAnalysis {
   /// Untuned required period (monitored + promoted static pairs) — the
-  /// Clark counterpart of core::untuned_required_period.
+  /// Clark counterpart of core::untuned_required_period, computed by
+  /// timing::ssta_required_period(model).
   timing::CanonicalDelay untuned;
   /// Post-tuning required period: the clock the chip population can reach
   /// with optimally configured buffers.
@@ -100,9 +95,10 @@ struct TunedPeriodAnalysis {
 
 /// Analytic post-tuning analysis of one tuning problem. Deterministic, no
 /// sampling; cost is O((nb+1)^4) canonical operations — independent of the
-/// chip count that makes the Monte-Carlo flow expensive.
+/// chip count that makes the Monte-Carlo flow expensive. The cycle DP runs
+/// to depth nb + 1, which covers every simple cycle of the contracted graph.
 [[nodiscard]] TunedPeriodAnalysis analyze_tuned_period(
-    const core::Problem& problem, const AnalysisOptions& options = {});
+    const core::Problem& problem);
 
 struct McTunedOptions {
   std::size_t chips = 1000;
@@ -120,7 +116,8 @@ struct McTunedPeriod {
   /// Per-chip minimal feasible periods, chip-index order.
   std::vector<double> periods;
 
-  /// Empirical q-quantile (nearest-rank on a sorted copy).
+  /// Empirical q-quantile (stats::sorted_quantile on a sorted copy, the
+  /// convention of core::period_quantile); 0.0 for an empty sample.
   [[nodiscard]] double quantile(double q) const;
 };
 

@@ -120,7 +120,7 @@ FlowArtifacts prepare_flow(const Problem& problem, const FlowOptions& options,
     std::iota(art.tested.begin(), art.tested.end(), std::size_t{0});
     const linalg::Matrix cov = model.max_covariance(options.threads);
     art.batches = build_batches(
-        problem, cluster_major(correlation_clusters(cov, grouping)),
+        problem, cluster_major(correlation_clusters(cov)),
         batching);
   }
 

@@ -10,7 +10,7 @@
 namespace effitest::core {
 
 std::vector<std::vector<std::size_t>> correlation_clusters(
-    const linalg::Matrix& cov, const GroupingOptions& options) {
+    const linalg::Matrix& cov) {
   if (!cov.is_square()) {
     throw std::invalid_argument("correlation_clusters: covariance not square");
   }
@@ -25,7 +25,7 @@ std::vector<std::vector<std::size_t>> correlation_clusters(
   std::vector<std::size_t> remaining(n);
   for (std::size_t i = 0; i < n; ++i) remaining[i] = i;
 
-  double threshold = options.corr_start;
+  double threshold = kCorrStart;
   while (!remaining.empty()) {
     // extract_paths(P, corr_th): seed with the first remaining path, pull in
     // every path whose correlation with the seed reaches the threshold.
@@ -46,7 +46,7 @@ std::vector<std::vector<std::size_t>> correlation_clusters(
     }
     remaining = std::move(rest);
     clusters.push_back(std::move(members));
-    threshold -= options.corr_step;
+    threshold -= kCorrStep;
   }
   return clusters;
 }
@@ -55,16 +55,16 @@ SelectionResult select_paths(const linalg::Matrix& cov,
                              const GroupingOptions& options) {
   SelectionResult out;
   const std::vector<std::vector<std::size_t>> clusters =
-      correlation_clusters(cov, options);
+      correlation_clusters(cov);
 
   // Thresholds replay the serial round schedule (repeated subtraction, not
-  // corr_start - g*corr_step, to keep the recorded values bit-identical to
+  // kCorrStart - g*kCorrStep, to keep the recorded values bit-identical to
   // the historical serial loop).
   std::vector<double> thresholds(clusters.size());
-  double threshold = options.corr_start;
+  double threshold = kCorrStart;
   for (std::size_t g = 0; g < clusters.size(); ++g) {
     thresholds[g] = threshold;
-    threshold -= options.corr_step;
+    threshold -= kCorrStep;
   }
 
   // The per-group covariance-block assembly + eigendecomposition is

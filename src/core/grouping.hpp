@@ -16,9 +16,12 @@
 
 namespace effitest::core {
 
+/// Correlation threshold of the first extraction round.
+inline constexpr double kCorrStart = 0.95;
+/// Per-round threshold decrease (subtracted once per round).
+inline constexpr double kCorrStep = 0.05;
+
 struct GroupingOptions {
-  double corr_start = 0.95;   ///< initial correlation threshold
-  double corr_step = 0.05;    ///< per-round threshold decrease
   /// |PC_i| rule. Kaiser (default): components at or above the average
   /// eigenvalue — stable under group size and independent-variance
   /// inflation (Fig. 7). Coverage: smallest count explaining `pca_coverage`
@@ -62,6 +65,6 @@ struct SelectionResult {
 /// highly correlated paths lets one clock period bisect all of them for many
 /// consecutive iterations (their pass/fail outcomes track each other).
 [[nodiscard]] std::vector<std::vector<std::size_t>> correlation_clusters(
-    const linalg::Matrix& covariance, const GroupingOptions& options = {});
+    const linalg::Matrix& covariance);
 
 }  // namespace effitest::core

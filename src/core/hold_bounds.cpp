@@ -129,7 +129,7 @@ std::vector<HoldConstraintX> compute_hold_bounds(
   const std::vector<std::vector<double>>& delta = samples.delta;
 
   const std::vector<double> lambda =
-      greedy_discard_bounds(delta, options.yield);
+      greedy_discard_bounds(delta, kHoldYield);
 
   // Merge per buffer combination (max lambda binds) and prune bounds that
   // can never bind within the buffer ranges.

@@ -2,8 +2,8 @@
 // Tuning bounds due to hold-time constraints (paper §3.5, eqs. 19-21).
 //
 // Buffers are never tested against hold violations; instead a lower bound
-// lambda_ij on x_i - x_j is derived offline so that a target yield Y (0.99)
-// of chips satisfies every short-path hold constraint
+// lambda_ij on x_i - x_j is derived offline so that a target yield Y
+// (kHoldYield = 0.99) of chips satisfies every short-path hold constraint
 //   x_i - x_j >= h_j - d_ij(true)
 // The hold margins h_j - d_ij are sampled M times from the statistical model;
 // the bound set { lambda_ij } must cover at least Y*M complete samples while
@@ -23,8 +23,10 @@
 
 namespace effitest::core {
 
+/// Y of eq. 20: the share of sampled chips the bounds must cover.
+inline constexpr double kHoldYield = 0.99;
+
 struct HoldBoundOptions {
-  double yield = 0.99;          ///< Y of eq. 20
   std::size_t samples = 1000;   ///< M
   /// Worker threads for margin sampling. Each sample draws from its own
   /// seed-derived stream (parallel::index_seed), so the bounds are

@@ -102,10 +102,7 @@ void TuningSession::emit_report() const {
        obs::LogField::u64("iterations",
                           static_cast<std::uint64_t>(report_.test.iterations)),
        obs::LogField::boolean("feasible", report_.config.feasible),
-       obs::LogField::str("passed",
-                          report_.passed.has_value()
-                              ? (*report_.passed ? "1" : "0")
-                              : "-")});
+       obs::LogField::str("passed", *report_.passed ? "1" : "0")});
 }
 
 void TuningSession::on_test_complete() {
@@ -133,7 +130,7 @@ void TuningSession::on_test_complete() {
                         report_.bounds.upper, art.hold);
   report_.config_seconds = seconds_since(ts0);
 
-  if (report_.config.feasible && options_.final_test) {
+  if (report_.config.feasible) {
     final_stimulus_.period = designated_period_;
     final_stimulus_.steps = report_.config.steps;
     final_stimulus_.armed.clear();
@@ -145,9 +142,8 @@ void TuningSession::on_test_complete() {
            obs::LogField::f64("period", designated_period_)});
     }
   } else {
-    // An infeasible configuration rejects the chip outright; with the
-    // final test disabled the outcome is simply not evaluated.
-    if (options_.final_test) report_.passed = false;
+    // An infeasible configuration rejects the chip outright.
+    report_.passed = false;
     phase_ = SessionPhase::kDone;
     emit_report();
   }

@@ -90,16 +90,13 @@ struct ChipReport {
                             ///< tested, conditional-Gaussian elsewhere
   ConfigResult config;      ///< buffer steps + xi (eqs. 15-18)
   double designated_period = 0.0;
-  /// Final go/no-go outcome; false when configuration was infeasible,
-  /// nullopt when the final test was skipped (SessionOptions::final_test).
+  /// Final go/no-go outcome; false when configuration was infeasible.
+  /// Set on every finished session; nullopt only before kDone.
   std::optional<bool> passed;
   double config_seconds = 0.0;  ///< prediction + configuration — column Ts
 };
 
 struct SessionOptions {
-  /// Run the final go/no-go production test after configuration. Skipped
-  /// automatically (passed = false) when configuration is infeasible.
-  bool final_test = true;
   /// Structured event log for session transitions (chip_begin, final_test,
   /// chip_report), or nullptr for none — the zero-overhead default.
   /// Logging never feeds back into tuning: sessions stay pure functions

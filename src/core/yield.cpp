@@ -5,7 +5,6 @@
 
 #include "parallel/deterministic_for.hpp"
 #include "stats/distributions.hpp"
-#include "timing/ssta.hpp"
 
 namespace effitest::core {
 
@@ -64,10 +63,6 @@ double untuned_required_period(const Problem& problem,
   for (double d : chip.static_delay) worst = std::max(worst, d);
   (void)problem;
   return worst;
-}
-
-double period_quantile_estimate(const Problem& problem, double q) {
-  return timing::ssta_required_period(problem.model()).quantile(q);
 }
 
 std::vector<double> sample_required_periods(const Problem& problem,

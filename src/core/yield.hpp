@@ -60,9 +60,4 @@ inline constexpr std::uint64_t kQuantileCalibrationSeedXor = 0x7157;
                                      std::size_t chips, stats::Rng& rng,
                                      std::size_t threads = 0);
 
-/// Analytic counterpart of period_quantile (no sampling): block-based SSTA
-/// with Clark's max, exact up to the Gaussian-max approximation.
-[[nodiscard]] double period_quantile_estimate(const Problem& problem,
-                                              double q);
-
 }  // namespace effitest::core

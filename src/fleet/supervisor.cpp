@@ -267,10 +267,10 @@ void ProcessSupervisor::monitor_loop() {
           if (options_.restart_on_crash) {
             // Exponential backoff per consecutive crash; a scraped banner
             // resets the exponent.
-            const double delay = std::min(
-                options_.backoff_base_seconds *
-                    std::exp2(static_cast<double>(child.restarts)),
-                options_.backoff_max_seconds);
+            const double delay =
+                std::min(kRestartBackoffBaseSeconds *
+                             std::exp2(static_cast<double>(child.restarts)),
+                         kRestartBackoffMaxSeconds);
             child.restart_pending = true;
             child.restart_at =
                 now + std::chrono::duration_cast<

@@ -58,6 +58,12 @@ namespace effitest::fleet {
 [[nodiscard]] std::optional<WorkerEndpoint> parse_serving_banner(
     const std::string& line);
 
+/// Restart delay after a child's first consecutive crash; it doubles per
+/// further crash and a scraped banner resets it.
+inline constexpr double kRestartBackoffBaseSeconds = 0.25;
+/// Cap on the doubled restart delay.
+inline constexpr double kRestartBackoffMaxSeconds = 5.0;
+
 struct SupervisorOptions {
   /// argv of every child (argv[0] = executable path). The command must
   /// print `serving on <host>:<port>` on stdout when ready — exactly what
@@ -65,8 +71,6 @@ struct SupervisorOptions {
   std::vector<std::string> argv;
   std::size_t children = 2;
   bool restart_on_crash = true;
-  double backoff_base_seconds = 0.25;
-  double backoff_max_seconds = 5.0;
   /// start() fails if any child's banner has not appeared within this.
   double startup_timeout_seconds = 60.0;
   obs::StructuredLog* log = nullptr;

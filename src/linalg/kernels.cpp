@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstddef>
 
-#include "linalg/decomposition.hpp"
-
 namespace effitest::linalg::kernels {
 
 namespace {
@@ -18,109 +16,6 @@ namespace {
 }
 
 }  // namespace
-
-Matrix matmul(const Matrix& a, const Matrix& b, const KernelOptions& opts) {
-  if (a.cols() != b.rows()) {
-    throw LinalgError("kernels::matmul dimension mismatch");
-  }
-  const std::size_t m = a.rows();
-  const std::size_t kk = a.cols();
-  const std::size_t n = b.cols();
-  Matrix out(m, n);
-  if (m == 0 || n == 0 || kk == 0) return out;
-
-  const double* pa = a.data().data();
-  const double* pb = b.data().data();
-  double* pc = out.data().data();
-
-  const std::size_t row_blocks = (m + kRowBlock - 1) / kRowBlock;
-  parallel::ForOptions fopts;
-  fopts.threads = fanout_threads(m * n * kk, opts);
-  parallel::deterministic_for(row_blocks, fopts, [&](std::size_t rb) {
-    const std::size_t i0 = rb * kRowBlock;
-    const std::size_t i1 = std::min(i0 + kRowBlock, m);
-    // j/k tiling keeps a kRowBlock x kColBlock panel of B cache-resident
-    // while the row block of A streams over it. Each out(i, j) accumulates
-    // k ascending (j tile fixed, k tiles ascending, k within a tile
-    // ascending), exactly the reference i-k-j order.
-    for (std::size_t j0 = 0; j0 < n; j0 += kColBlock) {
-      const std::size_t j1 = std::min(j0 + kColBlock, n);
-      for (std::size_t k0 = 0; k0 < kk; k0 += kRowBlock) {
-        const std::size_t k1 = std::min(k0 + kRowBlock, kk);
-        for (std::size_t i = i0; i < i1; ++i) {
-          const double* arow = pa + i * kk;
-          double* crow = pc + i * n;
-          for (std::size_t k = k0; k < k1; ++k) {
-            const double aik = arow[k];
-            const double* brow = pb + k * n;
-            for (std::size_t j = j0; j < j1; ++j) crow[j] += aik * brow[j];
-          }
-        }
-      }
-    }
-  });
-  return out;
-}
-
-Matrix syrk(const Matrix& a, const KernelOptions& opts) {
-  const std::size_t n = a.rows();
-  const std::size_t kk = a.cols();
-  Matrix out(n, n);
-  if (n == 0) return out;
-  const double* pa = a.data().data();
-
-  const std::size_t blocks = (n + kRowBlock - 1) / kRowBlock;
-  std::vector<std::pair<std::size_t, std::size_t>> tiles;
-  tiles.reserve(blocks * (blocks + 1) / 2);
-  for (std::size_t ib = 0; ib < blocks; ++ib) {
-    for (std::size_t jb = 0; jb <= ib; ++jb) tiles.emplace_back(ib, jb);
-  }
-
-  parallel::ForOptions fopts;
-  fopts.threads = fanout_threads(n * n * kk / 2, opts);
-  parallel::deterministic_for(tiles.size(), fopts, [&](std::size_t t) {
-    const auto [ib, jb] = tiles[t];
-    const std::size_t i1 = std::min((ib + 1) * kRowBlock, n);
-    const std::size_t jend = std::min((jb + 1) * kRowBlock, n);
-    for (std::size_t i = ib * kRowBlock; i < i1; ++i) {
-      const double* ri = pa + i * kk;
-      const std::size_t j1 = std::min(jend, i + 1);
-      std::size_t j = jb * kRowBlock;
-      // Four independent accumulator chains interleave so the FMA pipeline
-      // stays full; each chain is one element's k-ascending dot product.
-      for (; j + 4 <= j1; j += 4) {
-        const double* r0 = pa + j * kk;
-        const double* r1 = pa + (j + 1) * kk;
-        const double* r2 = pa + (j + 2) * kk;
-        const double* r3 = pa + (j + 3) * kk;
-        double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
-        for (std::size_t k = 0; k < kk; ++k) {
-          const double v = ri[k];
-          acc0 += v * r0[k];
-          acc1 += v * r1[k];
-          acc2 += v * r2[k];
-          acc3 += v * r3[k];
-        }
-        out(i, j) = acc0;
-        out(j, i) = acc0;
-        out(i, j + 1) = acc1;
-        out(j + 1, i) = acc1;
-        out(i, j + 2) = acc2;
-        out(j + 2, i) = acc2;
-        out(i, j + 3) = acc3;
-        out(j + 3, i) = acc3;
-      }
-      for (; j < j1; ++j) {
-        const double* rj = pa + j * kk;
-        double acc = 0.0;
-        for (std::size_t k = 0; k < kk; ++k) acc += ri[k] * rj[k];
-        out(i, j) = acc;
-        out(j, i) = acc;
-      }
-    }
-  });
-  return out;
-}
 
 void trsm_lower(const Matrix& l, Matrix& b, const KernelOptions& opts) {
   const std::size_t n = l.rows();
@@ -294,64 +189,6 @@ bool cholesky_blocked(const Matrix& a, double diag_add, Matrix& l_out,
   }
   l_out = std::move(l);
   return true;
-}
-
-// -- Reference kernels (the seed implementations, kept verbatim) ------------
-
-Matrix reference_matmul(const Matrix& a, const Matrix& b) {
-  if (a.cols() != b.rows()) {
-    throw LinalgError("Matrix * dimension mismatch");
-  }
-  const std::size_t m = a.rows();
-  const std::size_t kk = a.cols();
-  const std::size_t n = b.cols();
-  Matrix out(m, n);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t k = 0; k < kk; ++k) {
-      const double aik = a(i, k);
-      if (aik == 0.0) continue;
-      const double* rhs_row = b.data().data() + k * n;
-      double* out_row = out.data().data() + i * n;
-      for (std::size_t j = 0; j < n; ++j) {
-        out_row[j] += aik * rhs_row[j];
-      }
-    }
-  }
-  return out;
-}
-
-Matrix reference_syrk(const Matrix& a) {
-  return reference_matmul(a, a.transposed());
-}
-
-bool reference_cholesky(const Matrix& a, double diag_add, Matrix& l_out) {
-  const std::size_t n = a.rows();
-  Matrix l(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    double diag = a(j, j) + diag_add;
-    for (std::size_t k = 0; k < j; ++k) diag -= l(j, k) * l(j, k);
-    if (diag <= 0.0 || !std::isfinite(diag)) return false;
-    const double ljj = std::sqrt(diag);
-    l(j, j) = ljj;
-    for (std::size_t i = j + 1; i < n; ++i) {
-      double v = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) v -= l(i, k) * l(j, k);
-      l(i, j) = v / ljj;
-    }
-  }
-  l_out = std::move(l);
-  return true;
-}
-
-Matrix reference_cholesky_solve(const Matrix& l, const Matrix& b) {
-  Matrix x(b.rows(), b.cols());
-  for (std::size_t c = 0; c < b.cols(); ++c) {
-    const std::vector<double> col = b.column(c);
-    const std::vector<double> y = forward_substitute(l, col);
-    const std::vector<double> sol = backward_substitute(l, y);
-    for (std::size_t r = 0; r < b.rows(); ++r) x(r, c) = sol[r];
-  }
-  return x;
 }
 
 }  // namespace effitest::linalg::kernels

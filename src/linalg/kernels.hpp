@@ -1,13 +1,12 @@
 #pragma once
 // Blocked dense kernels: the performance substrate under linalg and stats.
 //
-// The seed implementations of GEMM, Cholesky and triangular solves were
-// straightforward triple loops. They are numerically fine but leave most of
-// the machine idle: every per-element dot product is one serial
-// floating-point dependency chain (one fused multiply-add per ~4 cycles),
-// and the access patterns stream whole operands through cache once per
-// output row/column. The kernels here fix both without changing a single
-// result bit:
+// The seed Cholesky and triangular solves were straightforward triple
+// loops. They are numerically fine but leave most of the machine idle:
+// every per-element dot product is one serial floating-point dependency
+// chain (one fused multiply-add per ~4 cycles), and the access patterns
+// stream whole operands through cache once per output row/column. The
+// kernels here fix both without changing a single result bit:
 //
 //  * Register blocking — each output element keeps its own accumulator and
 //    neighbouring elements' chains interleave, so the FMA units pipeline
@@ -21,15 +20,15 @@
 // Bit-compatibility contract: for every kernel, each output element is
 // accumulated in exactly the per-element operation order of the seed naive
 // code (k ascending into a single accumulator, division last). Blocking
-// only reorders *between* elements, never within one, so the blocked
-// kernels agree with the reference kernels bit-for-bit — pinned by
-// tests/linalg/kernels_test.cpp. This is what lets Matrix::operator*,
-// cholesky()/Cholesky::solve and the covariance assembly route through this
-// layer without moving the golden-metrics pins.
-//
-// The reference_* functions preserve the seed implementations verbatim;
-// they are the oracles for the bit-identity tests and the baseline side of
-// bench_micro_solvers' blocked-vs-naive comparison.
+// only reorders *between* elements, never within one, so the kernels agree
+// bit-for-bit with the seed Cholesky and per-column solve. Those seed
+// implementations are kept verbatim as test-only oracles
+// (tests/oracles/reference_kernels.hpp, outside this library) and pinned
+// against the kernels by tests/linalg/kernels_test.cpp. This is what lets
+// cholesky()/Cholesky::solve and the covariance assembly route through
+// this layer without moving the golden-metrics pins. Matrix::operator* is
+// the seed i-k-j loop itself; nothing on a shipped path multiplies large
+// matrices.
 
 #include <algorithm>
 #include <cstddef>
@@ -49,20 +48,11 @@ struct KernelOptions {
 
 /// Row tile (output rows per task; also the Cholesky panel width).
 inline constexpr std::size_t kRowBlock = 64;
-/// Column tile (GEMM j-tile / TRSM right-hand-side tile), sized so a
-/// kRowBlock x kColBlock operand panel stays L2-resident.
+/// Column tile (TRSM right-hand-side tile), sized so a kRowBlock x
+/// kColBlock operand panel stays L2-resident.
 inline constexpr std::size_t kColBlock = 256;
 /// Flop threshold below which kernels skip the pool entirely.
 inline constexpr std::size_t kSerialFlops = std::size_t{1} << 18;
-
-/// C = A * B, blocked and parallel over row blocks. Bit-identical to
-/// reference_matmul for finite inputs.
-[[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b,
-                            const KernelOptions& opts = {});
-
-/// C = A * A^T (symmetric), computed on the lower triangle in tiles and
-/// mirrored. Bit-identical to reference_syrk.
-[[nodiscard]] Matrix syrk(const Matrix& a, const KernelOptions& opts = {});
 
 /// B := L^{-1} B for lower-triangular L (forward substitution over all
 /// right-hand sides at once, vectorized across columns, parallel over
@@ -76,22 +66,12 @@ void trsm_lower_transposed(const Matrix& l, Matrix& b,
 
 /// Right-looking blocked Cholesky attempt: factor a + diag_add*I = L L^T.
 /// Returns false on a non-positive (or non-finite) pivot, leaving l_out
-/// untouched. Bit-identical to reference_cholesky: panel updates subtract
-/// contributions in globally ascending k order per element.
+/// untouched. Bit-identical to the seed left-looking Cholesky (the
+/// reference_cholesky oracle): panel updates subtract contributions in
+/// globally ascending k order per element.
 [[nodiscard]] bool cholesky_blocked(const Matrix& a, double diag_add,
                                     Matrix& l_out,
                                     const KernelOptions& opts = {});
-
-// -- Seed-era reference kernels (bit-compat oracles; do not "optimize") ----
-
-[[nodiscard]] Matrix reference_matmul(const Matrix& a, const Matrix& b);
-[[nodiscard]] Matrix reference_syrk(const Matrix& a);
-[[nodiscard]] bool reference_cholesky(const Matrix& a, double diag_add,
-                                      Matrix& l_out);
-/// The seed Cholesky::solve(Matrix): per-column gather, forward+backward
-/// substitution, scatter.
-[[nodiscard]] Matrix reference_cholesky_solve(const Matrix& l,
-                                              const Matrix& b);
 
 // -- Blocked symmetric assembly ---------------------------------------------
 

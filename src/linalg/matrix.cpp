@@ -4,8 +4,6 @@
 #include <cmath>
 #include <ostream>
 
-#include "linalg/kernels.hpp"
-
 namespace effitest::linalg {
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
@@ -66,20 +64,6 @@ std::vector<double> Matrix::column(std::size_t c) const {
   return out;
 }
 
-Matrix Matrix::block(std::size_t r0, std::size_t c0, std::size_t nr,
-                     std::size_t nc) const {
-  if (r0 + nr > rows_ || c0 + nc > cols_) {
-    throw LinalgError("Matrix::block out of range");
-  }
-  Matrix out(nr, nc);
-  for (std::size_t r = 0; r < nr; ++r) {
-    for (std::size_t c = 0; c < nc; ++c) {
-      out(r, c) = (*this)(r0 + r, c0 + c);
-    }
-  }
-  return out;
-}
-
 Matrix Matrix::select(std::span<const std::size_t> row_idx,
                       std::span<const std::size_t> col_idx) const {
   Matrix out(row_idx.size(), col_idx.size());
@@ -103,31 +87,20 @@ Matrix Matrix::transposed() const {
   return out;
 }
 
-Matrix& Matrix::operator+=(const Matrix& rhs) {
-  if (rows_ != rhs.rows_ || cols_ != rhs.cols_) {
-    throw LinalgError("Matrix += dimension mismatch");
-  }
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += rhs.data_[i];
-  return *this;
-}
-
-Matrix& Matrix::operator-=(const Matrix& rhs) {
-  if (rows_ != rhs.rows_ || cols_ != rhs.cols_) {
-    throw LinalgError("Matrix -= dimension mismatch");
-  }
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= rhs.data_[i];
-  return *this;
-}
-
-Matrix& Matrix::operator*=(double s) {
-  for (double& v : data_) v *= s;
-  return *this;
-}
-
 Matrix Matrix::operator*(const Matrix& rhs) const {
-  // Blocked and (for large products) pool-parallel kernel; element values
-  // accumulate in the same k-ascending order as the historical i-k-j loop.
-  return kernels::matmul(*this, rhs);
+  if (cols_ != rhs.rows_) throw LinalgError("Matrix * dimension mismatch");
+  const std::size_t n = rhs.cols_;
+  Matrix out(rows_, n);
+  for (std::size_t i = 0; i < rows_; ++i) {
+    double* out_row = out.data_.data() + i * n;
+    for (std::size_t k = 0; k < cols_; ++k) {
+      const double aik = (*this)(i, k);
+      if (aik == 0.0) continue;
+      const double* rhs_row = rhs.data_.data() + k * n;
+      for (std::size_t j = 0; j < n; ++j) out_row[j] += aik * rhs_row[j];
+    }
+  }
+  return out;
 }
 
 std::vector<double> Matrix::operator*(std::span<const double> v) const {

@@ -71,38 +71,14 @@ class Matrix {
   /// Extract a column as a vector.
   [[nodiscard]] std::vector<double> column(std::size_t c) const;
 
-  /// Submatrix rows [r0, r0+nr) x cols [c0, c0+nc).
-  [[nodiscard]] Matrix block(std::size_t r0, std::size_t c0, std::size_t nr,
-                             std::size_t nc) const;
-
   /// Submatrix formed by the given row and column index sets (in order).
   [[nodiscard]] Matrix select(std::span<const std::size_t> row_idx,
                               std::span<const std::size_t> col_idx) const;
 
   [[nodiscard]] Matrix transposed() const;
 
-  Matrix& operator+=(const Matrix& rhs);
-  Matrix& operator-=(const Matrix& rhs);
-  Matrix& operator*=(double s);
-
-  [[nodiscard]] friend Matrix operator+(Matrix a, const Matrix& b) {
-    a += b;
-    return a;
-  }
-  [[nodiscard]] friend Matrix operator-(Matrix a, const Matrix& b) {
-    a -= b;
-    return a;
-  }
-  [[nodiscard]] friend Matrix operator*(Matrix a, double s) {
-    a *= s;
-    return a;
-  }
-  [[nodiscard]] friend Matrix operator*(double s, Matrix a) {
-    a *= s;
-    return a;
-  }
-
-  /// Matrix product (this * rhs).
+  /// Matrix product (this * rhs): the seed i-k-j loop, each element
+  /// accumulated k ascending.
   [[nodiscard]] Matrix operator*(const Matrix& rhs) const;
 
   /// Matrix-vector product.

@@ -9,14 +9,11 @@
 
 namespace effitest::netlist {
 
-void write_bench(const Netlist& netlist, std::ostream& out,
-                 const BenchWriteOptions& options) {
-  if (options.include_header) {
-    out << "# " << (netlist.name().empty() ? "netlist" : netlist.name())
-        << "\n# " << netlist.primary_inputs().size() << " inputs, "
-        << netlist.num_flip_flops() << " flip-flops, "
-        << netlist.num_combinational_gates() << " gates\n";
-  }
+void write_bench(const Netlist& netlist, std::ostream& out) {
+  out << "# " << (netlist.name().empty() ? "netlist" : netlist.name())
+      << "\n# " << netlist.primary_inputs().size() << " inputs, "
+      << netlist.num_flip_flops() << " flip-flops, "
+      << netlist.num_combinational_gates() << " gates\n";
 
   for (int pi : netlist.primary_inputs()) {
     out << "INPUT(" << netlist.cell(pi).name << ")\n";
@@ -36,28 +33,18 @@ void write_bench(const Netlist& netlist, std::ostream& out,
     out << ")\n";
   }
 
-  if (options.include_placement) {
-    out << '\n';
-    out << std::setprecision(10);
-    for (const Cell& c : netlist.cells()) {
-      out << "#!place " << c.name << ' ' << c.position.x << ' '
-          << c.position.y << '\n';
-    }
+  out << '\n';
+  out << std::setprecision(10);
+  for (const Cell& c : netlist.cells()) {
+    out << "#!place " << c.name << ' ' << c.position.x << ' ' << c.position.y
+        << '\n';
   }
 }
 
-std::string write_bench_string(const Netlist& netlist,
-                               const BenchWriteOptions& options) {
-  std::ostringstream os;
-  write_bench(netlist, os, options);
-  return os.str();
-}
-
-void write_bench_file(const Netlist& netlist, const std::string& path,
-                      const BenchWriteOptions& options) {
+void write_bench_file(const Netlist& netlist, const std::string& path) {
   std::ofstream out(path);
   if (!out) throw NetlistError("cannot open .bench file for writing: " + path);
-  write_bench(netlist, out, options);
+  write_bench(netlist, out);
 }
 
 Netlist parse_bench_file_with_placement(const std::string& path) {

@@ -3,9 +3,9 @@
 //
 // Lets users export generated benchmark circuits for inspection or for use
 // with external EDA tools, and gives the test suite a parse/write round-trip
-// oracle. Placement is not part of the .bench format; an optional sidecar
-// format ("#!place name x y" comment lines, understood by this module's
-// reader extension) preserves it losslessly.
+// oracle. Placement is not part of the .bench format; a sidecar format
+// ("#!place name x y" comment lines, understood by this module's reader
+// extension) preserves it losslessly.
 
 #include <iosfwd>
 #include <string>
@@ -14,22 +14,12 @@
 
 namespace effitest::netlist {
 
-struct BenchWriteOptions {
-  /// Emit "#!place <name> <x> <y>" comments so a round-trip keeps placement.
-  bool include_placement = true;
-  /// Emit a header comment with circuit statistics.
-  bool include_header = true;
-};
+/// Serialize a netlist to ISCAS89 .bench text: a header comment with the
+/// circuit statistics, then the netlist, then one "#!place <name> <x> <y>"
+/// comment per cell so a round-trip keeps placement.
+void write_bench(const Netlist& netlist, std::ostream& out);
 
-/// Serialize a netlist to ISCAS89 .bench text.
-void write_bench(const Netlist& netlist, std::ostream& out,
-                 const BenchWriteOptions& options = {});
-
-[[nodiscard]] std::string write_bench_string(
-    const Netlist& netlist, const BenchWriteOptions& options = {});
-
-void write_bench_file(const Netlist& netlist, const std::string& path,
-                      const BenchWriteOptions& options = {});
+void write_bench_file(const Netlist& netlist, const std::string& path);
 
 /// Parse .bench text honouring the "#!place" placement sidecar comments
 /// emitted by write_bench (plain parse_bench ignores them as comments).

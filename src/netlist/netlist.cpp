@@ -32,12 +32,6 @@ void Netlist::set_fanins(int id, std::vector<int> fanins) {
   cells_[static_cast<std::size_t>(id)].fanins = std::move(fanins);
 }
 
-void Netlist::add_fanin(int id, int driver) {
-  check_id(id);
-  check_id(driver);
-  cells_[static_cast<std::size_t>(id)].fanins.push_back(driver);
-}
-
 void Netlist::mark_primary_output(int id) {
   check_id(id);
   cells_[static_cast<std::size_t>(id)].is_primary_output = true;

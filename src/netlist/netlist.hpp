@@ -53,7 +53,6 @@ class Netlist {
 
   void set_position(int id, Point p);
   void set_fanins(int id, std::vector<int> fanins);
-  void add_fanin(int id, int driver);
   void mark_primary_output(int id);
 
   [[nodiscard]] std::size_t num_cells() const { return cells_.size(); }

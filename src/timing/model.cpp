@@ -67,8 +67,8 @@ CircuitModel::CircuitModel(const netlist::Netlist& netlist,
     p.src_buffered = src_buf;
     p.dst_buffered = dst_buf;
     const auto alts =
-        graph.near_critical_paths(cone_of(s), s, t, options_.slack_window_ps,
-                                  options_.max_paths_per_pair);
+        graph.near_critical_paths(cone_of(s), s, t, kSlackWindowPs,
+                                  kMaxPathsPerPair);
     if (alts.empty()) continue;
     p.max_alts.reserve(alts.size());
     for (const StructuralPath& sp : alts) {
@@ -80,7 +80,7 @@ CircuitModel::CircuitModel(const netlist::Netlist& netlist,
   critical_ = crit;
 
   // Pass 2: background pairs — discard statically safe ones, promote others.
-  const double threshold = options_.static_discard_fraction * critical_;
+  const double threshold = kStaticDiscardFraction * critical_;
   for (const PairDelay& c : background) {
     // Conservative sigma bound without path extraction: systematic fraction
     // of the mean (fully correlated gates) plus mismatch margin.
@@ -91,7 +91,7 @@ CircuitModel::CircuitModel(const netlist::Netlist& netlist,
       continue;
     }
     const auto paths = graph.near_critical_paths(
-        cone_of(c.src_ff), c.src_ff, c.dst_ff, options_.slack_window_ps, 1);
+        cone_of(c.src_ff), c.src_ff, c.dst_ff, kSlackWindowPs, 1);
     if (!paths.empty()) {
       static_forms_.push_back(build_form(paths.front(), setup_time_));
     }

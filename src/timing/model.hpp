@@ -92,16 +92,20 @@ struct SampleWorkspace {
   std::vector<double> mismatch;
 };
 
+/// Near-critical enumeration window: a pair's max alternatives are its
+/// structural paths within this slack of its critical path, ps.
+inline constexpr double kSlackWindowPs = 15.0;
+/// Cap on a pair's max alternatives (the truth evaluation's path count).
+inline constexpr std::size_t kMaxPathsPerPair = 4;
+/// Background pairs with mean + 6 sigma below this fraction of the critical
+/// delay are statically discarded.
+inline constexpr double kStaticDiscardFraction = 0.6;
+
 struct ModelOptions {
   VariationParams variation{};
-  double slack_window_ps = 15.0;       ///< near-critical enumeration window
-  std::size_t max_paths_per_pair = 4;  ///< truth evaluation path cap
   /// Fig-7 knob: scale every path sigma by this factor by *adding
   /// independent variance*, leaving cross covariances untouched.
   double random_inflation = 1.0;
-  /// Background pairs with mean + 6 sigma below this fraction of the critical
-  /// delay are statically discarded.
-  double static_discard_fraction = 0.6;
 };
 
 class CircuitModel {

@@ -15,6 +15,14 @@ double CanonicalDelay::quantile(double q) const {
   return mean + stats::normal_quantile(q) * sigma();
 }
 
+CanonicalDelay to_canonical(const DelayForm& form) {
+  CanonicalDelay d;
+  d.mean = form.mean;
+  d.loading = form.loading;
+  d.indep_var = form.mismatch_var + form.extra_indep_var;
+  return d;
+}
+
 double canonical_cov(const CanonicalDelay& a, const CanonicalDelay& b) {
   return sparse_dot(a.loading, b.loading);
 }
@@ -157,19 +165,15 @@ CanonicalDelay ssta_required_period(const netlist::Netlist& netlist,
 }
 
 CanonicalDelay ssta_required_period(const CircuitModel& model) {
-  std::vector<CanonicalDelay> forms;
-  forms.reserve(model.num_pairs());
-  for (const MonitoredPair& p : model.pairs()) {
-    for (const DelayForm& f : p.max_alts) {
-      CanonicalDelay d;
-      d.mean = f.mean;
-      d.loading = f.loading;
-      d.indep_var = f.mismatch_var + f.extra_indep_var;
-      forms.push_back(std::move(d));
-    }
-  }
-  if (forms.empty()) {
+  if (model.num_pairs() == 0) {
     throw std::invalid_argument("ssta_required_period: model has no pairs");
+  }
+  std::vector<CanonicalDelay> forms;
+  for (const MonitoredPair& p : model.pairs()) {
+    for (const DelayForm& f : p.max_alts) forms.push_back(to_canonical(f));
+  }
+  for (const DelayForm& f : model.static_forms()) {
+    forms.push_back(to_canonical(f));
   }
   return statistical_max(forms);
 }

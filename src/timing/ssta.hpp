@@ -44,6 +44,10 @@ struct CanonicalDelay {
   [[nodiscard]] double quantile(double q) const;
 };
 
+/// Canonical form of a model DelayForm: gate mismatch and the extra
+/// (Fig-7) inflation variance become the independent term.
+[[nodiscard]] CanonicalDelay to_canonical(const DelayForm& form);
+
 /// Covariance of two canonical forms (shared factors only).
 [[nodiscard]] double canonical_cov(const CanonicalDelay& a,
                                    const CanonicalDelay& b);
@@ -74,8 +78,10 @@ struct CanonicalDelay {
     const netlist::Netlist& netlist, const netlist::CellLibrary& library,
     const VariationModel& variation);
 
-/// Same distribution computed from an already-built CircuitModel's monitored
-/// and promoted background pairs (cheaper; used for cross-checks).
+/// Same distribution computed from an already-built CircuitModel: the
+/// statistical max of every monitored pair's near-critical forms, then the
+/// promoted background pairs' static forms (cheaper; the untuned period of
+/// analytic::analyze_tuned_period and the Clark side of the cross-checks).
 [[nodiscard]] CanonicalDelay ssta_required_period(const CircuitModel& model);
 
 }  // namespace effitest::timing

@@ -11,10 +11,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "core/problem.hpp"
 #include "netlist/generator.hpp"
+#include "scenario/circuit_catalog.hpp"
 #include "stats/rng.hpp"
 #include "timing/model.hpp"
 #include "timing/ssta.hpp"
@@ -113,14 +115,22 @@ TEST(AnalyticEngine, CriticalityMassesSumToOne) {
 
 TEST(AnalyticEngine, UntunedMatchesBlockBasedSsta) {
   // The engine's untuned form is the model-variant block-based SSTA
-  // result: same forms, same statistical max.
-  const Fixture& f = three_buffers();
-  const analytic::TunedPeriodAnalysis a =
-      analytic::analyze_tuned_period(f.problem);
-  const timing::CanonicalDelay reference =
-      timing::ssta_required_period(f.model);
-  EXPECT_NEAR(a.untuned.mean, reference.mean, 1e-9);
-  EXPECT_NEAR(a.untuned.sigma(), reference.sigma(), 1e-9);
+  // result: same forms (monitored, then promoted static), same statistical
+  // max. ac97_ctrl has static pairs.
+  const auto ac97 =
+      scenario::CircuitCatalog::shared_paper()->resolve("ac97_ctrl", 1.0);
+  ASSERT_GT(ac97->model.num_static_pairs(), 0u);
+  const std::pair<const timing::CircuitModel*, const core::Problem*> cases[] =
+      {{&three_buffers().model, &three_buffers().problem},
+       {&ac97->model, &ac97->problem}};
+  for (const auto& [model, problem] : cases) {
+    const analytic::TunedPeriodAnalysis a =
+        analytic::analyze_tuned_period(*problem);
+    const timing::CanonicalDelay reference =
+        timing::ssta_required_period(*model);
+    EXPECT_EQ(a.untuned.mean, reference.mean);
+    EXPECT_EQ(a.untuned.variance(), reference.variance());
+  }
 }
 
 TEST(AnalyticEngine, TuningNeverHurts) {
@@ -187,12 +197,16 @@ TEST(AnalyticEngine, McReferenceIsThreadInvariant) {
   }
 }
 
-TEST(AnalyticEngine, McQuantileNearestRank) {
+TEST(AnalyticEngine, McQuantileInterpolatesLikePeriodQuantile) {
+  // The empirical convention of core::period_quantile (linear
+  // interpolation between order statistics), so `ssta --tuned` prints one
+  // convention for the untuned and the tuned Monte-Carlo columns.
   analytic::McTunedPeriod mc;
+  EXPECT_EQ(mc.quantile(0.5), 0.0);  // empty sample
   mc.periods = {3.0, 1.0, 2.0, 4.0};
   EXPECT_DOUBLE_EQ(mc.quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(mc.quantile(0.25), 1.0);
-  EXPECT_DOUBLE_EQ(mc.quantile(0.5), 2.0);
+  EXPECT_DOUBLE_EQ(mc.quantile(0.25), 1.75);
+  EXPECT_DOUBLE_EQ(mc.quantile(0.5), 2.5);
   EXPECT_DOUBLE_EQ(mc.quantile(1.0), 4.0);
 }
 

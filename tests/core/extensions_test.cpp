@@ -14,6 +14,7 @@
 #include "core/table.hpp"
 #include "core/yield.hpp"
 #include "netlist/generator.hpp"
+#include "timing/ssta.hpp"
 
 namespace effitest::core {
 namespace {
@@ -43,9 +44,9 @@ TEST(AnalyticYield, MatchesMonteCarloQuantiles) {
   Fixture f;
   stats::Rng rng(3);
   const double t1_mc = period_quantile(f.problem, 0.5, 3000, rng);
-  const double t1_an = period_quantile_estimate(f.problem, 0.5);
-  const double sigma =
-      period_quantile_estimate(f.problem, 0.8413) - t1_an;
+  const timing::CanonicalDelay clark = timing::ssta_required_period(f.model);
+  const double t1_an = clark.quantile(0.5);
+  const double sigma = clark.quantile(0.8413) - t1_an;
   EXPECT_NEAR(t1_an, t1_mc, 0.6 * sigma);
   // The analytic quantile is monotone in q.
   EXPECT_GT(sigma, 0.0);
@@ -53,7 +54,7 @@ TEST(AnalyticYield, MatchesMonteCarloQuantiles) {
 
 TEST(AnalyticYield, AgreesWithSampledYield) {
   Fixture f;
-  const double td = period_quantile_estimate(f.problem, 0.75);
+  const double td = timing::ssta_required_period(f.model).quantile(0.75);
   stats::Rng rng(5);
   int pass = 0;
   const int chips = 2500;

@@ -161,15 +161,19 @@ TEST(CorrelationClusters, PartitionIsComplete) {
 }
 
 TEST(CorrelationClusters, NegativeThresholdSwallowsRest) {
-  // Anti-correlated pair: eventually grouped when threshold <= 0.
-  linalg::Matrix cov{{1.0, -0.9}, {-0.9, 1.0}};
-  GroupingOptions opts;
-  opts.corr_start = 0.95;
-  opts.corr_step = 0.5;  // 0.95 -> 0.45 -> -0.05 (catch-all)
-  const auto clusters = correlation_clusters(cov, opts);
-  std::size_t total = 0;
-  for (const auto& cl : clusters) total += cl.size();
-  EXPECT_EQ(total, 2u);
+  // Nineteen uncorrelated paths split off one per round while the threshold
+  // (0.95, 0.90, ... by repeated subtraction) stays positive; the twentieth
+  // round's threshold is <= 0, so the anti-correlated pair after them is
+  // grouped there.
+  linalg::Matrix cov(21, 21);
+  for (std::size_t i = 0; i < 21; ++i) cov(i, i) = 1.0;
+  cov(19, 20) = cov(20, 19) = -0.9;
+  const auto clusters = correlation_clusters(cov);
+  ASSERT_EQ(clusters.size(), 20u);
+  for (std::size_t g = 0; g < 19; ++g) {
+    EXPECT_EQ(clusters[g], std::vector<std::size_t>{g});
+  }
+  EXPECT_EQ(clusters.back(), (std::vector<std::size_t>{19, 20}));
 }
 
 /// FNV-1a over a Procedure-1 result: per group its members, |PC_i| and the

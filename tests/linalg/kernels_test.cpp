@@ -2,7 +2,8 @@
 //
 // The contract (kernels.hpp): every blocked kernel accumulates each output
 // element in exactly the per-element operation order of the seed naive
-// code, so blocked and reference results must agree BIT-FOR-BIT — no
+// code, so blocked and reference results (the seed Cholesky and solve in
+// tests/oracles/reference_kernels.hpp) must agree BIT-FOR-BIT — no
 // tolerances anywhere in this file — on any shape (ragged tile edges
 // included) and for any worker count.
 
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "linalg/decomposition.hpp"
+#include "reference_kernels.hpp"
 #include "stats/rng.hpp"
 
 namespace effitest::linalg {
@@ -31,7 +33,7 @@ Matrix random_matrix(std::size_t rows, std::size_t cols, std::uint64_t seed) {
 
 Matrix random_spd(std::size_t n, std::uint64_t seed) {
   const Matrix a = random_matrix(n, n, seed);
-  Matrix spd = kernels::reference_syrk(a);
+  Matrix spd = a * a.transposed();
   for (std::size_t i = 0; i < n; ++i) spd(i, i) += static_cast<double>(n);
   return spd;
 }
@@ -49,40 +51,6 @@ void expect_bits_equal(const Matrix& a, const Matrix& b, const char* what) {
 // Shapes straddling the tile sizes (kRowBlock = 64, kColBlock = 256),
 // including ragged edges and degenerate extents.
 const std::size_t kSizes[] = {1, 2, 3, 7, 16, 63, 64, 65, 130};
-
-TEST(Kernels, MatmulMatchesReferenceBitwise) {
-  std::uint64_t seed = 1;
-  for (std::size_t m : kSizes) {
-    for (std::size_t k : {std::size_t{1}, std::size_t{5}, std::size_t{64},
-                          std::size_t{67}}) {
-      const Matrix a = random_matrix(m, k, seed++);
-      const Matrix b = random_matrix(k, m + 3, seed++);
-      expect_bits_equal(kernels::matmul(a, b), kernels::reference_matmul(a, b),
-                        "matmul");
-    }
-  }
-  // Wide product crossing the column tile.
-  const Matrix a = random_matrix(70, 90, seed++);
-  const Matrix b = random_matrix(90, 300, seed++);
-  expect_bits_equal(kernels::matmul(a, b), kernels::reference_matmul(a, b),
-                    "matmul wide");
-}
-
-TEST(Kernels, MatmulEmptyOperands) {
-  const Matrix a(0, 5);
-  const Matrix b(5, 0);
-  EXPECT_EQ((kernels::matmul(a, random_matrix(5, 4, 9)).rows()), 0u);
-  EXPECT_EQ((kernels::matmul(random_matrix(4, 5, 10), b).cols()), 0u);
-  EXPECT_THROW((void)kernels::matmul(Matrix(2, 3), Matrix(2, 3)), LinalgError);
-}
-
-TEST(Kernels, SyrkMatchesReferenceBitwise) {
-  std::uint64_t seed = 100;
-  for (std::size_t n : kSizes) {
-    const Matrix a = random_matrix(n, n / 2 + 1, seed++);
-    expect_bits_equal(kernels::syrk(a), kernels::reference_syrk(a), "syrk");
-  }
-}
 
 TEST(Kernels, CholeskyMatchesReferenceBitwise) {
   std::uint64_t seed = 200;
@@ -160,13 +128,9 @@ TEST(Kernels, CholeskySolveEntryPointsRouteThroughKernels) {
 TEST(Kernels, ThreadCountBitIdentity) {
   // Identical bits for any worker count, including the serial path. Sizes
   // above kSerialFlops so the fan-out actually engages.
-  const Matrix a = random_matrix(200, 150, 41);
-  const Matrix b = random_matrix(150, 220, 42);
   const Matrix spd = random_spd(260, 43);
   const Matrix rhs = random_matrix(260, 300, 44);
 
-  const Matrix prod1 = kernels::matmul(a, b, {.threads = 1});
-  const Matrix syrk1 = kernels::syrk(a, {.threads = 1});
   Matrix l1;
   ASSERT_TRUE(kernels::cholesky_blocked(spd, 0.0, l1, {.threads = 1}));
   Matrix x1 = rhs;
@@ -176,8 +140,6 @@ TEST(Kernels, ThreadCountBitIdentity) {
   for (std::size_t threads : {std::size_t{2}, std::size_t{3}, std::size_t{7},
                               std::size_t{0}}) {
     const kernels::KernelOptions opts{threads};
-    expect_bits_equal(kernels::matmul(a, b, opts), prod1, "matmul threads");
-    expect_bits_equal(kernels::syrk(a, opts), syrk1, "syrk threads");
     Matrix lt;
     ASSERT_TRUE(kernels::cholesky_blocked(spd, 0.0, lt, opts));
     expect_bits_equal(lt, l1, "cholesky threads");

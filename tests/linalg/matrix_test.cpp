@@ -73,14 +73,6 @@ TEST(Matrix, Column) {
   EXPECT_DOUBLE_EQ(c[1], 4.0);
 }
 
-TEST(Matrix, Block) {
-  const Matrix m{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}};
-  const Matrix b = m.block(1, 1, 2, 2);
-  EXPECT_DOUBLE_EQ(b(0, 0), 5.0);
-  EXPECT_DOUBLE_EQ(b(1, 1), 9.0);
-  EXPECT_THROW(m.block(2, 2, 2, 2), LinalgError);
-}
-
 TEST(Matrix, Select) {
   const Matrix m{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}};
   const std::vector<std::size_t> rows{2, 0};
@@ -98,23 +90,6 @@ TEST(Matrix, Transposed) {
   EXPECT_EQ(t.rows(), 3u);
   EXPECT_EQ(t.cols(), 2u);
   EXPECT_DOUBLE_EQ(t(2, 1), 6.0);
-}
-
-TEST(Matrix, AddSubtractScale) {
-  const Matrix a{{1, 2}, {3, 4}};
-  const Matrix b{{4, 3}, {2, 1}};
-  const Matrix sum = a + b;
-  EXPECT_DOUBLE_EQ(sum(0, 0), 5.0);
-  const Matrix diff = a - b;
-  EXPECT_DOUBLE_EQ(diff(1, 1), 3.0);
-  const Matrix scaled = 2.0 * a;
-  EXPECT_DOUBLE_EQ(scaled(1, 0), 6.0);
-}
-
-TEST(Matrix, AddDimensionMismatchThrows) {
-  Matrix a(2, 2);
-  const Matrix b(2, 3);
-  EXPECT_THROW(a += b, LinalgError);
 }
 
 TEST(Matrix, Multiply) {

@@ -2,11 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "netlist/bench_parser.hpp"
 #include "netlist/generator.hpp"
 
 namespace effitest::netlist {
 namespace {
+
+std::string bench_text(const Netlist& netlist) {
+  std::ostringstream os;
+  write_bench(netlist, os);
+  return os.str();
+}
 
 Netlist small() {
   Netlist nl("small");
@@ -20,7 +28,8 @@ Netlist small() {
 }
 
 TEST(BenchWriter, EmitsAllSections) {
-  const std::string text = write_bench_string(small());
+  const std::string text = bench_text(small());
+  EXPECT_EQ(text.rfind("# small\n# 2 inputs, 1 flip-flops, 2 gates\n", 0), 0u);
   EXPECT_NE(text.find("INPUT(a)"), std::string::npos);
   EXPECT_NE(text.find("INPUT(b)"), std::string::npos);
   EXPECT_NE(text.find("OUTPUT(g2)"), std::string::npos);
@@ -33,7 +42,7 @@ TEST(BenchWriter, EmitsAllSections) {
 TEST(BenchWriter, RoundTripPreservesStructure) {
   const Netlist original = small();
   const Netlist parsed =
-      parse_bench_string(write_bench_string(original), "small");
+      parse_bench_string(bench_text(original), "small");
   EXPECT_EQ(parsed.num_cells(), original.num_cells());
   EXPECT_EQ(parsed.num_flip_flops(), original.num_flip_flops());
   EXPECT_EQ(parsed.num_combinational_gates(),
@@ -50,21 +59,12 @@ TEST(BenchWriter, RoundTripPreservesStructure) {
 TEST(BenchWriter, PlacementRoundTrip) {
   const Netlist original = small();
   const Netlist parsed =
-      parse_bench_with_placement(write_bench_string(original), "small");
+      parse_bench_with_placement(bench_text(original), "small");
   for (const Cell& c : original.cells()) {
     const Cell& p = parsed.cell(parsed.find(c.name));
     EXPECT_NEAR(p.position.x, c.position.x, 1e-9) << c.name;
     EXPECT_NEAR(p.position.y, c.position.y, 1e-9) << c.name;
   }
-}
-
-TEST(BenchWriter, PlacementOptionalOff) {
-  BenchWriteOptions opts;
-  opts.include_placement = false;
-  opts.include_header = false;
-  const std::string text = write_bench_string(small(), opts);
-  EXPECT_EQ(text.find("#!place"), std::string::npos);
-  EXPECT_EQ(text.find("# small"), std::string::npos);
 }
 
 TEST(BenchWriter, GeneratedCircuitRoundTrips) {
@@ -75,7 +75,7 @@ TEST(BenchWriter, GeneratedCircuitRoundTrips) {
   spec.num_critical_paths = 12;
   spec.seed = 3;
   const GeneratedCircuit gen = generate_circuit(spec);
-  const std::string text = write_bench_string(gen.netlist);
+  const std::string text = bench_text(gen.netlist);
   const Netlist parsed = parse_bench_with_placement(text, "roundtrip");
   EXPECT_EQ(parsed.num_cells(), gen.netlist.num_cells());
   EXPECT_NO_THROW(parsed.validate());

@@ -176,30 +176,6 @@ TEST(TuningSession, ConcurrentSessionsShareArtifactsBitIdentically) {
   EXPECT_EQ(service.shared_artifacts().use_count(), 1);
 }
 
-TEST(TuningSession, FinalTestCanBeSkipped) {
-  Fixture f;
-  FlowOptions opts;
-  opts.seed = 31;
-  const TunerService service(f.problem, opts);
-  stats::Rng rng(parallel::index_seed(service.monte_carlo_seed_base(), 3));
-  const timing::Chip die = f.model.sample_chip(rng);
-  SimulatedChip tester(f.problem, die);
-
-  SessionOptions sopts;
-  sopts.final_test = false;
-  TuningSession session = service.begin_chip(sopts);
-  session.drive(tester);
-  const ChipReport& report = session.report();
-  EXPECT_FALSE(report.passed.has_value());
-
-  TuningSession full = service.begin_chip();
-  full.drive(tester);
-  EXPECT_TRUE(full.report().passed.has_value());
-  // Identical test/configuration either way.
-  EXPECT_EQ(report.config.steps, full.report().config.steps);
-  EXPECT_EQ(report.test.iterations, full.report().test.iterations);
-}
-
 TEST(TuningSession, FinalGoNoGoMatchesChipPasses) {
   // SimulatedChip::final_test is the production pass/fail oracle.
   Fixture f;
@@ -212,6 +188,7 @@ TEST(TuningSession, FinalGoNoGoMatchesChipPasses) {
   TuningSession session = service.begin_chip();
   session.drive(tester);
   const ChipReport& report = session.report();
+  ASSERT_TRUE(report.passed.has_value());
   if (report.config.feasible) {
     EXPECT_EQ(*report.passed,
               chip_passes(f.problem, die,
