@@ -55,7 +55,9 @@ int main(int argc, char** argv) {
           rng.uniform_int(0, static_cast<std::int64_t>(means.size()) - 1));
       centers.push_back(means[p] + rng.normal(0.0, sigmas[p]));
     }
-    const std::vector<double> w = core::middle_out_weights(centers, 1000.0, 1.0);
+    std::vector<std::size_t> order;
+    std::vector<double> w;
+    core::middle_out_weights(centers, 1000.0, 1.0, order, w);
     for (std::size_t i = 0; i < n; ++i) {
       const auto p = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(means.size()) - 1));

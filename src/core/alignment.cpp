@@ -285,23 +285,23 @@ std::optional<AlignmentResult> trivial_result(
 
 }  // namespace
 
-std::vector<double> middle_out_weights(std::span<const double> centers,
-                                       double k0, double kd) {
+void middle_out_weights(std::span<const double> centers, double k0, double kd,
+                        std::vector<std::size_t>& order,
+                        std::vector<double>& weights) {
   const std::size_t n = centers.size();
-  std::vector<std::size_t> order(n);
+  order.resize(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
   // Equal centers rank by input index, so the order is fully specified and
   // does not depend on which sort algorithm the standard library picks.
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return centers[a] < centers[b] || (centers[a] == centers[b] && a < b);
   });
-  std::vector<double> weights(n, kd);
+  weights.resize(n);
   const double mid = (static_cast<double>(n) - 1.0) / 2.0;
   for (std::size_t rank = 0; rank < n; ++rank) {
     const double dist = std::abs(static_cast<double>(rank) - mid);
     weights[order[rank]] = std::max(k0 - kd * dist, kd);
   }
-  return weights;
 }
 
 AlignmentResult solve_alignment(const AlignmentInstance& instance,

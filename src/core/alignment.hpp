@@ -88,9 +88,11 @@ struct AlignmentWorkspace {
 
 /// Middle-out weight assignment over range centers (k0 to the median center,
 /// decreasing by kd per rank outward; floored at kd). Equal centers take
-/// their ranks in input order.
-[[nodiscard]] std::vector<double> middle_out_weights(
-    std::span<const double> centers, double k0, double kd);
+/// their ranks in input order. Writes weights[i] for centers[i]; `order` is
+/// the ranking's scratch. Both are the caller's, so a loop reuses them.
+void middle_out_weights(std::span<const double> centers, double k0, double kd,
+                        std::vector<std::size_t>& order,
+                        std::vector<double>& weights);
 
 /// Solves one alignment instance by coordinate descent. `workspace` is
 /// scratch memory to reuse across calls (a local one is used when null); it

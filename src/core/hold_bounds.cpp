@@ -4,29 +4,12 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <span>
 #include <stdexcept>
 
 #include "parallel/deterministic_for.hpp"
 
 namespace effitest::core {
-
-namespace {
-
-/// Max and runner-up margin over the kept samples of one pair.
-struct TopTwo {
-  double max = -std::numeric_limits<double>::infinity();
-  double second = -std::numeric_limits<double>::infinity();
-  void offer(double v) {
-    if (v > max) {
-      second = max;
-      max = v;
-    } else if (v > second) {
-      second = v;
-    }
-  }
-};
-
-}  // namespace
 
 std::vector<double> greedy_discard_bounds(
     const std::vector<std::vector<double>>& delta, double yield) {
@@ -40,35 +23,80 @@ std::vector<double> greedy_discard_bounds(
   }
   const auto keep = static_cast<std::size_t>(
       std::ceil(yield * static_cast<double>(m)));
-  std::size_t to_drop = m > keep ? m - keep : 0;
+  const std::size_t to_drop = m > keep ? m - keep : 0;
 
-  std::vector<bool> dropped(m, false);
-  while (to_drop > 0) {
-    // Current top-two margins per pair over kept samples.
-    std::vector<TopTwo> tops(n_pairs);
-    for (std::size_t k = 0; k < m; ++k) {
-      if (dropped[k]) continue;
-      for (std::size_t p = 0; p < n_pairs; ++p) tops[p].offer(delta[k][p]);
+  // Each pair's samples are ranked once, by margin descending (ties by
+  // sample index), in one row-order pass. At most to_drop samples are ever
+  // dropped, so a pair's kept top two lie within its first to_drop + 2
+  // ranks, and only those are kept.
+  const std::size_t depth = std::min(m, to_drop + 2);
+  std::vector<double> rank_value(n_pairs * depth);
+  std::vector<std::size_t> rank_sample(n_pairs * depth);
+  std::vector<std::size_t> ranked(n_pairs, 0);
+  for (std::size_t k = 0; k < m; ++k) {
+    for (std::size_t p = 0; p < n_pairs; ++p) {
+      const double v = delta[k][p];
+      double* value = rank_value.data() + p * depth;
+      std::size_t* sample = rank_sample.data() + p * depth;
+      std::size_t pos = ranked[p];
+      if (pos == depth) {
+        if (!(v > value[depth - 1])) continue;
+        pos = depth - 1;
+      } else {
+        ++ranked[p];
+      }
+      for (; pos > 0 && v > value[pos - 1]; --pos) {
+        value[pos] = value[pos - 1];
+        sample[pos] = sample[pos - 1];
+      }
+      value[pos] = v;
+      sample[pos] = k;
     }
-    // Benefit of dropping sample k: sum over pairs where k defines the max.
+  }
+
+  // Each round drops the sample whose removal shrinks sum(lambda) most: its
+  // benefit is the sum, in ascending pair order, of the top-two gaps of the
+  // pairs whose max it attains (within 1e-15). Pairs add their gaps to
+  // their qualifying samples in that order, so every benefit is summed
+  // exactly as a full rescan of the kept samples would sum it.
+  std::vector<bool> dropped(m, false);
+  std::vector<double> benefit(m);
+  for (std::size_t round = 0; round < to_drop; ++round) {
+    std::fill(benefit.begin(), benefit.end(), 0.0);
+    for (std::size_t p = 0; p < n_pairs; ++p) {
+      const double* value = rank_value.data() + p * depth;
+      const std::size_t* sample = rank_sample.data() + p * depth;
+      std::size_t first = 0;
+      while (dropped[sample[first]]) ++first;
+      std::size_t next = first + 1;
+      while (next < depth && dropped[sample[next]]) ++next;
+      const double max = value[first];
+      const double second = next < depth
+                                ? value[next]
+                                : -std::numeric_limits<double>::infinity();
+      const double gap = max - second;
+      const double floor = max - 1e-15;
+      if (depth < m && value[depth - 1] >= floor) {
+        // Ties reach past the ranked prefix: scan the whole pair.
+        for (std::size_t k = 0; k < m; ++k) {
+          if (!dropped[k] && delta[k][p] >= floor) benefit[k] += gap;
+        }
+        continue;
+      }
+      for (std::size_t r = first; r < depth && value[r] >= floor; ++r) {
+        if (!dropped[sample[r]]) benefit[sample[r]] += gap;
+      }
+    }
     double best_benefit = -1.0;
     std::size_t best_k = m;
     for (std::size_t k = 0; k < m; ++k) {
-      if (dropped[k]) continue;
-      double benefit = 0.0;
-      for (std::size_t p = 0; p < n_pairs; ++p) {
-        if (delta[k][p] >= tops[p].max - 1e-15) {
-          benefit += tops[p].max - tops[p].second;
-        }
-      }
-      if (benefit > best_benefit) {
-        best_benefit = benefit;
+      if (!dropped[k] && benefit[k] > best_benefit) {
+        best_benefit = benefit[k];
         best_k = k;
       }
     }
     if (best_k == m) break;
     dropped[best_k] = true;
-    --to_drop;
   }
 
   std::vector<double> lambda(n_pairs,
@@ -104,18 +132,21 @@ HoldMarginSamples sample_hold_margins(const Problem& problem, stats::Rng& rng,
   out.delta.resize(options.samples);
   parallel::ForOptions fopts;
   fopts.threads = options.threads;
-  parallel::deterministic_for(
-      options.samples, fopts, sample_seed_base,
-      [&](std::size_t k, stats::Rng& sample_rng) {
-        // Min-delays-only sampling (same per-sample stream as a full
-        // sample_chip) on per-worker reusable buffers: this loop reads
-        // nothing but the hold margins.
-        thread_local timing::SampleWorkspace ws;
-        thread_local std::vector<double> min_delay;
-        model.sample_min_delays(sample_rng, ws, min_delay);
-        out.delta[k].resize(out.exposed.size());
-        for (std::size_t e = 0; e < out.exposed.size(); ++e) {
-          out.delta[k][e] = h - min_delay[out.exposed[e]];
+  // Lane-kernel sampling of the min delays only (same per-sample streams
+  // as full sample_chip calls): this loop reads nothing but the margins.
+  parallel::deterministic_for_blocks<timing::LaneWorkspace>(
+      options.samples, timing::kLanes, timing::kLaneSpanBlocks, fopts,
+      sample_seed_base,
+      [&](std::size_t first, std::span<stats::Rng> rngs,
+          timing::LaneWorkspace& ws) {
+        const std::span<const double> min_delay =
+            model.sample_min_delays(rngs, ws);
+        for (std::size_t b = 0; b < rngs.size(); ++b) {
+          std::vector<double>& row = out.delta[first + b];
+          row.resize(out.exposed.size());
+          for (std::size_t e = 0; e < out.exposed.size(); ++e) {
+            row[e] = h - min_delay[out.exposed[e] * timing::kLanes + b];
+          }
         }
       });
   return out;

@@ -11,7 +11,9 @@
 //
 // The bounds come from greedy scenario discard: start from full coverage
 // (lambda = per-pair max) and greedily discard the (1-Y)*M samples whose
-// removal shrinks sum(lambda) most. It scales to M = thousands. The paper's
+// removal shrinks sum(lambda) most. Each pair's samples are ranked once, so
+// a discard costs O(M + pairs), not a rescan of all M x pairs margins; it
+// scales to M = thousands. The paper's
 // indicator formulation (eqs. 19-20) is a test oracle, practical for small
 // M (tests/oracles/milp_oracles.hpp).
 

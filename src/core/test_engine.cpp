@@ -96,12 +96,12 @@ const Stimulus& DelayTestMachine::next_stimulus() {
   for (std::size_t p : active_) {
     centers_.push_back(0.5 * (result_.lower[p] + result_.upper[p]));
   }
-  const std::vector<double> weights =
-      middle_out_weights(centers_, options_.k0, options_.kd);
+  middle_out_weights(centers_, options_.k0, options_.kd, weight_order_,
+                     weights_);
   instance_.entries.clear();
   for (std::size_t i = 0; i < active_.size(); ++i) {
     const std::size_t p = active_[i];
-    instance_.entries.push_back(AlignmentEntry{centers_[i], weights[i],
+    instance_.entries.push_back(AlignmentEntry{centers_[i], weights_[i],
                                                problem_->src_buffer(p),
                                                problem_->dst_buffer(p)});
   }

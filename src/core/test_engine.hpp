@@ -108,6 +108,8 @@ class DelayTestMachine {
   AlignmentInstance instance_;
   AlignmentWorkspace workspace_;
   std::vector<double> centers_;
+  std::vector<std::size_t> weight_order_;  ///< middle_out_weights' scratch
+  std::vector<double> weights_;
   TestRunResult result_;
   Stimulus stimulus_;
   std::vector<std::size_t> active_;

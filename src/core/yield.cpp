@@ -1,6 +1,7 @@
 #include "core/yield.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 
 #include "parallel/deterministic_for.hpp"
@@ -74,13 +75,15 @@ std::vector<double> sample_required_periods(const Problem& problem,
   std::vector<double> required(chips);
   parallel::ForOptions opts;
   opts.threads = threads;
-  // Max-delays-only sampling on a per-worker workspace: same per-die stream
+  // Lane-kernel sampling of the max delays only: the same per-die stream
   // and values as sampling full chips, without the hold-path evaluations
   // and per-chip allocations this loop never reads.
-  parallel::deterministic_for(
-      chips, opts, rng.engine()(), [&](std::size_t c, stats::Rng& die_rng) {
-        thread_local timing::SampleWorkspace ws;
-        required[c] = problem.model().sample_required_period(die_rng, ws);
+  parallel::deterministic_for_blocks<timing::LaneWorkspace>(
+      chips, timing::kLanes, timing::kLaneSpanBlocks, opts, rng.engine()(),
+      [&](std::size_t first, std::span<stats::Rng> rngs,
+          timing::LaneWorkspace& ws) {
+        const auto periods = problem.model().sample_required_periods(rngs, ws);
+        std::copy_n(periods.begin(), rngs.size(), required.begin() + first);
       });
   std::sort(required.begin(), required.end());
   return required;

@@ -40,6 +40,7 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -189,6 +190,33 @@ void deterministic_for(std::size_t n, const ForOptions& opts,
   deterministic_for(n, opts, [&](std::size_t i) {
     stats::Rng rng(index_seed(seed_base, i));
     body(i, rng);
+  });
+}
+
+/// Blocked seeded variant, for kernels that sample several indices per
+/// call: [0, n) is cut into spans of `block * span_blocks` indices, which
+/// fan out like the indices of the unseeded variant. Each span default-
+/// constructs one Scratch and runs body(first, rngs, scratch) on its blocks
+/// of up to `block` consecutive indices in ascending order, rngs[b] being
+/// seeded index_seed(seed_base, first + b): index i's stream is the seeded
+/// variant's, so results are bit-identical for any worker count.
+template <typename Scratch, typename Body>
+void deterministic_for_blocks(std::size_t n, std::size_t block,
+                              std::size_t span_blocks, const ForOptions& opts,
+                              std::uint64_t seed_base, Body&& body) {
+  const std::size_t span = block * span_blocks;
+  deterministic_for((n + span - 1) / span, opts, [&](std::size_t s) {
+    Scratch scratch;
+    std::vector<stats::Rng> rngs;
+    rngs.reserve(block);
+    const std::size_t end = std::min(n, (s + 1) * span);
+    for (std::size_t first = s * span; first < end; first += block) {
+      rngs.clear();
+      for (std::size_t i = first; i < std::min(end, first + block); ++i) {
+        rngs.emplace_back(index_seed(seed_base, i));
+      }
+      body(first, std::span<stats::Rng>(rngs), scratch);
+    }
   });
 }
 

@@ -13,11 +13,34 @@ constexpr double kTailEdge = 3.442619855899;
 constexpr double kLayerArea = 9.91256303526217e-3;
 
 // Uniform in (0, 1) from the top 53 bits of one word: the tail takes logs.
-double open_uniform(std::mt19937_64& engine) {
+double open_uniform(Mt19937_64& engine) {
   return (static_cast<double>(engine() >> 11) + 0.5) * 0x1p-53;
 }
 
 }  // namespace
+
+Mt19937_64::Mt19937_64(std::uint64_t seed) {
+  state_[0] = seed;
+  for (std::size_t i = 1; i < kStateWords; ++i) {
+    const std::uint64_t prev = state_[i - 1];
+    state_[i] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+  }
+}
+
+void Mt19937_64::twist() {
+  constexpr std::size_t kShift = 156;  // the recurrence's middle offset m
+  constexpr std::uint64_t kMatrix = 0xb5026f5aa96619e9ULL;
+  constexpr std::uint64_t kUpper = ~std::uint64_t{0} << 31;
+  const auto mix = [this](std::size_t k, std::size_t next, std::size_t far) {
+    const std::uint64_t y = (state_[k] & kUpper) | (state_[next] & ~kUpper);
+    state_[k] = state_[far] ^ (y >> 1) ^ ((0 - (y & 1)) & kMatrix);
+  };
+  std::size_t k = 0;
+  for (; k < kStateWords - kShift; ++k) mix(k, k + 1, k + kShift);
+  for (; k < kStateWords - 1; ++k) mix(k, k + 1, k + kShift - kStateWords);
+  mix(kStateWords - 1, 0, kShift - 1);
+  index_ = 0;
+}
 
 namespace detail {
 

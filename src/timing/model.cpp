@@ -158,6 +158,9 @@ void CircuitModel::compile_form_table() {
 
   t.slot_sd.reserve(slot_var_.size());
   for (double v : slot_var_) t.slot_sd.push_back(std::sqrt(v));
+  for (const FormTable::Form& f : t.forms) {
+    if (f.extra_sd > 0.0) t.inflation_sd.push_back(f.extra_sd);
+  }
 }
 
 void CircuitModel::apply_inflation(DelayForm& f) const {
@@ -349,35 +352,91 @@ Chip CircuitModel::sample_chip(stats::Rng& rng, SampleWorkspace& ws) const {
   return chip;
 }
 
-double CircuitModel::sample_required_period(stats::Rng& rng,
-                                            SampleWorkspace& ws) const {
-  draw_deviates(rng, ws);
+void CircuitModel::draw_lane_deviates(std::span<stats::Rng> rngs,
+                                      LaneWorkspace& ws) const {
+  if (rngs.size() > kLanes) {
+    throw std::invalid_argument("CircuitModel: more dies than kLanes");
+  }
+  const std::vector<double>& slot_sd = table_.slot_sd;
+  const std::vector<double>& inflation_sd = table_.inflation_sd;
+  ws.factors.resize(variation_.num_factors() * kLanes);
+  ws.mismatch.resize(slot_sd.size() * kLanes);
+  ws.inflation.resize(inflation_sd.size() * kLanes);
+  for (std::size_t b = 0; b < rngs.size(); ++b) {
+    stats::Rng& rng = rngs[b];
+    variation_.sample_factors(rng, ws.die_factors);
+    for (std::size_t i = 0; i < ws.die_factors.size(); ++i) {
+      ws.factors[i * kLanes + b] = ws.die_factors[i];
+    }
+    for (std::size_t s = 0; s < slot_sd.size(); ++s) {
+      ws.mismatch[s * kLanes + b] = rng.normal(0.0, slot_sd[s]);
+    }
+    for (std::size_t j = 0; j < inflation_sd.size(); ++j) {
+      ws.inflation[j * kLanes + b] = rng.normal(0.0, inflation_sd[j]);
+    }
+  }
+}
+
+void CircuitModel::FormTable::eval_lanes(const Form& f, const LaneWorkspace& ws,
+                                         std::size_t& inflated,
+                                         double* d) const {
+  double acc[kLanes] = {};
+  for (std::uint32_t k = f.load_begin; k < f.load_end; ++k) {
+    const double w = load_weight[k];
+    const double* z =
+        ws.factors.data() + static_cast<std::size_t>(load_index[k]) * kLanes;
+    for (std::size_t b = 0; b < kLanes; ++b) acc[b] += w * z[b];
+  }
+  for (std::size_t b = 0; b < kLanes; ++b) d[b] = f.mean + acc[b];
+  for (std::uint32_t k = f.slot_begin; k < f.slot_end; ++k) {
+    const double* m =
+        ws.mismatch.data() + static_cast<std::size_t>(slots[k]) * kLanes;
+    for (std::size_t b = 0; b < kLanes; ++b) d[b] += m[b];
+  }
+  if (f.extra_sd > 0.0) {
+    const double* x = ws.inflation.data() + inflated++ * kLanes;
+    for (std::size_t b = 0; b < kLanes; ++b) d[b] += x[b];
+  }
+}
+
+std::array<double, kLanes> CircuitModel::sample_required_periods(
+    std::span<stats::Rng> rngs, LaneWorkspace& ws) const {
+  draw_lane_deviates(rngs, ws);
   const FormTable& t = table_;
-  double worst = 0.0;
+  std::array<double, kLanes> worst{};  // 0.0, as untuned_required_period
+  double d[kLanes] = {};
+  std::size_t inflated = 0;
+  const auto fold = [&](const FormTable::Form& f) {
+    t.eval_lanes(f, ws, inflated, d);
+    for (std::size_t b = 0; b < kLanes; ++b) {
+      worst[b] = std::max(worst[b], d[b]);
+    }
+  };
   std::size_t k = 0;
   for (std::size_t i = 0; i < pairs_.size(); ++i) {
     const std::size_t min_k = t.pair_forms[i + 1] - 1;
-    for (; k < min_k; ++k) worst = std::max(worst, t.eval(t.forms[k], ws, rng));
-    FormTable::skip(t.forms[k++], rng);
+    for (; k < min_k; ++k) fold(t.forms[k]);
+    if (t.forms[k++].extra_sd > 0.0) ++inflated;  // the skipped min form
   }
-  for (; k < t.forms.size(); ++k) {
-    worst = std::max(worst, t.eval(t.forms[k], ws, rng));
-  }
+  for (; k < t.forms.size(); ++k) fold(t.forms[k]);
   return worst;
 }
 
-void CircuitModel::sample_min_delays(stats::Rng& rng, SampleWorkspace& ws,
-                                     std::vector<double>& min_out) const {
-  draw_deviates(rng, ws);
+std::span<const double> CircuitModel::sample_min_delays(
+    std::span<stats::Rng> rngs, LaneWorkspace& ws) const {
+  draw_lane_deviates(rngs, ws);
   const FormTable& t = table_;
-  min_out.resize(pairs_.size());
+  ws.min_delay.resize(pairs_.size() * kLanes);
+  double d[kLanes] = {};
+  std::size_t inflated = 0;
   std::size_t k = 0;
   for (std::size_t i = 0; i < pairs_.size(); ++i) {
     const std::size_t min_k = t.pair_forms[i + 1] - 1;
-    for (; k < min_k; ++k) FormTable::skip(t.forms[k], rng);
-    min_out[i] = t.eval(t.forms[k++], ws, rng);
+    for (; k < min_k; ++k) inflated += t.forms[k].extra_sd > 0.0 ? 1 : 0;
+    t.eval_lanes(t.forms[k++], ws, inflated, d);
+    std::copy_n(d, kLanes, ws.min_delay.begin() + i * kLanes);
   }
-  for (; k < t.forms.size(); ++k) FormTable::skip(t.forms[k], rng);
+  return ws.min_delay;
 }
 
 }  // namespace effitest::timing

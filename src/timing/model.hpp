@@ -30,9 +30,26 @@
 // the same expression in the same order as the per-DelayForm sums, so the
 // sampled doubles and the rng stream are unchanged; the arrays are reserved
 // at their exact sizes.
+//
+// sample_chip samples one die. The two Monte-Carlo loops that read only
+// part of a die (T_d calibration reads the required period, hold sampling
+// the min delays) use lane kernels instead: one call samples up to kLanes
+// dies, each on its own Rng. Die b draws its deviates in sample_chip's
+// order (factors, mismatch slots, then one inflation deviate per inflated
+// form in table order, skipped forms included), stored lane-minor
+// ([index][lane]) in a LaneWorkspace. Each form is then accumulated for all
+// lanes at once; every lane keeps sample_chip's per-die expression and
+// k-ascending order, so lane b's values and the position of rngs[b] equal
+// sample_chip's bit for bit, while the kLanes independent add chains hide
+// the latency that bounds a single die's walk. A LaneWorkspace is an
+// allocation cache of about (factors + slots) * kLanes doubles: keep one
+// per loop body over a span of blocks, not per thread, so its memory is
+// released when the loop ends.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -90,6 +107,23 @@ struct Chip {
 struct SampleWorkspace {
   std::vector<double> factors;
   std::vector<double> mismatch;
+};
+
+/// Dies sampled per lane-kernel call.
+inline constexpr std::size_t kLanes = 8;
+/// Lane-kernel calls per LaneWorkspace in the Monte-Carlo loops: spans of
+/// 32 dies amortize the workspace and still give 4 workers dozens of spans
+/// to share at the loops' sizes (2,000 and 1,000 dies).
+inline constexpr std::size_t kLaneSpanBlocks = 4;
+
+/// Lane-minor deviates and results of up to kLanes dies (see the file
+/// comment). Purely an allocation cache, like SampleWorkspace.
+struct LaneWorkspace {
+  std::vector<double> die_factors;  ///< one die's factors, before spreading
+  std::vector<double> factors;      ///< [factor][lane]
+  std::vector<double> mismatch;     ///< [mismatch slot][lane]
+  std::vector<double> inflation;    ///< [inflated form][lane]
+  std::vector<double> min_delay;    ///< sample_min_delays' [pair][lane]
 };
 
 /// Near-critical enumeration window: a pair's max alternatives are its
@@ -152,20 +186,21 @@ class CircuitModel {
   /// Same draws, same values, reusing the caller's workspace buffers.
   [[nodiscard]] Chip sample_chip(stats::Rng& rng, SampleWorkspace& ws) const;
 
-  /// Untuned required period of one die: max over the monitored and
-  /// promoted-static max delays. Consumes exactly the same rng stream as
-  /// sample_chip (unused inflation draws are made and discarded), so
-  /// calibration loops can skip the hold/min-path evaluations they never
-  /// read without perturbing any downstream stream.
-  [[nodiscard]] double sample_required_period(stats::Rng& rng,
-                                              SampleWorkspace& ws) const;
+  /// Untuned required periods of rngs.size() <= kLanes dies (lane kernel):
+  /// entry b is the max over the monitored and promoted-static max delays
+  /// of the die sampled on rngs[b], bit for bit sample_chip's values, and
+  /// rngs[b] advances exactly as sample_chip advances it (unused inflation
+  /// draws are made and discarded). Entries past rngs.size() are
+  /// unspecified.
+  [[nodiscard]] std::array<double, kLanes> sample_required_periods(
+      std::span<stats::Rng> rngs, LaneWorkspace& ws) const;
 
-  /// Min (hold) path delays only, same stream as sample_chip; fills
-  /// `min_out` (resized to num_pairs()). The hold-bound sampler reads
-  /// nothing else, so the max/static evaluations are skipped (their
-  /// inflation draws are made and discarded).
-  void sample_min_delays(stats::Rng& rng, SampleWorkspace& ws,
-                         std::vector<double>& min_out) const;
+  /// Min (hold) path delays of rngs.size() <= kLanes dies (lane kernel),
+  /// with the streams of sample_required_periods: entry p * kLanes + b of
+  /// the result (a view of ws.min_delay) is pair p's min delay on die b.
+  /// The max and static evaluations are skipped.
+  [[nodiscard]] std::span<const double> sample_min_delays(
+      std::span<stats::Rng> rngs, LaneWorkspace& ws) const;
 
   /// Number of promoted (checked but non-tunable) background pairs.
   [[nodiscard]] std::size_t num_static_pairs() const {
@@ -187,6 +222,7 @@ class CircuitModel {
                                      double terminal_margin);
   [[nodiscard]] int mismatch_slot(int cell_id);
   void draw_deviates(stats::Rng& rng, SampleWorkspace& ws) const;
+  void draw_lane_deviates(std::span<stats::Rng> rngs, LaneWorkspace& ws) const;
   [[nodiscard]] double form_cov(const DelayForm& a, const DelayForm& b) const;
   void apply_inflation(DelayForm& f) const;
   void compile_form_table();
@@ -210,16 +246,16 @@ class CircuitModel {
     std::vector<double> load_weight;
     std::vector<std::int32_t> slots;
     std::vector<double> slot_sd;  ///< per mismatch slot: sqrt(variance)
+    std::vector<double> inflation_sd;  ///< extra_sd of each inflated form
 
     /// mean + (sum w * z), then the mismatch terms, then the inflation
     /// deviate.
     [[nodiscard]] double eval(const Form& f, const SampleWorkspace& ws,
                               stats::Rng& rng) const;
-    /// A skipped form still consumes its inflation deviate, keeping the
-    /// stream aligned with a full sample_chip.
-    static void skip(const Form& f, stats::Rng& rng) {
-      if (f.extra_sd > 0.0) (void)rng.normal();
-    }
+    /// eval for all kLanes lanes into d; `inflated` counts the inflated
+    /// forms walked so far (it indexes ws.inflation).
+    void eval_lanes(const Form& f, const LaneWorkspace& ws,
+                    std::size_t& inflated, double* d) const;
   };
 
   const netlist::Netlist* netlist_;

@@ -1,8 +1,9 @@
-// Heap allocations of per-die sampling, pinned like a golden
-// (counting_new.hpp).
+// Heap allocations of die sampling (per die and per lane-kernel block),
+// pinned like a golden (counting_new.hpp).
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,17 +30,22 @@ TEST(SamplingAllocations, WarmWorkspaceCountsArePinned) {
 
     stats::Rng rng(7);
     SampleWorkspace ws;
-    std::vector<double> min_delay;
+    std::vector<stats::Rng> block(kLanes, stats::Rng(8));
+    LaneWorkspace lanes;
     (void)m.sample_chip(rng, ws);
-    m.sample_min_delays(rng, ws, min_delay);
+    (void)m.sample_min_delays(block, lanes);
 
     for (int die = 0; die < 3; ++die) {
-      EXPECT_EQ(allocations_during(
-                    [&] { (void)m.sample_required_period(rng, ws); }),
-                0u);
-      EXPECT_EQ(allocations_during(
-                    [&] { m.sample_min_delays(rng, ws, min_delay); }),
-                0u);
+      // A warm lane workspace: no allocation per block, full or short.
+      for (std::size_t n : {kLanes, std::size_t{3}}) {
+        const std::span<stats::Rng> rngs(block.data(), n);
+        EXPECT_EQ(allocations_during(
+                      [&] { (void)m.sample_required_periods(rngs, lanes); }),
+                  0u);
+        EXPECT_EQ(allocations_during(
+                      [&] { (void)m.sample_min_delays(rngs, lanes); }),
+                  0u);
+      }
       // One allocation per non-empty Chip vector: max_delay, min_delay and,
       // with promoted pairs, static_delay.
       EXPECT_EQ(allocations_during([&] { (void)m.sample_chip(rng, ws); }),

@@ -49,9 +49,18 @@ double objective_at(const AlignmentInstance& inst, const AlignmentResult& r) {
   return acc;
 }
 
+/// middle_out_weights into fresh vectors.
+std::vector<double> weights_of(std::span<const double> centers, double k0,
+                               double kd) {
+  std::vector<std::size_t> order;
+  std::vector<double> weights;
+  middle_out_weights(centers, k0, kd, order, weights);
+  return weights;
+}
+
 TEST(MiddleOutWeights, MiddleGetsK0) {
   const std::vector<double> centers{10.0, 30.0, 20.0};
-  const std::vector<double> w = middle_out_weights(centers, 100.0, 1.0);
+  const std::vector<double> w = weights_of(centers, 100.0, 1.0);
   ASSERT_EQ(w.size(), 3u);
   // Sorted: 10, 20, 30 -> middle is 20 (index 2 of input).
   EXPECT_DOUBLE_EQ(w[2], 100.0);
@@ -65,7 +74,7 @@ TEST(MiddleOutWeights, FlooredAtKd) {
   for (std::size_t i = 0; i < centers.size(); ++i) {
     centers[i] = static_cast<double>(i);
   }
-  const std::vector<double> w = middle_out_weights(centers, 3.0, 1.0);
+  const std::vector<double> w = weights_of(centers, 3.0, 1.0);
   for (double v : w) EXPECT_GE(v, 1.0);
 }
 
@@ -74,7 +83,7 @@ TEST(MiddleOutWeights, TiedCentersRankInInputOrder) {
   // from insertion sort, so an unstable ranking would show here.
   const std::size_t n = 33;
   const std::vector<double> centers(n, 200.0);
-  const std::vector<double> w = middle_out_weights(centers, 100.0, 1.0);
+  const std::vector<double> w = weights_of(centers, 100.0, 1.0);
   ASSERT_EQ(w.size(), n);
   const double mid = (static_cast<double>(n) - 1.0) / 2.0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -90,7 +99,7 @@ TEST(MiddleOutWeights, TiesBreakByIndexAmongDistinctCenters) {
   for (int i = 0; i < 12; ++i) centers.push_back(i % 2 == 0 ? 5.0 : 9.0);
   centers.push_back(7.0);
   for (int i = 0; i < 12; ++i) centers.push_back(i % 2 == 0 ? 9.0 : 5.0);
-  const std::vector<double> w = middle_out_weights(centers, 100.0, 1.0);
+  const std::vector<double> w = weights_of(centers, 100.0, 1.0);
   std::vector<std::size_t> fives;
   std::vector<std::size_t> nines;
   for (std::size_t i = 0; i < centers.size(); ++i) {
@@ -109,9 +118,9 @@ TEST(MiddleOutWeights, TiesBreakByIndexAmongDistinctCenters) {
 }
 
 TEST(MiddleOutWeights, EmptyAndSingle) {
-  EXPECT_TRUE(middle_out_weights({}, 10.0, 1.0).empty());
+  EXPECT_TRUE(weights_of({}, 10.0, 1.0).empty());
   const std::vector<double> one{5.0};
-  EXPECT_DOUBLE_EQ(middle_out_weights(one, 10.0, 1.0)[0], 10.0);
+  EXPECT_DOUBLE_EQ(weights_of(one, 10.0, 1.0)[0], 10.0);
 }
 
 TEST(Alignment, SingleEntryPeriodHitsShiftedCenter) {
@@ -218,7 +227,7 @@ TEST(Alignment, BigMAndCompactMilpAgree) {
     for (std::size_t i = 0; i < n; ++i) {
       centers.push_back(rng.uniform(140.0, 180.0));
     }
-    const std::vector<double> w = middle_out_weights(centers, 1000.0, 1.0);
+    const std::vector<double> w = weights_of(centers, 1000.0, 1.0);
     for (std::size_t i = 0; i < n; ++i) {
       const int src = static_cast<int>(rng.uniform_int(-1, 2));
       int dst = static_cast<int>(rng.uniform_int(-1, 2));
@@ -249,7 +258,7 @@ TEST_P(CdQualityTest, NearOptimalOnRandomInstances) {
   for (std::size_t i = 0; i < n; ++i) {
     centers.push_back(rng.uniform(140.0, 190.0));
   }
-  const std::vector<double> w = middle_out_weights(centers, 1000.0, 1.0);
+  const std::vector<double> w = weights_of(centers, 1000.0, 1.0);
   for (std::size_t i = 0; i < n; ++i) {
     const int src = static_cast<int>(rng.uniform_int(-1, 2));
     int dst = static_cast<int>(rng.uniform_int(-1, 2));

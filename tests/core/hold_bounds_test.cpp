@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "milp_oracles.hpp"
 #include "netlist/generator.hpp"
+#include "reference_hold_bounds.hpp"
 
 namespace effitest::core {
 namespace {
@@ -36,6 +39,42 @@ TEST(GreedyDiscard, EmptyInput) {
 TEST(GreedyDiscard, RaggedInputThrows) {
   EXPECT_THROW(greedy_discard_bounds({{1.0, 2.0}, {1.0}}, 0.9),
                std::invalid_argument);
+}
+
+TEST(GreedyDiscard, MatchesFullRescanBitForBit) {
+  // Random instances against the full-rescan reference, lambda bit for bit.
+  // Margins come from three regimes: continuous values; a few exact values,
+  // so pairs tie exactly; and values one to eight ulps apart near 1, so
+  // ties inside (and just outside) the 1e-15 band of the max reach past
+  // the ranked prefix.
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    stats::Rng rng(seed);
+    const auto m = static_cast<std::size_t>(rng.uniform_int(1, 80));
+    const auto pairs = static_cast<std::size_t>(rng.uniform_int(0, 9));
+    const double yield = rng.uniform(0.5, 1.0);
+    const std::int64_t regime = rng.uniform_int(0, 2);
+    std::vector<std::vector<double>> delta(m, std::vector<double>(pairs));
+    for (auto& row : delta) {
+      for (double& v : row) {
+        if (regime == 0) {
+          v = rng.uniform(-5.0, 5.0);
+        } else if (regime == 1) {
+          v = static_cast<double>(rng.uniform_int(-2, 2));
+        } else {
+          v = 1.0 + static_cast<double>(rng.uniform_int(0, 8)) * 0x1p-52;
+        }
+      }
+    }
+    const std::vector<double> got = greedy_discard_bounds(delta, yield);
+    const std::vector<double> want =
+        reference_greedy_discard_bounds(delta, yield);
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (std::size_t p = 0; p < got.size(); ++p) {
+      ASSERT_EQ(bits(got[p]), bits(want[p]))
+          << "seed " << seed << " regime " << regime << " pair " << p;
+    }
+  }
 }
 
 TEST(ExactMilp, MatchesGreedyOnEasyInstance) {

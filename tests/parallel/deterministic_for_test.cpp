@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -105,6 +107,43 @@ TEST(DeterministicFor, SeededStreamsAreSelfContainedPerIndex) {
   for (std::size_t i = 0; i < 8; ++i) {
     stats::Rng expected(index_seed(base, i));
     EXPECT_EQ(first_draw[i], expected.normal()) << "index " << i;
+  }
+}
+
+TEST(DeterministicForBlocks, BlocksSeeIndexStreamsForEveryThreadCount) {
+  // Blocks tile [0, n) in order within their span, never straddle a span,
+  // and carry each index's own stream: rngs[b] draws what the per-index
+  // seeded variant's index first + b draws, for any worker count. n = 61
+  // leaves a short last block and a short last span.
+  struct Scratch {
+    std::size_t blocks = 0;  // blocks run on this scratch so far
+  };
+  const std::size_t n = 61;
+  const std::uint64_t base = 2016;
+  std::vector<double> want(n);
+  deterministic_for(n, with_threads(1), base,
+                    [&](std::size_t i, stats::Rng& rng) {
+                      want[i] = rng.normal();
+                    });
+  for (std::size_t t : kThreadCounts) {
+    SCOPED_TRACE("threads = " + std::to_string(t));
+    std::vector<double> got(n, 0.0);
+    std::vector<std::size_t> block_of_span(n, 99);
+    deterministic_for_blocks<Scratch>(
+        n, 8, 3, with_threads(t), base,
+        [&](std::size_t first, std::span<stats::Rng> rngs, Scratch& scratch) {
+          ASSERT_EQ(first % 8, 0u);
+          ASSERT_EQ(rngs.size(), std::min<std::size_t>(8, n - first));
+          for (std::size_t b = 0; b < rngs.size(); ++b) {
+            got[first + b] = rngs[b].normal();
+            block_of_span[first + b] = scratch.blocks;
+          }
+          ++scratch.blocks;
+        });
+    EXPECT_EQ(got, want);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(block_of_span[i], i / 8 % 3) << "index " << i;
+    }
   }
 }
 

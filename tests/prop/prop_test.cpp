@@ -506,8 +506,9 @@ TEST(PropAlignment, ReusedWorkspaceMatchesReferenceBitwise) {
                  : rng.uniform(180.0, 220.0));
     }
     const bool middle_out = rng.uniform() < 0.5;
-    const std::vector<double> weights =
-        core::middle_out_weights(centers, 1000.0, 1.0);
+    std::vector<std::size_t> order;
+    std::vector<double> weights;
+    core::middle_out_weights(centers, 1000.0, 1.0, order, weights);
     for (std::size_t i = 0; i < n; ++i) {
       inst.entries.push_back(core::AlignmentEntry{
           centers[i], middle_out ? weights[i] : rng.uniform(0.5, 5.0),

@@ -1,6 +1,7 @@
 // stats::Rng draws are specified in-tree (src/stats/rng.hpp): these tests
-// pin them as exact constants, check the uniforms against libstdc++'s
-// distributions bit for bit, and check the ziggurat normals' distribution.
+// check its engine against std::mt19937_64 word for word, pin the draws as
+// exact constants, check the uniforms against libstdc++'s distributions bit
+// for bit, and check the ziggurat normals' distribution.
 
 #include "stats/rng.hpp"
 
@@ -14,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "parallel/deterministic_for.hpp"
 #include "stats/distributions.hpp"
 
 namespace effitest::stats {
@@ -116,6 +118,34 @@ TEST(Rng, FirstDrawsArePinned) {
           << p.seed << " #" << i;
     }
   }
+}
+
+// The in-tree engine is the standard's mt19937_64 word for word: the same
+// seeding, the same twist recurrence (with a mask for the matrix term) and
+// the same tempering. 1,000 words per seed run over three twists.
+TEST(Mt19937_64, MatchesTheStandardEngineWordForWord) {
+  const std::uint64_t seeds[] = {0,
+                                 1,
+                                 5489,
+                                 ~std::uint64_t{0},
+                                 parallel::index_seed(2016, 0),
+                                 parallel::index_seed(2016, 7),
+                                 parallel::index_seed(0x7157, 1999)};
+  for (const std::uint64_t seed : seeds) {
+    Mt19937_64 ours(seed);
+    std::mt19937_64 standard(seed);
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(ours(), standard()) << "seed " << seed << " word " << i;
+    }
+  }
+}
+
+TEST(Mt19937_64, TenThousandthWordIsTheStandardsValue) {
+  // [rand.predef]: the 10000th consecutive invocation of a
+  // default-constructed mt19937_64 (seed 5489) produces this value.
+  Mt19937_64 engine(5489);
+  for (int i = 1; i < 10000; ++i) (void)engine();
+  EXPECT_EQ(engine(), 9981545732273789042ULL);
 }
 
 #if defined(__GLIBCXX__)

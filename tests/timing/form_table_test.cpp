@@ -1,15 +1,18 @@
 // Oracles for CircuitModel's compiled form table: die sampling and the
 // covariance fill walk flat arrays, and must reproduce the per-DelayForm
 // evaluation and the sorted-merge covariance bit for bit on every catalog
-// circuit, nominal and under the Fig-7 inflation.
+// circuit, nominal and under the Fig-7 inflation. The lane kernels must
+// reproduce sample_chip, die by die.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -92,6 +95,45 @@ CircuitModel catalog_model(const netlist::GeneratedCircuit& c,
   return CircuitModel(c.netlist, lib(), c.buffered_ffs, options);
 }
 
+/// Lane b of one lane-kernel call over `seeds` against sample_chip on its
+/// own Rng(seeds[b]): the required period (max over the monitored and
+/// static max delays, from 0 like core::untuned_required_period) and the
+/// min delays bit for bit, and every rng at sample_chip's next word.
+void expect_lanes_match_sample_chip(const CircuitModel& m,
+                                    std::span<const std::uint64_t> seeds,
+                                    LaneWorkspace& lanes) {
+  std::vector<stats::Rng> period_rngs;
+  std::vector<stats::Rng> min_rngs;
+  for (std::uint64_t seed : seeds) {
+    period_rngs.emplace_back(seed);
+    min_rngs.emplace_back(seed);
+  }
+  const std::array<double, kLanes> periods =
+      m.sample_required_periods(period_rngs, lanes);
+  const std::span<const double> min_delay =
+      m.sample_min_delays(min_rngs, lanes);
+  ASSERT_EQ(min_delay.size(), m.num_pairs() * kLanes);
+  for (std::size_t b = 0; b < seeds.size(); ++b) {
+    SCOPED_TRACE("lane " + std::to_string(b) + " of " +
+                 std::to_string(seeds.size()));
+    stats::Rng rng(seeds[b]);
+    const Chip chip = m.sample_chip(rng);
+    double period = 0.0;
+    for (double d : chip.max_delay) period = std::max(period, d);
+    for (double d : chip.static_delay) period = std::max(period, d);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(periods[b]),
+              std::bit_cast<std::uint64_t>(period));
+    std::vector<double> lane_min(m.num_pairs());
+    for (std::size_t p = 0; p < lane_min.size(); ++p) {
+      lane_min[p] = min_delay[p * kLanes + b];
+    }
+    expect_bits_equal(lane_min, chip.min_delay, "sample_min_delays");
+    const std::uint64_t next = rng.engine()();
+    ASSERT_EQ(period_rngs[b].engine()(), next);
+    ASSERT_EQ(min_rngs[b].engine()(), next);
+  }
+}
+
 TEST(FormTable, SamplersMatchPerFormEvaluationOnTheCatalog) {
   for (const char* name : kCatalog) {
     const auto c = netlist::generate_circuit(netlist::paper_benchmark_spec(name));
@@ -118,23 +160,29 @@ TEST(FormTable, SamplersMatchPerFormEvaluationOnTheCatalog) {
         expect_bits_equal(chip.max_delay, ref.max_delay, "max_delay");
         expect_bits_equal(chip.min_delay, ref.min_delay, "min_delay");
         expect_bits_equal(chip.static_delay, ref.static_delay, "static_delay");
-        const std::uint64_t next = ref_rng.engine()();
-        ASSERT_EQ(table_rng.engine()(), next);
+        ASSERT_EQ(table_rng.engine()(), ref_rng.engine()());
+      }
+      // The lane kernels walk the same table: the three dies in one call.
+      LaneWorkspace lanes;
+      expect_lanes_match_sample_chip(m, kSeeds, lanes);
+    }
+  }
+}
 
-        // The specialized samplers walk the same table with skips.
-        double period = 0.0;
-        for (double d : ref.max_delay) period = std::max(period, d);
-        for (double d : ref.static_delay) period = std::max(period, d);
-        stats::Rng period_rng(seed);
-        stats::Rng min_rng(seed);
-        std::vector<double> min_delay;
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(
-                      m.sample_required_period(period_rng, ws)),
-                  std::bit_cast<std::uint64_t>(period));
-        m.sample_min_delays(min_rng, ws, min_delay);
-        expect_bits_equal(min_delay, ref.min_delay, "sample_min_delays");
-        ASSERT_EQ(period_rng.engine()(), next);
-        ASSERT_EQ(min_rng.engine()(), next);
+TEST(FormTable, LaneKernelsMatchSampleChipForEveryBlockSize) {
+  // Every block size 1..kLanes on one reused workspace (its lanes past the
+  // block hold the previous block's dies), nominal and inflated. ac97_ctrl
+  // has static pairs; s38584 is the tester-floor circuit.
+  for (const char* name : {"s38584", "ac97_ctrl"}) {
+    const auto c = netlist::generate_circuit(netlist::paper_benchmark_spec(name));
+    for (double inflation : {1.0, 1.1}) {
+      SCOPED_TRACE(std::string(name) + " @" + std::to_string(inflation));
+      const CircuitModel m = catalog_model(c, inflation);
+      LaneWorkspace lanes;
+      for (std::size_t n = 1; n <= kLanes; ++n) {
+        std::vector<std::uint64_t> seeds;
+        for (std::size_t b = 0; b < n; ++b) seeds.push_back(100 * n + b);
+        expect_lanes_match_sample_chip(m, seeds, lanes);
       }
     }
   }

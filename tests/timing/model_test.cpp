@@ -254,48 +254,27 @@ TEST(CircuitModel, DeterministicChipStream) {
   EXPECT_EQ(a.min_delay, b.min_delay);
 }
 
-TEST(CircuitModel, SpecializedSamplersShareTheChipStream) {
-  // sample_required_period / sample_min_delays / workspace sample_chip must
-  // produce exactly the full sample_chip values AND leave the rng engine in
-  // exactly the same state (so loops can mix the APIs freely). Checked with
-  // and without the Fig-7 inflation (which makes every form draw its own
-  // deviate in evaluation order — skipped evaluations must still consume
-  // theirs).
+TEST(CircuitModel, WorkspaceSampleChipSharesTheChipStream) {
+  // The workspace sample_chip produces exactly the allocating one's values
+  // AND leaves the rng engine in exactly the same state, with and without
+  // the Fig-7 inflation (which makes every form draw its own deviate in
+  // evaluation order). The lane kernels are checked against sample_chip in
+  // form_table_test.cpp.
   const auto c = tiny_circuit();
   for (double inflation : {1.0, 1.3}) {
     ModelOptions options;
     options.random_inflation = inflation;
     const CircuitModel m(c.netlist, lib(), c.buffered_ffs, options);
+    SampleWorkspace ws;
     for (int round = 0; round < 3; ++round) {
       const std::uint64_t seed = 1000 + static_cast<std::uint64_t>(round);
       stats::Rng full_rng(seed);
-      stats::Rng period_rng(seed);
-      stats::Rng min_rng(seed);
       stats::Rng ws_rng(seed);
-
       const Chip full = m.sample_chip(full_rng);
-      double expected_period = 0.0;
-      for (double d : full.max_delay) {
-        expected_period = std::max(expected_period, d);
-      }
-      for (double d : full.static_delay) {
-        expected_period = std::max(expected_period, d);
-      }
-
-      SampleWorkspace ws;
-      EXPECT_EQ(m.sample_required_period(period_rng, ws), expected_period);
-      std::vector<double> min_delay;
-      m.sample_min_delays(min_rng, ws, min_delay);
-      EXPECT_EQ(min_delay, full.min_delay);
       const Chip via_ws = m.sample_chip(ws_rng, ws);
       EXPECT_EQ(via_ws.max_delay, full.max_delay);
       EXPECT_EQ(via_ws.min_delay, full.min_delay);
-
-      // Stream alignment: the engines must agree on the next raw draw.
-      const std::uint64_t next = full_rng.engine()();
-      EXPECT_EQ(period_rng.engine()(), next);
-      EXPECT_EQ(min_rng.engine()(), next);
-      EXPECT_EQ(ws_rng.engine()(), next);
+      EXPECT_EQ(ws_rng.engine()(), full_rng.engine()());
     }
   }
 }
