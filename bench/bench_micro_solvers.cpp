@@ -251,7 +251,8 @@ void BM_ConditionalPredictor(benchmark::State& state) {
   const std::vector<double> means = f.model.max_means();
   std::vector<std::size_t> tested;
   for (std::size_t p = 0; p < f.model.num_pairs(); p += 7) tested.push_back(p);
-  const core::DelayPredictor pred(cov, means, tested);
+  const core::DelayPredictor pred(
+      stats::PredictionGain::compute(cov, tested, /*jitter=*/1e-9), means);
   std::vector<double> ml(tested.size());
   std::vector<double> mu(tested.size());
   for (std::size_t t = 0; t < tested.size(); ++t) {

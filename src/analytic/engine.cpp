@@ -120,16 +120,6 @@ void range_closure(std::vector<State>& level, const std::vector<double>& lo,
 
 }  // namespace
 
-double TunedPeriodAnalysis::yield_at(double period) const {
-  const double s = tuned.sigma();
-  if (s < 1e-12) return period >= tuned.mean ? 1.0 : 0.0;
-  return stats::normal_cdf((period - tuned.mean) / s);
-}
-
-double TunedPeriodAnalysis::tuned_quantile(double q) const {
-  return tuned.quantile(q);
-}
-
 TunedPeriodAnalysis analyze_tuned_period(const core::Problem& problem) {
   const timing::CircuitModel& model = problem.model();
   const std::size_t np = model.num_pairs();

@@ -71,8 +71,8 @@ struct CandidateConstraint {
 /// Result of the analytic post-tuning analysis.
 struct TunedPeriodAnalysis {
   /// Untuned required period (monitored + promoted static pairs) — the
-  /// Clark counterpart of core::untuned_required_period, computed by
-  /// timing::ssta_required_period(model).
+  /// Clark counterpart of the Monte-Carlo required periods T_d is
+  /// calibrated on, computed by timing::ssta_required_period(model).
   timing::CanonicalDelay untuned;
   /// Post-tuning required period: the clock the chip population can reach
   /// with optimally configured buffers.
@@ -85,12 +85,6 @@ struct TunedPeriodAnalysis {
   std::vector<double> pair_criticality;
   /// Mass attributed to promoted static background pairs.
   double static_criticality = 0.0;
-
-  /// P(tuned required period <= period): the post-tuning yield-vs-period
-  /// curve at one point.
-  [[nodiscard]] double yield_at(double period) const;
-  /// q-quantile of the tuned period (inverse of yield_at).
-  [[nodiscard]] double tuned_quantile(double q) const;
 };
 
 /// Analytic post-tuning analysis of one tuning problem. Deterministic, no

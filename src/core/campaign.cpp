@@ -216,14 +216,8 @@ CampaignResult CampaignRunner::run(
         // Analytic yields at T_d: untuned (no buffers) and post-tuning
         // (ideal configuration) — the Clark counterparts of the flow's
         // yield_no_buffer / yield_ideal columns.
-        const double us = analysis->untuned.sigma();
-        m.yield_no_buffer =
-            us < 1e-12
-                ? (opts.designated_period >= analysis->untuned.mean ? 1.0
-                                                                    : 0.0)
-                : stats::normal_cdf(
-                      (opts.designated_period - analysis->untuned.mean) / us);
-        m.yield_ideal = analysis->yield_at(opts.designated_period);
+        m.yield_no_buffer = analysis->untuned.cdf(opts.designated_period);
+        m.yield_ideal = analysis->tuned.cdf(opts.designated_period);
         slot.metrics = m;
       } else {
         FlowResult result = run_flow(problem, opts, prepared);

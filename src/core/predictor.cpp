@@ -4,13 +4,6 @@
 
 namespace effitest::core {
 
-DelayPredictor::DelayPredictor(const linalg::Matrix& covariance,
-                               std::vector<double> means,
-                               std::vector<std::size_t> tested)
-    : DelayPredictor(stats::PredictionGain::compute(
-                         covariance, std::move(tested), /*jitter=*/1e-9),
-                     std::move(means)) {}
-
 DelayPredictor::DelayPredictor(
     std::shared_ptr<const stats::PredictionGain> gain,
     std::vector<double> means)

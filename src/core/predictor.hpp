@@ -12,7 +12,6 @@
 #include <span>
 #include <vector>
 
-#include "linalg/matrix.hpp"
 #include "stats/conditional.hpp"
 
 namespace effitest::core {
@@ -25,17 +24,11 @@ struct DelayBounds {
 
 class DelayPredictor {
  public:
-  /// `covariance` and `means` cover all paths; `tested` lists the measured
-  /// path indices (ascending). The conditional gains are precomputed here —
-  /// they are chip-independent (this is why the per-chip estimation cost,
-  /// column Ts of Table 1, is negligible).
-  DelayPredictor(const linalg::Matrix& covariance, std::vector<double> means,
-                 std::vector<std::size_t> tested);
-
   /// Adopt an already-computed (and possibly shared) prediction gain — no
   /// factorization happens. `means` covers all paths; the tested set is the
-  /// gain's measured set. This is how FlowArtifacts shares one gain across
-  /// chips, reused flows and campaign jobs.
+  /// gain's measured set. The gain is chip-independent (this is why the
+  /// per-chip estimation cost, column Ts of Table 1, is negligible), so
+  /// FlowArtifacts shares one across chips, reused flows and campaign jobs.
   DelayPredictor(std::shared_ptr<const stats::PredictionGain> gain,
                  std::vector<double> means);
 

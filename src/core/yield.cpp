@@ -57,15 +57,6 @@ bool chip_passes_untuned(const Problem& problem, const timing::Chip& chip,
   return chip_passes(problem, chip, zeros, designated_period);
 }
 
-double untuned_required_period(const Problem& problem,
-                               const timing::Chip& chip) {
-  double worst = 0.0;
-  for (double d : chip.max_delay) worst = std::max(worst, d);
-  for (double d : chip.static_delay) worst = std::max(worst, d);
-  (void)problem;
-  return worst;
-}
-
 std::vector<double> sample_required_periods(const Problem& problem,
                                             std::size_t chips, stats::Rng& rng,
                                             std::size_t threads) {

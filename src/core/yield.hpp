@@ -32,11 +32,6 @@ namespace effitest::core {
                                        const timing::Chip& chip,
                                        double designated_period);
 
-/// The clock period this chip would need with all buffers at zero
-/// (max true delay over monitored and promoted background pairs).
-[[nodiscard]] double untuned_required_period(const Problem& problem,
-                                             const timing::Chip& chip);
-
 /// Seed offset for T_d quantile calibration: every surface that calibrates
 /// a designated period from a master seed (CLI `run --quantile`, the
 /// campaign runner, benches) seeds its calibration stream

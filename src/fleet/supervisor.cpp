@@ -54,11 +54,6 @@ ProcessSupervisor::ProcessSupervisor(SupervisorOptions options,
 
 ProcessSupervisor::~ProcessSupervisor() { drain(); }
 
-std::size_t ProcessSupervisor::children() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return children_.size();
-}
-
 pid_t ProcessSupervisor::pid(std::size_t child) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return child < children_.size() ? children_[child].pid : -1;

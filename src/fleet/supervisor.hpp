@@ -98,7 +98,6 @@ class ProcessSupervisor {
   /// The child's current pid (changes across restarts); -1 while down.
   /// The fleet kill tests SIGKILL this directly.
   [[nodiscard]] pid_t pid(std::size_t child) const;
-  [[nodiscard]] std::size_t children() const;
   /// Total restarts performed across all children.
   [[nodiscard]] std::size_t restarts() const;
 

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -80,72 +79,86 @@ constexpr DoubleField kOptionalDoubleFields[] = {
 
 // --- schema reading --------------------------------------------------------
 
-const json::Value& require(const std::string& path, const json::Value& obj,
-                           const char* key, json::Value::Kind kind) {
-  const json::Value* v = obj.find(key);
-  if (v == nullptr) {
-    fail(path, "line " + std::to_string(obj.line) + ": missing key \"" +
-                   key + "\"");
-  }
-  if (v->kind != kind) {
-    fail(path, "line " + std::to_string(v->line) + ": \"" + key +
-                   "\" must be a " + std::string(json::kind_name(kind)) +
-                   ", got " + json::kind_name(v->kind));
-  }
-  return *v;
-}
-
-void reject_unknown_keys(const std::string& path, const json::Value& obj,
-                         std::initializer_list<const char*> known) {
-  for (const auto& [key, value] : obj.object) {
-    bool ok = false;
-    for (const char* k : known) ok = ok || key == k;
-    if (!ok) {
-      fail(path, "line " + std::to_string(value.line) + ": unknown key \"" +
-                     key + "\"");
-    }
-  }
-}
-
-std::size_t checked_index(const std::string& path, const json::Value& v,
-                          const char* key) {
-  const double d = v.number;
-  if (!(d >= 0.0) || d != std::floor(d) || d > 9.0e15) {
-    fail(path, "line " + std::to_string(v.line) + ": \"" + key +
-                   "\" must be a non-negative integer");
-  }
-  return static_cast<std::size_t>(d);
-}
-
-core::FlowMetrics read_metrics(const std::string& path,
+core::FlowMetrics read_metrics(const json::SchemaReader& r,
                                const json::Value& obj) {
   core::FlowMetrics m;
   std::size_t expected = 0;
   for (const SizeField& f : kSizeFields) {
-    m.*(f.member) = checked_index(
-        path, require(path, obj, f.name, json::Value::Kind::kNumber), f.name);
+    m.*(f.member) = static_cast<std::size_t>(r.checked_integer(
+        r.require(obj, f.name, json::Value::Kind::kNumber), f.name));
     ++expected;
   }
   for (const DoubleField& f : kDoubleFields) {
-    m.*(f.member) =
-        require(path, obj, f.name, json::Value::Kind::kNumber).number;
+    m.*(f.member) = r.require(obj, f.name, json::Value::Kind::kNumber).number;
     ++expected;
   }
   for (const DoubleField& f : kOptionalDoubleFields) {
-    const json::Value* v = obj.find(f.name);
+    const json::Value* v = r.optional(obj, f.name, json::Value::Kind::kNumber);
     if (v == nullptr) continue;
-    if (v->kind != json::Value::Kind::kNumber) {
-      fail(path, "line " + std::to_string(v->line) + ": \"" +
-                     std::string(f.name) + "\" must be a number");
-    }
     m.*(f.member) = v->number;
     ++expected;
   }
   if (obj.object.size() != expected) {
-    fail(path, "line " + std::to_string(obj.line) +
-                   ": metrics object has unexpected keys");
+    r.fail(obj, "metrics object has unexpected keys");
   }
   return m;
+}
+
+CampaignCheckpoint read_checkpoint(const json::SchemaReader& r,
+                                   const json::Value& root) {
+  using Kind = json::Value::Kind;
+  if (root.kind != Kind::kObject) {
+    r.fail(root, "checkpoint must be a JSON object");
+  }
+  r.reject_unknown_keys(root, {"schema", "identity", "total_jobs", "completed"},
+                        "the checkpoint");
+  const json::Value& schema = r.require(root, "schema", Kind::kString);
+  if (schema.string != kSchema) {
+    r.fail(schema, "unsupported schema \"" + schema.string +
+                       "\" (expected \"" + kSchema + "\")");
+  }
+
+  CampaignCheckpoint out;
+  out.identity = r.require(root, "identity", Kind::kString).string;
+  out.total_jobs = static_cast<std::size_t>(r.checked_integer(
+      r.require(root, "total_jobs", Kind::kNumber), "total_jobs"));
+  const json::Value& completed = r.require(root, "completed", Kind::kArray);
+  out.completed.reserve(completed.array.size());
+  for (const json::Value& entry : completed.array) {
+    if (entry.kind != Kind::kObject) {
+      r.fail(entry, "completed entry must be an object");
+    }
+    r.reject_unknown_keys(entry, {"index", "job", "seconds", "metrics"},
+                          "a completed entry");
+    const std::size_t index = static_cast<std::size_t>(
+        r.checked_integer(r.require(entry, "index", Kind::kNumber), "index"));
+    if (index >= out.total_jobs) {
+      r.fail(entry, "index " + std::to_string(index) + " is out of range (" +
+                        std::to_string(out.total_jobs) + " jobs)");
+    }
+    const json::Value& job = r.require(entry, "job", Kind::kObject);
+    r.reject_unknown_keys(job,
+                          {"circuit", "designated_period", "quantile", "kind"},
+                          "\"job\"");
+    core::CampaignJobResult result;
+    result.job.circuit = r.require(job, "circuit", Kind::kString).string;
+    result.job.designated_period =
+        r.require(job, "designated_period", Kind::kNumber).number;
+    result.job.quantile = r.require(job, "quantile", Kind::kNumber).number;
+    if (const json::Value* kind = r.optional(job, "kind", Kind::kString)) {
+      try {
+        result.job.kind = core::job_kind_from(kind->string);
+      } catch (const std::invalid_argument& e) {
+        r.fail(*kind, e.what());
+      }
+    }
+    result.seconds = r.require(entry, "seconds", Kind::kNumber).number;
+    result.metrics =
+        read_metrics(r, r.require(entry, "metrics", Kind::kObject));
+    result.completed = true;
+    out.completed.emplace_back(index, std::move(result));
+  }
+  return out;
 }
 
 // --- serialization ---------------------------------------------------------
@@ -256,9 +269,10 @@ CampaignCheckpoint load_campaign_checkpoint(const std::string& path) {
   if (!in.good() && !in.eof()) fail(path, "cannot read checkpoint file");
   const std::string text = buffer.str();
 
+  json::Parser parser(text, path);
   json::Value root;
   try {
-    root = json::Parser(text, path).parse();
+    root = parser.parse();
   } catch (const json::ParseError& e) {
     // Name the recovery options: "parse error at line 1" alone reads like
     // a bug in the tool, when the file is simply unusable.
@@ -270,72 +284,11 @@ CampaignCheckpoint load_campaign_checkpoint(const std::string& path) {
         "the file and rerun without --resume to restart the campaign "
         "from job 0");
   }
-  if (root.kind != json::Value::Kind::kObject) {
-    fail(path, "checkpoint must be a JSON object");
+  try {
+    return read_checkpoint(json::SchemaReader(parser), root);
+  } catch (const json::ParseError& e) {
+    throw CheckpointError(e.what());
   }
-  reject_unknown_keys(path, root,
-                      {"schema", "identity", "total_jobs", "completed"});
-  const std::string& schema =
-      require(path, root, "schema", json::Value::Kind::kString).string;
-  if (schema != kSchema) {
-    fail(path, "unsupported schema \"" + schema + "\" (expected \"" +
-                   kSchema + "\")");
-  }
-
-  CampaignCheckpoint out;
-  out.identity =
-      require(path, root, "identity", json::Value::Kind::kString).string;
-  out.total_jobs = checked_index(
-      path, require(path, root, "total_jobs", json::Value::Kind::kNumber),
-      "total_jobs");
-  const json::Value& completed =
-      require(path, root, "completed", json::Value::Kind::kArray);
-  out.completed.reserve(completed.array.size());
-  for (const json::Value& entry : completed.array) {
-    if (entry.kind != json::Value::Kind::kObject) {
-      fail(path, "line " + std::to_string(entry.line) +
-                     ": completed entry must be an object");
-    }
-    reject_unknown_keys(path, entry, {"index", "job", "seconds", "metrics"});
-    const std::size_t index = checked_index(
-        path, require(path, entry, "index", json::Value::Kind::kNumber),
-        "index");
-    if (index >= out.total_jobs) {
-      fail(path, "line " + std::to_string(entry.line) + ": index " +
-                     std::to_string(index) + " is out of range (" +
-                     std::to_string(out.total_jobs) + " jobs)");
-    }
-    const json::Value& job =
-        require(path, entry, "job", json::Value::Kind::kObject);
-    reject_unknown_keys(path, job,
-                        {"circuit", "designated_period", "quantile", "kind"});
-    core::CampaignJobResult result;
-    result.job.circuit =
-        require(path, job, "circuit", json::Value::Kind::kString).string;
-    result.job.designated_period =
-        require(path, job, "designated_period", json::Value::Kind::kNumber)
-            .number;
-    result.job.quantile =
-        require(path, job, "quantile", json::Value::Kind::kNumber).number;
-    if (const json::Value* kind = job.find("kind")) {
-      if (kind->kind != json::Value::Kind::kString) {
-        fail(path, "line " + std::to_string(kind->line) +
-                       ": \"kind\" must be a string");
-      }
-      try {
-        result.job.kind = core::job_kind_from(kind->string);
-      } catch (const std::invalid_argument& e) {
-        fail(path, "line " + std::to_string(kind->line) + ": " + e.what());
-      }
-    }
-    result.seconds =
-        require(path, entry, "seconds", json::Value::Kind::kNumber).number;
-    result.metrics = read_metrics(
-        path, require(path, entry, "metrics", json::Value::Kind::kObject));
-    result.completed = true;
-    out.completed.emplace_back(index, std::move(result));
-  }
-  return out;
 }
 
 void validate_campaign_checkpoint(const CampaignCheckpoint& checkpoint,

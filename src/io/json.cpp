@@ -318,6 +318,82 @@ std::string quote(const std::string& s) {
   return out;
 }
 
+void SchemaReader::fail(const Value& at, const std::string& what) const {
+  parser_.fail_at(at.line, what);
+}
+
+const Value& SchemaReader::require(const Value& obj, const std::string& key,
+                                   Value::Kind kind) const {
+  const Value* v = obj.find(key);
+  if (v == nullptr) fail(obj, "missing required key \"" + key + "\"");
+  return typed(*v, key, kind);
+}
+
+const Value* SchemaReader::optional(const Value& obj, const std::string& key,
+                                    Value::Kind kind) const {
+  const Value* v = obj.find(key);
+  if (v == nullptr) return nullptr;
+  return &typed(*v, key, kind);
+}
+
+void SchemaReader::reject_unknown_keys(const Value& obj,
+                                       std::initializer_list<const char*> known,
+                                       const std::string& where) const {
+  for (const auto& [key, value] : obj.object) {
+    bool ok = false;
+    for (const char* k : known) ok = ok || key == k;
+    if (ok) continue;
+    std::string valid;
+    for (const char* k : known) valid += std::string(" ") + k;
+    fail(value, "unknown key \"" + key + "\" in " + where + " (valid:" +
+                    valid + ")");
+  }
+}
+
+double SchemaReader::number(const Value& obj, const std::string& key,
+                            double fallback) const {
+  const Value* v = optional(obj, key, Value::Kind::kNumber);
+  return v == nullptr ? fallback : v->number;
+}
+
+std::uint64_t SchemaReader::checked_integer(const Value& v,
+                                            const std::string& key) const {
+  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+  if (v.number < 0.0 || v.number >= kMaxExact ||
+      v.number != std::floor(v.number)) {
+    fail(v, "\"" + key + "\" must be a non-negative integer below 2^53");
+  }
+  return static_cast<std::uint64_t>(v.number);
+}
+
+std::size_t SchemaReader::count(const Value& obj, const std::string& key,
+                                std::size_t fallback) const {
+  return static_cast<std::size_t>(
+      optional_integer(obj, key).value_or(fallback));
+}
+
+std::optional<std::uint64_t> SchemaReader::optional_integer(
+    const Value& obj, const std::string& key) const {
+  const Value* v = optional(obj, key, Value::Kind::kNumber);
+  if (v == nullptr) return std::nullopt;
+  return checked_integer(*v, key);
+}
+
+bool SchemaReader::boolean(const Value& obj, const std::string& key,
+                           bool fallback) const {
+  const Value* v = optional(obj, key, Value::Kind::kBool);
+  return v == nullptr ? fallback : v->boolean;
+}
+
+const Value& SchemaReader::typed(const Value& v, const std::string& key,
+                                 Value::Kind kind) const {
+  if (v.kind != kind) {
+    fail(v, "\"" + key + "\" must be a " + kind_name(kind) + ", got " +
+                kind_name(v.kind));
+  }
+  return v;
+}
+
 Writer& Writer::raw(std::string_view text) {
   out_.append(text);
   return *this;

@@ -6,7 +6,8 @@
 // checkpoints, bench reports) need only objects/arrays/strings/numbers/
 // bools. Extensions over strict JSON: `//` line comments, so shipped
 // files can be annotated. Every parse error carries the 1-based line of
-// the offending token; callers (scenario_json, checkpoint_json) translate
+// the offending token, and so does every schema error raised through
+// SchemaReader; callers (scenario_json, checkpoint_json) translate
 // ParseError into their own schema-level exception type so the CLI's
 // exit-code mapping stays per-surface.
 //
@@ -17,6 +18,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -82,6 +85,47 @@ class Parser {
   std::size_t pos_ = 0;
   std::size_t line_ = 1;
   std::size_t depth_ = 0;
+};
+
+/// Strict typed access to a parsed document: a missing key, a value of the
+/// wrong kind, a key the schema does not know or an out-of-range integer
+/// raises a ParseError anchored at the offending value's line (through
+/// Parser::fail_at), so schema errors read like syntax errors.
+class SchemaReader {
+ public:
+  explicit SchemaReader(const Parser& parser) : parser_(parser) {}
+
+  [[noreturn]] void fail(const Value& at, const std::string& what) const;
+
+  [[nodiscard]] const Value& require(const Value& obj, const std::string& key,
+                                     Value::Kind kind) const;
+  /// nullptr when `key` is absent.
+  [[nodiscard]] const Value* optional(const Value& obj, const std::string& key,
+                                      Value::Kind kind) const;
+  /// `where` names the object in the error ("the scenario spec").
+  void reject_unknown_keys(const Value& obj,
+                           std::initializer_list<const char*> known,
+                           const std::string& where) const;
+
+  [[nodiscard]] double number(const Value& obj, const std::string& key,
+                              double fallback) const;
+  /// Non-negative integer exactly representable in a double (< 2^53, which
+  /// also fits size_t/uint64_t) — anything else is a schema error, not UB.
+  [[nodiscard]] std::uint64_t checked_integer(const Value& v,
+                                              const std::string& key) const;
+  [[nodiscard]] std::size_t count(const Value& obj, const std::string& key,
+                                  std::size_t fallback) const;
+  /// Distinguishes "absent" from an explicit value (0 included).
+  [[nodiscard]] std::optional<std::uint64_t> optional_integer(
+      const Value& obj, const std::string& key) const;
+  [[nodiscard]] bool boolean(const Value& obj, const std::string& key,
+                             bool fallback) const;
+
+ private:
+  const Value& typed(const Value& v, const std::string& key,
+                     Value::Kind kind) const;
+
+  const Parser& parser_;
 };
 
 /// Round-trip formatting for doubles (max_digits10): the deterministic

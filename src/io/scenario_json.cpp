@@ -1,6 +1,5 @@
 #include "io/scenario_json.hpp"
 
-#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -12,13 +11,13 @@ namespace effitest::io {
 
 namespace {
 
-// The JSON layer (io/json.hpp) provides the shared value/parser; this file
-// only owns the effitest-scenario-v1 schema mapping. json::ParseError is
-// translated into ScenarioError at the parse_scenario boundary so the CLI
-// exit-code mapping is unchanged.
+// The JSON layer (io/json.hpp) provides the shared value, parser and strict
+// schema reader; this file only owns the effitest-scenario-v1 schema
+// mapping. json::ParseError is translated into ScenarioError at the
+// parse_scenario boundary so the CLI exit-code mapping is unchanged.
 using JsonValue = json::Value;
 using JsonParser = json::Parser;
-using json::kind_name;
+using json::SchemaReader;
 
 // ---------------------------------------------------------------------------
 // Schema mapping. Strict: unknown keys anywhere are errors — a typo like
@@ -27,102 +26,6 @@ using json::kind_name;
 // ---------------------------------------------------------------------------
 
 constexpr const char* kSchemaId = "effitest-scenario-v1";
-
-class SchemaReader {
- public:
-  SchemaReader(const JsonParser& parser) : parser_(parser) {}
-
-  [[noreturn]] void fail(const JsonValue& at, const std::string& what) const {
-    parser_.fail_at(at.line, what);
-  }
-
-  const JsonValue& require(const JsonValue& obj, const std::string& key,
-                           JsonValue::Kind kind) const {
-    const JsonValue* v = obj.find(key);
-    if (v == nullptr) fail(obj, "missing required key \"" + key + "\"");
-    return typed(*v, key, kind);
-  }
-
-  const JsonValue* optional(const JsonValue& obj, const std::string& key,
-                            JsonValue::Kind kind) const {
-    const JsonValue* v = obj.find(key);
-    if (v == nullptr) return nullptr;
-    return &typed(*v, key, kind);
-  }
-
-  void reject_unknown_keys(const JsonValue& obj,
-                           std::initializer_list<const char*> known,
-                           const std::string& where) const {
-    for (const auto& [key, value] : obj.object) {
-      bool ok = false;
-      for (const char* k : known) ok = ok || key == k;
-      if (ok) continue;
-      std::string valid;
-      for (const char* k : known) valid += std::string(" ") + k;
-      fail(value, "unknown key \"" + key + "\" in " + where +
-                      " (valid:" + valid + ")");
-    }
-  }
-
-  double number(const JsonValue& obj, const std::string& key,
-                double fallback) const {
-    const JsonValue* v = optional(obj, key, JsonValue::Kind::kNumber);
-    return v == nullptr ? fallback : v->number;
-  }
-
-  /// Non-negative integer exactly representable in a double (< 2^53, which
-  /// also fits size_t/uint64_t) — anything else is a spec error, not UB.
-  std::uint64_t checked_integer(const JsonValue& v,
-                                const std::string& key) const {
-    constexpr double kMaxExact = 9007199254740992.0;  // 2^53
-    if (v.number < 0.0 || v.number >= kMaxExact ||
-        v.number != std::floor(v.number)) {
-      fail(v, "\"" + key + "\" must be a non-negative integer below 2^53");
-    }
-    return static_cast<std::uint64_t>(v.number);
-  }
-
-  std::size_t count(const JsonValue& obj, const std::string& key,
-                    std::size_t fallback) const {
-    const JsonValue* v = optional(obj, key, JsonValue::Kind::kNumber);
-    if (v == nullptr) return fallback;
-    return static_cast<std::size_t>(checked_integer(*v, key));
-  }
-
-  std::uint64_t seed(const JsonValue& obj, const std::string& key,
-                     std::uint64_t fallback) const {
-    const JsonValue* v = optional(obj, key, JsonValue::Kind::kNumber);
-    if (v == nullptr) return fallback;
-    return checked_integer(*v, key);
-  }
-
-  /// Distinguishes "absent" from an explicit value (0 included) — the
-  /// seed/buffer overrides where 0 is meaningful.
-  std::optional<std::uint64_t> optional_integer(const JsonValue& obj,
-                                                const std::string& key) const {
-    const JsonValue* v = optional(obj, key, JsonValue::Kind::kNumber);
-    if (v == nullptr) return std::nullopt;
-    return checked_integer(*v, key);
-  }
-
-  bool boolean(const JsonValue& obj, const std::string& key,
-               bool fallback) const {
-    const JsonValue* v = optional(obj, key, JsonValue::Kind::kBool);
-    return v == nullptr ? fallback : v->boolean;
-  }
-
- private:
-  const JsonValue& typed(const JsonValue& v, const std::string& key,
-                         JsonValue::Kind kind) const {
-    if (v.kind != kind) {
-      fail(v, "\"" + key + "\" must be a " + kind_name(kind) + ", got " +
-                  kind_name(v.kind));
-    }
-    return v;
-  }
-
-  const JsonParser& parser_;
-};
 
 std::string path_stem(const std::string& path) {
   std::string name = path;
@@ -244,7 +147,7 @@ CircuitEntry read_circuit(const SchemaReader& r, const JsonValue& entry,
   spec.num_critical_paths =
       r.count(*generator, "critical_paths", spec.num_critical_paths);
   spec.num_clusters = r.count(*generator, "clusters", spec.num_clusters);
-  spec.seed = r.seed(*generator, "seed", spec.seed);
+  spec.seed = r.optional_integer(*generator, "seed").value_or(spec.seed);
   out.name = name != nullptr ? name->string : spec.name;
   out.spec = std::move(spec);
   return out;
@@ -299,7 +202,8 @@ Scenario parse_scenario_impl(const std::string& text,
 
   core::CampaignOptions& options = scenario.options;
   options.flow.chips = r.count(root, "chips", options.flow.chips);
-  options.flow.seed = r.seed(root, "seed", options.flow.seed);
+  options.flow.seed =
+      r.optional_integer(root, "seed").value_or(options.flow.seed);
   options.threads = r.count(root, "threads", options.threads);
   if (const JsonValue* inflation =
           r.optional(root, "inflation", JsonValue::Kind::kNumber)) {

@@ -1,14 +1,8 @@
 #include "linalg/decomposition.hpp"
 
-#include <cstddef>
-
 #include "linalg/kernels.hpp"
 
 namespace effitest::linalg {
-
-std::vector<double> Cholesky::solve(std::span<const double> b) const {
-  return backward_substitute(l, forward_substitute(l, b));
-}
 
 Matrix Cholesky::solve(const Matrix& b) const {
   if (b.rows() != l.rows()) {
@@ -38,32 +32,6 @@ Cholesky cholesky(const Matrix& a, double jitter) {
     }
   }
   throw LinalgError("cholesky: matrix is not positive definite");
-}
-
-std::vector<double> forward_substitute(const Matrix& l,
-                                       std::span<const double> b) {
-  const std::size_t n = l.rows();
-  if (b.size() != n) throw LinalgError("forward_substitute size mismatch");
-  std::vector<double> y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double v = b[i];
-    for (std::size_t k = 0; k < i; ++k) v -= l(i, k) * y[k];
-    y[i] = v / l(i, i);
-  }
-  return y;
-}
-
-std::vector<double> backward_substitute(const Matrix& l,
-                                        std::span<const double> y) {
-  const std::size_t n = l.rows();
-  if (y.size() != n) throw LinalgError("backward_substitute size mismatch");
-  std::vector<double> x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double v = y[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) v -= l(k, ii) * x[k];
-    x[ii] = v / l(ii, ii);
-  }
-  return x;
 }
 
 }  // namespace effitest::linalg

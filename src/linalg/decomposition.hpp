@@ -7,9 +7,6 @@
 // Carlo dies come from timing::CircuitModel's factor model, not from a
 // factored covariance.
 
-#include <span>
-#include <vector>
-
 #include "linalg/matrix.hpp"
 
 namespace effitest::linalg {
@@ -18,10 +15,8 @@ namespace effitest::linalg {
 struct Cholesky {
   Matrix l;  ///< lower-triangular factor
 
-  /// Solve A x = b using the factorization (forward + backward substitution).
-  [[nodiscard]] std::vector<double> solve(std::span<const double> b) const;
-
-  /// Solve A X = B column-by-column.
+  /// Solve A X = B for every column of B at once (kernels::trsm_lower and
+  /// trsm_lower_transposed).
   [[nodiscard]] Matrix solve(const Matrix& b) const;
 };
 
@@ -33,13 +28,5 @@ struct Cholesky {
 /// mirrors standard practice for nearly singular covariance matrices built
 /// from highly correlated path delays.
 [[nodiscard]] Cholesky cholesky(const Matrix& a, double jitter = 0.0);
-
-/// Solve L y = b for lower-triangular L.
-[[nodiscard]] std::vector<double> forward_substitute(const Matrix& l,
-                                                     std::span<const double> b);
-
-/// Solve L^T x = y for lower-triangular L.
-[[nodiscard]] std::vector<double> backward_substitute(
-    const Matrix& l, std::span<const double> y);
 
 }  // namespace effitest::linalg

@@ -37,7 +37,7 @@ void trsm_lower(const Matrix& l, Matrix& b, const KernelOptions& opts) {
     // over columns is contiguous and vectorizes, and L streams through
     // cache once per block instead of once per column. Element (i, c)
     // still subtracts k = 0..i-1 in ascending order and divides last —
-    // the per-column forward_substitute order.
+    // the per-column reference_forward_substitute order.
     for (std::size_t i = 0; i < n; ++i) {
       const double* lrow = pl + i * n;
       double* bi = pb + i * m;

@@ -56,11 +56,12 @@ inline constexpr std::size_t kSerialFlops = std::size_t{1} << 18;
 
 /// B := L^{-1} B for lower-triangular L (forward substitution over all
 /// right-hand sides at once, vectorized across columns, parallel over
-/// column blocks). Bit-identical to per-column forward_substitute.
+/// column blocks). Bit-identical to the per-column
+/// reference_forward_substitute oracle.
 void trsm_lower(const Matrix& l, Matrix& b, const KernelOptions& opts = {});
 
 /// B := L^{-T} B (backward substitution over all right-hand sides).
-/// Bit-identical to per-column backward_substitute.
+/// Bit-identical to the per-column reference_backward_substitute oracle.
 void trsm_lower_transposed(const Matrix& l, Matrix& b,
                            const KernelOptions& opts = {});
 

@@ -1,6 +1,5 @@
 #include "linalg/matrix.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <ostream>
 
@@ -33,20 +32,6 @@ Matrix Matrix::diagonal(std::span<const double> diag) {
   return m;
 }
 
-double& Matrix::at(std::size_t r, std::size_t c) {
-  if (r >= rows_ || c >= cols_) {
-    throw LinalgError("Matrix::at index out of range");
-  }
-  return (*this)(r, c);
-}
-
-double Matrix::at(std::size_t r, std::size_t c) const {
-  if (r >= rows_ || c >= cols_) {
-    throw LinalgError("Matrix::at index out of range");
-  }
-  return (*this)(r, c);
-}
-
 std::span<double> Matrix::row(std::size_t r) {
   if (r >= rows_) throw LinalgError("Matrix::row index out of range");
   return {data_.data() + r * cols_, cols_};
@@ -55,13 +40,6 @@ std::span<double> Matrix::row(std::size_t r) {
 std::span<const double> Matrix::row(std::size_t r) const {
   if (r >= rows_) throw LinalgError("Matrix::row index out of range");
   return {data_.data() + r * cols_, cols_};
-}
-
-std::vector<double> Matrix::column(std::size_t c) const {
-  if (c >= cols_) throw LinalgError("Matrix::column index out of range");
-  std::vector<double> out(rows_);
-  for (std::size_t r = 0; r < rows_; ++r) out[r] = (*this)(r, c);
-  return out;
 }
 
 Matrix Matrix::select(std::span<const std::size_t> row_idx,
@@ -103,37 +81,12 @@ Matrix Matrix::operator*(const Matrix& rhs) const {
   return out;
 }
 
-std::vector<double> Matrix::operator*(std::span<const double> v) const {
-  if (cols_ != v.size()) {
-    throw LinalgError("Matrix * vector dimension mismatch");
-  }
-  std::vector<double> out(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double* row_ptr = data_.data() + r * cols_;
-    double acc = 0.0;
-    for (std::size_t c = 0; c < cols_; ++c) acc += row_ptr[c] * v[c];
-    out[r] = acc;
-  }
-  return out;
-}
-
 bool Matrix::approx_equal(const Matrix& rhs, double tol) const {
   if (rows_ != rhs.rows_ || cols_ != rhs.cols_) return false;
   for (std::size_t i = 0; i < data_.size(); ++i) {
     if (std::abs(data_[i] - rhs.data_[i]) > tol) return false;
   }
   return true;
-}
-
-double Matrix::max_asymmetry() const {
-  if (!is_square()) throw LinalgError("max_asymmetry requires square matrix");
-  double worst = 0.0;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = r + 1; c < cols_; ++c) {
-      worst = std::max(worst, std::abs((*this)(r, c) - (*this)(c, r)));
-    }
-  }
-  return worst;
 }
 
 void Matrix::symmetrize() {
@@ -156,33 +109,6 @@ std::ostream& operator<<(std::ostream& os, const Matrix& m) {
     os << (r + 1 < m.rows() ? ";\n" : "]");
   }
   return os;
-}
-
-double dot(std::span<const double> a, std::span<const double> b) {
-  if (a.size() != b.size()) throw LinalgError("dot size mismatch");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
-  return acc;
-}
-
-void axpy(double alpha, std::span<const double> x, std::span<double> y) {
-  if (x.size() != y.size()) throw LinalgError("axpy size mismatch");
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
-}
-
-std::vector<double> subtract(std::span<const double> a,
-                             std::span<const double> b) {
-  if (a.size() != b.size()) throw LinalgError("subtract size mismatch");
-  std::vector<double> out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
-  return out;
-}
-
-std::vector<double> add(std::span<const double> a, std::span<const double> b) {
-  if (a.size() != b.size()) throw LinalgError("add size mismatch");
-  std::vector<double> out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] + b[i];
-  return out;
 }
 
 }  // namespace effitest::linalg

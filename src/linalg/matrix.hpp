@@ -1,9 +1,9 @@
 #pragma once
-// Dense row-major matrix and small-vector helpers.
+// Dense row-major matrix.
 //
 // This is the numeric workhorse underneath the statistical machinery of
-// EffiTest: covariance matrices, PCA, conditional-Gaussian gains and the
-// simplex tableau all sit on top of this type.  Sizes in this project are
+// EffiTest: covariance matrices, PCA and conditional-Gaussian gains all sit
+// on top of this type.  Sizes in this project are
 // modest (up to a few thousand rows), so a straightforward dense
 // implementation is both sufficient and easy to audit.
 
@@ -56,10 +56,6 @@ class Matrix {
     return data_[r * cols_ + c];
   }
 
-  /// Bounds-checked access.
-  [[nodiscard]] double& at(std::size_t r, std::size_t c);
-  [[nodiscard]] double at(std::size_t r, std::size_t c) const;
-
   /// View of row r as a contiguous span.
   [[nodiscard]] std::span<double> row(std::size_t r);
   [[nodiscard]] std::span<const double> row(std::size_t r) const;
@@ -67,9 +63,6 @@ class Matrix {
   /// Raw storage (row-major).
   [[nodiscard]] std::span<const double> data() const noexcept { return data_; }
   [[nodiscard]] std::span<double> data() noexcept { return data_; }
-
-  /// Extract a column as a vector.
-  [[nodiscard]] std::vector<double> column(std::size_t c) const;
 
   /// Submatrix formed by the given row and column index sets (in order).
   [[nodiscard]] Matrix select(std::span<const std::size_t> row_idx,
@@ -81,14 +74,8 @@ class Matrix {
   /// accumulated k ascending.
   [[nodiscard]] Matrix operator*(const Matrix& rhs) const;
 
-  /// Matrix-vector product.
-  [[nodiscard]] std::vector<double> operator*(std::span<const double> v) const;
-
   /// Frobenius-norm distance check against another matrix.
   [[nodiscard]] bool approx_equal(const Matrix& rhs, double tol = 1e-9) const;
-
-  /// Largest absolute asymmetry |a_ij - a_ji|; 0 for symmetric matrices.
-  [[nodiscard]] double max_asymmetry() const;
 
   /// Force exact symmetry by averaging with the transpose (in place).
   void symmetrize();
@@ -100,21 +87,5 @@ class Matrix {
 };
 
 std::ostream& operator<<(std::ostream& os, const Matrix& m);
-
-// -- Free vector helpers (std::vector<double> is the vector type) -----------
-
-/// Dot product; sizes must match.
-[[nodiscard]] double dot(std::span<const double> a, std::span<const double> b);
-
-/// y += alpha * x.
-void axpy(double alpha, std::span<const double> x, std::span<double> y);
-
-/// Element-wise a - b.
-[[nodiscard]] std::vector<double> subtract(std::span<const double> a,
-                                           std::span<const double> b);
-
-/// Element-wise a + b.
-[[nodiscard]] std::vector<double> add(std::span<const double> a,
-                                      std::span<const double> b);
 
 }  // namespace effitest::linalg

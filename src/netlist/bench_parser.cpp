@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <fstream>
 #include <map>
 #include <sstream>
 
@@ -184,17 +183,6 @@ Netlist parse_bench(std::istream& in, std::string name) {
 
 Netlist parse_bench_string(const std::string& text, std::string name) {
   std::istringstream in(text);
-  return parse_bench(in, std::move(name));
-}
-
-Netlist parse_bench_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw NetlistError("cannot open .bench file: " + path);
-  std::string name = path;
-  const std::size_t slash = name.find_last_of('/');
-  if (slash != std::string::npos) name = name.substr(slash + 1);
-  const std::size_t dot = name.find_last_of('.');
-  if (dot != std::string::npos) name = name.substr(0, dot);
   return parse_bench(in, std::move(name));
 }
 

@@ -38,7 +38,4 @@ class BenchParseError : public std::runtime_error {
 [[nodiscard]] Netlist parse_bench_string(const std::string& text,
                                          std::string name = "bench");
 
-/// Parse .bench from a file path.
-[[nodiscard]] Netlist parse_bench_file(const std::string& path);
-
 }  // namespace effitest::netlist

@@ -63,9 +63,6 @@ struct ForOptions {
   /// effective count is additionally clamped to the number of work items —
   /// see resolve_workers. Results never depend on this value.
   std::size_t threads = 0;
-  /// Ranges smaller than this run inline on the caller. Purely an overhead
-  /// knob: chunking (and therefore every result bit) is unchanged.
-  std::size_t serial_below = 2;
 };
 
 /// Effective worker count for `items` work items: `requested` (0 = the
@@ -105,7 +102,7 @@ void run_chunks(std::size_t n, const ForOptions& opts, ChunkBody&& chunk_body) {
   if (n == 0) return;
   const std::size_t chunks = chunk_count(n);
   const std::size_t workers = resolve_workers(opts.threads, chunks);
-  if (workers <= 1 || n < opts.serial_below) {
+  if (workers <= 1) {
     for (std::size_t c = 0; c < chunks; ++c) chunk_body(c);
     return;
   }

@@ -88,22 +88,4 @@ double sorted_quantile(std::span<const double> sorted, double q) {
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
-double correlation(std::span<const double> a, std::span<const double> b) {
-  if (a.size() != b.size() || a.empty()) {
-    throw std::invalid_argument("correlation: size mismatch or empty");
-  }
-  const double ma = mean(a);
-  const double mb = mean(b);
-  double sab = 0.0;
-  double saa = 0.0;
-  double sbb = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    sab += (a[i] - ma) * (b[i] - mb);
-    saa += (a[i] - ma) * (a[i] - ma);
-    sbb += (b[i] - mb) * (b[i] - mb);
-  }
-  if (saa <= 0.0 || sbb <= 0.0) return 0.0;
-  return sab / std::sqrt(saa * sbb);
-}
-
 }  // namespace effitest::stats

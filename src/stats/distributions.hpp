@@ -32,8 +32,4 @@ namespace effitest::stats {
 /// quantile() of an already ascending-sorted sample (no copy, no sort).
 [[nodiscard]] double sorted_quantile(std::span<const double> sorted, double q);
 
-/// Pearson correlation of two equally sized samples.
-[[nodiscard]] double correlation(std::span<const double> a,
-                                 std::span<const double> b);
-
 }  // namespace effitest::stats

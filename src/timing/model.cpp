@@ -403,7 +403,7 @@ std::array<double, kLanes> CircuitModel::sample_required_periods(
     std::span<stats::Rng> rngs, LaneWorkspace& ws) const {
   draw_lane_deviates(rngs, ws);
   const FormTable& t = table_;
-  std::array<double, kLanes> worst{};  // 0.0, as untuned_required_period
+  std::array<double, kLanes> worst{};  // a period is at least 0.0
   double d[kLanes] = {};
   std::size_t inflated = 0;
   const auto fold = [&](const FormTable::Form& f) {

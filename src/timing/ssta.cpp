@@ -15,6 +15,12 @@ double CanonicalDelay::quantile(double q) const {
   return mean + stats::normal_quantile(q) * sigma();
 }
 
+double CanonicalDelay::cdf(double x) const {
+  const double s = sigma();
+  if (s < 1e-12) return x >= mean ? 1.0 : 0.0;
+  return stats::normal_cdf((x - mean) / s);
+}
+
 CanonicalDelay to_canonical(const DelayForm& form) {
   CanonicalDelay d;
   d.mean = form.mean;
@@ -93,10 +99,12 @@ CanonicalDelay statistical_max(std::span<const CanonicalDelay> forms) {
   std::vector<const CanonicalDelay*> order;
   order.reserve(forms.size());
   for (const CanonicalDelay& f : forms) order.push_back(&f);
-  std::sort(order.begin(), order.end(),
-            [](const CanonicalDelay* x, const CanonicalDelay* y) {
-              return x->mean > y->mean;
-            });
+  // Stable: forms of equal mean fold in input order, so appending forms
+  // that the prune below skips cannot change the result.
+  std::stable_sort(order.begin(), order.end(),
+                   [](const CanonicalDelay* x, const CanonicalDelay* y) {
+                     return x->mean > y->mean;
+                   });
   CanonicalDelay acc = *order.front();
   for (std::size_t i = 1; i < order.size(); ++i) {
     // Skip forms that cannot plausibly define the max (4.5 sigma below).

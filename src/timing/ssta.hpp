@@ -42,6 +42,9 @@ struct CanonicalDelay {
   [[nodiscard]] double sigma() const;
   /// q-quantile of the Gaussian form.
   [[nodiscard]] double quantile(double q) const;
+  /// P(form <= x), the yield at clock period x; a form with sigma below
+  /// 1e-12 ps is a step at its mean.
+  [[nodiscard]] double cdf(double x) const;
 };
 
 /// Canonical form of a model DelayForm: gate mismatch and the extra
@@ -65,7 +68,8 @@ struct CanonicalDelay {
                                            const CanonicalDelay& b);
 
 /// Statistical max over many forms (sequential Clark folding, largest means
-/// first for numerical stability).
+/// first for numerical stability; forms of equal mean keep their input
+/// order).
 [[nodiscard]] CanonicalDelay statistical_max(
     std::span<const CanonicalDelay> forms);
 

@@ -45,12 +45,6 @@ double sparse_dot(const SparseLoading& a, const SparseLoading& b) {
   return acc;
 }
 
-double sparse_apply(const SparseLoading& a, std::span<const double> z) {
-  double acc = 0.0;
-  for (const auto& [idx, w] : a) acc += w * z[static_cast<std::size_t>(idx)];
-  return acc;
-}
-
 VariationModel::VariationModel(VariationParams params,
                                const netlist::CellLibrary& library)
     : params_(params), library_(&library) {
@@ -120,12 +114,6 @@ double VariationModel::systematic_sigma(netlist::CellType type) const {
       t.sens_tox * params_.sigma_tox * t.sens_tox * params_.sigma_tox +
       t.sens_vth * params_.sigma_vth * t.sens_vth * params_.sigma_vth;
   return t.nominal_delay_ps * std::sqrt(v);
-}
-
-std::vector<double> VariationModel::sample_factors(stats::Rng& rng) const {
-  std::vector<double> z;
-  sample_factors(rng, z);
-  return z;
 }
 
 void VariationModel::sample_factors(stats::Rng& rng,

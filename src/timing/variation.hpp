@@ -22,7 +22,7 @@
 // Gate delay model (first order, library sensitivities s_p):
 //   d(g) = d0 * (1 + sum_p s_p dP_p(g)) + mismatch(g).
 
-#include <span>
+#include <utility>
 #include <vector>
 
 #include "netlist/cell.hpp"
@@ -54,10 +54,6 @@ void accumulate(SparseLoading& into, const SparseLoading& add);
 /// Dot product of two sorted sparse loadings.
 [[nodiscard]] double sparse_dot(const SparseLoading& a, const SparseLoading& b);
 
-/// Dense gather: sum_i weight_i * z[factor_i].
-[[nodiscard]] double sparse_apply(const SparseLoading& a,
-                                  std::span<const double> z);
-
 class VariationModel {
  public:
   VariationModel(VariationParams params, const netlist::CellLibrary& library);
@@ -78,10 +74,8 @@ class VariationModel {
   /// Systematic delay sigma (ps) of one isolated gate instance.
   [[nodiscard]] double systematic_sigma(netlist::CellType type) const;
 
-  /// One draw of the global factor vector (iid standard normals).
-  [[nodiscard]] std::vector<double> sample_factors(stats::Rng& rng) const;
-
-  /// Same draw into a reusable buffer (resized to the factor count).
+  /// One draw of the global factor vector (iid standard normals) into a
+  /// reusable buffer (resized to the factor count).
   void sample_factors(stats::Rng& rng, std::vector<double>& out) const;
 
  private:

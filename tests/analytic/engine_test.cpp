@@ -147,17 +147,17 @@ TEST(AnalyticEngine, YieldCurveIsMonotoneAndInvertsQuantile) {
   const double lo = a.tuned.mean - 4.0 * a.tuned.sigma();
   const double hi = a.tuned.mean + 4.0 * a.tuned.sigma();
   // 33 equally spaced points over [lo, hi].
-  double previous = a.yield_at(lo);
+  double previous = a.tuned.cdf(lo);
   for (std::size_t i = 1; i < 33; ++i) {
     const double t = lo + (hi - lo) * static_cast<double>(i) / 32.0;
-    const double y = a.yield_at(t);
+    const double y = a.tuned.cdf(t);
     EXPECT_GE(y, previous) << "point " << i;
     previous = y;
   }
   for (const double q : {0.1, 0.5, 0.9}) {
-    EXPECT_NEAR(a.yield_at(a.tuned_quantile(q)), q, 1e-9);
+    EXPECT_NEAR(a.tuned.cdf(a.tuned.quantile(q)), q, 1e-9);
   }
-  EXPECT_NEAR(a.yield_at(a.tuned.mean), 0.5, 1e-12);
+  EXPECT_NEAR(a.tuned.cdf(a.tuned.mean), 0.5, 1e-12);
 }
 
 TEST(AnalyticEngine, AnalysisIsDeterministic) {

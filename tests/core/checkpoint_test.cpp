@@ -301,6 +301,20 @@ TEST(CampaignCheckpoint, CorruptAndTruncatedFilesAreRejected) {
            "\"total_jobs\": 1, \"completed\": []}";
   }
   EXPECT_THROW((void)io::load_campaign_checkpoint(wrong), io::CheckpointError);
+  // A schema error names the offending line, as a syntax error does.
+  const std::string unknown = temp_path("unknown_key.json");
+  {
+    std::ofstream out(unknown);
+    out << "{\n\"schema\": \"effitest-checkpoint-v1\",\n\"bogus\": 1}";
+  }
+  try {
+    (void)io::load_campaign_checkpoint(unknown);
+    FAIL() << "unknown key was accepted";
+  } catch (const io::CheckpointError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("\"bogus\""), std::string::npos) << what;
+  }
 }
 
 TEST(CampaignCheckpoint, MismatchedIdentityOrJobCountIsRejected) {

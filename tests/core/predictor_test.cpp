@@ -9,7 +9,8 @@ namespace {
 
 TEST(DelayPredictor, TestedPathsKeepMeasuredBounds) {
   const linalg::Matrix cov{{1.0, 0.8}, {0.8, 1.0}};
-  const DelayPredictor pred(cov, {100.0, 100.0}, {0});
+  const DelayPredictor pred(
+      stats::PredictionGain::compute(cov, {0}), {100.0, 100.0});
   const std::vector<double> ml{98.0};
   const std::vector<double> mu{99.0};
   const DelayBounds b = pred.predict(ml, mu);
@@ -20,7 +21,8 @@ TEST(DelayPredictor, TestedPathsKeepMeasuredBounds) {
 TEST(DelayPredictor, PredictedBoundsAreMuPm3Sigma) {
   const double rho = 0.8;
   const linalg::Matrix cov{{1.0, rho}, {rho, 1.0}};
-  const DelayPredictor pred(cov, {100.0, 100.0}, {1});
+  const DelayPredictor pred(
+      stats::PredictionGain::compute(cov, {1}), {100.0, 100.0});
   // Measured upper bound 102 -> innovation +2 -> mu' = 100 + rho*2.
   const std::vector<double> ml{101.0};
   const std::vector<double> mu{102.0};
@@ -35,7 +37,8 @@ TEST(DelayPredictor, ConservativeUsesUpperBoundsOnly) {
   // Different lower bounds must not change the prediction (§3.4: the upper
   // bounds feed eq. 4).
   const linalg::Matrix cov{{1.0, 0.5}, {0.5, 1.0}};
-  const DelayPredictor pred(cov, {10.0, 10.0}, {1});
+  const DelayPredictor pred(
+      stats::PredictionGain::compute(cov, {1}), {10.0, 10.0});
   const DelayBounds a =
       pred.predict(std::vector<double>{9.0}, std::vector<double>{11.0});
   const DelayBounds b =
@@ -47,8 +50,10 @@ TEST(DelayPredictor, ConservativeUsesUpperBoundsOnly) {
 TEST(DelayPredictor, HighCorrelationShrinksPredictedRange) {
   const linalg::Matrix loose{{1.0, 0.3}, {0.3, 1.0}};
   const linalg::Matrix tight{{1.0, 0.99}, {0.99, 1.0}};
-  const DelayPredictor p_loose(loose, {0.0, 0.0}, {1});
-  const DelayPredictor p_tight(tight, {0.0, 0.0}, {1});
+  const DelayPredictor p_loose(
+      stats::PredictionGain::compute(loose, {1}), {0.0, 0.0});
+  const DelayPredictor p_tight(
+      stats::PredictionGain::compute(tight, {1}), {0.0, 0.0});
   const std::vector<double> m{0.0};
   const double w_loose = p_loose.predict(m, m).upper[0] -
                          p_loose.predict(m, m).lower[0];
@@ -60,7 +65,8 @@ TEST(DelayPredictor, HighCorrelationShrinksPredictedRange) {
 TEST(DelayPredictor, PosteriorSigmaOrderMatchesPredictedIndices) {
   const linalg::Matrix cov{
       {1.0, 0.9, 0.1}, {0.9, 1.0, 0.1}, {0.1, 0.1, 1.0}};
-  const DelayPredictor pred(cov, {5.0, 5.0, 5.0}, {1});
+  const DelayPredictor pred(
+      stats::PredictionGain::compute(cov, {1}), {5.0, 5.0, 5.0});
   ASSERT_EQ(pred.predicted_indices().size(), 2u);
   EXPECT_EQ(pred.predicted_indices()[0], 0u);  // correlated with tested
   EXPECT_EQ(pred.predicted_indices()[1], 2u);  // nearly independent
@@ -69,8 +75,11 @@ TEST(DelayPredictor, PosteriorSigmaOrderMatchesPredictedIndices) {
 
 TEST(DelayPredictor, SizeValidation) {
   const linalg::Matrix cov = linalg::Matrix::identity(3);
-  EXPECT_THROW(DelayPredictor(cov, {1.0, 2.0}, {0}), std::invalid_argument);
-  const DelayPredictor pred(cov, {1.0, 2.0, 3.0}, {0, 2});
+  EXPECT_THROW(
+      DelayPredictor(stats::PredictionGain::compute(cov, {0}), {1.0, 2.0}),
+      std::invalid_argument);
+  const DelayPredictor pred(
+      stats::PredictionGain::compute(cov, {0, 2}), {1.0, 2.0, 3.0});
   EXPECT_THROW(pred.predict(std::vector<double>{1.0},
                             std::vector<double>{1.0, 2.0}),
                std::invalid_argument);
@@ -78,7 +87,8 @@ TEST(DelayPredictor, SizeValidation) {
 
 TEST(DelayPredictor, AllTestedNoPrediction) {
   const linalg::Matrix cov = linalg::Matrix::identity(2);
-  const DelayPredictor pred(cov, {1.0, 2.0}, {0, 1});
+  const DelayPredictor pred(
+      stats::PredictionGain::compute(cov, {0, 1}), {1.0, 2.0});
   EXPECT_TRUE(pred.predicted_indices().empty());
   const std::vector<double> ml{0.5, 1.5};
   const std::vector<double> mu{1.5, 2.5};
@@ -92,7 +102,7 @@ TEST(DelayPredictor, AdoptingASharedGainSkipsRefactorization) {
       {2.0, 0.5, 0.3}, {0.5, 1.5, 0.2}, {0.3, 0.2, 1.0}};
   const std::vector<double> mu{1.0, 2.0, 3.0};
   const auto gain = stats::PredictionGain::compute(cov, {2});
-  const DelayPredictor fresh(cov, mu, {2});
+  const DelayPredictor fresh(stats::PredictionGain::compute(cov, {2}), mu);
   const DelayPredictor adopted(gain, mu);
 
   // Same split, same numbers — and the adopting instance aliases the very

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <utility>
 
 #include "netlist/generator.hpp"
 #include "stats/distributions.hpp"
@@ -28,6 +30,16 @@ struct Fixture {
         }())),
         model(circuit.netlist, lib, circuit.buffered_ffs),
         problem(model) {}
+
+  /// The die sampled on Rng(seed) and its untuned required period (the
+  /// lane kernel on the same stream).
+  std::pair<timing::Chip, double> die(std::uint64_t seed) const {
+    stats::Rng rng(seed);
+    std::array<stats::Rng, 1> lane{rng};
+    timing::LaneWorkspace ws;
+    timing::Chip chip = model.sample_chip(rng);
+    return {std::move(chip), model.sample_required_periods(lane, ws)[0]};
+  }
 };
 
 TEST(BufferValues, MapsStepsToPs) {
@@ -43,17 +55,15 @@ TEST(BufferValues, MapsStepsToPs) {
 
 TEST(ChipPasses, GenerousPeriodPasses) {
   Fixture f;
-  stats::Rng rng(1);
-  const timing::Chip chip = f.model.sample_chip(rng);
-  const double td = untuned_required_period(f.problem, chip) + 1.0;
+  const auto [chip, required] = f.die(1);
+  const double td = required + 1.0;
   EXPECT_TRUE(chip_passes_untuned(f.problem, chip, td));
 }
 
 TEST(ChipPasses, TightPeriodFails) {
   Fixture f;
-  stats::Rng rng(2);
-  const timing::Chip chip = f.model.sample_chip(rng);
-  const double td = untuned_required_period(f.problem, chip) - 1.0;
+  const auto [chip, required] = f.die(2);
+  const double td = required - 1.0;
   EXPECT_FALSE(chip_passes_untuned(f.problem, chip, td));
 }
 
@@ -83,9 +93,8 @@ TEST(ChipPasses, SkewShiftsPassFail) {
 
 TEST(ChipPasses, HoldViolationDetected) {
   Fixture f;
-  stats::Rng rng(4);
-  const timing::Chip chip = f.model.sample_chip(rng);
-  const double td = untuned_required_period(f.problem, chip) + 100.0;
+  const auto [chip, required] = f.die(4);
+  const double td = required + 100.0;
   ASSERT_TRUE(chip_passes_untuned(f.problem, chip, td));
   // Find a pair whose destination is buffered and push its capture clock
   // late enough to break hold: x_i - x_j < h - d_min.
@@ -100,18 +109,6 @@ TEST(ChipPasses, HoldViolationDetected) {
     return;
   }
   GTEST_SKIP() << "no dst-only buffered pair";
-}
-
-TEST(UntunedRequiredPeriod, IsMaxDelay) {
-  Fixture f;
-  stats::Rng rng(5);
-  const timing::Chip chip = f.model.sample_chip(rng);
-  const double req = untuned_required_period(f.problem, chip);
-  const double direct =
-      *std::max_element(chip.max_delay.begin(), chip.max_delay.end());
-  EXPECT_GE(req, direct);
-  EXPECT_TRUE(chip_passes_untuned(f.problem, chip, req + 1e-6) ||
-              req > direct /* hold-limited */);
 }
 
 TEST(PeriodQuantile, MedianGivesHalfYield) {

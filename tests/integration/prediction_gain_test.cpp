@@ -63,7 +63,9 @@ TEST(PredictionGain, SharedPredictorMatchesFreshRebuildPerChip) {
   // Rebuild the predictor from scratch exactly as a per-chip rebuild would:
   // same covariance, same measured set, fresh factorization.
   const linalg::Matrix cov = f.model.max_covariance();
-  const DelayPredictor rebuilt(cov, f.model.max_means(), art.tested);
+  const DelayPredictor rebuilt(
+      stats::PredictionGain::compute(cov, art.tested, /*jitter=*/1e-9),
+      f.model.max_means());
 
   // The chip-independent pieces must agree bit-for-bit.
   const auto& cached = *art.predictor;
@@ -99,7 +101,8 @@ TEST(PredictionGain, AdoptedGainSharesInsteadOfCopying) {
   const linalg::Matrix cov = f.model.max_covariance();
   std::vector<std::size_t> tested;
   for (std::size_t p = 0; p < f.model.num_pairs(); p += 5) tested.push_back(p);
-  const DelayPredictor original(cov, f.model.max_means(), tested);
+  const DelayPredictor original(stats::PredictionGain::compute(cov, tested),
+                                f.model.max_means());
 
   // Adoption and copy both alias the same immutable PredictionGain.
   const DelayPredictor adopted(original.shared_gain(), f.model.max_means());

@@ -116,7 +116,8 @@ TEST(BenchParser, ErrorCarriesLineNumber) {
 }
 
 TEST(BenchParser, MissingFileThrows) {
-  EXPECT_THROW(parse_bench_file("/nonexistent/file.bench"), NetlistError);
+  EXPECT_THROW(parse_bench_file_with_placement("/nonexistent/file.bench"),
+               NetlistError);
 }
 
 TEST(BenchParser, ValidatedResult) {

@@ -100,7 +100,7 @@ TEST(BenchWriter, FileIo) {
   const Netlist original = small();
   const std::string path = "/tmp/effitest_writer_test.bench";
   write_bench_file(original, path);
-  const Netlist parsed = parse_bench_file(path);
+  const Netlist parsed = parse_bench_file_with_placement(path);
   EXPECT_EQ(parsed.num_cells(), original.num_cells());
   EXPECT_THROW(write_bench_file(original, "/nonexistent/dir/x.bench"),
                NetlistError);

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -34,7 +35,6 @@
 #include "core/alignment.hpp"
 #include "core/configurator.hpp"
 #include "core/problem.hpp"
-#include "core/yield.hpp"
 #include "lp/solver.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/netlist.hpp"
@@ -207,9 +207,13 @@ void check_min_feasible_period(const Shape& shape, int cases, int dies) {
   for (int c = 0; c < cases; ++c) {
     const Tiny tiny = make_tiny(rng, c, shape);
     timing::SampleWorkspace ws;
+    timing::LaneWorkspace lane_ws;
     for (int die = 0; die < dies; ++die) {
       SCOPED_TRACE("case " + std::to_string(c) + " die " + std::to_string(die));
+      std::array<stats::Rng, 1> lane{rng};
       const timing::Chip chip = tiny.model.sample_chip(rng, ws);
+      const double untuned =
+          tiny.model.sample_required_periods(lane, lane_ws)[0];
       const double period = analytic::min_feasible_period(tiny.problem, chip);
       const double oracle = lp_min_period(tiny.problem, chip);
       EXPECT_NEAR(period, oracle, 1e-9 * oracle);
@@ -217,8 +221,7 @@ void check_min_feasible_period(const Shape& shape, int cases, int dies) {
       double statics = 0.0;
       for (const double d : chip.static_delay) statics = std::max(statics, d);
       EXPECT_GE(period, statics);
-      EXPECT_LE(period, core::untuned_required_period(tiny.problem, chip) *
-                            (1.0 + 1e-12));
+      EXPECT_LE(period, untuned * (1.0 + 1e-12));
     }
   }
 }

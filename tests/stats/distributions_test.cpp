@@ -75,19 +75,5 @@ TEST(Quantile, BadInputsThrow) {
   EXPECT_THROW(static_cast<void>(quantile(std::vector<double>{}, 0.5)), std::invalid_argument);
 }
 
-TEST(Correlation, PerfectAndAnti) {
-  const std::vector<double> a{1.0, 2.0, 3.0};
-  const std::vector<double> b{2.0, 4.0, 6.0};
-  EXPECT_NEAR(correlation(a, b), 1.0, 1e-12);
-  const std::vector<double> c{3.0, 2.0, 1.0};
-  EXPECT_NEAR(correlation(a, c), -1.0, 1e-12);
-}
-
-TEST(Correlation, ConstantSeriesIsZero) {
-  const std::vector<double> a{1.0, 1.0, 1.0};
-  const std::vector<double> b{1.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(correlation(a, b), 0.0);
-}
-
 }  // namespace
 }  // namespace effitest::stats

@@ -36,7 +36,11 @@ const netlist::CellLibrary& lib() {
 /// The per-DelayForm evaluation the form table replaced, kept verbatim.
 double reference_eval(const DelayForm& f, const SampleWorkspace& ws,
                       stats::Rng& rng) {
-  double d = f.mean + sparse_apply(f.loading, ws.factors);
+  double systematic = 0.0;
+  for (const auto& [idx, w] : f.loading) {
+    systematic += w * ws.factors[static_cast<std::size_t>(idx)];
+  }
+  double d = f.mean + systematic;
   for (int slot : f.mismatch_slots) {
     d += ws.mismatch[static_cast<std::size_t>(slot)];
   }

@@ -685,10 +685,10 @@ int cmd_ssta(const Cli& cli) {
                core::Table::num(tuned_analysis->tuned.sigma(), 2),
                core::Table::num(tuned_mc.sigma, 2)});
     t.add_row({"tuned T1 = 50% quantile",
-               core::Table::num(tuned_analysis->tuned_quantile(0.5), 2),
+               core::Table::num(tuned_analysis->tuned.quantile(0.5), 2),
                core::Table::num(tuned_mc.quantile(0.5), 2)});
     t.add_row({"tuned T2 = 84.13% quantile",
-               core::Table::num(tuned_analysis->tuned_quantile(0.8413), 2),
+               core::Table::num(tuned_analysis->tuned.quantile(0.8413), 2),
                core::Table::num(tuned_mc.quantile(0.8413), 2)});
   }
   t.print(std::cout);
