@@ -2,10 +2,10 @@
 //   1) empty-slot filling on/off (§3.2 last paragraph),
 //   2) middle-out weighting k0 >> kd vs uniform weights (§3.3, Fig. 6e),
 //   3) resolution epsilon sweep (test cost vs measurement accuracy),
-//   4) PCA coverage sweep (npt vs yield drop trade-off).
+//   4) PCA coverage sweep (npt vs yield drop trade-off),
+//   5) logic-masking exclusions on/off.
 
 #include "bench_common.hpp"
-#include "timing/ssta.hpp"
 
 int main(int argc, char** argv) {
   using namespace effitest;
@@ -112,27 +112,6 @@ int main(int argc, char** argv) {
                  core::Table::num(r.metrics.ta, 2),
                  core::Table::num(r.metrics.tv, 2)});
     }
-    t.print(std::cout);
-  }
-
-  {
-    std::cout << "\n--- 6) analytic (Clark SSTA) vs Monte-Carlo period "
-                 "calibration ---\n";
-    stats::Rng rng(args.seed ^ 0x55);
-    const double t1_mc =
-        core::period_quantile(prepared->problem, 0.5, 3000, rng);
-    stats::Rng rng2(args.seed ^ 0x55);
-    const double t2_mc =
-        core::period_quantile(prepared->problem, 0.8413, 3000, rng2);
-    const timing::CanonicalDelay clark =
-        timing::ssta_required_period(prepared->problem.model());
-    const double t1_an = clark.quantile(0.5);
-    const double t2_an = clark.quantile(0.8413);
-    core::Table t({"quantile", "Monte-Carlo (ps)", "Clark SSTA (ps)"});
-    t.add_row({"T1 (50%)", core::Table::num(t1_mc, 2),
-               core::Table::num(t1_an, 2)});
-    t.add_row({"T2 (84.13%)", core::Table::num(t2_mc, 2),
-               core::Table::num(t2_an, 2)});
     t.print(std::cout);
   }
   return 0;

@@ -1,7 +1,8 @@
 #pragma once
-// Shared plumbing for the benchmark harness binaries (the ablations,
-// bench_analytic and bench_serve; the paper's tables and figures are
-// scenario specs under paper/, run by `effitest_cli campaign --spec`).
+// Shared plumbing for the benchmark harness binaries (the ablations and
+// bench_serve; the paper's tables and figures are scenario specs under
+// paper/, run by `effitest_cli campaign --spec`, and the analytic engine
+// is measured by `effitest_cli ssta --tuned`).
 //
 // Every bench accepts:
 //   --chips=N      Monte-Carlo dies per circuit (paper: 10,000; defaults

@@ -361,14 +361,8 @@ McTunedPeriod mc_tuned_period(const core::Problem& problem,
         out.periods[i] = min_feasible_period(problem, chip);
       });
   if (out.periods.empty()) return out;
-  double sum = 0.0;
-  for (const double p : out.periods) sum += p;
-  out.mean = sum / static_cast<double>(out.periods.size());
-  double ss = 0.0;
-  for (const double p : out.periods) ss += (p - out.mean) * (p - out.mean);
-  out.sigma = out.periods.size() > 1
-                  ? std::sqrt(ss / static_cast<double>(out.periods.size() - 1))
-                  : 0.0;
+  out.mean = stats::mean(out.periods);
+  out.sigma = stats::stddev(out.periods);
   return out;
 }
 

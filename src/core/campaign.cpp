@@ -194,7 +194,8 @@ CampaignResult CampaignRunner::run(
         if (calibration.empty()) {
           stats::Rng rng(options_.flow.seed ^ kQuantileCalibrationSeedXor);
           calibration = sample_required_periods(
-              nominal_problem(), options_.calibration_chips, rng, opts.threads);
+              nominal_problem(), options_.flow.period_calibration_chips, rng,
+              opts.threads);
         }
         opts.designated_period = stats::sorted_quantile(calibration, quantile);
       }

@@ -123,8 +123,6 @@ struct CampaignOptions {
   /// CampaignJob::quantile), while default-convention flow jobs calibrate
   /// T1 inside run_flow, on the inflated model.
   double random_inflation = 1.0;
-  /// Monte-Carlo dies for quantile calibration of jobs with `quantile` set.
-  std::size_t calibration_chips = 2000;
   /// Circuit registry jobs resolve against; null = the process-wide shared
   /// paper catalog (scenario::CircuitCatalog::shared_paper()).
   std::shared_ptr<const scenario::CircuitCatalog> catalog;

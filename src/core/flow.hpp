@@ -54,6 +54,8 @@ struct FlowOptions {
   /// Designated clock period T_d; <= 0 selects the T1 convention
   /// (median untuned required period, 50% no-buffer yield).
   double designated_period = 0.0;
+  /// Monte-Carlo dies that calibrate T_d: the T1 median of a flow without
+  /// one, and a campaign's quantile and default analytic jobs.
   std::size_t period_calibration_chips = 2000;
   /// false: skip statistical prediction and test every path (Fig. 8 modes).
   bool use_prediction = true;

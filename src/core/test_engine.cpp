@@ -69,7 +69,7 @@ void DelayTestMachine::settle() {
       ++batch_idx_;
       continue;
     }
-    if (batch_iters_ >= options_.max_iterations_per_batch) {
+    if (batch_iters_ >= kMaxIterationsPerBatch) {
       // Safety stop: everything still unresolved is force-resolved
       // (Procedure 2's escape hatch — identical accounting to the
       // historical loop's break-then-mark).
@@ -147,7 +147,7 @@ void DelayTestMachine::record_response(const std::vector<bool>& pass) {
     // met) carries no width left to bisect, so the pair resolves
     // regardless of epsilon — otherwise a non-positive epsilon would
     // keep it active until the safety stop force-resolves it after
-    // max_iterations_per_batch wasted tester steps.
+    // kMaxIterationsPerBatch wasted tester steps.
     if (result_.upper[p] < result_.lower[p]) {
       result_.lower[p] = result_.upper[p];
     }

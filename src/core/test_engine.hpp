@@ -34,8 +34,11 @@ struct TestOptions {
   /// false freezes buffers at their current values during test
   /// (multiplexing-without-alignment, Fig. 8 case 2).
   bool align_with_buffers = true;
-  std::size_t max_iterations_per_batch = 2000;  ///< safety stop
 };
+
+/// Safety stop: tester iterations after which a batch's unresolved paths
+/// are force-resolved.
+inline constexpr std::size_t kMaxIterationsPerBatch = 2000;
 
 /// One tester iteration's programming: run the chip at clock period `period`
 /// with every buffer programmed to `steps`, and observe pass/fail of the

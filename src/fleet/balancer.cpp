@@ -174,8 +174,8 @@ void FleetBalancer::relay_session(net::Socket client_socket) {
       if (attach_attempts > 1) {
         retried_->inc();
         // Give a supervisor restart / probe re-admission a beat to land.
-        std::this_thread::sleep_for(std::chrono::duration<double>(
-            options_.attach_backoff_seconds));
+        std::this_thread::sleep_for(
+            std::chrono::duration<double>(kAttachBackoffSeconds));
       }
       slot = registry_->acquire();
       if (!slot) continue;  // nothing routable right now; costs an attempt

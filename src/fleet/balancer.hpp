@@ -67,11 +67,12 @@ struct BalancerOptions : net::ListenOptions {
   /// 1 + max_session_retries failing (or no acquirable worker) is fleet
   /// exhaustion.
   std::size_t max_session_retries = 2;
-  /// Pause before each re-attach, so a just-killed worker's supervisor
-  /// restart and the registry's probe re-admission get a beat to land.
-  double attach_backoff_seconds = 0.05;
   obs::StructuredLog* log = nullptr;
 };
+
+/// Pause before each re-attach, so a just-killed worker's supervisor
+/// restart and the registry's probe re-admission get a beat to land.
+inline constexpr double kAttachBackoffSeconds = 0.05;
 
 // Fleet-level metric names (the balancer's own obs::MetricsRegistry —
 // disjoint from the serve.* names so a dashboard scraping both tiers

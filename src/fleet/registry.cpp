@@ -43,11 +43,10 @@ ProbeResult parse_worker_status(const std::string& line) {
 
 WorkerRegistry::WorkerRegistry(RegistryOptions options)
     : options_(std::move(options)) {
-  const double timeout = options_.probe_timeout_seconds;
-  prober_ = [timeout](const WorkerEndpoint& endpoint) {
+  prober_ = [](const WorkerEndpoint& endpoint) {
     try {
-      return parse_worker_status(
-          net::fetch_status(endpoint.host, endpoint.port, timeout));
+      return parse_worker_status(net::fetch_status(
+          endpoint.host, endpoint.port, kProbeTimeoutSeconds));
     } catch (const std::exception&) {
       return ProbeResult{};
     }
@@ -124,9 +123,9 @@ void WorkerRegistry::apply_probe(std::size_t slot, const ProbeResult& result) {
     return;
   }
   ++s.consecutive_failures;
-  if (s.consecutive_failures >= options_.dead_after) {
+  if (s.consecutive_failures >= kDeadAfter) {
     s.health = WorkerHealth::kDead;
-  } else if (s.consecutive_failures >= options_.degraded_after) {
+  } else if (s.consecutive_failures >= kDegradedAfter) {
     s.health = WorkerHealth::kDegraded;
   }
 }
@@ -230,7 +229,7 @@ void WorkerRegistry::report_failure(std::size_t slot) {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (slot >= slots_.size()) return;
   slots_[slot].health = WorkerHealth::kDead;
-  slots_[slot].consecutive_failures = options_.dead_after;
+  slots_[slot].consecutive_failures = kDeadAfter;
 }
 
 std::size_t WorkerRegistry::in_flight(std::size_t slot) const {

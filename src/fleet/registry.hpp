@@ -10,8 +10,8 @@
 // interval. Consecutive probe failures walk the slot down a three-state
 // machine:
 //
-//   kLive --(failures >= degraded_after)--> kDegraded
-//         --(failures >= dead_after)-----> kDead
+//   kLive --(failures >= kDegradedAfter)--> kDegraded
+//         --(failures >= kDeadAfter)-----> kDead
 //   any state --(one successful probe)---> kLive   (re-admission)
 //
 // Routing (acquire/release) prefers live workers, falls back to degraded
@@ -75,15 +75,16 @@ struct ProbeResult {
 /// target: a hostile worker must not be able to crash the prober.
 [[nodiscard]] ProbeResult parse_worker_status(const std::string& line);
 
+/// Consecutive probe failures before a live worker is marked degraded /
+/// dead.
+inline constexpr std::size_t kDegradedAfter = 1;
+inline constexpr std::size_t kDeadAfter = 3;
+/// Socket timeout for the default prober's status request, so one hung
+/// worker cannot stall the probe round past the interval for long.
+inline constexpr double kProbeTimeoutSeconds = 2.0;
+
 struct RegistryOptions {
   double probe_interval_seconds = 0.5;
-  /// Consecutive probe failures before a live worker is marked degraded /
-  /// dead. degraded_after <= dead_after.
-  std::size_t degraded_after = 1;
-  std::size_t dead_after = 3;
-  /// Socket timeout for the default prober's status request, so one hung
-  /// worker cannot stall the probe round past the interval for long.
-  double probe_timeout_seconds = 2.0;
 };
 
 class WorkerRegistry {

@@ -231,7 +231,8 @@ std::string campaign_identity(const std::vector<core::CampaignJob>& jobs,
   canon += " fill=" + std::to_string(options.flow.fill_slots ? 1 : 0);
   canon += " epsilon=" + json::format_double(options.flow.epsilon_override);
   canon += " inflation=" + json::format_double(options.random_inflation);
-  canon += " calibration=" + std::to_string(options.calibration_chips);
+  canon += " calibration=" +
+           std::to_string(options.flow.period_calibration_chips);
   canon += " exclusions=" + std::to_string(options.use_exclusions ? 1 : 0);
   std::vector<std::string> seen;
   for (const core::CampaignJob& job : jobs) {

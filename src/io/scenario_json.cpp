@@ -212,8 +212,8 @@ Scenario parse_scenario_impl(const std::string& text,
     }
     options.random_inflation = inflation->number;
   }
-  options.calibration_chips =
-      r.count(root, "calibration_chips", options.calibration_chips);
+  options.flow.period_calibration_chips = r.count(
+      root, "calibration_chips", options.flow.period_calibration_chips);
   if (const JsonValue* flow =
           r.optional(root, "flow", JsonValue::Kind::kObject)) {
     r.reject_unknown_keys(*flow, {"prediction", "alignment", "exclusions"},

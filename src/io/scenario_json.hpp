@@ -15,7 +15,7 @@
 //     "seed": 2016,
 //     "threads": 0,
 //     "inflation": 1.0,
-//     "calibration_chips": 2000,
+//     "calibration_chips": 2000,       // T_d calibration dies, T1 too
 //     "quantiles": [0.5, 0.8413],      // T_d calibration quantiles
 //     "periods": [6000.0],             // explicit T_d values (ps)
 //     "modes": ["flow", "analytic"],   // job kinds; default ["flow"]

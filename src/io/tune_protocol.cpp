@@ -53,7 +53,7 @@ bool parse_key(std::string_view token, std::string_view key, T& value) {
 /// Out-of-order window: a response whose seq is this far beyond the chip's
 /// next expected one cannot belong to any stimulus the server will ever
 /// issue soon enough to matter (sessions are capped at
-/// TestOptions::max_iterations_per_batch per batch) — rejecting it keeps a
+/// core::kMaxIterationsPerBatch per batch) — rejecting it keeps a
 /// hostile stream from growing the reorder buffer without bound.
 constexpr std::size_t kMaxPendingWindow = 1'000'000;
 

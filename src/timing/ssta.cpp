@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "stats/distributions.hpp"
@@ -115,73 +114,16 @@ CanonicalDelay statistical_max(std::span<const CanonicalDelay> forms) {
   return acc;
 }
 
-CanonicalDelay ssta_required_period(const netlist::Netlist& netlist,
-                                    const netlist::CellLibrary& library,
-                                    const VariationModel& variation) {
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  const std::size_t n = netlist.num_cells();
-
-  // Canonical gate delay per cell (systematic loading + mismatch).
-  const auto gate_delay = [&](int id) {
-    const netlist::Cell& c = netlist.cell(id);
-    CanonicalDelay d;
-    d.mean = library.timing(c.type).nominal_delay_ps;
-    d.loading = variation.gate_loading(c.type, c.position);
-    const double ms = variation.mismatch_sigma(c.type);
-    d.indep_var = ms * ms;
-    return d;
-  };
-
-  // Arrival forms; unreachable cells are marked by mean == -inf.
-  std::vector<CanonicalDelay> arrival(n);
-  for (auto& a : arrival) a.mean = kNegInf;
-  for (int ff : netlist.flip_flops()) {
-    arrival[static_cast<std::size_t>(ff)] = gate_delay(ff);  // clk->Q
-  }
-
-  for (int id : netlist.topological_order()) {
-    const netlist::Cell& c = netlist.cell(id);
-    if (!netlist::is_combinational(c.type)) continue;
-    CanonicalDelay merged;
-    merged.mean = kNegInf;
-    for (int u : c.fanins) {
-      const CanonicalDelay& au = arrival[static_cast<std::size_t>(u)];
-      if (au.mean == kNegInf) continue;
-      merged = merged.mean == kNegInf ? au : canonical_max(merged, au);
-    }
-    if (merged.mean == kNegInf) continue;
-    arrival[static_cast<std::size_t>(id)] = canonical_sum(merged, gate_delay(id));
-  }
-
-  CanonicalDelay required;
-  required.mean = kNegInf;
-  const double setup = library.dff_setup_ps();
-  for (int ff : netlist.flip_flops()) {
-    const netlist::Cell& c = netlist.cell(ff);
-    if (c.fanins.empty()) continue;
-    const CanonicalDelay& d = arrival[static_cast<std::size_t>(c.fanins[0])];
-    if (d.mean == kNegInf) continue;
-    const CanonicalDelay captured = canonical_shift(d, setup);
-    required = required.mean == kNegInf ? captured
-                                        : canonical_max(required, captured);
-  }
-  if (required.mean == kNegInf) {
-    throw netlist::NetlistError(
-        "ssta_required_period: no register-to-register path");
-  }
-  return required;
-}
-
 CanonicalDelay ssta_required_period(const CircuitModel& model) {
-  if (model.num_pairs() == 0) {
-    throw std::invalid_argument("ssta_required_period: model has no pairs");
-  }
   std::vector<CanonicalDelay> forms;
   for (const MonitoredPair& p : model.pairs()) {
     for (const DelayForm& f : p.max_alts) forms.push_back(to_canonical(f));
   }
   for (const DelayForm& f : model.static_forms()) {
     forms.push_back(to_canonical(f));
+  }
+  if (forms.empty()) {
+    throw std::invalid_argument("ssta_required_period: model has no forms");
   }
   return statistical_max(forms);
 }

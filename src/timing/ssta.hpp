@@ -1,29 +1,26 @@
 #pragma once
-// Block-based statistical static timing analysis (SSTA).
+// Statistical static timing analysis (SSTA) on canonical delay forms.
 //
 // The paper builds on the SSTA literature (its refs. [10, 17]): delays are
-// first-order Gaussian forms over shared variation factors, propagated
-// through the timing graph with SUM along edges and Clark's moment-matching
-// approximation for MAX at merge points. This module provides:
+// first-order Gaussian forms over shared variation factors, combined with
+// SUM and Clark's moment-matching approximation for MAX. This module
+// provides:
 //
 //  * CanonicalDelay — mean + sparse factor loadings + independent variance,
 //  * canonical sum / max (Clark) / covariance / quantile operations,
-//  * whole-circuit propagation producing the distribution of the *untuned
-//    required clock period* (max register-to-register delay + setup).
+//  * the distribution of a circuit model's *untuned required clock period*
+//    (max register-to-register delay + setup), folded from the same forms
+//    the Monte-Carlo sampler draws.
 //
 // The analytic distribution cross-checks the Monte-Carlo estimator
 // (core::period_quantile) used to calibrate T1/T2 — see the ssta tests and
-// the bench_ablation_flow output.
+// `effitest_cli ssta`.
 //
-// Known approximation limits (standard for block-based SSTA): Clark's max of
-// Gaussians is itself treated as Gaussian, and per-gate mismatch that is
-// shared between reconvergent branches is treated as independent at merges.
+// Known approximation limit (standard for SSTA): Clark's max of
+// Gaussians is itself treated as Gaussian.
 
 #include <span>
 
-#include "netlist/cell.hpp"
-#include "netlist/netlist.hpp"
-#include "timing/graph.hpp"
 #include "timing/model.hpp"
 #include "timing/variation.hpp"
 
@@ -73,19 +70,11 @@ struct CanonicalDelay {
 [[nodiscard]] CanonicalDelay statistical_max(
     std::span<const CanonicalDelay> forms);
 
-/// Whole-circuit block-based SSTA: propagate canonical arrivals from every
-/// flip-flop clock pin through the combinational network and return the
-/// distribution of the untuned required clock period
-/// (max over all captured register-to-register delays, setup included).
-/// Throws if the netlist has no register-to-register path.
-[[nodiscard]] CanonicalDelay ssta_required_period(
-    const netlist::Netlist& netlist, const netlist::CellLibrary& library,
-    const VariationModel& variation);
-
-/// Same distribution computed from an already-built CircuitModel: the
-/// statistical max of every monitored pair's near-critical forms, then the
-/// promoted background pairs' static forms (cheaper; the untuned period of
-/// analytic::analyze_tuned_period and the Clark side of the cross-checks).
+/// Distribution of the untuned required clock period of a CircuitModel:
+/// the statistical max of every monitored pair's near-critical forms, then
+/// the promoted background pairs' static forms (the untuned period of
+/// analytic::analyze_tuned_period, of `effitest_cli ssta` and of campaign
+/// analytic jobs). Throws if the model has no form at all.
 [[nodiscard]] CanonicalDelay ssta_required_period(const CircuitModel& model);
 
 }  // namespace effitest::timing

@@ -224,6 +224,9 @@ with tempfile.NamedTemporaryFile(suffix=".log", mode="r") as log_file:
 # matrix above is rejecting values rather than whole commands.
 check(["generate", "--circuit=s9234", "--seed=5"], 0)
 check(["ssta"] + S27 + ["--chips=50"], 0)
+# Without buffers every register pair is a static form; ssta still folds
+# them into the Clark period.
+check(["ssta", "--bench=" + BENCH, "--buffers=0", "--chips=50"], 0)
 
 # The usage text never names an option its command would reject: every
 # --name in `help <command>` is listed there as [--name=...] or [--name],

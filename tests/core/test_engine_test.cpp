@@ -248,9 +248,10 @@ TEST(DelayTest, EscapeClampPinchResolvesInsteadOfForcing) {
   TestOptions opts;
   opts.epsilon_ps = 0.0;
   opts.align_with_buffers = false;
-  opts.max_iterations_per_batch = 50;
   const TestRunResult r =
       run_delay_test(f.problem, chip, batches, lower, upper, {}, opts);
+  // The batch runs until the safety stop.
+  EXPECT_EQ(r.iterations, kMaxIterationsPerBatch);
   EXPECT_TRUE(r.tested[1]);
   EXPECT_DOUBLE_EQ(r.lower[1], r.upper[1]);
   EXPECT_LE(r.upper[1], 300.0);

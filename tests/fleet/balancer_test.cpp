@@ -44,10 +44,9 @@ using fleet_test::holder;
 using fleet_test::simulated_report_lines;
 using fleet_test::sorted_by_chip;
 
-fleet::BalancerOptions fast_options() {
+fleet::BalancerOptions balancer_options() {
   fleet::BalancerOptions o;
   o.relay_workers = 4;
-  o.attach_backoff_seconds = 0.01;  // tests never wait on a supervisor
   return o;
 }
 
@@ -62,7 +61,7 @@ TEST(FleetBalancer, RelayedSessionsMatchSimulatedReports) {
   fleet::WorkerRegistry registry;
   (void)registry.add_worker({worker_a.host(), worker_a.port()});
   (void)registry.add_worker({worker_b.host(), worker_b.port()});
-  fleet::FleetBalancer balancer(registry, fast_options());
+  fleet::FleetBalancer balancer(registry, balancer_options());
   balancer.start();
 
   constexpr std::size_t kClients = 8;
@@ -143,7 +142,7 @@ void expect_migration_matches_golden(
   fleet::WorkerRegistry registry;
   (void)registry.add_worker({dying.host(), dying.port()});
   (void)registry.add_worker({survivor.host(), survivor.port()});
-  fleet::FleetBalancer balancer(registry, fast_options());
+  fleet::FleetBalancer balancer(registry, balancer_options());
   balancer.start();
 
   constexpr std::size_t kChips = 2;
@@ -235,7 +234,7 @@ TEST(FleetBalancer, WorkerErrorMidBurstEndsTheRelayAfterIt) {
 
   fleet::WorkerRegistry registry;
   (void)registry.add_worker({faulty.host(), faulty.port()});
-  fleet::FleetBalancer balancer(registry, fast_options());
+  fleet::FleetBalancer balancer(registry, balancer_options());
   balancer.start();
 
   std::vector<std::string> received;
@@ -268,7 +267,7 @@ TEST(FleetBalancer, ExhaustedRetriesSurfaceAsAFleetError) {
   }
   fleet::WorkerRegistry registry;
   (void)registry.add_worker({"127.0.0.1", dead_port});
-  fleet::BalancerOptions options = fast_options();
+  fleet::BalancerOptions options = balancer_options();
   options.max_session_retries = 1;
   fleet::FleetBalancer balancer(registry, options);
   balancer.start();
@@ -315,7 +314,7 @@ TEST(FleetBalancer, SeedMismatchAbortsInsteadOfDivergingBytes) {
   fleet::WorkerRegistry registry;
   (void)registry.add_worker({liar.host(), liar.port()});
   (void)registry.add_worker({real.host(), real.port()});
-  fleet::FleetBalancer balancer(registry, fast_options());
+  fleet::FleetBalancer balancer(registry, balancer_options());
   balancer.start();
 
   std::string greeting, error_line;
@@ -350,7 +349,7 @@ TEST(FleetBalancer, WorkerRejectionIsForwardedAndNeverRetried) {
 
   fleet::WorkerRegistry registry;
   (void)registry.add_worker({worker.host(), worker.port()});
-  fleet::FleetBalancer balancer(registry, fast_options());
+  fleet::FleetBalancer balancer(registry, balancer_options());
   balancer.start();
 
   std::string reply;
@@ -381,7 +380,7 @@ TEST(FleetBalancer, NewlineFreeClientFloodFailsOnlyItsSession) {
   worker.start();
   fleet::WorkerRegistry registry;
   (void)registry.add_worker({worker.host(), worker.port()});
-  fleet::FleetBalancer balancer(registry, fast_options());
+  fleet::FleetBalancer balancer(registry, balancer_options());
   balancer.start();
 
   std::optional<net::ClientResult> sibling;
@@ -438,7 +437,7 @@ TEST(FleetBalancer, FloodingWorkerFailsOnlyItsSession) {
   fleet::WorkerRegistry registry;
   (void)registry.add_worker({flooder.host(), flooder.port()});
   (void)registry.add_worker({real.host(), real.port()});
-  fleet::FleetBalancer balancer(registry, fast_options());
+  fleet::FleetBalancer balancer(registry, balancer_options());
   balancer.start();
 
   std::string reply;
@@ -484,7 +483,7 @@ TEST(FleetBalancer, HalfOpenClientFailsOnlyItsSessionWithinTheIoTimeout) {
   worker.start();
   fleet::WorkerRegistry registry;
   (void)registry.add_worker({worker.host(), worker.port()});
-  fleet::BalancerOptions options = fast_options();
+  fleet::BalancerOptions options = balancer_options();
   options.relay_workers = 1;
   options.io_timeout_seconds = 0.5;
   fleet::FleetBalancer balancer(registry, options);
@@ -536,7 +535,7 @@ TEST(FleetBalancer, StatusEndpointsServeJsonAndPrometheus) {
 
   fleet::WorkerRegistry registry;
   (void)registry.add_worker({worker.host(), worker.port()});
-  fleet::BalancerOptions options = fast_options();
+  fleet::BalancerOptions options = balancer_options();
   options.status_port = 0;
   fleet::FleetBalancer balancer(registry, options);
   balancer.start();
@@ -617,7 +616,7 @@ TEST(FleetBalancer, SigkilledWorkerProcessSessionsAreRetried) {
         registry.update_endpoint(slots[child], endpoint);
       });
 
-  fleet::FleetBalancer balancer(registry, fast_options());
+  fleet::FleetBalancer balancer(registry, balancer_options());
   supervisor.start();
   balancer.start();
 

@@ -25,17 +25,10 @@ using fleet::WorkerEndpoint;
 using fleet::WorkerHealth;
 using fleet::WorkerRegistry;
 
-fleet::RegistryOptions slow_options() {
-  fleet::RegistryOptions o;
-  o.degraded_after = 2;
-  o.dead_after = 4;
-  return o;
-}
-
 WorkerEndpoint ep(std::uint16_t port) { return {"127.0.0.1", port}; }
 
 TEST(WorkerRegistry, HealthWalksLiveDegradedDeadAndReadmits) {
-  WorkerRegistry registry(slow_options());
+  WorkerRegistry registry;
   const std::size_t slot = registry.add_worker(ep(4242));
   EXPECT_EQ(registry.health(slot), WorkerHealth::kLive);
 
@@ -46,30 +39,29 @@ TEST(WorkerRegistry, HealthWalksLiveDegradedDeadAndReadmits) {
     return r;
   });
 
-  // Failures 1..3: degraded at 2, still degraded at 3.
-  registry.probe_all();
-  EXPECT_EQ(registry.health(slot), WorkerHealth::kLive);
-  registry.probe_all();
-  EXPECT_EQ(registry.health(slot), WorkerHealth::kDegraded);
+  // Failures 1..2: degraded at kDegradedAfter (1), still degraded at 2.
+  static_assert(fleet::kDegradedAfter == 1 && fleet::kDeadAfter == 3);
   registry.probe_all();
   EXPECT_EQ(registry.health(slot), WorkerHealth::kDegraded);
-  // Failure 4: dead.
+  registry.probe_all();
+  EXPECT_EQ(registry.health(slot), WorkerHealth::kDegraded);
+  // Failure 3: dead.
   registry.probe_all();
   EXPECT_EQ(registry.health(slot), WorkerHealth::kDead);
   EXPECT_EQ(registry.count(WorkerHealth::kDead), 1u);
 
   // One successful probe re-admits from dead, clean failure count: the
-  // next single failure must not jump straight back past live.
+  // next single failure only degrades it, never straight back to dead.
   answer = true;
   registry.probe_all();
   EXPECT_EQ(registry.health(slot), WorkerHealth::kLive);
   answer = false;
   registry.probe_all();
-  EXPECT_EQ(registry.health(slot), WorkerHealth::kLive);
+  EXPECT_EQ(registry.health(slot), WorkerHealth::kDegraded);
 }
 
 TEST(WorkerRegistry, ReportFailureIsAnImmediateDemotion) {
-  WorkerRegistry registry(slow_options());
+  WorkerRegistry registry;
   const std::size_t slot = registry.add_worker(ep(4242));
   registry.set_prober([](const WorkerEndpoint&) {
     ProbeResult r;
@@ -87,7 +79,7 @@ TEST(WorkerRegistry, ReportFailureIsAnImmediateDemotion) {
 }
 
 TEST(WorkerRegistry, RoutingIsLeastLoadedWithLowestIndexTies) {
-  WorkerRegistry registry(slow_options());
+  WorkerRegistry registry;
   for (std::uint16_t p = 1; p <= 3; ++p) (void)registry.add_worker(ep(p));
 
   // Fresh registry: ties broken by the lowest index, in order.
@@ -104,7 +96,7 @@ TEST(WorkerRegistry, RoutingIsLeastLoadedWithLowestIndexTies) {
 }
 
 TEST(WorkerRegistry, DegradedWorkersAreALastResortAndDeadOnesNever) {
-  WorkerRegistry registry(slow_options());
+  WorkerRegistry registry;
   const std::size_t a = registry.add_worker(ep(1));
   const std::size_t b = registry.add_worker(ep(2));
 
@@ -114,7 +106,6 @@ TEST(WorkerRegistry, DegradedWorkersAreALastResortAndDeadOnesNever) {
     r.ok = e.port != 1;
     return r;
   });
-  registry.probe_all();
   registry.probe_all();
   ASSERT_EQ(registry.health(a), WorkerHealth::kDegraded);
   ASSERT_EQ(registry.health(b), WorkerHealth::kLive);
@@ -134,7 +125,7 @@ TEST(WorkerRegistry, DegradedWorkersAreALastResortAndDeadOnesNever) {
 }
 
 TEST(WorkerRegistry, UnknownEndpointStartsDeadUntilUpdated) {
-  WorkerRegistry registry(slow_options());
+  WorkerRegistry registry;
   const std::size_t slot = registry.add_worker(ep(0));  // pre-banner spawn
   EXPECT_EQ(registry.health(slot), WorkerHealth::kDead);
   EXPECT_EQ(registry.acquire(), std::nullopt);
@@ -148,7 +139,7 @@ TEST(WorkerRegistry, UnknownEndpointStartsDeadUntilUpdated) {
 }
 
 TEST(WorkerRegistry, ProbeGaugesSurfaceTheWorkersSelfReport) {
-  WorkerRegistry registry(slow_options());
+  WorkerRegistry registry;
   const std::size_t slot = registry.add_worker(ep(1));
   registry.set_prober([](const WorkerEndpoint&) {
     ProbeResult r;
@@ -242,11 +233,7 @@ TEST(WorkerRegistry, DefaultProberSpeaksToARealServeLoop) {
   net::TuneServeLoop loop(fleet_test::holder().service, soptions);
   loop.start();
 
-  fleet::RegistryOptions roptions;
-  roptions.degraded_after = 1;
-  roptions.dead_after = 2;
-  roptions.probe_timeout_seconds = 5.0;
-  WorkerRegistry registry(roptions);
+  WorkerRegistry registry;
   const std::size_t slot =
       registry.add_worker({loop.host(), loop.port()});
 
@@ -259,7 +246,9 @@ TEST(WorkerRegistry, DefaultProberSpeaksToARealServeLoop) {
   loop.wait();
 
   // The drained worker stops answering: degraded after one miss, dead
-  // after two, exactly like a crashed process.
+  // after three, exactly like a crashed process.
+  registry.probe_all();
+  EXPECT_EQ(registry.health(slot), WorkerHealth::kDegraded);
   registry.probe_all();
   EXPECT_EQ(registry.health(slot), WorkerHealth::kDegraded);
   registry.probe_all();

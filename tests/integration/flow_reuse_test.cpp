@@ -160,7 +160,7 @@ TEST(FlowReuse, CampaignRunnerIsThreadInvariantAndMatchesDirectFlow) {
     options.flow.chips = 60;
     options.flow.threads = threads;
     options.threads = threads;
-    options.calibration_chips = 400;
+    options.flow.period_calibration_chips = 400;
     return CampaignRunner(options).run(
         CampaignRunner::cross({"s9234"}, {0.5, 0.8413}));
   };

@@ -301,7 +301,6 @@ TEST(CircuitCatalog, InflatedCampaignTakesQuantileTdFromTheNominalDesign) {
   options.flow = fast_flow_options();
   options.catalog = catalog;
   options.random_inflation = 1.1;
-  options.calibration_chips = 200;
   const core::CampaignResult result = core::CampaignRunner(options).run(
       {core::CampaignJob{"tiny", 0.0, 0.5}});
   ASSERT_EQ(result.jobs.size(), 1u);
@@ -310,7 +309,8 @@ TEST(CircuitCatalog, InflatedCampaignTakesQuantileTdFromTheNominalDesign) {
   const auto calibrate = [&](double inflation) {
     stats::Rng rng(options.flow.seed ^ core::kQuantileCalibrationSeedXor);
     return core::period_quantile(catalog->resolve("tiny", inflation)->problem,
-                                 0.5, options.calibration_chips, rng);
+                                 0.5, options.flow.period_calibration_chips,
+                                 rng);
   };
   const double td = calibrate(1.0);
   ASSERT_NE(td, calibrate(1.1));  // the two models disagree on T1
@@ -344,7 +344,6 @@ TEST(CircuitCatalog, CampaignBuildsOnlyTheModelsItsJobsNeed) {
   core::CampaignOptions options;
   options.flow = fast_flow_options();
   options.catalog = catalog;
-  options.calibration_chips = 200;
   const core::CampaignJob t1{"demo", 0.0, -1.0};
   const core::CampaignJob q50{"demo", 0.0, 0.5};
   // Nominal: one model serves the dies and the calibration.

@@ -83,7 +83,7 @@ TEST(ScenarioJson, ParsesMixedSpecIntoCatalogJobsAndOptions) {
   EXPECT_EQ(s.options.flow.seed, 99u);
   EXPECT_EQ(s.options.threads, 2u);
   EXPECT_EQ(s.options.random_inflation, 1.25);
-  EXPECT_EQ(s.options.calibration_chips, 300u);
+  EXPECT_EQ(s.options.flow.period_calibration_chips, 300u);
   EXPECT_FALSE(s.options.flow.use_prediction);
   EXPECT_FALSE(s.options.flow.test.align_with_buffers);
   EXPECT_TRUE(s.options.use_exclusions);

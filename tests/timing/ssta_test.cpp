@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "netlist/generator.hpp"
@@ -316,7 +317,9 @@ TEST(SstaRequiredPeriod, MatchesMonteCarloWithStaticPairs) {
               0.5 * mc_sigma);
 }
 
-TEST(SstaRequiredPeriod, GraphAndModelVariantsAgree) {
+TEST(SstaRequiredPeriod, StaticOnlyModelFoldsItsStaticForms) {
+  // Without buffers every register pair is promoted to a static form; the
+  // period is the fold over exactly those forms.
   netlist::GeneratorSpec spec;
   spec.num_flip_flops = 50;
   spec.num_gates = 600;
@@ -324,18 +327,19 @@ TEST(SstaRequiredPeriod, GraphAndModelVariantsAgree) {
   spec.num_critical_paths = 14;
   spec.seed = 37;
   const auto circuit = netlist::generate_circuit(spec);
-  const VariationModel variation(VariationParams{}, lib());
+  const CircuitModel model(circuit.netlist, lib(), {});
+  ASSERT_EQ(model.num_pairs(), 0u);
+  ASSERT_GT(model.num_static_pairs(), 0u);
 
-  const CanonicalDelay by_graph =
-      ssta_required_period(circuit.netlist, lib(), variation);
-  const CircuitModel model(circuit.netlist, lib(), circuit.buffered_ffs);
-  const CanonicalDelay by_model = ssta_required_period(model);
-
-  // The graph variant sees every topological path (including background
-  // logic) while the model variant uses near-critical extractions — they
-  // must agree within a couple of sigma percent on the dominant statistics.
-  EXPECT_NEAR(by_graph.mean, by_model.mean, 0.05 * by_model.mean);
-  EXPECT_NEAR(by_graph.sigma(), by_model.sigma(), 0.5 * by_model.sigma());
+  std::vector<CanonicalDelay> forms;
+  for (const DelayForm& f : model.static_forms()) {
+    forms.push_back(to_canonical(f));
+  }
+  const CanonicalDelay want = statistical_max(forms);
+  const CanonicalDelay got = ssta_required_period(model);
+  EXPECT_EQ(got.mean, want.mean);
+  EXPECT_EQ(got.loading, want.loading);
+  EXPECT_EQ(got.indep_var, want.indep_var);
 }
 
 TEST(SstaRequiredPeriod, NoSequentialPathsThrows) {
@@ -343,9 +347,10 @@ TEST(SstaRequiredPeriod, NoSequentialPathsThrows) {
   const int pi = nl.add_cell("pi", netlist::CellType::kInput);
   const int g = nl.add_cell("g", netlist::CellType::kBuf, {pi});
   nl.add_cell("ff", netlist::CellType::kDff, {g});  // PI -> FF only
-  const VariationModel variation(VariationParams{}, lib());
-  EXPECT_THROW(ssta_required_period(nl, lib(), variation),
-               netlist::NetlistError);
+  const CircuitModel model(nl, lib(), {});
+  ASSERT_EQ(model.num_pairs(), 0u);
+  ASSERT_EQ(model.num_static_pairs(), 0u);
+  EXPECT_THROW((void)ssta_required_period(model), std::invalid_argument);
 }
 
 }  // namespace
