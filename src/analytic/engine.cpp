@@ -123,9 +123,6 @@ void range_closure(std::vector<State>& level, const std::vector<double>& lo,
 TunedPeriodAnalysis analyze_tuned_period(const core::Problem& problem) {
   const timing::CircuitModel& model = problem.model();
   const std::size_t np = model.num_pairs();
-  if (np == 0) {
-    throw std::invalid_argument("analyze_tuned_period: model has no pairs");
-  }
   const std::size_t nb = problem.num_buffers();
   const std::size_t n = nb + 1;  // node 0 = all unbuffered registers (x = 0)
   // Every simple cycle of the contracted graph has at most n delay edges.

@@ -31,9 +31,8 @@ bool next_line(std::istream& in, std::string& line) {
 ClientResult run_loopback_client(const std::string& host, std::uint16_t port,
                                  const core::Problem& problem,
                                  const ClientOptions& options) {
-  ConnectBackoff backoff;
-  backoff.retries = options.connect_retries;
-  SocketStream stream(connect_with_backoff(host, port, backoff));
+  SocketStream stream(
+      connect_with_backoff(host, port, options.connect_retries));
   stream << io::format_hello({options.chips, options.window, options.lenient})
          << '\n';
   stream.flush();

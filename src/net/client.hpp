@@ -26,8 +26,8 @@ struct ClientOptions {
   /// none. The server may cap it — the cap never changes the reports.
   std::size_t window = 0;
   /// Extra connect attempts (exponential backoff + jitter, see
-  /// net::ConnectBackoff) before giving up, so testers ride out balancer
-  /// and worker restarts instead of dying on ECONNREFUSED. 0 = one
+  /// net::connect_with_backoff) before giving up, so testers ride out
+  /// balancer and worker restarts instead of dying on ECONNREFUSED. 0 = one
   /// attempt, fail fast.
   std::size_t connect_retries = 3;
 };

@@ -17,6 +17,8 @@
 #include <thread>
 #include <utility>
 
+#include "stats/rng.hpp"
+
 namespace effitest::net {
 
 namespace {
@@ -164,19 +166,19 @@ Socket Listener::accept() {
 }
 
 Socket connect_with_backoff(const std::string& host, std::uint16_t port,
-                            const ConnectBackoff& backoff) {
-  std::mt19937 jitter_rng{std::random_device{}()};
-  std::uniform_real_distribution<double> jitter(0.5, 1.0);
+                            std::size_t retries) {
+  stats::Rng jitter(std::random_device{}());
   for (std::size_t attempt = 0;; ++attempt) {
     try {
       return connect_to(host, port);
     } catch (const std::exception&) {
-      if (attempt >= backoff.retries) throw;
+      if (attempt >= retries) throw;
     }
     const double delay =
-        std::min(backoff.base_seconds * std::exp2(static_cast<double>(attempt)),
-                 backoff.max_seconds) *
-        jitter(jitter_rng);
+        std::min(kConnectBackoffBaseSeconds *
+                     std::exp2(static_cast<double>(attempt)),
+                 kConnectBackoffMaxSeconds) *
+        jitter.uniform(0.5, 1.0);
     std::this_thread::sleep_for(std::chrono::duration<double>(delay));
   }
 }

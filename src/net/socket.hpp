@@ -137,23 +137,23 @@ class Listener {
 /// failure.
 [[nodiscard]] Socket connect_to(const std::string& host, std::uint16_t port);
 
-/// Retry policy for connect_with_backoff: `retries` extra attempts after
-/// the first, sleeping base * 2^attempt (capped at max) scaled by a
-/// uniform jitter factor in [0.5, 1.0] between attempts. The jitter keeps
-/// a fleet of testers restarted together from reconnecting in lockstep.
-struct ConnectBackoff {
-  std::size_t retries = 3;
-  double base_seconds = 0.1;
-  double max_seconds = 2.0;
-};
+/// connect_with_backoff's delay before its first retry; it doubles per
+/// further retry.
+inline constexpr double kConnectBackoffBaseSeconds = 0.1;
+/// Cap on the doubled connect retry delay.
+inline constexpr double kConnectBackoffMaxSeconds = 2.0;
 
 /// connect_to, but riding out ECONNREFUSED during balancer/worker
-/// restarts: on failure sleep per the backoff policy and try again, up to
-/// `retries` extra attempts. Throws the last failure when all attempts are
-/// spent.
+/// restarts: up to `retries` extra attempts after the first, sleeping
+/// kConnectBackoffBaseSeconds * 2^attempt (capped at
+/// kConnectBackoffMaxSeconds) scaled by a uniform jitter factor in
+/// [0.5, 1) between attempts. The jitter, seeded per call from
+/// std::random_device, keeps a fleet of testers restarted together from
+/// reconnecting in lockstep. Throws the last failure when all attempts
+/// are spent.
 [[nodiscard]] Socket connect_with_backoff(const std::string& host,
                                           std::uint16_t port,
-                                          const ConnectBackoff& backoff = {});
+                                          std::size_t retries);
 
 /// send(2) all of `data` (MSG_NOSIGNAL, EINTR retried). False when the peer
 /// is gone or the send timed out.

@@ -9,6 +9,15 @@ namespace effitest::netlist {
 
 namespace {
 
+/// Shared trunk gates per hub cone: the trunk delay window, in average
+/// gates.
+constexpr double kTrunkMinGates = 3.0;
+constexpr double kTrunkMaxGates = 7.0;
+/// Average monitored edges per satellite flip-flop.
+constexpr double kSatelliteReuse = 2.0;
+/// Placement radius of a cluster (unit die).
+constexpr double kClusterRadius = 0.060;
+
 struct Builder {
   explicit Builder(const GeneratorSpec& spec)
       : spec(spec), rng(spec.seed), nl(spec.name),
@@ -235,7 +244,7 @@ GeneratedCircuit generate_circuit(const GeneratorSpec& spec) {
     throw NetlistError("generator: np too large for ns (satellite budget)");
   }
   const std::size_t by_reuse = static_cast<std::size_t>(
-      std::ceil(static_cast<double>(np) / spec.satellite_reuse));
+      std::ceil(static_cast<double>(np) / kSatelliteReuse));
   const std::size_t sat_total =
       std::min(ff_budget, std::max(need_sum, by_reuse));
   std::size_t spare = sat_total - need_sum;
@@ -253,7 +262,7 @@ GeneratedCircuit generate_circuit(const GeneratorSpec& spec) {
       want += std::min(extra, spare);
     }
     for (std::size_t s = 0; s < want && sats_made < sat_total; ++s, ++sats_made) {
-      satellites[c].push_back(b.add_ff(b.jitter(centers[c], spec.cluster_radius)));
+      satellites[c].push_back(b.add_ff(b.jitter(centers[c], kClusterRadius)));
     }
   }
 
@@ -286,8 +295,8 @@ GeneratedCircuit generate_circuit(const GeneratorSpec& spec) {
   const bool tight = avg_leaf < 1.5;
   avg_leaf = std::clamp(avg_leaf, 1.0, 8.0);
   const double leaf_budget_ps = avg_leaf * avg_gate;
-  const double trunk_lo_ps = static_cast<double>(spec.trunk_min) * avg_gate;
-  const double trunk_hi_ps = static_cast<double>(spec.trunk_max) * avg_gate;
+  const double trunk_lo_ps = kTrunkMinGates * avg_gate;
+  const double trunk_hi_ps = kTrunkMaxGates * avg_gate;
   // Target combinational delay of every monitored path (trunk + leaf +
   // merge + capture stage).
   const double comb_target =

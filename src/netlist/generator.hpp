@@ -36,14 +36,8 @@ struct GeneratorSpec {
   std::size_t num_clusters = 0;       ///< 0 = derive from nb (ceil(nb/2))
   std::uint64_t seed = 1;
 
-  // Chain-shape knobs.
-  std::size_t trunk_min = 3, trunk_max = 7;   ///< shared trunk gates per hub cone
-  std::size_t leaf_min = 2, leaf_max = 5;     ///< per-path private gates
-  std::size_t hub_chain_min = 8, hub_chain_max = 14;  ///< hub-to-hub chains
   double hold_edge_fraction = 0.25;  ///< fraction of critical edges that also
                                      ///< get a parallel 1-2 gate short path
-  double satellite_reuse = 2.0;      ///< average monitored edges per satellite FF
-  double cluster_radius = 0.060;     ///< placement radius of a cluster (unit die)
   /// Expected fraction of monitored edges that get one mutual-exclusion
   /// partner (logic masking, §3.2: "some paths in a test batch cannot be
   /// activated by ATPG vectors at the same time").

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "linalg/decomposition.hpp"
+
 namespace effitest::stats {
 
 std::shared_ptr<const PredictionGain> PredictionGain::compute(
@@ -50,10 +52,9 @@ std::shared_ptr<const PredictionGain> PredictionGain::compute(
   const linalg::Matrix sigma_kt = cov.select(out->predicted, out->measured);
 
   // W = Sigma_{k,t} Sigma_t^{-1}  computed as solving Sigma_t W^T = Sigma_{t,k}.
-  out->chol_sigma_t = linalg::cholesky(sigma_t, jitter);
-  const linalg::Matrix wt =
-      out->chol_sigma_t.solve(sigma_kt.transposed());  // nt x nk
-  out->gain = wt.transposed();                         // nk x nt
+  const linalg::Matrix wt =  // nt x nk
+      linalg::cholesky(sigma_t, jitter).solve(sigma_kt.transposed());
+  out->gain = wt.transposed();  // nk x nt
 
   out->posterior_sigma.resize(nk);
   for (std::size_t k = 0; k < nk; ++k) {

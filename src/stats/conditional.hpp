@@ -10,34 +10,31 @@
 // The gain matrix W = Sigma_{k,t} Sigma_t^{-1} and the posterior sigmas do
 // not depend on the measured values, so the whole prediction operator is a
 // function of (Sigma, measured index set) alone. PredictionGain packages it
-// — the Cholesky factor of Sigma_t, W and the posterior sigmas — as one
-// immutable, shareable object: the flow computes it once per (grouping,
-// measured-set) during offline preparation and every chip, every reused
-// FlowArtifacts copy and every same-circuit campaign job predicts through
-// the same factorization. Per-chip prediction is then a single mat-vec,
-// which is what makes the paper's per-chip estimation step (column Ts of
-// Table 1) essentially free.
+// — W and the posterior sigmas, formed through one Cholesky factorization
+// of Sigma_t — as one immutable, shareable object: the flow computes it
+// once per (grouping, measured-set) during offline preparation and every
+// chip, every reused FlowArtifacts copy and every same-circuit campaign job
+// predicts through the same factorization. Per-chip prediction is then a
+// single mat-vec, which is what makes the paper's per-chip estimation step
+// (column Ts of Table 1) essentially free.
 
 #include <cstddef>
 #include <memory>
 #include <span>
 #include <vector>
 
-#include "linalg/decomposition.hpp"
 #include "linalg/matrix.hpp"
 
 namespace effitest::stats {
 
 /// The chip-independent part of conditional-Gaussian prediction over a
-/// fixed index split: Cholesky of Sigma_t, the gain W and the posterior
-/// sigmas. Immutable once computed; share via shared_ptr instead of
-/// refactorizing or deep-copying (core::DelayPredictor and every copy of
-/// core::FlowArtifacts hold it that way).
+/// fixed index split: the gain W and the posterior sigmas. Immutable once
+/// computed; share via shared_ptr instead of refactorizing or deep-copying
+/// (core::DelayPredictor and every copy of core::FlowArtifacts hold it that
+/// way).
 struct PredictionGain {
   std::vector<std::size_t> measured;   ///< observed indices (input order)
   std::vector<std::size_t> predicted;  ///< remaining indices, ascending
-  /// Cholesky factor of Sigma_t (empty when nothing is measured).
-  linalg::Cholesky chol_sigma_t;
   /// Gain matrix W (|predicted| x |measured|).
   linalg::Matrix gain;
   /// Posterior standard deviations sigma'_k per predicted index (eq. 5).

@@ -53,10 +53,8 @@ CircuitModel::CircuitModel(const netlist::Netlist& netlist,
   for (const PairDelay& pd : graph.all_pair_delays()) {
     const int s = pd.src_ff;
     const int t = pd.dst_ff;
-    const bool src_buf = buffer_index_.contains(s);
-    const bool dst_buf = buffer_index_.contains(t);
     crit = std::max(crit, pd.max_delay + setup_time_);
-    if (!src_buf && !dst_buf) {
+    if (!buffer_index_.contains(s) && !buffer_index_.contains(t)) {
       background.push_back(pd);
       continue;
     }
@@ -64,8 +62,6 @@ CircuitModel::CircuitModel(const netlist::Netlist& netlist,
     p.id = static_cast<int>(pairs_.size());
     p.src_ff = s;
     p.dst_ff = t;
-    p.src_buffered = src_buf;
-    p.dst_buffered = dst_buf;
     const auto alts =
         graph.near_critical_paths(cone_of(s), s, t, kSlackWindowPs,
                                   kMaxPathsPerPair);
@@ -301,30 +297,57 @@ linalg::Matrix CircuitModel::max_covariance(std::size_t threads) const {
   return cov;
 }
 
-void CircuitModel::draw_deviates(stats::Rng& rng, SampleWorkspace& ws) const {
-  variation_.sample_factors(rng, ws.factors);
-  const std::vector<double>& sd = table_.slot_sd;
-  ws.mismatch.resize(sd.size());
-  for (std::size_t s = 0; s < sd.size(); ++s) {
-    ws.mismatch[s] = rng.normal(0.0, sd[s]);
+template <std::size_t Lanes>
+void CircuitModel::draw_deviates(std::span<stats::Rng> rngs,
+                                 LaneWorkspace& ws) const {
+  if (rngs.size() > Lanes) {
+    throw std::invalid_argument("CircuitModel: more dies than lanes");
+  }
+  const std::vector<double>& slot_sd = table_.slot_sd;
+  const std::vector<double>& inflation_sd = table_.inflation_sd;
+  if constexpr (Lanes > 1) ws.factors.resize(variation_.num_factors() * Lanes);
+  ws.mismatch.resize(slot_sd.size() * Lanes);
+  ws.inflation.resize(inflation_sd.size() * Lanes);
+  for (std::size_t b = 0; b < rngs.size(); ++b) {
+    stats::Rng& rng = rngs[b];
+    if constexpr (Lanes == 1) {
+      variation_.sample_factors(rng, ws.factors);
+    } else {
+      variation_.sample_factors(rng, ws.die_factors);
+      for (std::size_t i = 0; i < ws.die_factors.size(); ++i) {
+        ws.factors[i * Lanes + b] = ws.die_factors[i];
+      }
+    }
+    for (std::size_t s = 0; s < slot_sd.size(); ++s) {
+      ws.mismatch[s * Lanes + b] = rng.normal(0.0, slot_sd[s]);
+    }
+    for (std::size_t j = 0; j < inflation_sd.size(); ++j) {
+      ws.inflation[j * Lanes + b] = rng.normal(0.0, inflation_sd[j]);
+    }
   }
 }
 
-double CircuitModel::FormTable::eval(const Form& f, const SampleWorkspace& ws,
-                                     stats::Rng& rng) const {
-  const double* z = ws.factors.data();
-  double acc = 0.0;
+template <std::size_t Lanes>
+void CircuitModel::FormTable::eval(const Form& f, const LaneWorkspace& ws,
+                                   std::size_t& inflated, double* d) const {
+  double acc[Lanes] = {};
   for (std::uint32_t k = f.load_begin; k < f.load_end; ++k) {
-    acc += load_weight[k] * z[load_index[k]];
+    const double w = load_weight[k];
+    const double* z =
+        ws.factors.data() + static_cast<std::size_t>(load_index[k]) * Lanes;
+    for (std::size_t b = 0; b < Lanes; ++b) acc[b] += w * z[b];
   }
-  double d = f.mean + acc;
+  for (std::size_t b = 0; b < Lanes; ++b) d[b] = f.mean + acc[b];
   // Mismatch slots are sorted but may repeat across forms; sum directly.
-  const double* mismatch = ws.mismatch.data();
   for (std::uint32_t k = f.slot_begin; k < f.slot_end; ++k) {
-    d += mismatch[slots[k]];
+    const double* m =
+        ws.mismatch.data() + static_cast<std::size_t>(slots[k]) * Lanes;
+    for (std::size_t b = 0; b < Lanes; ++b) d[b] += m[b];
   }
-  if (f.extra_sd > 0.0) d += rng.normal(0.0, f.extra_sd);
-  return d;
+  if (f.extra_sd > 0.0) {
+    const double* x = ws.inflation.data() + inflated++ * Lanes;
+    for (std::size_t b = 0; b < Lanes; ++b) d[b] += x[b];
+  }
 }
 
 Chip CircuitModel::sample_chip(stats::Rng& rng) const {
@@ -333,81 +356,39 @@ Chip CircuitModel::sample_chip(stats::Rng& rng) const {
 }
 
 Chip CircuitModel::sample_chip(stats::Rng& rng, SampleWorkspace& ws) const {
-  draw_deviates(rng, ws);
+  draw_deviates<1>(std::span(&rng, 1), ws);
   const FormTable& t = table_;
   const std::size_t np = pairs_.size();
   Chip chip;
   chip.max_delay.resize(np);
   chip.min_delay.resize(np);
+  std::size_t inflated = 0;
   std::size_t k = 0;
   for (std::size_t i = 0; i < np; ++i) {
     const std::size_t min_k = t.pair_forms[i + 1] - 1;
     double worst = -std::numeric_limits<double>::infinity();
-    for (; k < min_k; ++k) worst = std::max(worst, t.eval(t.forms[k], ws, rng));
+    for (; k < min_k; ++k) {
+      double d = 0.0;
+      t.eval<1>(t.forms[k], ws, inflated, &d);
+      worst = std::max(worst, d);
+    }
     chip.max_delay[i] = worst;
-    chip.min_delay[i] = t.eval(t.forms[k++], ws, rng);
+    t.eval<1>(t.forms[k++], ws, inflated, &chip.min_delay[i]);
   }
   chip.static_delay.resize(t.forms.size() - k);
-  for (double& d : chip.static_delay) d = t.eval(t.forms[k++], ws, rng);
+  for (double& d : chip.static_delay) t.eval<1>(t.forms[k++], ws, inflated, &d);
   return chip;
-}
-
-void CircuitModel::draw_lane_deviates(std::span<stats::Rng> rngs,
-                                      LaneWorkspace& ws) const {
-  if (rngs.size() > kLanes) {
-    throw std::invalid_argument("CircuitModel: more dies than kLanes");
-  }
-  const std::vector<double>& slot_sd = table_.slot_sd;
-  const std::vector<double>& inflation_sd = table_.inflation_sd;
-  ws.factors.resize(variation_.num_factors() * kLanes);
-  ws.mismatch.resize(slot_sd.size() * kLanes);
-  ws.inflation.resize(inflation_sd.size() * kLanes);
-  for (std::size_t b = 0; b < rngs.size(); ++b) {
-    stats::Rng& rng = rngs[b];
-    variation_.sample_factors(rng, ws.die_factors);
-    for (std::size_t i = 0; i < ws.die_factors.size(); ++i) {
-      ws.factors[i * kLanes + b] = ws.die_factors[i];
-    }
-    for (std::size_t s = 0; s < slot_sd.size(); ++s) {
-      ws.mismatch[s * kLanes + b] = rng.normal(0.0, slot_sd[s]);
-    }
-    for (std::size_t j = 0; j < inflation_sd.size(); ++j) {
-      ws.inflation[j * kLanes + b] = rng.normal(0.0, inflation_sd[j]);
-    }
-  }
-}
-
-void CircuitModel::FormTable::eval_lanes(const Form& f, const LaneWorkspace& ws,
-                                         std::size_t& inflated,
-                                         double* d) const {
-  double acc[kLanes] = {};
-  for (std::uint32_t k = f.load_begin; k < f.load_end; ++k) {
-    const double w = load_weight[k];
-    const double* z =
-        ws.factors.data() + static_cast<std::size_t>(load_index[k]) * kLanes;
-    for (std::size_t b = 0; b < kLanes; ++b) acc[b] += w * z[b];
-  }
-  for (std::size_t b = 0; b < kLanes; ++b) d[b] = f.mean + acc[b];
-  for (std::uint32_t k = f.slot_begin; k < f.slot_end; ++k) {
-    const double* m =
-        ws.mismatch.data() + static_cast<std::size_t>(slots[k]) * kLanes;
-    for (std::size_t b = 0; b < kLanes; ++b) d[b] += m[b];
-  }
-  if (f.extra_sd > 0.0) {
-    const double* x = ws.inflation.data() + inflated++ * kLanes;
-    for (std::size_t b = 0; b < kLanes; ++b) d[b] += x[b];
-  }
 }
 
 std::array<double, kLanes> CircuitModel::sample_required_periods(
     std::span<stats::Rng> rngs, LaneWorkspace& ws) const {
-  draw_lane_deviates(rngs, ws);
+  draw_deviates<kLanes>(rngs, ws);
   const FormTable& t = table_;
   std::array<double, kLanes> worst{};  // a period is at least 0.0
   double d[kLanes] = {};
   std::size_t inflated = 0;
   const auto fold = [&](const FormTable::Form& f) {
-    t.eval_lanes(f, ws, inflated, d);
+    t.eval<kLanes>(f, ws, inflated, d);
     for (std::size_t b = 0; b < kLanes; ++b) {
       worst[b] = std::max(worst[b], d[b]);
     }
@@ -424,7 +405,7 @@ std::array<double, kLanes> CircuitModel::sample_required_periods(
 
 std::span<const double> CircuitModel::sample_min_delays(
     std::span<stats::Rng> rngs, LaneWorkspace& ws) const {
-  draw_lane_deviates(rngs, ws);
+  draw_deviates<kLanes>(rngs, ws);
   const FormTable& t = table_;
   ws.min_delay.resize(pairs_.size() * kLanes);
   double d[kLanes] = {};
@@ -433,7 +414,7 @@ std::span<const double> CircuitModel::sample_min_delays(
   for (std::size_t i = 0; i < pairs_.size(); ++i) {
     const std::size_t min_k = t.pair_forms[i + 1] - 1;
     for (; k < min_k; ++k) inflated += t.forms[k].extra_sd > 0.0 ? 1 : 0;
-    t.eval_lanes(t.forms[k++], ws, inflated, d);
+    t.eval<kLanes>(t.forms[k++], ws, inflated, d);
     std::copy_n(d, kLanes, ws.min_delay.begin() + i * kLanes);
   }
   return ws.min_delay;

@@ -26,25 +26,24 @@
 // as a mean, the precomputed sigma of its inflation deviate and ranges into
 // three flat arrays (int32 loading indices, double loading weights, int32
 // mismatch slots), plus per-pair form ranges and per-slot mismatch sigmas.
-// A die is a linear walk over those arrays that evaluates every value with
-// the same expression in the same order as the per-DelayForm sums, so the
-// sampled doubles and the rng stream are unchanged; the arrays are reserved
-// at their exact sizes.
+// The arrays are reserved at their exact sizes.
 //
-// sample_chip samples one die. The two Monte-Carlo loops that read only
-// part of a die (T_d calibration reads the required period, hold sampling
-// the min delays) use lane kernels instead: one call samples up to kLanes
-// dies, each on its own Rng. Die b draws its deviates in sample_chip's
-// order (factors, mismatch slots, then one inflation deviate per inflated
-// form in table order, skipped forms included), stored lane-minor
-// ([index][lane]) in a LaneWorkspace. Each form is then accumulated for all
-// lanes at once; every lane keeps sample_chip's per-die expression and
-// k-ascending order, so lane b's values and the position of rngs[b] equal
-// sample_chip's bit for bit, while the kLanes independent add chains hide
-// the latency that bounds a single die's walk. A LaneWorkspace is an
-// allocation cache of about (factors + slots) * kLanes doubles: keep one
-// per loop body over a span of blocks, not per thread, so its memory is
-// released when the loop ends.
+// One die kernel walks that table, at two widths. Each call samples up to
+// `Lanes` dies, each on its own Rng. Die b draws its deviates in one order
+// (factors, mismatch slots, then one inflation deviate per inflated form in
+// table order, skipped forms included), stored lane-minor ([index][lane])
+// in a LaneWorkspace. Each form is then accumulated for all lanes at once:
+// mean + (sum w * z) in k-ascending order, then the mismatch terms, then
+// the inflation deviate. sample_chip runs the kernel at one lane (its
+// factors are sampled straight into the workspace) and reads every form of
+// the die. The two Monte-Carlo loops that read only part of a die (T_d
+// calibration reads the required period, hold sampling the min delays) run
+// it at kLanes, where the independent add chains hide the latency that
+// bounds a single die's walk. Lane b's values and the position of rngs[b]
+// equal sample_chip's on that Rng bit for bit at either width. A
+// LaneWorkspace is an allocation cache of about (factors + slots) * lanes
+// doubles. At kLanes keep one per loop body over a span of blocks, not per
+// thread, so its memory is released when the loop ends.
 
 #include <array>
 #include <cstddef>
@@ -83,8 +82,6 @@ struct MonitoredPair {
   int dst_ff = -1;
   std::vector<DelayForm> max_alts;   ///< all near-critical forms (truth = max)
   DelayForm min_form;                ///< shortest-path form (hold)
-  bool src_buffered = false;
-  bool dst_buffered = false;
 
   /// Critical-path canonical form (+ setup): the first near-critical form.
   /// The model never keeps a pair without one.
@@ -101,14 +98,6 @@ struct Chip {
   std::vector<double> static_delay;
 };
 
-/// Reusable buffers for repeated die sampling (spatial factors + mismatch
-/// deviates). Purely an allocation cache: sampled values never depend on
-/// it. Keep one per worker when sampling in a loop.
-struct SampleWorkspace {
-  std::vector<double> factors;
-  std::vector<double> mismatch;
-};
-
 /// Dies sampled per lane-kernel call.
 inline constexpr std::size_t kLanes = 8;
 /// Lane-kernel calls per LaneWorkspace in the Monte-Carlo loops: spans of
@@ -116,15 +105,19 @@ inline constexpr std::size_t kLanes = 8;
 /// to share at the loops' sizes (2,000 and 1,000 dies).
 inline constexpr std::size_t kLaneSpanBlocks = 4;
 
-/// Lane-minor deviates and results of up to kLanes dies (see the file
-/// comment). Purely an allocation cache, like SampleWorkspace.
+/// Lane-minor deviates and results of one die-kernel call (see the file
+/// comment). Purely an allocation cache: sampled values never depend on it.
 struct LaneWorkspace {
   std::vector<double> die_factors;  ///< one die's factors, before spreading
+                                    ///< (unused at one lane)
   std::vector<double> factors;      ///< [factor][lane]
   std::vector<double> mismatch;     ///< [mismatch slot][lane]
   std::vector<double> inflation;    ///< [inflated form][lane]
   std::vector<double> min_delay;    ///< sample_min_delays' [pair][lane]
 };
+/// sample_chip's workspace is the kernel's at one lane. Keep one per worker
+/// when sampling in a loop.
+using SampleWorkspace = LaneWorkspace;
 
 /// Near-critical enumeration window: a pair's max alternatives are its
 /// structural paths within this slack of its critical path, ps.
@@ -221,8 +214,9 @@ class CircuitModel {
   [[nodiscard]] DelayForm build_form(const StructuralPath& path,
                                      double terminal_margin);
   [[nodiscard]] int mismatch_slot(int cell_id);
-  void draw_deviates(stats::Rng& rng, SampleWorkspace& ws) const;
-  void draw_lane_deviates(std::span<stats::Rng> rngs, LaneWorkspace& ws) const;
+  /// Draws the deviates of rngs.size() <= Lanes dies into ws.
+  template <std::size_t Lanes>
+  void draw_deviates(std::span<stats::Rng> rngs, LaneWorkspace& ws) const;
   [[nodiscard]] double form_cov(const DelayForm& a, const DelayForm& b) const;
   void apply_inflation(DelayForm& f) const;
   void compile_form_table();
@@ -248,14 +242,12 @@ class CircuitModel {
     std::vector<double> slot_sd;  ///< per mismatch slot: sqrt(variance)
     std::vector<double> inflation_sd;  ///< extra_sd of each inflated form
 
-    /// mean + (sum w * z), then the mismatch terms, then the inflation
-    /// deviate.
-    [[nodiscard]] double eval(const Form& f, const SampleWorkspace& ws,
-                              stats::Rng& rng) const;
-    /// eval for all kLanes lanes into d; `inflated` counts the inflated
-    /// forms walked so far (it indexes ws.inflation).
-    void eval_lanes(const Form& f, const LaneWorkspace& ws,
-                    std::size_t& inflated, double* d) const;
+    /// Form f on all Lanes lanes into d: mean + (sum w * z), then the
+    /// mismatch terms, then the inflation deviate. `inflated` counts the
+    /// inflated forms walked so far (it indexes ws.inflation).
+    template <std::size_t Lanes>
+    void eval(const Form& f, const LaneWorkspace& ws, std::size_t& inflated,
+              double* d) const;
   };
 
   const netlist::Netlist* netlist_;

@@ -141,6 +141,40 @@ TEST(AnalyticEngine, TuningNeverHurts) {
   }
 }
 
+TEST(AnalyticEngine, StaticOnlyModelTunesToItsUntunedPeriod) {
+  // Without buffers every register pair is a promoted static form and
+  // nothing is tunable: the one candidate is the static fold, so the tuned
+  // period is the untuned one, and each die's minimal feasible period is
+  // its largest static delay.
+  netlist::GeneratorSpec spec;
+  spec.num_flip_flops = 50;
+  spec.num_gates = 600;
+  spec.num_buffers = 2;
+  spec.num_critical_paths = 14;
+  spec.seed = 37;
+  const auto circuit = netlist::generate_circuit(spec);
+  const auto library = netlist::CellLibrary::standard();
+  const timing::CircuitModel model(circuit.netlist, library, {});
+  const core::Problem problem(model);
+  ASSERT_EQ(model.num_pairs(), 0u);
+  ASSERT_GT(model.num_static_pairs(), 0u);
+
+  const analytic::TunedPeriodAnalysis a =
+      analytic::analyze_tuned_period(problem);
+  EXPECT_EQ(a.tuned.mean, a.untuned.mean);
+  EXPECT_EQ(a.tuned.loading, a.untuned.loading);
+  EXPECT_EQ(a.tuned.indep_var, a.untuned.indep_var);
+  ASSERT_EQ(a.candidates.size(), 1u);
+  EXPECT_TRUE(a.candidates.front().is_static);
+  EXPECT_EQ(a.static_criticality, 1.0);
+  EXPECT_TRUE(a.pair_criticality.empty());
+
+  stats::Rng rng(2016);
+  const timing::Chip chip = model.sample_chip(rng);
+  EXPECT_EQ(analytic::min_feasible_period(problem, chip),
+            *std::ranges::max_element(chip.static_delay));
+}
+
 TEST(AnalyticEngine, YieldCurveIsMonotoneAndInvertsQuantile) {
   const analytic::TunedPeriodAnalysis a =
       analytic::analyze_tuned_period(three_buffers().problem);

@@ -225,8 +225,9 @@ with tempfile.NamedTemporaryFile(suffix=".log", mode="r") as log_file:
 check(["generate", "--circuit=s9234", "--seed=5"], 0)
 check(["ssta"] + S27 + ["--chips=50"], 0)
 # Without buffers every register pair is a static form; ssta still folds
-# them into the Clark period.
+# them into the Clark period, and --tuned finds nothing to tune.
 check(["ssta", "--bench=" + BENCH, "--buffers=0", "--chips=50"], 0)
+check(["ssta", "--bench=" + BENCH, "--buffers=0", "--chips=50", "--tuned"], 0)
 
 # The usage text never names an option its command would reject: every
 # --name in `help <command>` is listed there as [--name=...] or [--name],

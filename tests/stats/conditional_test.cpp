@@ -94,13 +94,13 @@ TEST(PredictionGain, GainMatrixShape) {
   EXPECT_EQ(g->gain.cols(), 2u);
 }
 
-TEST(PredictionGain, StoresCholeskyOfMeasuredBlock) {
+TEST(PredictionGain, SolvesAgainstTheMeasuredBlock) {
   const linalg::Matrix cov{{4.0, 1.0}, {1.0, 9.0}};
   const auto gain = PredictionGain::compute(cov, {1});
-  // Sigma_t = [9]; its Cholesky factor is [3].
-  ASSERT_EQ(gain->chol_sigma_t.l.rows(), 1u);
-  EXPECT_DOUBLE_EQ(gain->chol_sigma_t.l(0, 0), 3.0);
+  // Sigma_t = [9]: W = 1/9, sigma'^2 = 4 - 1 * 1/9 (eq. 5).
   EXPECT_DOUBLE_EQ(gain->gain(0, 0), 1.0 / 9.0);
+  ASSERT_EQ(gain->posterior_sigma.size(), 1u);
+  EXPECT_DOUBLE_EQ(gain->posterior_sigma[0], std::sqrt(35.0) / 3.0);
 }
 
 // Property: the conditional-mean estimator is unbiased and its residual

@@ -90,7 +90,8 @@ TEST(CircuitModel, MonitoredPairsMatchGeneratorEdges) {
                                          c.critical_edges.end());
   for (const MonitoredPair& p : m.pairs()) {
     EXPECT_TRUE(expected.contains({p.src_ff, p.dst_ff}));
-    EXPECT_TRUE(p.src_buffered || p.dst_buffered);
+    EXPECT_TRUE(m.buffer_index(p.src_ff) >= 0 ||
+                m.buffer_index(p.dst_ff) >= 0);
   }
 }
 
