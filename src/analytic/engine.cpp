@@ -277,7 +277,7 @@ TunedPeriodAnalysis analyze_tuned_period(const core::Problem& problem) {
 }
 
 double min_feasible_period(const core::Problem& problem,
-                           const timing::Chip& chip) {
+                           const timing::Chip& chip, double* untuned) {
   const std::size_t np = problem.model().num_pairs();
   const std::size_t n = problem.num_buffers() + 1;
   const auto [lo_x, up_x] = node_ranges(problem);
@@ -295,10 +295,12 @@ double min_feasible_period(const core::Problem& problem,
   std::vector<double> delay;
   double lower = 0.0;
   for (const double d : chip.static_delay) lower = std::max(lower, d);
+  double worst = lower;  // the untuned required period
   for (std::size_t from = 0; from < n; ++from) {
     for (std::size_t to = 0; to < n; ++to) {
       const double d = -table.hard[from * n + to];
       if (d == -kInf) continue;
+      worst = std::max(worst, d);
       delay.push_back(d);
       system.edges.push_back(
           {static_cast<int>(from), static_cast<int>(to), 0.0});
@@ -307,6 +309,7 @@ double min_feasible_period(const core::Problem& problem,
       lower = std::max(lower, from == to ? d : d + lo_x[to] - up_x[from]);
     }
   }
+  if (untuned != nullptr) *untuned = worst;
   if (delay.empty()) return lower;
   for (int b = 1; b < static_cast<int>(n); ++b) {
     system.edges.push_back({0, b, up_x[static_cast<std::size_t>(b)]});
@@ -348,6 +351,7 @@ McTunedPeriod mc_tuned_period(const core::Problem& problem,
                               const McTunedOptions& options) {
   McTunedPeriod out;
   out.periods.assign(options.chips, 0.0);
+  out.untuned.assign(options.chips, 0.0);
   parallel::ForOptions opts;
   opts.threads = options.threads;
   parallel::deterministic_for(
@@ -355,7 +359,7 @@ McTunedPeriod mc_tuned_period(const core::Problem& problem,
       [&](std::size_t i, stats::Rng& rng) {
         thread_local timing::SampleWorkspace ws;
         const timing::Chip chip = problem.model().sample_chip(rng, ws);
-        out.periods[i] = min_feasible_period(problem, chip);
+        out.periods[i] = min_feasible_period(problem, chip, &out.untuned[i]);
       });
   if (out.periods.empty()) return out;
   out.mean = stats::mean(out.periods);

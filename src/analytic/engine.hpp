@@ -109,6 +109,10 @@ struct McTunedPeriod {
   double sigma = 0.0;
   /// Per-chip minimal feasible periods, chip-index order.
   std::vector<double> periods;
+  /// Per-chip untuned required periods of the same dies (the largest
+  /// sampled max delay, at least 0: core::sample_required_periods' value),
+  /// chip-index order. No die's tuned period exceeds its untuned one.
+  std::vector<double> untuned;
 
   /// Empirical q-quantile (stats::sorted_quantile on a sorted copy, the
   /// convention of core::period_quantile); 0.0 for an empty sample.
@@ -121,12 +125,16 @@ struct McTunedPeriod {
 /// lower bound, each Bellman-Ford solve either proves T feasible or returns
 /// a negative cycle whose ratio becomes the next T. Continuous buffer
 /// ranges, hold ignored — the same relaxation as analyze_tuned_period, so
-/// the two estimates converge as chips grow.
+/// the two estimates converge as chips grow. `untuned`, when not null,
+/// receives the die's untuned required period: its largest max delay
+/// (monitored or static), at least 0.
 [[nodiscard]] double min_feasible_period(const core::Problem& problem,
-                                         const timing::Chip& chip);
+                                         const timing::Chip& chip,
+                                         double* untuned = nullptr);
 
 /// Sample `chips` dies (per-chip stream = Rng(index_seed(seed, i)), the
-/// flow's convention) and compute each die's exact minimal feasible period.
+/// flow's convention) and compute each die's exact minimal feasible period
+/// and its untuned required period.
 [[nodiscard]] McTunedPeriod mc_tuned_period(const core::Problem& problem,
                                             const McTunedOptions& options = {});
 

@@ -11,13 +11,15 @@
 // hold-time lower bounds x_i - x_j >= lambda_ij (§3.5, eq. 21).
 //
 // The solver is coordinate descent (solve_alignment): weighted-median
-// updates of T interleaved with per-buffer discrete line search. The
-// per-chip test machine runs it every frequency step. Where the paper
-// solves eqs. 8-13 as an MILP, that formulation is a test oracle only, in
-// a compact and the paper's big-M form (tests/oracles/milp_oracles.hpp).
-// bench_ablation_alignment (s13207, 2-6 entries) measures 13-15 us per
-// coordinate-descent solve against 190-220 us for the compact MILP and
-// 170-190 ms for the big-M MILP, and quantifies the optimality gap.
+// updates of T interleaved with per-buffer discrete line search, which
+// sweeps all steps of a buffer at once as lanes and skips revisits that
+// cannot change anything (DESIGN.md §5). The per-chip test machine runs it
+// every frequency step. Where the paper solves eqs. 8-13 as an MILP, that
+// formulation is a test oracle only, in a compact and the paper's big-M
+// form (tests/oracles/milp_oracles.hpp).
+// bench_ablation_alignment (s13207, 2-6 entries) measures 10-11 us per
+// coordinate-descent solve against 200-235 us for the compact MILP and
+// 140-176 ms for the big-M MILP, and quantifies the optimality gap.
 //
 // Weights follow the paper: sort the range centers, give the middle one k0
 // and decrease by kd per rank outward (k0 >> kd), which breaks the
@@ -66,13 +68,21 @@ struct AlignmentResult {
 };
 
 /// Scratch memory of the coordinate-descent solver, reused across solves so
-/// that a warm solve allocates nothing but its result. The members are the
-/// solver's working state, meaningful only inside one solve_alignment call;
-/// a workspace serves one thread at a time and any instance shape.
+/// that a warm solve allocates nothing. The members are the solver's
+/// working state, meaningful only inside one solve_alignment call; a
+/// workspace serves one thread at a time and any instance shape.
 struct AlignmentWorkspace {
+  /// A movable buffer and its state for skipping revisits: the solve's
+  /// move count after its last visit, and the step it left there (-1 when
+  /// it stayed).
+  struct Movable {
+    int buffer = -1;
+    int left_step = -1;
+    std::size_t seen_moves = 0;
+  };
   /// Per buffer: index into `involved`, or -1. Always all -1 between solves.
   std::vector<int> slot;
-  std::vector<int> involved;  ///< movable buffers, ascending
+  std::vector<Movable> involved;  ///< movable buffers, ascending
   /// CSR lists per involved buffer, ascending: the entries and the hold
   /// bounds that reference it.
   std::vector<std::size_t> entry_start, entry_index;
@@ -81,9 +91,13 @@ struct AlignmentWorkspace {
   /// Static (value, weight) points, sorted, with prefix sums of w and w*m.
   std::vector<std::pair<double, double>> points;
   std::vector<double> prefix_w, prefix_wm;
-  std::vector<std::pair<double, double>> dynamic;  ///< moving buffer's points
   /// Static mass crossings (period, static objective) of the moving buffer.
   std::vector<std::pair<double, double>> crossings;
+  /// The moving buffer's step trials, one lane per step, as consecutive
+  /// rows of L lanes: the best period, the best objective, the candidate
+  /// objective, then one row of shifted centers per moving entry and one
+  /// of their static objectives per moving entry.
+  std::vector<double> lanes;
 };
 
 /// Middle-out weight assignment over range centers (k0 to the median center,
@@ -95,11 +109,13 @@ void middle_out_weights(std::span<const double> centers, double k0, double kd,
                         std::vector<double>& weights);
 
 /// Solves one alignment instance by coordinate descent. `workspace` is
-/// scratch memory to reuse across calls (a local one is used when null); it
-/// never changes a result.
+/// scratch memory to reuse across calls (a local one is used when null);
+/// `steps` is the storage the result's step vector takes over (pass a
+/// previous result's steps to reuse their capacity). Neither changes a
+/// result.
 [[nodiscard]] AlignmentResult solve_alignment(
     const AlignmentInstance& instance,
-    AlignmentWorkspace* workspace = nullptr);
+    AlignmentWorkspace* workspace = nullptr, std::vector<int> steps = {});
 
 /// The eq.-7 objective of `instance` at clock period `period` and buffer
 /// steps `steps`: sum of weight * |period - shifted center|.

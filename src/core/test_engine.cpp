@@ -107,7 +107,8 @@ const Stimulus& DelayTestMachine::next_stimulus() {
   }
 
   const auto t0 = Clock::now();
-  AlignmentResult aligned = solve_alignment(instance_, &workspace_);
+  AlignmentResult aligned = solve_alignment(instance_, &workspace_,
+                                            std::move(result_.final_steps));
   result_.align_seconds += seconds_since(t0);
   stimulus_.steps = aligned.steps;
   result_.final_steps = std::move(aligned.steps);

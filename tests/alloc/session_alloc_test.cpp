@@ -49,8 +49,8 @@ TEST(SessionAllocations, DriveTotalsArePinned) {
   // Dies 50-149 of the seed-2016 stream. s38584 is the tester-floor
   // circuit; s9234 is the networked sessions' circuit.
   const Pin pins[] = {
-      {"s9234", {10510, 2673}},
-      {"s38584", {22297, 7984}},
+      {"s9234", {7837, 2673}},
+      {"s38584", {14313, 7984}},
   };
   for (const Pin& pin : pins) {
     SCOPED_TRACE(pin.circuit);

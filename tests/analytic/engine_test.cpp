@@ -3,7 +3,8 @@
 // grid search, the criticality accounting (masses sum to 1), the
 // untuned form against the block-based SSTA it must reproduce, the
 // yield-curve/quantile inverse pair, and bit-identical determinism of
-// the Monte-Carlo reference across thread counts.
+// the Monte-Carlo reference across thread counts, whose one pass yields
+// each die's untuned and tuned periods.
 
 #include "analytic/engine.hpp"
 
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "core/problem.hpp"
+#include "core/yield.hpp"
 #include "netlist/generator.hpp"
 #include "scenario/circuit_catalog.hpp"
 #include "stats/rng.hpp"
@@ -229,6 +231,32 @@ TEST(AnalyticEngine, McReferenceIsThreadInvariant) {
   for (const double p : a.periods) {
     EXPECT_GT(p, 0.0);
   }
+}
+
+TEST(AnalyticEngine, McReferenceTunesTheUntunedSamplersDies) {
+  // One pass yields both periods of every die: the untuned ones are the
+  // lane sampler's on the same base (bit for bit, as a sorted sample), and
+  // tuning never raises a die's period. Without buffers it changes none.
+  for (const Fixture* f : {&one_buffer(), &three_buffers()}) {
+    stats::Rng rng(9);
+    analytic::McTunedOptions o;
+    o.chips = 96;
+    o.seed = stats::Rng(9).engine()();
+    const analytic::McTunedPeriod mc = analytic::mc_tuned_period(f->problem, o);
+    std::vector<double> untuned = mc.untuned;
+    std::sort(untuned.begin(), untuned.end());
+    EXPECT_EQ(untuned, core::sample_required_periods(f->problem, o.chips, rng));
+    for (std::size_t i = 0; i < o.chips; ++i) {
+      EXPECT_LE(mc.periods[i], mc.untuned[i]) << "chip " << i;
+    }
+  }
+  const Fixture& f = one_buffer();
+  const timing::CircuitModel model(f.circuit.netlist, f.library, {});
+  const core::Problem unbuffered(model);
+  analytic::McTunedOptions o;
+  o.chips = 96;
+  const analytic::McTunedPeriod mc = analytic::mc_tuned_period(unbuffered, o);
+  EXPECT_EQ(mc.periods, mc.untuned);
 }
 
 TEST(AnalyticEngine, McQuantileInterpolatesLikePeriodQuantile) {

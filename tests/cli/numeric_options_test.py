@@ -229,6 +229,27 @@ check(["ssta"] + S27 + ["--chips=50"], 0)
 check(["ssta", "--bench=" + BENCH, "--buffers=0", "--chips=50"], 0)
 check(["ssta", "--bench=" + BENCH, "--buffers=0", "--chips=50", "--tuned"], 0)
 
+
+def ssta_monte_carlo(argv):
+    """The Monte-Carlo column of `ssta`, by row label."""
+    out = subprocess.run([CLI, "ssta"] + argv, capture_output=True,
+                         text=True, timeout=120).stdout
+    rows = re.findall(r"^\s*(.*?)\s+[-\d.]+\s+([-\d.]+)\s*$", out, re.M)
+    return dict(rows)
+
+
+# Both Monte-Carlo columns of `ssta --tuned` sample the same dies, so
+# without buffers, where tuning can change nothing, they print equal; and
+# the untuned column is the plain command's.
+plain = ssta_monte_carlo(["--bench=" + BENCH, "--buffers=0", "--chips=50"])
+mc = ssta_monte_carlo(["--bench=" + BENCH, "--buffers=0", "--chips=50",
+                       "--tuned"])
+for q in ["T1 = 50% quantile", "T2 = 84.13% quantile"]:
+    if q not in mc or mc[q] != mc.get("tuned " + q) or mc[q] != plain.get(q):
+        failures.append("ssta --buffers=0 --tuned: %s untuned %s, tuned %s, "
+                        "plain %s" % (q, mc.get(q), mc.get("tuned " + q),
+                                      plain.get(q)))
+
 # The usage text never names an option its command would reject: every
 # --name in `help <command>` is listed there as [--name=...] or [--name],
 # and the command knows it with that arity (a value-less option draws the

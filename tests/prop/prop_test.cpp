@@ -10,7 +10,8 @@
 //   - the coordinate-descent alignment solver against a verbatim copy of its
 //     allocating predecessor (the equivalence-test idiom: old and new run
 //     side by side on the same inputs), bit for bit, through one reused
-//     workspace;
+//     workspace, on seeded random instances and on the instances the
+//     tester itself solves on s9234 and s38584;
 //   - the cone-limited STA sweep, and the FF-pair list built from it,
 //     against verbatim copies of the full-netlist sweep and the
 //     every-FF scan they replaced, bit for bit, on seeded random
@@ -35,9 +36,13 @@
 #include "core/alignment.hpp"
 #include "core/configurator.hpp"
 #include "core/problem.hpp"
+#include "core/test_engine.hpp"
+#include "core/tuner_service.hpp"
 #include "lp/solver.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/netlist.hpp"
+#include "parallel/deterministic_for.hpp"
+#include "scenario/circuit_catalog.hpp"
 #include "stats/rng.hpp"
 #include "timing/graph.hpp"
 #include "timing/model.hpp"
@@ -597,6 +602,89 @@ TEST(PropAlignment, ReusedWorkspaceMatchesReferenceBitwise) {
   EXPECT_GT(infeasible, kInstances / 20);
   EXPECT_GT(frozen, kInstances / 20);
   EXPECT_GT(moved, kInstances / 4);
+}
+
+TEST(PropAlignment, FlowInstancesMatchReferenceBitwise) {
+  // The tester's own instances: DelayTestMachine drives dies 0-49 of the
+  // seed-2016 stream on s9234 and s38584, and each stimulus's instance is
+  // rebuilt from the machine's public state (the armed set, the bounds and
+  // the steps before the stimulus, the middle-out weights). Its solve must
+  // match the reference bit for bit, and reproduce the stimulus.
+  std::size_t solves = 0;
+  std::size_t max_entries = 0;
+  std::size_t max_buffers = 0;
+  std::size_t moved = 0;
+  for (const char* circuit : {"s9234", "s38584"}) {
+    SCOPED_TRACE(circuit);
+    core::FlowOptions options;
+    options.seed = 2016;
+    options.threads = 1;
+    const core::TunerService service(
+        scenario::CircuitCatalog::shared_paper()->resolve(circuit), options);
+    const core::Problem& problem = service.problem();
+    const core::FlowArtifacts& art = service.artifacts();
+    const core::TestOptions& test = service.test_options();
+    timing::SampleWorkspace sample_ws;
+    core::AlignmentWorkspace ws;
+    std::vector<double> centers;
+    std::vector<std::size_t> order;
+    std::vector<double> weights;
+    for (std::size_t c = 0; c < 50; ++c) {
+      stats::Rng rng(parallel::index_seed(service.monte_carlo_seed_base(), c));
+      const timing::Chip chip = problem.model().sample_chip(rng, sample_ws);
+      core::SimulatedChip tester(problem, chip);
+      core::DelayTestMachine machine(problem, art.batches, art.prior_lower,
+                                     art.prior_upper, art.hold, test);
+      while (!machine.done()) {
+        core::AlignmentInstance inst;
+        inst.problem = &problem;
+        inst.hold = art.hold;
+        inst.allow_buffer_moves = test.align_with_buffers;
+        inst.current_steps = machine.result().final_steps;
+        const core::Stimulus& stimulus = machine.next_stimulus();
+        const core::TestRunResult& state = machine.result();
+        centers.clear();
+        for (const std::size_t p : stimulus.armed) {
+          centers.push_back(0.5 * (state.lower[p] + state.upper[p]));
+        }
+        core::middle_out_weights(centers, test.k0, test.kd, order, weights);
+        std::set<int> buffers;
+        for (std::size_t i = 0; i < centers.size(); ++i) {
+          const std::size_t p = stimulus.armed[i];
+          inst.entries.push_back(core::AlignmentEntry{
+              centers[i], weights[i], problem.src_buffer(p),
+              problem.dst_buffer(p)});
+          for (const int b : {problem.src_buffer(p), problem.dst_buffer(p)}) {
+            if (b >= 0) buffers.insert(b);
+          }
+        }
+        SCOPED_TRACE("die " + std::to_string(c) + " iteration " +
+                     std::to_string(state.iterations));
+        const core::AlignmentResult got = core::solve_alignment(inst, &ws);
+        const core::AlignmentResult want =
+            reference_cd::solve_coordinate_descent(inst);
+        ASSERT_TRUE(same_bits(got.period, want.period))
+            << got.period << " vs " << want.period;
+        ASSERT_TRUE(same_bits(got.objective, want.objective))
+            << got.objective << " vs " << want.objective;
+        ASSERT_EQ(got.steps, want.steps);
+        ASSERT_EQ(got.feasible, want.feasible);
+        ASSERT_TRUE(same_bits(got.period, stimulus.period));
+        ASSERT_EQ(got.steps, stimulus.steps);
+
+        ++solves;
+        max_entries = std::max(max_entries, inst.entries.size());
+        max_buffers = std::max(max_buffers, buffers.size());
+        moved += got.steps != inst.current_steps ? 1 : 0;
+        machine.record_response(tester.apply(stimulus));
+      }
+    }
+  }
+  // The tester's mix: up to 10 entries over up to 7 buffers.
+  EXPECT_GT(solves, 5000u);
+  EXPECT_EQ(max_entries, 10u);
+  EXPECT_EQ(max_buffers, 7u);
+  EXPECT_GT(moved, solves / 4);
 }
 
 namespace reference_sweep {
