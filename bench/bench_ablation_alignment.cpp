@@ -8,11 +8,15 @@
 //   * the agreement of the paper's literal big-M MILP with the compact MILP,
 //   * wall-clock per solve for each method (coordinate descent through one
 //     reused workspace, as the per-chip test machine runs it).
+// It exits 1 when the two MILP forms disagree by more than 1e-6 ps, and
+// writes BENCH_ablation_alignment.json (cd_optimal_instances,
+// cd_mean_gap_pct, cd_max_gap_pct) for bench/baselines/ablation_alignment.json.
 
 #include <chrono>
 
 #include "bench_common.hpp"
 #include "core/alignment.hpp"
+#include "io/bench_json.hpp"
 #include "milp_oracles.hpp"
 #include "stats/rng.hpp"
 
@@ -106,8 +110,25 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "\nInterpretation: both MILP formulations must agree (the "
                "indicator variables of\neqs. 8-13 are redundant for "
-               "minimization); CD trades a small objective gap for\nthe "
-               "per-solve speed above, which is what makes 10k-chip "
-               "Monte-Carlo sweeps cheap.\n";
+               "minimization). CD is a heuristic, not an exact\nsolver: at "
+               "the default 150 instances (seed 2016) it is optimal on 119, "
+               "its mean\ngap is 20.76% and its maximum 979.2%, where a "
+               "stalled descent ends far above\nthe optimum. It buys the "
+               "per-solve speed above.\n";
+
+  const std::string name = circuit->netlist.name();
+  const double seconds = t_cd + t_compact + t_bigm;
+  io::JsonReporter json("ablation_alignment", 1);
+  json.add(name, "cd_optimal_instances",
+           static_cast<double>(cd_wins_or_ties), seconds);
+  json.add(name, "cd_mean_gap_pct", gap_sum / n * 100.0, seconds);
+  json.add(name, "cd_max_gap_pct", gap_max * 100.0, seconds);
+  std::cout << "machine-readable output: " << json.write(".") << '\n';
+
+  if (!(bigm_disagreement <= 1e-6)) {
+    std::cerr << "error: big-M and compact MILP objectives differ by "
+              << bigm_disagreement << " ps (> 1e-6)\n";
+    return 1;
+  }
   return 0;
 }

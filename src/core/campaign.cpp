@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "analytic/engine.hpp"
-#include "core/yield.hpp"
 #include "obs/log.hpp"
 #include "parallel/deterministic_for.hpp"
 #include "scenario/circuit_catalog.hpp"
@@ -156,23 +155,15 @@ CampaignResult CampaignRunner::run(
     const std::shared_ptr<const scenario::PreparedCircuit> circuit =
         catalog->resolve(name, options_.random_inflation);
     const Problem& problem = circuit->problem;
-    // Quantile T_d belongs to the design, so it is calibrated on the
-    // nominal model; only an inflated campaign resolves that second key,
-    // and only once a job calibrates.
-    std::shared_ptr<const scenario::PreparedCircuit> nominal;
-    const auto nominal_problem = [&]() -> const Problem& {
-      if (options_.random_inflation == 1.0) return problem;
-      if (nominal == nullptr) nominal = catalog->resolve(name, 1.0);
-      return nominal->problem;
-    };
 
     // Null for the first job (fresh prepare); every later job of the
     // circuit aliases the first job's artifacts — no copies. The analytic
     // engine result is likewise computed once per circuit (T_d-independent).
     std::shared_ptr<const FlowArtifacts> prepared;
     std::optional<analytic::TunedPeriodAnalysis> analysis;
-    // Every quantile job of the circuit reads its T_d from one sorted
-    // calibration sample, drawn by the first job that needs it.
+    // Every job without an explicit T_d reads its quantile (T1 by default)
+    // from one calibration sample, drawn by the first job that needs it on
+    // the nominal model: T_d is the design's clock, not the dies'.
     std::vector<double> calibration;
     for (std::size_t idx : indices) {
       const CampaignJob& job = jobs[idx];
@@ -183,21 +174,13 @@ CampaignResult CampaignRunner::run(
         opts.batching.exclusions = circuit->exclusions;
       }
       const auto j0 = Clock::now();  // job time includes T_d calibration
-      // Analytic jobs with the default convention (no T_d, no quantile)
-      // calibrate at the T1 median, so flow and analytic yields of the same
-      // sweep line up at identical designated periods.
-      const double quantile = job.quantile >= 0.0
-                                  ? job.quantile
-                                  : (job.kind == JobKind::kAnalytic ? 0.5
-                                                                    : -1.0);
-      if (opts.designated_period <= 0.0 && quantile >= 0.0) {
+      if (opts.designated_period <= 0.0) {
         if (calibration.empty()) {
-          stats::Rng rng(options_.flow.seed ^ kQuantileCalibrationSeedXor);
-          calibration = sample_required_periods(
-              nominal_problem(), options_.flow.period_calibration_chips, rng,
-              opts.threads);
+          calibration = calibration_sample(catalog->resolve(name)->problem,
+                                           options_.flow.seed, opts.threads);
         }
-        opts.designated_period = stats::sorted_quantile(calibration, quantile);
+        opts.designated_period = stats::sorted_quantile(
+            calibration, job.quantile >= 0.0 ? job.quantile : 0.5);
       }
 
       CampaignJobResult& slot = out.jobs[idx];

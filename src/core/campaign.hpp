@@ -62,18 +62,13 @@ struct CampaignJob {
   /// Catalog name of the circuit (a paper benchmark name under the default
   /// catalog; any registered name under CampaignOptions::catalog).
   std::string circuit;
-  /// Explicit designated period T_d (ps). <= 0 defers to `quantile`; when
-  /// that is unset too, the flow's T1 convention applies (median untuned
-  /// required period, 50% no-buffer yield).
+  /// Explicit designated period T_d (ps). <= 0 reads T_d from the
+  /// circuit's calibration sample at `quantile`.
   double designated_period = 0.0;
   /// Untuned required-period quantile to calibrate T_d from (0.5 = T1,
-  /// 0.8413 = T2); < 0 disables. Calibration reseeds from the campaign seed
-  /// the same way `effitest_cli run --quantile` does
-  /// (seed ^ core::kQuantileCalibrationSeedXor) and always samples the
-  /// nominal model: the designated period is the design's clock, whatever
-  /// CampaignOptions::random_inflation does to the manufactured dies. A
-  /// circuit's quantile jobs share one calibration sample, so each reads
-  /// the same T_d as a campaign that asks for its quantile alone.
+  /// 0.8413 = T2); < 0 means T1. A circuit's jobs read it from one
+  /// core::calibration_sample of the nominal model at the campaign seed,
+  /// so each T_d is the one `run` and `run --quantile` pick.
   double quantile = -1.0;
   /// What this job computes. Analytic jobs share the circuit group's
   /// prepared model (the engine runs once per circuit — its result is
@@ -119,9 +114,7 @@ struct CampaignOptions {
   std::size_t threads = 0;
   /// ModelOptions::random_inflation for the built circuit models (Fig. 7);
   /// part of the catalog's memoization key. Dies are sampled from the
-  /// inflated model; quantile jobs take T_d from the nominal one (see
-  /// CampaignJob::quantile), while default-convention flow jobs calibrate
-  /// T1 inside run_flow, on the inflated model.
+  /// inflated model; T_d comes from the nominal one (CampaignJob::quantile).
   double random_inflation = 1.0;
   /// Circuit registry jobs resolve against; null = the process-wide shared
   /// paper catalog (scenario::CircuitCatalog::shared_paper()).

@@ -218,27 +218,21 @@ FlowResult run_flow(const Problem& problem, const FlowOptions& options,
         a.tt_sum += b.tt_sum;
         a.ts_sum += b.ts_sum;
       });
-  const std::size_t iter_sum = total.iter_sum;
   m.forced_resolutions = total.forced;
   m.infeasible_configs = total.infeasible;
-  const std::size_t pass_proposed = total.pass_proposed;
-  const std::size_t pass_ideal = total.pass_ideal;
-  const std::size_t pass_untuned = total.pass_untuned;
-  const double tt_sum = total.tt_sum;
-  const double ts_sum = total.ts_sum;
 
   const auto n = static_cast<double>(options.chips);
-  m.ta = static_cast<double>(iter_sum) / n;
+  m.ta = static_cast<double>(total.iter_sum) / n;
   m.tv = m.npt > 0 ? m.ta / static_cast<double>(m.npt) : 0.0;
   m.ra = m.ta_pathwise > 0.0 ? (m.ta_pathwise - m.ta) / m.ta_pathwise * 100.0
                              : 0.0;
   m.rv = m.tv_pathwise > 0.0 ? (m.tv_pathwise - m.tv) / m.tv_pathwise * 100.0
                              : 0.0;
-  m.tt_seconds_per_chip = tt_sum / n;
-  m.ts_seconds_per_chip = ts_sum / n;
-  m.yield_no_buffer = static_cast<double>(pass_untuned) / n;
-  m.yield_ideal = static_cast<double>(pass_ideal) / n;
-  m.yield_proposed = static_cast<double>(pass_proposed) / n;
+  m.tt_seconds_per_chip = total.tt_sum / n;
+  m.ts_seconds_per_chip = total.ts_sum / n;
+  m.yield_no_buffer = static_cast<double>(total.pass_untuned) / n;
+  m.yield_ideal = static_cast<double>(total.pass_ideal) / n;
+  m.yield_proposed = static_cast<double>(total.pass_proposed) / n;
   m.yield_drop = m.yield_ideal - m.yield_proposed;
   out.artifacts = service.shared_artifacts();  // shared, no copy
   return out;

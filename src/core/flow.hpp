@@ -15,6 +15,7 @@
 // The flow also evaluates the comparison points of the paper: path-wise
 // frequency stepping (t'a / t'v), configuration under ideal measurement
 // (yi) and the untuned circuit (yield without buffers).
+// T_d defaults to T1, the median of core::calibration_sample.
 
 #include <cstdint>
 #include <memory>
@@ -51,12 +52,11 @@ struct FlowOptions {
   /// runtime's shard cap; grouping.threads / hold.threads of 0 inherit
   /// this value.
   std::size_t threads = 0;
-  /// Designated clock period T_d; <= 0 selects the T1 convention
-  /// (median untuned required period, 50% no-buffer yield).
+  /// Designated clock period T_d; <= 0 selects T1, the median of
+  /// core::calibration_sample (50% no-buffer yield).
   double designated_period = 0.0;
-  /// Monte-Carlo dies that calibrate T_d: the T1 median of a flow without
-  /// one, and a campaign's quantile and default analytic jobs.
-  std::size_t period_calibration_chips = 2000;
+  /// Dies in the T_d calibration sample; a constant, not a knob.
+  static constexpr std::size_t period_calibration_chips = 2000;
   /// false: skip statistical prediction and test every path (Fig. 8 modes).
   bool use_prediction = true;
   bool fill_slots = true;

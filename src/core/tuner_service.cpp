@@ -7,6 +7,7 @@
 #include "core/yield.hpp"
 #include "obs/log.hpp"
 #include "scenario/circuit_catalog.hpp"
+#include "stats/distributions.hpp"
 
 namespace effitest::core {
 
@@ -194,17 +195,16 @@ TunerService::TunerService(
 TunerService::TunerService(const Problem& problem, const FlowOptions& options,
                            std::shared_ptr<const FlowArtifacts> artifacts)
     : problem_(&problem), options_(options) {
-  // Seed-fork order is the historical run_flow contract (DESIGN.md §4):
-  // calibration fork (only when T_d is unresolved), hold fork
-  // (unconditional, even under reuse), Monte-Carlo chip-base fork.
+  // Seed-fork order is the run_flow contract (DESIGN.md §4): calibration,
+  // hold and chip-base forks, all taken whatever the options, so an
+  // explicit T_d equal to the calibrated one is the calibrated run.
   stats::Rng rng(options_.seed);
+  (void)rng.fork();  // calibration_stream(options_.seed)
 
   designated_period_ = options_.designated_period;
   if (designated_period_ <= 0.0) {
-    stats::Rng cal_rng = rng.fork();
-    designated_period_ =
-        period_quantile(problem, 0.5, options_.period_calibration_chips,
-                        cal_rng, options_.threads);
+    designated_period_ = stats::sorted_quantile(
+        calibration_sample(problem, options_.seed, options_.threads), 0.5);
   }
   options_.designated_period = designated_period_;
 

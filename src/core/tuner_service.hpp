@@ -166,9 +166,9 @@ class TuningSession {
 };
 
 /// The offline phase as a long-lived object: designated-period resolution
-/// plus `prepare_flow`, with `run_flow`'s historical seed-fork order, so a
-/// Monte-Carlo driver over the service reproduces the historical flow bit
-/// for bit. Immutable after construction; share freely across threads.
+/// plus `prepare_flow`, with `run_flow`'s seed-fork order, so a Monte-Carlo
+/// driver over the service reproduces the flow bit for bit. Immutable after
+/// construction; share freely across threads.
 class TunerService {
  public:
   /// Prepare from scratch (null `artifacts`), or adopt previously prepared

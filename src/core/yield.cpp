@@ -4,6 +4,7 @@
 #include <span>
 #include <stdexcept>
 
+#include "core/flow.hpp"
 #include "parallel/deterministic_for.hpp"
 #include "stats/distributions.hpp"
 
@@ -84,6 +85,18 @@ double period_quantile(const Problem& problem, double q, std::size_t chips,
                        stats::Rng& rng, std::size_t threads) {
   return stats::sorted_quantile(
       sample_required_periods(problem, chips, rng, threads), q);
+}
+
+stats::Rng calibration_stream(std::uint64_t seed) {
+  return stats::Rng(seed).fork();
+}
+
+std::vector<double> calibration_sample(const Problem& nominal,
+                                       std::uint64_t seed,
+                                       std::size_t threads) {
+  stats::Rng rng = calibration_stream(seed);
+  return sample_required_periods(nominal, FlowOptions::period_calibration_chips,
+                                 rng, threads);
 }
 
 }  // namespace effitest::core

@@ -32,13 +32,6 @@ namespace effitest::core {
                                        const timing::Chip& chip,
                                        double designated_period);
 
-/// Seed offset for T_d quantile calibration: every surface that calibrates
-/// a designated period from a master seed (CLI `run --quantile`, the
-/// campaign runner, benches) seeds its calibration stream
-/// `Rng(seed ^ kQuantileCalibrationSeedXor)`, so they all agree on T_d for
-/// the same master seed.
-inline constexpr std::uint64_t kQuantileCalibrationSeedXor = 0x7157;
-
 /// Untuned required periods of `chips` Monte-Carlo dies, sorted ascending.
 /// One word is drawn from `rng` as a base and die c is sampled on
 /// Rng(parallel::index_seed(base, c)) through parallel::deterministic_for,
@@ -47,12 +40,22 @@ inline constexpr std::uint64_t kQuantileCalibrationSeedXor = 0x7157;
     const Problem& problem, std::size_t chips, stats::Rng& rng,
     std::size_t threads = 0);
 
-/// Monte-Carlo estimate of the q-quantile of the untuned required period —
-/// used to pick the paper's T1 (q = 0.5, 50% no-buffer yield) and T2
-/// (q = 0.8413, the mu + sigma point). The q-quantile of
-/// sample_required_periods(problem, chips, rng, threads).
+/// Monte-Carlo estimate of the q-quantile of the untuned required period:
+/// the q-quantile of sample_required_periods(problem, chips, rng, threads).
 [[nodiscard]] double period_quantile(const Problem& problem, double q,
                                      std::size_t chips, stats::Rng& rng,
                                      std::size_t threads = 0);
+
+/// The T_d calibration stream of master seed `seed`: the first fork of
+/// Rng(seed), which TunerService takes first (DESIGN.md §4).
+[[nodiscard]] stats::Rng calibration_stream(std::uint64_t seed);
+
+/// The one T_d calibration: the untuned required periods of
+/// FlowOptions::period_calibration_chips nominal dies on
+/// calibration_stream(seed), sorted. The paper's T1 (q = 0.5) and T2
+/// (q = 0.8413) are its quantiles wherever T_d is calibrated.
+[[nodiscard]] std::vector<double> calibration_sample(const Problem& nominal,
+                                                     std::uint64_t seed,
+                                                     std::size_t threads = 0);
 
 }  // namespace effitest::core

@@ -8,7 +8,6 @@
 #include <string>
 #include <thread>
 #include <utility>
-#include <vector>
 
 #include "io/tune_protocol.hpp"
 #include "obs/log.hpp"
@@ -23,9 +22,10 @@ namespace {
 /// uplink never writes to a socket the downlink is closing.
 struct SessionState {
   std::mutex mutex;
-  std::vector<std::string> backlog;  ///< client lines after hello, no '\n'
-  int worker_fd = -1;                ///< -1 while detached / migrating
+  std::string backlog;        ///< client lines after hello, '\n'-terminated
+  int worker_fd = -1;         ///< -1 while detached / migrating
   bool client_gone = false;
+  bool backlog_full = false;  ///< past the limit: the session fails
 };
 
 }  // namespace
@@ -112,6 +112,17 @@ void FleetBalancer::relay_session(net::Socket client_socket) {
     (void)net::send_all(client_fd, io::format_error(reason) + "\n");
     stop(reason);
   };
+  // A hello no worker accepts gets one chip's worth: its rejection ends
+  // the session anyway.
+  std::size_t limit = kMaxBacklogBytesPerChip;
+  try {
+    limit *= io::parse_hello(hello).chips;
+  } catch (const io::ProtocolError&) {
+  }
+  const auto backlog_full = [&] {
+    std::lock_guard<std::mutex> lock(state.mutex);
+    return state.backlog_full;
+  };
   // One whole worker line. False: the worker died, possibly mid-line
   // (migrate), or sent an over-long line or nothing for the io timeout
   // (the session failed).
@@ -126,7 +137,8 @@ void FleetBalancer::relay_session(net::Socket client_socket) {
       // ends rather than replaying its backlog onto a loaded fleet.
       fail("fleet worker sent nothing within the io timeout");
     } else {
-      drop_worker(true);  // died, possibly mid-line
+      // Died, possibly mid-line, unless the uplink cut it off.
+      drop_worker(!backlog_full());
     }
     return false;
   };
@@ -135,16 +147,22 @@ void FleetBalancer::relay_session(net::Socket client_socket) {
 
   // Uplink: record every client line for replay and forward it to the
   // current worker, if any (a failed forward surfaces on the downlink's
-  // next read). A torn or over-long client line ends it like a disconnect.
+  // next read). A torn or over-long client line ends it like a disconnect;
+  // a line past the backlog limit fails it, and shuts the worker connection
+  // so that the downlink wakes.
   std::thread uplink([&] {
     std::string line;
     while (io::read_line(client, line) == io::LineRead::kLine &&
            !client.eof()) {
+      line += '\n';
       std::lock_guard<std::mutex> lock(state.mutex);
-      state.backlog.push_back(line);
-      if (state.worker_fd >= 0) {
-        (void)net::send_all(state.worker_fd, line + "\n");
+      if (state.backlog.size() + line.size() > limit) {
+        state.backlog_full = true;
+        if (state.worker_fd >= 0) (void)::shutdown(state.worker_fd, SHUT_RDWR);
+        return;
       }
+      state.backlog += line;
+      if (state.worker_fd >= 0) (void)net::send_all(state.worker_fd, line);
     }
     int worker_fd = -1;
     {
@@ -160,7 +178,7 @@ void FleetBalancer::relay_session(net::Socket client_socket) {
   while (!completed && !failed) {
     {
       std::lock_guard<std::mutex> lock(state.mutex);
-      if (state.client_gone) break;
+      if (state.client_gone || state.backlog_full) break;
     }
     if (!worker) {
       // ---- attach (or re-attach after a death) ----
@@ -228,19 +246,17 @@ void FleetBalancer::relay_session(net::Socket client_socket) {
       // Replay the recorded client lines and publish the new fd in one
       // critical section, so live uplink lines land strictly after the
       // backlog they are not yet part of.
-      std::size_t replayed = 0;
+      std::size_t replayed = 0;  // bytes
       bool replay_ok = false;
       {
         std::lock_guard<std::mutex> lock(state.mutex);
-        while (replayed < state.backlog.size() &&
-               net::send_all(worker_fd, state.backlog[replayed] + "\n")) {
-          ++replayed;
-        }
-        replay_ok = replayed == state.backlog.size();
+        replayed = state.backlog.size();
+        replay_ok =
+            !state.backlog_full && net::send_all(worker_fd, state.backlog);
         if (replay_ok) state.worker_fd = worker_fd;
       }
       if (!replay_ok) {
-        drop_worker(true);
+        drop_worker(!backlog_full());
         continue;
       }
       // Discard the prefix the client already holds (identical bytes: same
@@ -257,7 +273,7 @@ void FleetBalancer::relay_session(net::Socket client_socket) {
             "fleet", "session_migrated",
             {obs::LogField::u64("slot", *slot),
              obs::LogField::str("worker", endpoint.to_string()),
-             obs::LogField::u64("replayed", replayed),
+             obs::LogField::u64("replayed_bytes", replayed),
              obs::LogField::u64("discarded", forwarded)});
       }
     }
@@ -285,7 +301,10 @@ void FleetBalancer::relay_session(net::Socket client_socket) {
       }
     }
   }
-  if (!completed && !failed) {
+  if (!completed && !failed && backlog_full()) {
+    fail("client lines exceed the " + std::to_string(limit) +
+         "-byte replay backlog limit");
+  } else if (!completed && !failed) {
     failure_reason = "client disconnected";
     failed = true;
   }

@@ -26,7 +26,8 @@
 // io::kMaxLineBytes of one line: an over-long hello or worker line fails
 // the session without a retry (a protocol violation, not a death), an
 // over-long client line ends it like a disconnect, and a line torn by a
-// dying worker is never forwarded.
+// dying worker is never forwarded. A client whose lines overrun the replay
+// backlog (kMaxBacklogBytesPerChip a chip) gets an error and fails.
 //
 // Relay concurrency: the session's pool thread runs the downlink (worker
 // -> client), one more thread the uplink (client -> worker). Each reads
@@ -73,6 +74,14 @@ struct BalancerOptions : net::ListenOptions {
 /// Pause before each re-attach, so a just-killed worker's supervisor
 /// restart and the registry's probe re-admission get a beat to land.
 inline constexpr double kAttachBackoffSeconds = 0.05;
+
+/// Replay backlog a session may hold per chip its hello declares. A tester
+/// sends one `response` line per stimulus: `tune --simulate --chips=50`
+/// measures at most 4,060 bytes for one chip (158 lines, s38417, the
+/// catalog's worst), about 4.6 KB with 6-digit chip ids. 16 KiB is 3.5x
+/// that, so the largest session a worker admits (100,000 chips,
+/// ServeOptions::max_chips_per_session) relays in full.
+inline constexpr std::size_t kMaxBacklogBytesPerChip = 16 * 1024;
 
 // Fleet-level metric names (the balancer's own obs::MetricsRegistry —
 // disjoint from the serve.* names so a dashboard scraping both tiers

@@ -192,11 +192,7 @@ void append_entry(json::Writer& w, std::size_t index,
   w.raw("{").key("circuit").string(result.job.circuit);
   w.raw(", ").key("designated_period").number(result.job.designated_period);
   w.raw(", ").key("quantile").number(result.job.quantile);
-  // Kind only when non-default, so pre-analytic checkpoints round-trip
-  // byte-identically.
-  if (result.job.kind != core::JobKind::kFlow) {
-    w.raw(", ").key("kind").string(core::job_kind_name(result.job.kind));
-  }
+  w.raw(", ").key("kind").string(core::job_kind_name(result.job.kind));
   w.raw("},\n     ").key("seconds").number(result.seconds);
   w.raw(",\n     ").key("metrics");
   append_metrics(w, result.metrics);
@@ -231,8 +227,6 @@ std::string campaign_identity(const std::vector<core::CampaignJob>& jobs,
   canon += " fill=" + std::to_string(options.flow.fill_slots ? 1 : 0);
   canon += " epsilon=" + json::format_double(options.flow.epsilon_override);
   canon += " inflation=" + json::format_double(options.random_inflation);
-  canon += " calibration=" +
-           std::to_string(options.flow.period_calibration_chips);
   canon += " exclusions=" + std::to_string(options.use_exclusions ? 1 : 0);
   std::vector<std::string> seen;
   for (const core::CampaignJob& job : jobs) {
@@ -246,12 +240,8 @@ std::string campaign_identity(const std::vector<core::CampaignJob>& jobs,
   for (const core::CampaignJob& job : jobs) {
     canon += "\njob " + job.circuit + " td=" +
              json::format_double(job.designated_period) +
-             " q=" + json::format_double(job.quantile);
-    // Appended only for analytic jobs: flow-only campaigns keep the
-    // identities their existing checkpoints were stamped with.
-    if (job.kind != core::JobKind::kFlow) {
-      canon += std::string(" kind=") + core::job_kind_name(job.kind);
-    }
+             " q=" + json::format_double(job.quantile) +
+             " kind=" + core::job_kind_name(job.kind);
   }
   std::ostringstream hex;
   hex << std::hex;

@@ -182,8 +182,7 @@ Scenario parse_scenario_impl(const std::string& text,
   r.reject_unknown_keys(
       root,
       {"schema", "name", "chips", "seed", "threads", "inflation",
-       "calibration_chips", "quantiles", "periods", "modes", "flow",
-       "circuits"},
+       "quantiles", "periods", "modes", "flow", "circuits"},
       "the scenario spec");
 
   const JsonValue& schema =
@@ -212,8 +211,6 @@ Scenario parse_scenario_impl(const std::string& text,
     }
     options.random_inflation = inflation->number;
   }
-  options.flow.period_calibration_chips = r.count(
-      root, "calibration_chips", options.flow.period_calibration_chips);
   if (const JsonValue* flow =
           r.optional(root, "flow", JsonValue::Kind::kObject)) {
     r.reject_unknown_keys(*flow, {"prediction", "alignment", "exclusions"},

@@ -15,7 +15,6 @@
 //     "seed": 2016,
 //     "threads": 0,
 //     "inflation": 1.0,
-//     "calibration_chips": 2000,       // T_d calibration dies, T1 too
 //     "quantiles": [0.5, 0.8413],      // T_d calibration quantiles
 //     "periods": [6000.0],             // explicit T_d values (ps)
 //     "modes": ["flow", "analytic"],   // job kinds; default ["flow"]
@@ -35,12 +34,11 @@
 // Jobs are the circuit-major cross of circuits x modes x (periods +
 // quantiles) (one default-convention job per circuit and mode when both
 // grids are empty), so the runner prepares each circuit once.
-// "inflation" widens the random variation of the sampled dies (Fig. 7);
-// T_d stays the design's: quantile T_d is calibrated on the nominal
-// model, while default-convention flow jobs calibrate T1 inside the flow,
-// on the inflated model. The paper's tables and figures are specs of
-// this schema under paper/. The catalog starts from the
-// eight paper benchmarks; a {"paper": ...} entry without overrides just
+// Jobs without a period read T_d from core::calibration_sample at their
+// quantile (T1 when none). "inflation" widens the random variation of the
+// sampled dies (Fig. 7); T_d stays the design's. The paper's tables and
+// figures are specs of this schema under paper/. The catalog starts from
+// the eight paper benchmarks; a {"paper": ...} entry without overrides just
 // references the pre-registered circuit, while any override (seed, scale)
 // must pick a distinct "name". Relative .bench paths resolve against the
 // spec file's directory. Every malformed input — bad JSON, unknown keys,

@@ -47,7 +47,6 @@ CampaignOptions base_options() {
   o.catalog = tiny_catalog();
   o.flow.chips = 30;
   o.flow.seed = 99;
-  o.flow.period_calibration_chips = 100;
   o.threads = 2;
   return o;
 }

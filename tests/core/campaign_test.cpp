@@ -70,7 +70,6 @@ TEST(CampaignRunner, QuantileJobsShareOneCalibrationSample) {
   options.catalog = catalog;
   options.flow.chips = 10;
   options.flow.seed = 31;
-  options.flow.period_calibration_chips = 300;
   const CampaignRunner runner(options);
 
   const CampaignResult both =

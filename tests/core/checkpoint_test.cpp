@@ -58,7 +58,6 @@ CampaignOptions base_options() {
   o.catalog = tiny_catalog();
   o.flow.chips = 30;
   o.flow.seed = 99;
-  o.flow.period_calibration_chips = 100;
   o.threads = 2;
   return o;
 }
@@ -339,6 +338,35 @@ TEST(CampaignCheckpoint, MismatchedIdentityOrJobCountIsRejected) {
   EXPECT_THROW(io::validate_campaign_checkpoint(loaded, identity,
                                                 jobs.size() - 1, path),
                io::CheckpointError);
+}
+
+TEST(CampaignCheckpoint, StaleIdentityCheckpointIsRejectedNotBlended) {
+  // Written by `campaign --circuits=s9234 --quantiles=0.5,0.8413 --chips=20
+  // --stop-after=1` before T_d calibration became one sample of a fixed
+  // size: its identity carries the retired `calibration=2000` token, and
+  // its one finished job ran at the retired quantile stream's T_d (201.90
+  // ps, not today's 202.16). Same circuits, jobs and options: only the
+  // identity tells them apart, and it must refuse the resume.
+  const std::string path =
+      std::string(EFFITEST_CORE_FIXTURES) + "/stale_identity.checkpoint.json";
+  const io::CampaignCheckpoint loaded = io::load_campaign_checkpoint(path);
+  ASSERT_EQ(loaded.completed.size(), 1u);
+  const std::vector<CampaignJob> jobs =
+      CampaignRunner::cross({"s9234"}, {0.5, 0.8413});
+  ASSERT_EQ(loaded.total_jobs, jobs.size());
+  CampaignOptions options;
+  options.flow.chips = 20;
+  const std::string identity = io::campaign_identity(jobs, options);
+  ASSERT_NE(identity, loaded.identity);
+  try {
+    io::validate_campaign_checkpoint(loaded, identity, jobs.size(), path);
+    FAIL() << "a stale checkpoint was accepted";
+  } catch (const io::CheckpointError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("identity " + loaded.identity), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("(" + identity + ")"), std::string::npos) << what;
+  }
 }
 
 TEST(CampaignCheckpoint, RunnerValidatesInjectedResults) {

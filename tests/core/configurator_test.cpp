@@ -7,6 +7,7 @@
 #include "core/yield.hpp"
 #include "milp_oracles.hpp"
 #include "netlist/generator.hpp"
+#include "stats/distributions.hpp"
 
 namespace effitest::core {
 namespace {
@@ -182,8 +183,8 @@ TEST(ConfigureIdeal, RescuesTunableChips) {
   Fixture f;
   stats::Rng rng(37);
   const auto means = f.model.max_means();
-  stats::Rng cal = rng.fork();
-  const double td = period_quantile(f.problem, 0.5, 500, cal);
+  const double td =
+      stats::sorted_quantile(calibration_sample(f.problem, 37), 0.5);
   int untuned_pass = 0;
   int ideal_pass = 0;
   const int chips = 120;

@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <array>
 #include <utility>
+#include <vector>
 
+#include "core/flow.hpp"
 #include "netlist/generator.hpp"
 #include "stats/distributions.hpp"
 
@@ -152,6 +154,19 @@ TEST(PeriodQuantile, ZeroChipsThrows) {
   stats::Rng rng(9);
   EXPECT_THROW((void)period_quantile(f.problem, 0.5, 0, rng),
                std::invalid_argument);
+}
+
+TEST(CalibrationSample, IsTheFirstForkOfTheMasterSeed) {
+  // The sample TunerService reads T1 from: 2,000 dies on the first fork of
+  // Rng(seed), sorted, for any worker count.
+  Fixture f;
+  stats::Rng master(2016);
+  stats::Rng fork = master.fork();
+  const std::vector<double> want =
+      sample_required_periods(f.problem, 2000, fork, 1);
+  EXPECT_EQ(calibration_sample(f.problem, 2016, 1), want);
+  EXPECT_EQ(calibration_sample(f.problem, 2016, 4), want);
+  EXPECT_TRUE(std::is_sorted(want.begin(), want.end()));
 }
 
 }  // namespace

@@ -408,6 +408,73 @@ TEST(FleetBalancer, NewlineFreeClientFloodFailsOnlyItsSession) {
   EXPECT_EQ(m.counter(fleet::kFleetSessionsCompleted), 1u);
 }
 
+TEST(FleetBalancer, BacklogFloodFailsOnlyItsSession) {
+  // A tester declares one chip, then streams well-formed `response` lines
+  // for seqs its chip has not reached, which the worker buffers for
+  // reordering and the balancer records for replay. Past one chip's
+  // kMaxBacklogBytesPerChip it gets a fatal error naming the limit, and its
+  // session fails; a concurrent honest session completes byte-identical.
+  net::ServeOptions soptions;
+  soptions.workers = 2;
+  net::TuneServeLoop worker(holder().service, soptions);
+  worker.start();
+  fleet::WorkerRegistry registry;
+  (void)registry.add_worker({worker.host(), worker.port()});
+  fleet::FleetBalancer balancer(registry, balancer_options());
+  balancer.start();
+
+  std::optional<net::ClientResult> sibling;
+  std::thread sibling_thread([&] {
+    net::ClientOptions copts;
+    copts.chips = 2;
+    sibling = net::run_loopback_client("127.0.0.1", balancer.port(),
+                                       holder().problem, copts);
+  });
+
+  net::Socket hostile = net::connect_to("127.0.0.1", balancer.port());
+  hostile.set_io_timeout(10.0);
+  std::string received;
+  std::thread reader([&] {
+    char buf[4096];
+    ssize_t n = 0;
+    while ((n = ::recv(hostile.fd(), buf, sizeof(buf), 0)) > 0) {
+      received.append(buf, static_cast<std::size_t>(n));
+    }
+  });
+  std::string flood = io::format_hello({1, 0, false}) + "\n";
+  for (std::size_t seq = 1000; flood.size() < 64 * fleet::kMaxBacklogBytesPerChip;
+       ++seq) {
+    flood += io::format_response({0, seq, "1"}) + "\n";
+  }
+  for (std::size_t sent = 0; sent < flood.size();) {
+    const ssize_t n = ::send(hostile.fd(), flood.data() + sent,
+                             flood.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) break;  // cut off
+    sent += static_cast<std::size_t>(n);
+  }
+  net::shutdown_write(hostile);
+  reader.join();
+  sibling_thread.join();
+  balancer.request_drain();
+  balancer.wait();
+  worker.request_drain();
+  worker.wait();
+
+  const std::string error =
+      io::format_error("client lines exceed the " +
+                       std::to_string(fleet::kMaxBacklogBytesPerChip) +
+                       "-byte replay backlog limit") +
+      "\n";
+  ASSERT_GE(received.size(), error.size()) << received;
+  EXPECT_EQ(received.substr(received.size() - error.size()), error);
+  ASSERT_TRUE(sibling.has_value());
+  EXPECT_EQ(sorted_by_chip(sibling->report_lines), simulated_report_lines(2));
+  const obs::RegistrySnapshot m = balancer.metrics();
+  EXPECT_EQ(m.counter(fleet::kFleetSessionsFailed), 1u);
+  EXPECT_EQ(m.counter(fleet::kFleetSessionsCompleted), 1u);
+  EXPECT_EQ(m.counter(fleet::kFleetSessionsRetried), 0u);
+}
+
 TEST(FleetBalancer, FloodingWorkerFailsOnlyItsSession) {
   // Slot 0 is a fake worker that reads the hello and answers 2x the line
   // cap without a newline, then hangs up. That session fails with a fatal

@@ -84,6 +84,9 @@ TEST(FlowReuse, SweepingDesignatedPeriodMatchesFreshPrepare) {
     const FlowResult reused = run_flow(problem, opts, prepared);
     SCOPED_TRACE("T_d scale " + std::to_string(scale));
     expect_same_outcome(fresh, reused);
+    // The calibration fork is taken whether or not T_d is given, so the
+    // calibrated T1 passed explicitly is the default run, bit for bit.
+    if (scale == 1.0) expect_same_outcome(first, fresh);
   }
 }
 
@@ -160,7 +163,6 @@ TEST(FlowReuse, CampaignRunnerIsThreadInvariantAndMatchesDirectFlow) {
     options.flow.chips = 60;
     options.flow.threads = threads;
     options.threads = threads;
-    options.flow.period_calibration_chips = 400;
     return CampaignRunner(options).run(
         CampaignRunner::cross({"s9234"}, {0.5, 0.8413}));
   };
@@ -183,8 +185,9 @@ TEST(FlowReuse, CampaignRunnerIsThreadInvariantAndMatchesDirectFlow) {
     EXPECT_EQ(a.infeasible_configs, b.infeasible_configs);
   }
 
-  // A campaign job must be exactly a direct run_flow at the same calibrated
-  // period — the runner adds scheduling and artifact reuse, nothing else.
+  // The q=0.5 job must be exactly a direct default-T1 run_flow: one
+  // calibration sample serves both, and the runner adds scheduling and
+  // artifact reuse, nothing else.
   const netlist::GeneratedCircuit circuit =
       netlist::generate_circuit(netlist::paper_benchmark_spec("s9234"));
   const netlist::CellLibrary lib = netlist::CellLibrary::standard();
@@ -192,8 +195,6 @@ TEST(FlowReuse, CampaignRunnerIsThreadInvariantAndMatchesDirectFlow) {
   const Problem problem(model);
   FlowOptions direct = small_options();
   direct.chips = 60;
-  stats::Rng calibration(direct.seed ^ kQuantileCalibrationSeedXor);
-  direct.designated_period = period_quantile(problem, 0.5, 400, calibration);
   const FlowResult reference = run_flow(problem, direct);
   EXPECT_DOUBLE_EQ(serial.jobs[0].metrics.designated_period,
                    reference.metrics.designated_period);

@@ -19,6 +19,7 @@
 #include "core/tuner_service.hpp"
 #include "core/yield.hpp"
 #include "netlist/generator.hpp"
+#include "stats/distributions.hpp"
 #include "stats/rng.hpp"
 
 namespace effitest::scenario {
@@ -67,7 +68,6 @@ netlist::GeneratorSpec small_spec(const char* name, std::uint64_t seed) {
 core::FlowOptions fast_flow_options() {
   core::FlowOptions opts;
   opts.chips = 10;
-  opts.period_calibration_chips = 200;
   opts.hold.samples = 100;
   opts.threads = 1;
   return opts;
@@ -293,8 +293,9 @@ TEST(CircuitCatalog, BenchBackedCampaignEndToEnd) {
 
 TEST(CircuitCatalog, InflatedCampaignTakesQuantileTdFromTheNominalDesign) {
   // Fig. 7: the dies get 10% more random variation, the clock stays the
-  // design's T1. The campaign job must equal the loop written out by hand:
-  // calibrate on the nominal model, run the flow on the inflated one.
+  // design's T1. The q=0.5 job and the default-T1 job must both equal the
+  // loop written out by hand: calibrate on the nominal model, run the flow
+  // on the inflated one.
   auto catalog = std::make_shared<CircuitCatalog>();
   catalog->add("tiny", small_spec("tiny", 7));
   core::CampaignOptions options;
@@ -302,15 +303,14 @@ TEST(CircuitCatalog, InflatedCampaignTakesQuantileTdFromTheNominalDesign) {
   options.catalog = catalog;
   options.random_inflation = 1.1;
   const core::CampaignResult result = core::CampaignRunner(options).run(
-      {core::CampaignJob{"tiny", 0.0, 0.5}});
-  ASSERT_EQ(result.jobs.size(), 1u);
-  const core::FlowMetrics& got = result.jobs[0].metrics;
+      {core::CampaignJob{"tiny", 0.0, 0.5}, core::CampaignJob{"tiny", 0.0}});
+  ASSERT_EQ(result.jobs.size(), 2u);
 
   const auto calibrate = [&](double inflation) {
-    stats::Rng rng(options.flow.seed ^ core::kQuantileCalibrationSeedXor);
-    return core::period_quantile(catalog->resolve("tiny", inflation)->problem,
-                                 0.5, options.flow.period_calibration_chips,
-                                 rng);
+    return stats::sorted_quantile(
+        core::calibration_sample(catalog->resolve("tiny", inflation)->problem,
+                                 options.flow.seed),
+        0.5);
   };
   const double td = calibrate(1.0);
   ASSERT_NE(td, calibrate(1.1));  // the two models disagree on T1
@@ -319,12 +319,15 @@ TEST(CircuitCatalog, InflatedCampaignTakesQuantileTdFromTheNominalDesign) {
   const core::FlowMetrics want =
       core::run_flow(catalog->resolve("tiny", 1.1)->problem, flow).metrics;
 
-  EXPECT_EQ(got.designated_period, td);
-  EXPECT_EQ(got.npt, want.npt);
-  EXPECT_EQ(got.ta, want.ta);
-  EXPECT_EQ(got.yield_no_buffer, want.yield_no_buffer);
-  EXPECT_EQ(got.yield_ideal, want.yield_ideal);
-  EXPECT_EQ(got.yield_proposed, want.yield_proposed);
+  for (const core::CampaignJobResult& job : result.jobs) {
+    const core::FlowMetrics& got = job.metrics;
+    EXPECT_EQ(got.designated_period, td);
+    EXPECT_EQ(got.npt, want.npt);
+    EXPECT_EQ(got.ta, want.ta);
+    EXPECT_EQ(got.yield_no_buffer, want.yield_no_buffer);
+    EXPECT_EQ(got.yield_ideal, want.yield_ideal);
+    EXPECT_EQ(got.yield_proposed, want.yield_proposed);
+  }
 }
 
 TEST(CircuitCatalog, CampaignBuildsOnlyTheModelsItsJobsNeed) {
@@ -349,15 +352,18 @@ TEST(CircuitCatalog, CampaignBuildsOnlyTheModelsItsJobsNeed) {
   // Nominal: one model serves the dies and the calibration.
   EXPECT_NO_THROW((void)core::CampaignRunner(options).run({q50, t1}));
   EXPECT_EQ(catalog->resolve("demo").get(), nominal.get());
-  // Inflated: the dies' model, plus the nominal one for quantile T_d.
+  // Inflated: the dies' model, plus the nominal one for T_d.
   options.random_inflation = 1.1;
   EXPECT_NO_THROW((void)core::CampaignRunner(options).run({q50, t1}));
   EXPECT_EQ(catalog->resolve("demo", 1.1).get(), inflated.get());
-  // Default-T1 jobs calibrate inside the flow and never need the nominal
-  // model, while a quantile job does.
+  // A job with an explicit T_d never needs the nominal model; a default-T1
+  // job calibrates on it like a quantile job.
+  const core::CampaignJob td_2{"demo2", inflated->model.max_means()[0], -1.0};
   const core::CampaignJob t1_2{"demo2", 0.0, -1.0};
   const core::CampaignJob q50_2{"demo2", 0.0, 0.5};
-  EXPECT_NO_THROW((void)core::CampaignRunner(options).run({t1_2}));
+  EXPECT_NO_THROW((void)core::CampaignRunner(options).run({td_2}));
+  EXPECT_THROW((void)core::CampaignRunner(options).run({t1_2}),
+               std::exception);
   EXPECT_THROW((void)core::CampaignRunner(options).run({q50_2}),
                std::exception);
 }

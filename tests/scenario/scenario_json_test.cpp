@@ -21,7 +21,6 @@ constexpr const char* kMixedSpec = R"({
   "seed": 99,
   "threads": 2,
   "inflation": 1.25,
-  "calibration_chips": 300,
   "quantiles": [0.5, 0.8413],
   "periods": [5000.0],
   "flow": { "prediction": false, "alignment": false, "exclusions": true },
@@ -83,7 +82,6 @@ TEST(ScenarioJson, ParsesMixedSpecIntoCatalogJobsAndOptions) {
   EXPECT_EQ(s.options.flow.seed, 99u);
   EXPECT_EQ(s.options.threads, 2u);
   EXPECT_EQ(s.options.random_inflation, 1.25);
-  EXPECT_EQ(s.options.flow.period_calibration_chips, 300u);
   EXPECT_FALSE(s.options.flow.use_prediction);
   EXPECT_FALSE(s.options.flow.test.align_with_buffers);
   EXPECT_TRUE(s.options.use_exclusions);
@@ -144,6 +142,12 @@ TEST(ScenarioJson, MalformedInputsRaiseClearErrors) {
       R"({ "schema": "effitest-scenario-v1", "quantile": [0.5],
            "circuits": [ { "paper": "s9234" } ] })",
       "unknown key \"quantile\"");
+  // The calibration sample size is a constant now: an old spec that still
+  // sets it fails loudly instead of running another sample size.
+  expect_error(
+      R"({ "schema": "effitest-scenario-v1", "calibration_chips": 300,
+           "circuits": [ { "paper": "s9234" } ] })",
+      "unknown key \"calibration_chips\"");
   expect_error(
       R"({ "schema": "effitest-scenario-v1",
            "circuits": [ { "paper": "s9234", "benchers": 3 } ] })",

@@ -656,14 +656,15 @@ int cmd_ssta(const Cli& cli) {
             : timing::ssta_required_period(circuit->model);
 
   // The Monte-Carlo columns sample die c on Rng(index_seed(base, c)), base
-  // the first word of Rng(11) (core::sample_required_periods' convention).
-  // With --tuned one pass samples every die once for both columns, so they
-  // compare the same dies, and the untuned one matches the plain command.
-  stats::Rng rng(11);
+  // the first word of core::calibration_stream(--seed), so at --chips=2000
+  // the MC T1 is the T_d `run` picks. With --tuned one pass samples every
+  // die once for both columns, so they compare the same dies, and the
+  // untuned one matches the plain command.
+  stats::Rng rng =
+      core::calibration_stream(cli.get("seed", core::FlowOptions{}.seed));
   analytic::McTunedPeriod tuned_mc;
   double mc_seconds = 0.0;
-  double mc_t1 = 0.0;
-  double mc_t2 = 0.0;
+  std::vector<double> untuned_mc;  // one required period per die
   if (tuned) {
     analytic::McTunedOptions mopts;
     mopts.chips = chips;
@@ -674,14 +675,12 @@ int cmd_ssta(const Cli& cli) {
     mc_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - m0)
             .count();
-    mc_t1 = stats::quantile(tuned_mc.untuned, 0.5);
-    mc_t2 = stats::quantile(tuned_mc.untuned, 0.8413);
+    untuned_mc = tuned_mc.untuned;
   } else {
-    const std::vector<double> required =
-        core::sample_required_periods(problem, chips, rng, threads);
-    mc_t1 = stats::sorted_quantile(required, 0.5);
-    mc_t2 = stats::sorted_quantile(required, 0.8413);
+    untuned_mc = core::sample_required_periods(problem, chips, rng, threads);
   }
+  const double mc_t1 = stats::quantile(untuned_mc, 0.5);
+  const double mc_t2 = stats::quantile(untuned_mc, 0.8413);
 
   core::Table t({"quantity", "analytic (Clark)", "Monte-Carlo"});
   t.add_row({"mean required period (ps)", core::Table::num(analytic.mean, 2),
@@ -803,10 +802,8 @@ core::FlowOptions flow_options_from(const Cli& cli,
   opts.test.align_with_buffers = !cli.flag("no-alignment");
   opts.threads = cli.get("threads", opts.threads);
   if (const auto q = cli.get<double>("quantile")) {
-    stats::Rng rng(opts.seed ^ core::kQuantileCalibrationSeedXor);
-    opts.designated_period =
-        core::period_quantile(problem, *q, opts.period_calibration_chips,
-                              rng, opts.threads);
+    opts.designated_period = stats::sorted_quantile(
+        core::calibration_sample(problem, opts.seed, opts.threads), *q);
   }
   return opts;
 }
