@@ -49,8 +49,6 @@ FlowArtifacts prepare_flow(const Problem& problem, const FlowOptions& options,
   // of their ranges. Paths are therefore handed to the (order-respecting,
   // greedy first-fit) batch builder grouped by correlation cluster, sorted
   // by mean within a cluster.
-  BatchingOptions batching = options.batching;
-  batching.optimal_coloring = false;  // first-fit preserves cluster adjacency
   const auto cluster_major = [&](const std::vector<std::vector<std::size_t>>&
                                      clusters) {
     std::vector<std::size_t> out;
@@ -73,8 +71,8 @@ FlowArtifacts prepare_flow(const Problem& problem, const FlowOptions& options,
     for (const PathGroup& g : art.selection.groups) {
       tested_by_group.push_back(g.selected);
     }
-    art.batches =
-        build_batches(problem, cluster_major(tested_by_group), batching);
+    art.batches = build_batches(problem, cluster_major(tested_by_group),
+                                options.batching);
 
     // The chip-independent prediction gain (Cholesky of Sigma_t + W +
     // posterior sigmas) is a function of (cov, tested) only: compute it
@@ -99,7 +97,7 @@ FlowArtifacts prepare_flow(const Problem& problem, const FlowOptions& options,
       candidates.reserve(order.size());
       for (std::size_t k : order) candidates.push_back(predicted[k]);
       const std::vector<std::size_t> inserted = fill_empty_slots(
-          problem, art.batches, candidates, batching, means);
+          problem, art.batches, candidates, options.batching, means);
       if (!inserted.empty()) {
         art.tested.insert(art.tested.end(), inserted.begin(), inserted.end());
         std::sort(art.tested.begin(), art.tested.end());
@@ -120,8 +118,7 @@ FlowArtifacts prepare_flow(const Problem& problem, const FlowOptions& options,
     std::iota(art.tested.begin(), art.tested.end(), std::size_t{0});
     const linalg::Matrix cov = model.max_covariance(options.threads);
     art.batches = build_batches(
-        problem, cluster_major(correlation_clusters(cov)),
-        batching);
+        problem, cluster_major(correlation_clusters(cov)), options.batching);
   }
 
   art.hold = compute_hold_bounds(problem, rng, hold);

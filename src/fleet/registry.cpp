@@ -28,11 +28,6 @@ ProbeResult parse_worker_status(const std::string& line) {
           result.queue_depth = qd->number;
         }
       }
-      if (const io::json::Value* as = gauges->find("serve.active_sessions")) {
-        if (as->kind == io::json::Value::Kind::kNumber) {
-          result.active_sessions = as->number;
-        }
-      }
     }
     result.ok = true;
   } catch (const io::json::ParseError&) {
@@ -77,7 +72,6 @@ void WorkerRegistry::update_endpoint(std::size_t slot,
       slots_[slot].endpoint.known() ? WorkerHealth::kLive : WorkerHealth::kDead;
   slots_[slot].consecutive_failures = 0;
   slots_[slot].probed_queue_depth = 0.0;
-  slots_[slot].probed_active_sessions = 0.0;
 }
 
 std::size_t WorkerRegistry::size() const {
@@ -119,7 +113,6 @@ void WorkerRegistry::apply_probe(std::size_t slot, const ProbeResult& result) {
     s.health = WorkerHealth::kLive;
     s.consecutive_failures = 0;
     s.probed_queue_depth = result.queue_depth;
-    s.probed_active_sessions = result.active_sessions;
     return;
   }
   ++s.consecutive_failures;
@@ -240,11 +233,6 @@ std::size_t WorkerRegistry::in_flight(std::size_t slot) const {
 double WorkerRegistry::probed_queue_depth(std::size_t slot) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return slot < slots_.size() ? slots_[slot].probed_queue_depth : 0.0;
-}
-
-double WorkerRegistry::probed_active_sessions(std::size_t slot) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return slot < slots_.size() ? slots_[slot].probed_active_sessions : 0.0;
 }
 
 }  // namespace effitest::fleet

@@ -62,12 +62,12 @@ struct WorkerEndpoint {
 
 /// What one health probe learned. `ok` false means the worker did not
 /// answer (connect failure, timeout, empty or malformed status line).
-/// The gauges are the worker's self-reported serve.queue_depth and
-/// serve.active_sessions, surfaced as the per-worker fleet gauges.
+/// `queue_depth` is the worker's self-reported serve.queue_depth, which
+/// the balancer surfaces as the per-worker gauge
+/// fleet.worker<slot>.queue_depth.
 struct ProbeResult {
   bool ok = false;
   double queue_depth = 0.0;
-  double active_sessions = 0.0;
 };
 
 /// Parse one `effitest-status-v1` JSON line into a ProbeResult (ok=false
@@ -140,9 +140,8 @@ class WorkerRegistry {
 
   /// Balancer-side in-flight sessions on a slot (the routing load).
   [[nodiscard]] std::size_t in_flight(std::size_t slot) const;
-  /// The worker's self-reported gauges from the last successful probe.
+  /// The worker's self-reported queue depth from the last successful probe.
   [[nodiscard]] double probed_queue_depth(std::size_t slot) const;
-  [[nodiscard]] double probed_active_sessions(std::size_t slot) const;
 
  private:
   struct Slot {
@@ -151,7 +150,6 @@ class WorkerRegistry {
     std::size_t consecutive_failures = 0;
     std::size_t in_flight = 0;
     double probed_queue_depth = 0.0;
-    double probed_active_sessions = 0.0;
   };
 
   void apply_probe(std::size_t slot, const ProbeResult& result);

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 
@@ -61,12 +62,7 @@ constexpr DoubleField kDoubleFields[] = {
     {"tp_seconds", &core::FlowMetrics::tp_seconds},
     {"tt_seconds_per_chip", &core::FlowMetrics::tt_seconds_per_chip},
     {"ts_seconds_per_chip", &core::FlowMetrics::ts_seconds_per_chip},
-};
-
-// Analytic-SSTA fields (campaign JobKind::kAnalytic). Written always,
-// optional on read so checkpoints that predate the analytic engine still
-// resume (they default to 0, matching what their flow jobs carried).
-constexpr DoubleField kOptionalDoubleFields[] = {
+    // Analytic-SSTA fields (campaign JobKind::kAnalytic); 0 on flow jobs.
     {"untuned_mean", &core::FlowMetrics::untuned_mean},
     {"untuned_sigma", &core::FlowMetrics::untuned_sigma},
     {"tuned_mean", &core::FlowMetrics::tuned_mean},
@@ -82,23 +78,14 @@ constexpr DoubleField kOptionalDoubleFields[] = {
 core::FlowMetrics read_metrics(const json::SchemaReader& r,
                                const json::Value& obj) {
   core::FlowMetrics m;
-  std::size_t expected = 0;
   for (const SizeField& f : kSizeFields) {
     m.*(f.member) = static_cast<std::size_t>(r.checked_integer(
         r.require(obj, f.name, json::Value::Kind::kNumber), f.name));
-    ++expected;
   }
   for (const DoubleField& f : kDoubleFields) {
     m.*(f.member) = r.require(obj, f.name, json::Value::Kind::kNumber).number;
-    ++expected;
   }
-  for (const DoubleField& f : kOptionalDoubleFields) {
-    const json::Value* v = r.optional(obj, f.name, json::Value::Kind::kNumber);
-    if (v == nullptr) continue;
-    m.*(f.member) = v->number;
-    ++expected;
-  }
-  if (obj.object.size() != expected) {
+  if (obj.object.size() != std::size(kSizeFields) + std::size(kDoubleFields)) {
     r.fail(obj, "metrics object has unexpected keys");
   }
   return m;
@@ -145,6 +132,8 @@ CampaignCheckpoint read_checkpoint(const json::SchemaReader& r,
     result.job.designated_period =
         r.require(job, "designated_period", Kind::kNumber).number;
     result.job.quantile = r.require(job, "quantile", Kind::kNumber).number;
+    // A checkpoint from before jobs carried a kind reads as flow, and then
+    // fails the identity check, which names both identities.
     if (const json::Value* kind = r.optional(job, "kind", Kind::kString)) {
       try {
         result.job.kind = core::job_kind_from(kind->string);
@@ -175,10 +164,6 @@ void append_metrics(json::Writer& w, const core::FlowMetrics& m) {
     w.key(f.name).number(static_cast<std::uint64_t>(m.*(f.member)));
   }
   for (const DoubleField& f : kDoubleFields) {
-    sep();
-    w.key(f.name).number(m.*(f.member));
-  }
-  for (const DoubleField& f : kOptionalDoubleFields) {
     sep();
     w.key(f.name).number(m.*(f.member));
   }

@@ -19,7 +19,7 @@ CircuitModel::CircuitModel(const netlist::Netlist& netlist,
                            std::vector<int> buffered_ffs, ModelOptions options)
     : netlist_(&netlist),
       options_(options),
-      variation_(options.variation, library),
+      variation_(library),
       buffered_ffs_(std::move(buffered_ffs)) {
   if (options_.random_inflation < 1.0) {
     throw std::invalid_argument("random_inflation must be >= 1");

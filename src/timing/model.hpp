@@ -129,7 +129,6 @@ inline constexpr std::size_t kMaxPathsPerPair = 4;
 inline constexpr double kStaticDiscardFraction = 0.6;
 
 struct ModelOptions {
-  VariationParams variation{};
   /// Fig-7 knob: scale every path sigma by this factor by *adding
   /// independent variance*, leaving cross covariances untouched.
   double random_inflation = 1.0;

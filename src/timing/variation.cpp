@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace effitest::timing {
 
@@ -45,28 +44,16 @@ double sparse_dot(const SparseLoading& a, const SparseLoading& b) {
   return acc;
 }
 
-VariationModel::VariationModel(VariationParams params,
-                               const netlist::CellLibrary& library)
-    : params_(params), library_(&library) {
-  if (params_.grid_levels < 0 || params_.grid_levels > 8) {
-    throw std::invalid_argument("VariationModel: grid_levels out of range");
-  }
-  if (params_.global_corr < 0.0 || params_.global_corr > 1.0) {
-    throw std::invalid_argument("VariationModel: global_corr outside [0,1]");
-  }
+VariationModel::VariationModel(const netlist::CellLibrary& library)
+    : library_(&library) {
   factors_per_param_ = 1;  // global
-  for (int l = 1; l <= params_.grid_levels; ++l) {
+  for (int l = 1; l <= kGridLevels; ++l) {
     factors_per_param_ += static_cast<std::size_t>(1) << (2 * l);  // 4^l
   }
   num_factors_ = 3 * factors_per_param_;
-  w_global_ = std::sqrt(params_.global_corr);
-  const double rest = 1.0 - params_.global_corr;
-  w_level_ = params_.grid_levels > 0
-                 ? std::sqrt(rest / static_cast<double>(params_.grid_levels))
-                 : 0.0;
-  // With zero grid levels all non-global mass would be lost; fold it into the
-  // global factor so total parameter variance stays sigma_p^2.
-  if (params_.grid_levels == 0) w_global_ = 1.0;
+  w_global_ = std::sqrt(kGlobalCorr);
+  w_level_ =
+      std::sqrt((1.0 - kGlobalCorr) / static_cast<double>(kGridLevels));
 }
 
 int VariationModel::cell_index(int level, netlist::Point pos) const {
@@ -83,10 +70,9 @@ SparseLoading VariationModel::gate_loading(netlist::CellType type,
   const netlist::CellTiming& t = library_->timing(type);
   if (t.nominal_delay_ps <= 0.0) return {};
   const double sens[3] = {t.sens_length, t.sens_tox, t.sens_vth};
-  const double sigma[3] = {params_.sigma_length, params_.sigma_tox,
-                           params_.sigma_vth};
+  const double sigma[3] = {kSigmaLength, kSigmaTox, kSigmaVth};
   SparseLoading out;
-  out.reserve(3 * static_cast<std::size_t>(params_.grid_levels + 1));
+  out.reserve(3 * static_cast<std::size_t>(kGridLevels + 1));
   for (int p = 0; p < 3; ++p) {
     // Delay deviation per unit of this parameter's factors (ps).
     const double scale = t.nominal_delay_ps * sens[p] * sigma[p];
@@ -94,7 +80,7 @@ SparseLoading VariationModel::gate_loading(netlist::CellType type,
     const int base = p * static_cast<int>(factors_per_param_);
     out.emplace_back(base, scale * w_global_);
     int offset = 1;
-    for (int l = 1; l <= params_.grid_levels; ++l) {
+    for (int l = 1; l <= kGridLevels; ++l) {
       out.emplace_back(base + offset + cell_index(l, pos), scale * w_level_);
       offset += 1 << (2 * l);
     }
@@ -104,15 +90,15 @@ SparseLoading VariationModel::gate_loading(netlist::CellType type,
 }
 
 double VariationModel::mismatch_sigma(netlist::CellType type) const {
-  return params_.mismatch_frac * systematic_sigma(type);
+  return kMismatchFrac * systematic_sigma(type);
 }
 
 double VariationModel::systematic_sigma(netlist::CellType type) const {
   const netlist::CellTiming& t = library_->timing(type);
   const double v =
-      t.sens_length * params_.sigma_length * t.sens_length * params_.sigma_length +
-      t.sens_tox * params_.sigma_tox * t.sens_tox * params_.sigma_tox +
-      t.sens_vth * params_.sigma_vth * t.sens_vth * params_.sigma_vth;
+      t.sens_length * kSigmaLength * t.sens_length * kSigmaLength +
+      t.sens_tox * kSigmaTox * t.sens_tox * kSigmaTox +
+      t.sens_vth * kSigmaVth * t.sens_vth * kSigmaVth;
   return t.nominal_delay_ps * std::sqrt(v);
 }
 

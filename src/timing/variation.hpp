@@ -15,9 +15,10 @@
 //
 // with w0^2 = 0.25 (global correlation floor) and sum w^2 = 1, so two gates
 // in the same finest cell (side-by-side) have parameter correlation exactly 1
-// and distant gates exactly 0.25. Independent per-gate *delay* mismatch is
-// modeled separately (mismatch_frac), which is the knob the Fig.-7
-// enlarged-random-variation experiment turns.
+// and distant gates exactly 0.25. Independent per-gate *delay* mismatch
+// (kMismatchFrac) is modeled separately. The Fig.-7 enlarged-random-variation
+// experiment turns ModelOptions::random_inflation (timing/model.hpp), which
+// adds independent variance to every path, not this mismatch.
 //
 // Gate delay model (first order, library sensitivities s_p):
 //   d(g) = d0 * (1 + sum_p s_p dP_p(g)) + mismatch(g).
@@ -31,17 +32,21 @@
 
 namespace effitest::timing {
 
-struct VariationParams {
-  double sigma_length = 0.157;
-  double sigma_tox = 0.053;
-  double sigma_vth = 0.044;
-  double global_corr = 0.25;   ///< parameter correlation between distant gates
-  int grid_levels = 3;         ///< quad-tree levels: 2x2, 4x4, 8x8
-  double mismatch_frac = 0.10; ///< independent delay mismatch as a fraction of
-                               ///< the gate's systematic delay sigma (the
-                               ///< paper's side-by-side correlation of 1
-                               ///< means this is small; Fig. 7 inflates it)
-};
+/// §4 parameter sigmas as fractions of nominal: transistor length, oxide
+/// thickness, threshold voltage.
+inline constexpr double kSigmaLength = 0.157;
+inline constexpr double kSigmaTox = 0.053;
+inline constexpr double kSigmaVth = 0.044;
+/// Parameter correlation between distant gates.
+inline constexpr double kGlobalCorr = 0.25;
+/// Quad-tree levels: 2x2, 4x4, 8x8.
+inline constexpr int kGridLevels = 3;
+/// Independent delay mismatch as a fraction of the gate's systematic delay
+/// sigma (the paper's side-by-side correlation of 1 means this is small).
+inline constexpr double kMismatchFrac = 0.10;
+
+static_assert(kGridLevels >= 1 && kGridLevels <= 8);
+static_assert(kGlobalCorr >= 0.0 && kGlobalCorr <= 1.0);
 
 /// Sparse factor-loading vector: sorted (factor index, weight) pairs.
 /// The delay deviation contributed is sum_i weight_i * z[factor_i] with
@@ -56,9 +61,7 @@ void accumulate(SparseLoading& into, const SparseLoading& add);
 
 class VariationModel {
  public:
-  VariationModel(VariationParams params, const netlist::CellLibrary& library);
-
-  [[nodiscard]] const VariationParams& params() const { return params_; }
+  explicit VariationModel(const netlist::CellLibrary& library);
 
   /// Total number of N(0,1) spatial factors (3 parameters x grid factors).
   [[nodiscard]] std::size_t num_factors() const { return num_factors_; }
@@ -81,7 +84,6 @@ class VariationModel {
  private:
   [[nodiscard]] int cell_index(int level, netlist::Point pos) const;
 
-  VariationParams params_;
   const netlist::CellLibrary* library_;
   std::size_t factors_per_param_ = 0;
   std::size_t num_factors_ = 0;

@@ -292,6 +292,20 @@ TEST(CampaignCheckpoint, CorruptAndTruncatedFilesAreRejected) {
   EXPECT_THROW((void)io::load_campaign_checkpoint(truncated),
                io::CheckpointError);
 
+  // Every metric is required: a checkpoint missing one (here tuned_sigma,
+  // an analytic field) is rejected, not read as 0.
+  std::string no_sigma = text;
+  const std::size_t at = no_sigma.find(", \"tuned_sigma\"");
+  ASSERT_NE(at, std::string::npos);
+  no_sigma.erase(at, no_sigma.find('}', at) - at);
+  const std::string missing = temp_path("missing_metric.json");
+  {
+    std::ofstream out(missing, std::ios::binary);
+    out << no_sigma;
+  }
+  EXPECT_THROW((void)io::load_campaign_checkpoint(missing),
+               io::CheckpointError);
+
   // Wrong schema id and unknown keys are rejected too.
   const std::string wrong = temp_path("wrong_schema.json");
   {

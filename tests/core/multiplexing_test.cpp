@@ -4,6 +4,7 @@
 
 #include <numeric>
 #include <set>
+#include <stdexcept>
 
 #include "batch_checks.hpp"
 #include "netlist/generator.hpp"
@@ -40,13 +41,25 @@ struct Fixture {
 
 TEST(Multiplexing, AllBatchesLegal) {
   const Fixture f;
-  for (bool optimal : {true, false}) {
-    BatchingOptions opts;
-    opts.optimal_coloring = optimal;
-    const auto batches = build_batches(f.problem, f.all_paths(), opts);
+  for (const auto& batches : {build_batches(f.problem, f.all_paths()),
+                              optimal_batches(f.problem, f.all_paths())}) {
     for (const Batch& b : batches) {
-      EXPECT_TRUE(batch_is_legal(f.problem, b, opts));
+      EXPECT_TRUE(batch_is_legal(f.problem, b));
     }
+  }
+}
+
+TEST(Multiplexing, ColoringFlagIsInert) {
+  const Fixture f;
+  BatchingOptions on;
+  on.optimal_coloring = true;
+  BatchingOptions off;
+  off.optimal_coloring = false;
+  const auto a = build_batches(f.problem, f.all_paths(), on);
+  const auto b = build_batches(f.problem, f.all_paths(), off);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].paths, b[i].paths) << "batch " << i;
   }
 }
 
@@ -66,16 +79,14 @@ TEST(Multiplexing, EveryPathAssignedExactlyOnce) {
 TEST(Multiplexing, OptimalColoringHitsLowerBound) {
   const Fixture f;
   const auto paths = f.all_paths();
-  const auto batches = build_batches(f.problem, paths);
+  const auto batches = optimal_batches(f.problem, paths);
   EXPECT_EQ(batches.size(), batch_lower_bound(f.problem, paths));
 }
 
 TEST(Multiplexing, GreedyWithinTwiceLowerBound) {
   const Fixture f;
-  BatchingOptions opts;
-  opts.optimal_coloring = false;
   const auto paths = f.all_paths();
-  const auto batches = build_batches(f.problem, paths, opts);
+  const auto batches = build_batches(f.problem, paths);
   EXPECT_GE(batches.size(), batch_lower_bound(f.problem, paths));
   EXPECT_LE(batches.size(), 2 * batch_lower_bound(f.problem, paths));
 }
@@ -83,6 +94,7 @@ TEST(Multiplexing, GreedyWithinTwiceLowerBound) {
 TEST(Multiplexing, EmptyInput) {
   const Fixture f;
   EXPECT_TRUE(build_batches(f.problem, std::vector<std::size_t>{}).empty());
+  EXPECT_TRUE(optimal_batches(f.problem, std::vector<std::size_t>{}).empty());
   EXPECT_EQ(batch_lower_bound(f.problem, std::vector<std::size_t>{}), 0u);
 }
 
@@ -162,7 +174,8 @@ TEST(FillEmptySlots, TopsUpSmallBatches) {
 
   const std::vector<std::size_t> candidates(paths.begin() + paths.size() / 2,
                                             paths.end());
-  const auto inserted = fill_empty_slots(f.problem, batches, candidates);
+  const auto inserted = fill_empty_slots(f.problem, batches, candidates, {},
+                                         f.model.max_means());
   for (const Batch& b : batches) {
     EXPECT_TRUE(batch_is_legal(f.problem, b));
     EXPECT_LE(b.paths.size(), max_before);
@@ -173,6 +186,14 @@ TEST(FillEmptySlots, TopsUpSmallBatches) {
     for (std::size_t p : b.paths) EXPECT_TRUE(seen.insert(p).second);
   }
   EXPECT_EQ(seen.size(), half.size() + inserted.size());
+}
+
+TEST(FillEmptySlots, RequiresOneCenterPerPair) {
+  const Fixture f;
+  std::vector<Batch> batches{Batch{{0}}};
+  const std::vector<std::size_t> cand{1};
+  EXPECT_THROW((void)fill_empty_slots(f.problem, batches, cand, {}, {}),
+               std::invalid_argument);
 }
 
 TEST(FillEmptySlots, CenterAwarePrefersNearbyBatch) {
@@ -215,14 +236,18 @@ class MultiplexingPropertyTest : public ::testing::TestWithParam<std::uint64_t> 
 TEST_P(MultiplexingPropertyTest, ColoringOptimalOnRandomCircuits) {
   const Fixture f(30, 4, GetParam());
   const auto paths = f.all_paths();
-  const auto batches = build_batches(f.problem, paths);
-  EXPECT_EQ(batches.size(), batch_lower_bound(f.problem, paths));
-  std::size_t total = 0;
-  for (const Batch& b : batches) {
-    EXPECT_TRUE(batch_is_legal(f.problem, b));
-    total += b.paths.size();
+  const auto optimal = optimal_batches(f.problem, paths);
+  EXPECT_EQ(optimal.size(), batch_lower_bound(f.problem, paths));
+  const auto first_fit = build_batches(f.problem, paths);
+  EXPECT_GE(first_fit.size(), optimal.size());
+  for (const auto& batches : {optimal, first_fit}) {
+    std::size_t total = 0;
+    for (const Batch& b : batches) {
+      EXPECT_TRUE(batch_is_legal(f.problem, b));
+      total += b.paths.size();
+    }
+    EXPECT_EQ(total, paths.size());
   }
-  EXPECT_EQ(total, paths.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MultiplexingPropertyTest,

@@ -145,12 +145,10 @@ TEST(WorkerRegistry, ProbeGaugesSurfaceTheWorkersSelfReport) {
     ProbeResult r;
     r.ok = true;
     r.queue_depth = 3.0;
-    r.active_sessions = 2.0;
     return r;
   });
   registry.probe_all();
   EXPECT_EQ(registry.probed_queue_depth(slot), 3.0);
-  EXPECT_EQ(registry.probed_active_sessions(slot), 2.0);
 }
 
 TEST(ParseWorkerStatus, AcceptsStatusV1AndExtractsServeGauges) {
@@ -160,7 +158,6 @@ TEST(ParseWorkerStatus, AcceptsStatusV1AndExtractsServeGauges) {
       R"("histograms": {}})");
   EXPECT_TRUE(r.ok);
   EXPECT_EQ(r.queue_depth, 5.0);
-  EXPECT_EQ(r.active_sessions, 2.0);
 }
 
 TEST(ParseWorkerStatus, MissingGaugesAreZeroNotFailure) {
@@ -168,7 +165,6 @@ TEST(ParseWorkerStatus, MissingGaugesAreZeroNotFailure) {
       R"({"schema": "effitest-status-v1", "counters": {}, "gauges": {}})");
   EXPECT_TRUE(r.ok);
   EXPECT_EQ(r.queue_depth, 0.0);
-  EXPECT_EQ(r.active_sessions, 0.0);
 }
 
 TEST(ParseWorkerStatus, RejectsMalformedAndForeignPayloads) {

@@ -31,29 +31,16 @@ TEST(SparseLoading, DotIntersectsIndices) {
 }
 
 TEST(VariationModel, FactorCountMatchesLevels) {
-  VariationParams p;
-  p.grid_levels = 3;
-  const VariationModel m(p, lib());
-  // 3 params x (1 + 4 + 16 + 64).
+  const VariationModel m(lib());
+  // 3 params x (1 + 4 + 16 + 64) at kGridLevels = 3.
+  EXPECT_EQ(kGridLevels, 3);
   EXPECT_EQ(m.num_factors(), 3u * 85u);
-  VariationParams p0;
-  p0.grid_levels = 0;
-  EXPECT_EQ(VariationModel(p0, lib()).num_factors(), 3u);
-}
-
-TEST(VariationModel, InvalidParamsThrow) {
-  VariationParams p;
-  p.grid_levels = -1;
-  EXPECT_THROW(VariationModel(p, lib()), std::invalid_argument);
-  VariationParams p2;
-  p2.global_corr = 1.5;
-  EXPECT_THROW(VariationModel(p2, lib()), std::invalid_argument);
 }
 
 TEST(VariationModel, GateLoadingVarianceMatchesSystematicSigma) {
   // The loading is constructed so that sum of squared weights equals the
   // systematic variance of the gate delay.
-  const VariationModel m(VariationParams{}, lib());
+  const VariationModel m(lib());
   for (netlist::CellType t :
        {netlist::CellType::kNand, netlist::CellType::kNot,
         netlist::CellType::kDff}) {
@@ -65,12 +52,12 @@ TEST(VariationModel, GateLoadingVarianceMatchesSystematicSigma) {
 }
 
 TEST(VariationModel, ZeroDelayCellsHaveNoLoading) {
-  const VariationModel m(VariationParams{}, lib());
+  const VariationModel m(lib());
   EXPECT_TRUE(m.gate_loading(netlist::CellType::kInput, {0.5, 0.5}).empty());
 }
 
 TEST(VariationModel, SameCellPositionsShareAllFactors) {
-  const VariationModel m(VariationParams{}, lib());
+  const VariationModel m(lib());
   const SparseLoading a = m.gate_loading(netlist::CellType::kNand, {0.31, 0.31});
   const SparseLoading b = m.gate_loading(netlist::CellType::kNand, {0.32, 0.32});
   // Same finest cell -> identical factor index sets -> correlation 1.
@@ -80,17 +67,16 @@ TEST(VariationModel, SameCellPositionsShareAllFactors) {
 }
 
 TEST(VariationModel, DistantGatesCorrelateAtGlobalFloor) {
-  VariationParams p;
-  const VariationModel m(p, lib());
+  const VariationModel m(lib());
   const SparseLoading a = m.gate_loading(netlist::CellType::kNand, {0.05, 0.05});
   const SparseLoading b = m.gate_loading(netlist::CellType::kNand, {0.95, 0.95});
   const double corr = sparse_dot(a, b) /
                       std::sqrt(sparse_dot(a, a) * sparse_dot(b, b));
-  EXPECT_NEAR(corr, p.global_corr, 1e-9);
+  EXPECT_NEAR(corr, kGlobalCorr, 1e-9);
 }
 
 TEST(VariationModel, CorrelationDecreasesWithDistance) {
-  const VariationModel m(VariationParams{}, lib());
+  const VariationModel m(lib());
   const auto corr_at = [&](double dx) {
     const SparseLoading a =
         m.gate_loading(netlist::CellType::kNand, {0.131, 0.131});
@@ -105,18 +91,18 @@ TEST(VariationModel, CorrelationDecreasesWithDistance) {
   EXPECT_GE(mid, far);
 }
 
-TEST(VariationModel, MismatchSigmaScalesWithFraction) {
-  VariationParams p;
-  p.mismatch_frac = 0.2;
-  const VariationModel m2(p, lib());
-  p.mismatch_frac = 0.1;
-  const VariationModel m1(p, lib());
-  EXPECT_NEAR(m2.mismatch_sigma(netlist::CellType::kNand),
-              2.0 * m1.mismatch_sigma(netlist::CellType::kNand), 1e-12);
+TEST(VariationModel, MismatchSigmaIsFractionOfSystematicSigma) {
+  const VariationModel m(lib());
+  for (netlist::CellType t :
+       {netlist::CellType::kNand, netlist::CellType::kNot,
+        netlist::CellType::kDff}) {
+    EXPECT_DOUBLE_EQ(m.mismatch_sigma(t), kMismatchFrac * m.systematic_sigma(t))
+        << to_string(t);
+  }
 }
 
 TEST(VariationModel, SampleFactorsSizeAndRandomness) {
-  const VariationModel m(VariationParams{}, lib());
+  const VariationModel m(lib());
   stats::Rng rng(3);
   std::vector<double> z1;
   std::vector<double> z2;
@@ -127,7 +113,7 @@ TEST(VariationModel, SampleFactorsSizeAndRandomness) {
 }
 
 TEST(VariationModel, PositionsClampedAtDieEdge) {
-  const VariationModel m(VariationParams{}, lib());
+  const VariationModel m(lib());
   EXPECT_NO_THROW(m.gate_loading(netlist::CellType::kNand, {1.0, 1.0}));
   EXPECT_NO_THROW(m.gate_loading(netlist::CellType::kNand, {0.0, 0.0}));
 }
