@@ -1,39 +1,25 @@
 // Micro-benchmarks (google-benchmark) for the numeric substrates that sit on
-// the critical path of the Monte-Carlo experiments: the blocked Cholesky and
-// triangular solves against their seed naive references, the Householder +
-// QL symmetric eigensolver under Procedure-1 PCA, the
-// simplex/branch&bound solver, the coordinate-descent alignment, the
-// conditional-Gaussian predictor, normal draws and chip sampling, buffer
-// configuration and circuit model construction.
-//
-// Besides the google-benchmark cases, a manual blocked-vs-naive comparison
-// runs at the end and emits BENCH_micro_solvers.json with the measured
-// speedups. The "blocked Cholesky+solve >= 2x at n >= 256" acceptance
-// numbers are quoted from those records; CI schema-validates the file but
-// does not gate on the timings (shared runners are too noisy — the
-// baseline gate pins the deterministic table1 metrics instead).
+// the critical path of the Monte-Carlo experiments: the Cholesky factor and
+// solve of the prediction gain, the Householder + QL symmetric eigensolver
+// under Procedure-1 PCA, the simplex/branch&bound solver, the
+// coordinate-descent alignment, the conditional-Gaussian predictor, normal
+// draws and chip sampling, buffer configuration and circuit model
+// construction.
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <iostream>
-#include <limits>
-#include <string>
 #include <vector>
 
-#include "io/bench_json.hpp"
 #include "core/alignment.hpp"
 #include "core/configurator.hpp"
 #include "core/flow.hpp"
-#include "core/table.hpp"
 #include "linalg/decomposition.hpp"
 #include "linalg/eigen.hpp"
-#include "linalg/kernels.hpp"
 #include "lp/solver.hpp"
 #include "milp_oracles.hpp"
-#include "reference_kernels.hpp"
 #include "netlist/generator.hpp"
 #include "stats/conditional.hpp"
 #include "stats/rng.hpp"
@@ -59,50 +45,24 @@ linalg::Matrix random_spd(std::size_t n, std::uint64_t seed) {
   return spd;
 }
 
+/// The prediction gain's factor and solve (stats::PredictionGain::compute)
+/// at the real shapes: Sigma_t over the npt tested paths against the
+/// np - npt untested ones, on s9234 (6 / 74), s38584 (30 / 340) and
+/// pci_bridge32 (64 / 3,408), the largest Sigma_t any workload factors.
 void BM_Cholesky(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
+  const auto m = static_cast<std::size_t>(state.range(1));
   const linalg::Matrix a = random_spd(n, 1);
+  const linalg::Matrix b = random_dense(n, m, 2);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::cholesky(a));
+    benchmark::DoNotOptimize(linalg::cholesky(a, 1e-9).solve(b));
   }
 }
-BENCHMARK(BM_Cholesky)->Arg(16)->Arg(64)->Arg(128)->Arg(256)->Arg(384);
-
-void BM_CholeskyNaive(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const linalg::Matrix a = random_spd(n, 1);
-  for (auto _ : state) {
-    linalg::Matrix l;
-    benchmark::DoNotOptimize(linalg::kernels::reference_cholesky(a, 0.0, l));
-  }
-}
-BENCHMARK(BM_CholeskyNaive)->Arg(128)->Arg(256)->Arg(384);
-
-void BM_TrsmBlocked(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  linalg::Matrix l;
-  (void)linalg::kernels::reference_cholesky(random_spd(n, 24), 0.0, l);
-  const linalg::Matrix rhs = random_dense(n, n, 25);
-  for (auto _ : state) {
-    linalg::Matrix x = rhs;
-    linalg::kernels::trsm_lower(l, x);
-    linalg::kernels::trsm_lower_transposed(l, x);
-    benchmark::DoNotOptimize(x);
-  }
-}
-BENCHMARK(BM_TrsmBlocked)->Arg(128)->Arg(256)->Arg(384);
-
-void BM_TrsmNaive(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  linalg::Matrix l;
-  (void)linalg::kernels::reference_cholesky(random_spd(n, 24), 0.0, l);
-  const linalg::Matrix rhs = random_dense(n, n, 25);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        linalg::kernels::reference_cholesky_solve(l, rhs));
-  }
-}
-BENCHMARK(BM_TrsmNaive)->Arg(128)->Arg(256)->Arg(384);
+BENCHMARK(BM_Cholesky)
+    ->Args({6, 74})
+    ->Args({30, 340})
+    ->Args({64, 3408})
+    ->Unit(benchmark::kMicrosecond);
 
 // Up to 320 = GroupingOptions::pca_max_block, the largest block a
 // Procedure-1 group decomposes.
@@ -310,88 +270,6 @@ void BM_CircuitModelBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_CircuitModelBuild)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// -- Manual blocked-vs-naive comparison + JSON emission ---------------------
-
-using Clock = std::chrono::steady_clock;
-
-/// Best-of-`reps` wall time of `body` in seconds.
-template <typename Body>
-double best_seconds(std::size_t reps, Body&& body) {
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t r = 0; r < reps; ++r) {
-    const auto t0 = Clock::now();
-    body();
-    best = std::min(best,
-                    std::chrono::duration<double>(Clock::now() - t0).count());
-  }
-  return best;
-}
-
-/// The acceptance comparison: factor an SPD matrix and solve it against n
-/// right-hand sides, seed path (naive Cholesky + per-column substitution)
-/// versus kernel path (blocked Cholesky + multi-RHS TRSM) at the harness
-/// --threads value. Emits one JSON record per measurement plus the speedup.
-void report_kernels_vs_naive(io::JsonReporter& json, std::size_t threads) {
-  std::cout << "\n=== blocked kernels vs. seed naive (Cholesky + solve, "
-               "n right-hand sides) ===\n";
-  const linalg::kernels::KernelOptions opts{threads};
-  core::Table table({"n", "naive(ms)", "blocked(ms)", "speedup"});
-  for (std::size_t n : {std::size_t{128}, std::size_t{256}, std::size_t{384}}) {
-    const linalg::Matrix spd = random_spd(n, 31);
-    const linalg::Matrix rhs = random_dense(n, n, 32);
-    const std::size_t reps = n <= 128 ? 9 : 5;
-    const double naive = best_seconds(reps, [&] {
-      linalg::Matrix l;
-      if (!linalg::kernels::reference_cholesky(spd, 0.0, l)) std::abort();
-      benchmark::DoNotOptimize(
-          linalg::kernels::reference_cholesky_solve(l, rhs));
-    });
-    const double blocked = best_seconds(reps, [&] {
-      linalg::Matrix l;
-      if (!linalg::kernels::cholesky_blocked(spd, 0.0, l, opts)) std::abort();
-      linalg::Matrix x = rhs;
-      linalg::kernels::trsm_lower(l, x, opts);
-      linalg::kernels::trsm_lower_transposed(l, x, opts);
-      benchmark::DoNotOptimize(x);
-    });
-    const double speedup = naive / blocked;
-    table.add_row({core::Table::num(n), core::Table::num(naive * 1e3, 3),
-                   core::Table::num(blocked * 1e3, 3),
-                   core::Table::num(speedup, 2)});
-    const std::string size = "n" + std::to_string(n);
-    json.add(size, "cholesky_solve_naive_seconds", naive, naive);
-    json.add(size, "cholesky_solve_blocked_seconds", blocked, blocked);
-    json.add(size, "cholesky_solve_speedup", speedup, naive + blocked);
-  }
-  table.print(std::cout);
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  // Strip the harness-wide --threads flag (recorded in the JSON header)
-  // before google-benchmark sees the argument list.
-  std::size_t threads = 0;
-  std::vector<char*> kept;
-  kept.reserve(static_cast<std::size_t>(argc));
-  kept.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind("--threads=", 0) == 0) {
-      threads = static_cast<std::size_t>(std::stoul(a.substr(10)));
-    } else {
-      kept.push_back(argv[i]);
-    }
-  }
-  argc = static_cast<int>(kept.size());
-  argv = kept.data();
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
-  effitest::io::JsonReporter json("micro_solvers", threads);
-  report_kernels_vs_naive(json, threads);
-  std::cout << "machine-readable output: " << json.write() << "\n";
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -42,17 +42,21 @@ CampaignRunner::CampaignRunner(CampaignOptions options)
 std::vector<CampaignJob> CampaignRunner::cross(
     const std::vector<std::string>& circuits,
     const std::vector<double>& quantiles,
-    const std::vector<JobKind>& kinds) {
+    const std::vector<JobKind>& kinds, const std::vector<double>& periods) {
   const std::vector<JobKind> effective_kinds =
       kinds.empty() ? std::vector<JobKind>{JobKind::kFlow} : kinds;
   std::vector<CampaignJob> jobs;
-  jobs.reserve(circuits.size() * std::max<std::size_t>(quantiles.size(), 1) *
+  jobs.reserve(circuits.size() *
+               std::max<std::size_t>(periods.size() + quantiles.size(), 1) *
                effective_kinds.size());
   for (const std::string& circuit : circuits) {
     for (const JobKind kind : effective_kinds) {
-      if (quantiles.empty()) {
+      if (periods.empty() && quantiles.empty()) {
         jobs.push_back(CampaignJob{circuit, 0.0, -1.0, kind});
         continue;
+      }
+      for (double td : periods) {
+        jobs.push_back(CampaignJob{circuit, td, -1.0, kind});
       }
       for (double q : quantiles) {
         jobs.push_back(CampaignJob{circuit, 0.0, q, kind});

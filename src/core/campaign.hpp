@@ -159,14 +159,16 @@ class CampaignRunner {
   /// job's FlowArtifacts.
   [[nodiscard]] CampaignResult run(const std::vector<CampaignJob>& jobs) const;
 
-  /// Cross product: every circuit at every quantile for every job kind,
-  /// circuit-major (so the runner groups them into one preparation per
-  /// circuit). An empty quantile list yields one default-convention job per
-  /// circuit and kind; an empty kind list means flow only.
+  /// Cross product: every circuit at every explicit period and then every
+  /// quantile, for every job kind, circuit-major (so the runner groups them
+  /// into one preparation per circuit). Empty period and quantile lists
+  /// yield one default-convention job per circuit and kind; an empty kind
+  /// list means flow only.
   [[nodiscard]] static std::vector<CampaignJob> cross(
       const std::vector<std::string>& circuits,
       const std::vector<double>& quantiles,
-      const std::vector<JobKind>& kinds = {JobKind::kFlow});
+      const std::vector<JobKind>& kinds = {JobKind::kFlow},
+      const std::vector<double>& periods = {});
 
  private:
   CampaignOptions options_;

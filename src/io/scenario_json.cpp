@@ -297,20 +297,8 @@ Scenario parse_scenario_impl(const std::string& text,
   // Circuit-major cross of circuits x modes x (periods + quantiles): the
   // runner groups same-circuit jobs into one preparation (flow artifacts
   // and the analytic engine result are both per-circuit caches).
-  for (const std::string& circuit : job_circuits) {
-    for (const core::JobKind kind : modes) {
-      if (periods.empty() && quantiles.empty()) {
-        scenario.jobs.push_back(core::CampaignJob{circuit, 0.0, -1.0, kind});
-        continue;
-      }
-      for (double td : periods) {
-        scenario.jobs.push_back(core::CampaignJob{circuit, td, -1.0, kind});
-      }
-      for (double q : quantiles) {
-        scenario.jobs.push_back(core::CampaignJob{circuit, 0.0, q, kind});
-      }
-    }
-  }
+  scenario.jobs =
+      core::CampaignRunner::cross(job_circuits, quantiles, modes, periods);
 
   options.catalog = scenario.catalog;
   return scenario;

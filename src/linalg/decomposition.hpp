@@ -3,9 +3,11 @@
 // definite systems.
 //
 // EffiTest uses these for one job: the conditional-Gaussian gain
-// Sigma_{k,t} Sigma_t^{-1} of eqs. (4)-(5) (stats::PredictionGain). Monte-
-// Carlo dies come from timing::CircuitModel's factor model, not from a
-// factored covariance.
+// Sigma_{k,t} Sigma_t^{-1} of eqs. (4)-(5) (stats::PredictionGain), where
+// Sigma_t covers only the tested paths (at most 64 x 64 on the paper's
+// circuits). Monte-Carlo dies come from timing::CircuitModel's factor
+// model, not from a factored covariance. Both routines are plain serial
+// loops; DESIGN.md section 9 gives their cost on the real shapes.
 
 #include "linalg/matrix.hpp"
 
@@ -15,8 +17,9 @@ namespace effitest::linalg {
 struct Cholesky {
   Matrix l;  ///< lower-triangular factor
 
-  /// Solve A X = B for every column of B at once (kernels::trsm_lower and
-  /// trsm_lower_transposed).
+  /// Solve A X = B for every column of B at once: one forward and one
+  /// backward substitution sweep over whole rows of B. Each column gets
+  /// the bits a one-column substitution would give it.
   [[nodiscard]] Matrix solve(const Matrix& b) const;
 };
 

@@ -1,34 +1,14 @@
 #pragma once
-// Blocked dense kernels: the performance substrate under linalg and stats.
+// Tiled symmetric assembly: the one dense kernel that earns its tiles. The
+// prior covariance Sigma it fills has one row per monitored pair, up to
+// 3,472 on the paper's circuits, and every cell is a sparse merge of two
+// delay forms (timing::CircuitModel::max_covariance).
 //
-// The seed Cholesky and triangular solves were straightforward triple
-// loops. They are numerically fine but leave most of the machine idle:
-// every per-element dot product is one serial floating-point dependency
-// chain (one fused multiply-add per ~4 cycles), and the access patterns
-// stream whole operands through cache once per output row/column. The
-// kernels here fix both without changing a single result bit:
-//
-//  * Register blocking — each output element keeps its own accumulator and
-//    neighbouring elements' chains interleave, so the FMA units pipeline
-//    instead of stalling on one chain.
-//  * Cache blocking — operands are walked in tiles sized for L1/L2 reuse.
-//  * Deterministic parallelism — work fans out over *independent output
-//    blocks* via parallel::deterministic_for; every element is produced
-//    entirely inside one task with a fixed internal loop order, so results
-//    are bit-identical for any thread count.
-//
-// Bit-compatibility contract: for every kernel, each output element is
-// accumulated in exactly the per-element operation order of the seed naive
-// code (k ascending into a single accumulator, division last). Blocking
-// only reorders *between* elements, never within one, so the kernels agree
-// bit-for-bit with the seed Cholesky and per-column solve. Those seed
-// implementations are kept verbatim as test-only oracles
-// (tests/oracles/reference_kernels.hpp, outside this library) and pinned
-// against the kernels by tests/linalg/kernels_test.cpp. This is what lets
-// cholesky()/Cholesky::solve and the covariance assembly route through
-// this layer without moving the golden-metrics pins. Matrix::operator* is
-// the seed i-k-j loop itself; nothing on a shipped path multiplies large
-// matrices.
+// The fill fans tile rows out over the shared pool via
+// parallel::deterministic_for. Every cell is written by one task as a pure
+// function of (i, j), so the matrix is bit-identical for any worker count.
+// The Cholesky factor and solve (linalg/decomposition.hpp) only ever see
+// Sigma_t over the tested paths, at most 64 x 64, and are plain loops.
 
 #include <algorithm>
 #include <cstddef>
@@ -39,42 +19,8 @@
 
 namespace effitest::linalg::kernels {
 
-struct KernelOptions {
-  /// Worker threads for the block fan-out: 0 = shared-pool width, 1 =
-  /// serial. Results never depend on this value (the determinism contract
-  /// of parallel::deterministic_for); small inputs stay serial regardless.
-  std::size_t threads = 0;
-};
-
-/// Row tile (output rows per task; also the Cholesky panel width).
+/// Tile edge: the fill cuts the upper triangle into kRowBlock-square tiles.
 inline constexpr std::size_t kRowBlock = 64;
-/// Column tile (TRSM right-hand-side tile), sized so a kRowBlock x
-/// kColBlock operand panel stays L2-resident.
-inline constexpr std::size_t kColBlock = 256;
-/// Flop threshold below which kernels skip the pool entirely.
-inline constexpr std::size_t kSerialFlops = std::size_t{1} << 18;
-
-/// B := L^{-1} B for lower-triangular L (forward substitution over all
-/// right-hand sides at once, vectorized across columns, parallel over
-/// column blocks). Bit-identical to the per-column
-/// reference_forward_substitute oracle.
-void trsm_lower(const Matrix& l, Matrix& b, const KernelOptions& opts = {});
-
-/// B := L^{-T} B (backward substitution over all right-hand sides).
-/// Bit-identical to the per-column reference_backward_substitute oracle.
-void trsm_lower_transposed(const Matrix& l, Matrix& b,
-                           const KernelOptions& opts = {});
-
-/// Right-looking blocked Cholesky attempt: factor a + diag_add*I = L L^T.
-/// Returns false on a non-positive (or non-finite) pivot, leaving l_out
-/// untouched. Bit-identical to the seed left-looking Cholesky (the
-/// reference_cholesky oracle): panel updates subtract contributions in
-/// globally ascending k order per element.
-[[nodiscard]] bool cholesky_blocked(const Matrix& a, double diag_add,
-                                    Matrix& l_out,
-                                    const KernelOptions& opts = {});
-
-// -- Blocked symmetric assembly ---------------------------------------------
 
 /// Fill the symmetric matrix `out` from its upper triangle, one tile row at
 /// a time. The triangle is cut into kRowBlock-square tiles and each block
@@ -84,9 +30,11 @@ void trsm_lower_transposed(const Matrix& l, Matrix& b,
 /// matrix row itself, j0 >= i) and may keep scratch across the calls of its
 /// task; the kernel mirrors the cells. Since every cell must be a pure
 /// function of (i, j), the result is bit-identical for any worker count.
-/// Matrices smaller than `serial_below` rows run inline on the caller.
+/// `threads` workers share the tile rows (0 = shared-pool width, 1 =
+/// serial); matrices smaller than `serial_below` rows run inline on the
+/// caller.
 template <typename MakeRow>
-void symmetric_fill(Matrix& out, const KernelOptions& opts,
+void symmetric_fill(Matrix& out, std::size_t threads,
                     std::size_t serial_below, MakeRow&& make_row) {
   if (!out.is_square()) {
     throw LinalgError("kernels::symmetric_fill requires square matrix");
@@ -94,7 +42,7 @@ void symmetric_fill(Matrix& out, const KernelOptions& opts,
   const std::size_t n = out.rows();
   const std::size_t blocks = (n + kRowBlock - 1) / kRowBlock;
   parallel::ForOptions fopts;
-  fopts.threads = n < serial_below ? 1 : opts.threads;
+  fopts.threads = n < serial_below ? 1 : threads;
   // Block rows shrink along the triangle; claiming them in index order
   // hands out the largest first, which keeps the workers balanced.
   parallel::deterministic_for(blocks, fopts, [&](std::size_t ib) {

@@ -131,16 +131,4 @@ void StructuredLog::emit(const std::string& component,
   out_->flush();
 }
 
-bool parse_log_format(const std::string& text, LogFormat& out) {
-  if (text == "text") {
-    out = LogFormat::kText;
-    return true;
-  }
-  if (text == "json") {
-    out = LogFormat::kJson;
-    return true;
-  }
-  return false;
-}
-
 }  // namespace effitest::obs

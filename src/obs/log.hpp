@@ -86,8 +86,4 @@ class StructuredLog {
   Clock clock_;
 };
 
-/// Parse a `--log-format=` value; empty answers false. `out` untouched on
-/// failure so callers keep their default.
-[[nodiscard]] bool parse_log_format(const std::string& text, LogFormat& out);
-
 }  // namespace effitest::obs

@@ -292,8 +292,8 @@ linalg::Matrix CircuitModel::max_covariance(std::size_t threads) const {
       scatter(false);
     };
   };
-  linalg::kernels::symmetric_fill(cov, linalg::kernels::KernelOptions{threads},
-                                  /*serial_below=*/256, make_row);
+  linalg::kernels::symmetric_fill(cov, threads, /*serial_below=*/256,
+                                  make_row);
   return cov;
 }
 

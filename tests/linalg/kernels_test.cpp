@@ -1,22 +1,22 @@
-// Bit-compatibility and determinism pins for the blocked kernel layer.
+// Bit-identity pins for the row-sweep Cholesky solve and the tiled
+// symmetric fill.
 //
-// The contract (kernels.hpp): every blocked kernel accumulates each output
-// element in exactly the per-element operation order of the seed naive
-// code, so blocked and reference results (the seed Cholesky and solve in
-// tests/oracles/reference_kernels.hpp) must agree BIT-FOR-BIT — no
-// tolerances anywhere in this file — on any shape (ragged tile edges
-// included) and for any worker count.
+// Cholesky::solve advances every right-hand side together, row by row, but
+// each element keeps the per-column operation order of the seed solve (k
+// ascending into one accumulator, division last). So it must agree
+// BIT-FOR-BIT with the seed per-column solve kept in
+// tests/oracles/reference_solve.hpp -- no tolerances anywhere in this file.
 
 #include "linalg/kernels.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
-#include <vector>
 
 #include "linalg/decomposition.hpp"
-#include "reference_kernels.hpp"
+#include "reference_solve.hpp"
 #include "stats/rng.hpp"
 
 namespace effitest::linalg {
@@ -48,106 +48,38 @@ void expect_bits_equal(const Matrix& a, const Matrix& b, const char* what) {
   }
 }
 
-// Shapes straddling the tile sizes (kRowBlock = 64, kColBlock = 256),
-// including ragged edges and degenerate extents.
+// Ragged and degenerate extents around the 64-row tile of the fill.
 const std::size_t kSizes[] = {1, 2, 3, 7, 16, 63, 64, 65, 130};
 
-TEST(Kernels, CholeskyMatchesReferenceBitwise) {
-  std::uint64_t seed = 200;
-  for (std::size_t n : kSizes) {
-    const Matrix spd = random_spd(n, seed++);
-    Matrix l_blocked;
-    Matrix l_ref;
-    ASSERT_TRUE(kernels::cholesky_blocked(spd, 0.0, l_blocked));
-    ASSERT_TRUE(kernels::reference_cholesky(spd, 0.0, l_ref));
-    expect_bits_equal(l_blocked, l_ref, "cholesky");
-  }
-}
-
-TEST(Kernels, CholeskyDiagAddMatchesReference) {
-  const Matrix spd = random_spd(65, 7);
-  Matrix l_blocked;
-  Matrix l_ref;
-  ASSERT_TRUE(kernels::cholesky_blocked(spd, 0.25, l_blocked));
-  ASSERT_TRUE(kernels::reference_cholesky(spd, 0.25, l_ref));
-  expect_bits_equal(l_blocked, l_ref, "cholesky diag_add");
-}
-
-TEST(Kernels, CholeskyRejectsIndefiniteLikeReference) {
-  Matrix m = Matrix::identity(10);
-  m(7, 7) = -1.0;
-  Matrix l;
-  EXPECT_FALSE(kernels::cholesky_blocked(m, 0.0, l));
-  EXPECT_FALSE(kernels::reference_cholesky(m, 0.0, l));
-}
-
-TEST(Kernels, NonSquareInputsThrow) {
-  Matrix l;
-  EXPECT_THROW((void)kernels::cholesky_blocked(Matrix(3, 2), 0.0, l),
-               LinalgError);
-  Matrix rect(3, 2);
-  EXPECT_THROW(kernels::symmetric_fill(
-                   rect, {}, 0,
-                   [] {
-                     return [](std::size_t, std::size_t, std::span<double>) {};
-                   }),
-               LinalgError);
-}
-
-TEST(Kernels, TrsmMatchesPerColumnSubstitutionBitwise) {
+TEST(Kernels, SolveMatchesPerColumnSolveBitwise) {
   std::uint64_t seed = 300;
   for (std::size_t n : kSizes) {
-    const Matrix spd = random_spd(n, seed++);
-    Matrix l;
-    ASSERT_TRUE(kernels::reference_cholesky(spd, 0.0, l));
+    const Cholesky chol = cholesky(random_spd(n, seed++));
     for (std::size_t m : {std::size_t{1}, std::size_t{3}, std::size_t{257}}) {
       const Matrix b = random_matrix(n, m, seed++);
-      // Reference: the seed per-column gather/substitute/scatter solve.
-      const Matrix x_ref = kernels::reference_cholesky_solve(l, b);
-      Matrix x = b;
-      kernels::trsm_lower(l, x);
-      kernels::trsm_lower_transposed(l, x);
-      expect_bits_equal(x, x_ref, "trsm forward+backward");
+      expect_bits_equal(chol.solve(b), reference_cholesky_solve(chol.l, b),
+                        "Cholesky::solve");
     }
   }
 }
 
-TEST(Kernels, CholeskySolveEntryPointsRouteThroughKernels) {
-  // The public cholesky()/Cholesky::solve must agree with the reference
-  // path exactly (these are the calls the prediction gain goes through).
-  const Matrix spd = random_spd(130, 17);
-  const Cholesky chol = cholesky(spd);
-  Matrix l_ref;
-  ASSERT_TRUE(kernels::reference_cholesky(spd, 0.0, l_ref));
-  expect_bits_equal(chol.l, l_ref, "cholesky()");
-  const Matrix b = random_matrix(130, 40, 18);
-  expect_bits_equal(chol.solve(b), kernels::reference_cholesky_solve(l_ref, b),
-                    "Cholesky::solve");
+TEST(Kernels, SolveMatchesPerColumnSolveAtPredictionShape) {
+  // pci_bridge32's gain: Sigma_t over its 64 tested paths against the
+  // 3,408 untested ones, as stats::PredictionGain::compute solves it.
+  const Cholesky chol = cholesky(random_spd(64, 17), 1e-9);
+  const Matrix b = random_matrix(64, 3408, 18);
+  expect_bits_equal(chol.solve(b), reference_cholesky_solve(chol.l, b),
+                    "Cholesky::solve at n = 64, m = 3408");
 }
 
-TEST(Kernels, ThreadCountBitIdentity) {
-  // Identical bits for any worker count, including the serial path. Sizes
-  // above kSerialFlops so the fan-out actually engages.
-  const Matrix spd = random_spd(260, 43);
-  const Matrix rhs = random_matrix(260, 300, 44);
-
-  Matrix l1;
-  ASSERT_TRUE(kernels::cholesky_blocked(spd, 0.0, l1, {.threads = 1}));
-  Matrix x1 = rhs;
-  kernels::trsm_lower(l1, x1, {.threads = 1});
-  kernels::trsm_lower_transposed(l1, x1, {.threads = 1});
-
-  for (std::size_t threads : {std::size_t{2}, std::size_t{3}, std::size_t{7},
-                              std::size_t{0}}) {
-    const kernels::KernelOptions opts{threads};
-    Matrix lt;
-    ASSERT_TRUE(kernels::cholesky_blocked(spd, 0.0, lt, opts));
-    expect_bits_equal(lt, l1, "cholesky threads");
-    Matrix xt = rhs;
-    kernels::trsm_lower(lt, xt, opts);
-    kernels::trsm_lower_transposed(lt, xt, opts);
-    expect_bits_equal(xt, x1, "trsm threads");
-  }
+TEST(Kernels, NonSquareInputsThrow) {
+  Matrix rect(3, 2);
+  EXPECT_THROW(kernels::symmetric_fill(
+                   rect, 0, 0,
+                   [] {
+                     return [](std::size_t, std::size_t, std::span<double>) {};
+                   }),
+               LinalgError);
 }
 
 TEST(Kernels, SymmetricFillMatchesCellFunction) {
@@ -157,7 +89,7 @@ TEST(Kernels, SymmetricFillMatchesCellFunction) {
     const auto cell = [](std::size_t i, std::size_t j) {
       return static_cast<double>(i * 1000 + j) + 0.5;
     };
-    kernels::symmetric_fill(out, {.threads = 0}, /*serial_below=*/0, [&] {
+    kernels::symmetric_fill(out, /*threads=*/0, /*serial_below=*/0, [&] {
       return [&cell](std::size_t i, std::size_t j0, std::span<double> dst) {
         ASSERT_GE(j0, i);
         for (std::size_t c = 0; c < dst.size(); ++c) dst[c] = cell(i, j0 + c);

@@ -254,16 +254,7 @@ TEST(StructuredLog, ConcurrentEmitsInterleaveWholeLines) {
   EXPECT_EQ(lines, kThreads * kEvents);
 }
 
-TEST(StructuredLog, ParseLogFormatAndOpenFileErrors) {
-  obs::LogFormat f = obs::LogFormat::kText;
-  EXPECT_TRUE(obs::parse_log_format("json", f));
-  EXPECT_EQ(f, obs::LogFormat::kJson);
-  EXPECT_TRUE(obs::parse_log_format("text", f));
-  EXPECT_EQ(f, obs::LogFormat::kText);
-  f = obs::LogFormat::kJson;
-  EXPECT_FALSE(obs::parse_log_format("yaml", f));
-  EXPECT_EQ(f, obs::LogFormat::kJson);  // untouched on failure
-
+TEST(StructuredLog, OpenFileErrors) {
   EXPECT_THROW((void)obs::StructuredLog::open_file(
                    "/nonexistent-dir/zzz/x.log", obs::LogFormat::kJson),
                std::runtime_error);

@@ -554,10 +554,11 @@ std::shared_ptr<const scenario::PreparedCircuit> provision_tunable(
 /// when logging is off — the zero-overhead contract call sites rely on.
 std::unique_ptr<obs::StructuredLog> make_structured_log(const Cli& cli) {
   if (!cli.has("log-format") && !cli.has("log-file")) return nullptr;
-  obs::LogFormat format = obs::LogFormat::kJson;
   // The table admitted only text|json.
-  (void)obs::parse_log_format(cli.get("log-format", std::string("json")),
-                              format);
+  const obs::LogFormat format =
+      cli.get("log-format", std::string("json")) == "text"
+          ? obs::LogFormat::kText
+          : obs::LogFormat::kJson;
   if (const auto file_path = cli.get<std::string>("log-file")) {
     return obs::StructuredLog::open_file(*file_path, format);
   }
