@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <vector>
 
 #include "core/alignment.hpp"
@@ -21,6 +23,7 @@
 #include "lp/solver.hpp"
 #include "milp_oracles.hpp"
 #include "netlist/generator.hpp"
+#include "scenario/circuit_catalog.hpp"
 #include "stats/conditional.hpp"
 #include "stats/rng.hpp"
 
@@ -130,19 +133,39 @@ BENCHMARK(BM_NormalDraw);
 
 /// The model a sampling or covariance case runs on: Arg(0) is the flow
 /// fixture's s9234; Arg(1) is mem_ctrl, whose ~3,000 monitored pairs (6,032
-/// forms, 142k loading entries) make both memory-bound.
+/// forms, 142k loading entries) make both memory-bound. The sampling cases
+/// also run Arg(2), s38584 (the tester floor), and Arg(3), s13207 scaled
+/// 1.25x (an analytic_signoff circuit).
 const timing::CircuitModel& sized_model(benchmark::State& state) {
-  if (state.range(0) == 0) {
-    state.SetLabel("s9234");
-    return FlowFixture::get().model;
-  }
+  struct Sized {
+    const char* label;
+    const char* paper;
+    double scale;  ///< 1.0: the paper spec itself
+  };
+  static constexpr Sized kSized[] = {{"s9234", "s9234", 1.0},
+                                     {"mem_ctrl", "mem_ctrl", 1.0},
+                                     {"s38584", "s38584", 1.0},
+                                     {"s13207@x1.25", "s13207", 1.25}};
+  const Sized& sized = kSized[state.range(0)];
+  state.SetLabel(sized.label);
+  if (state.range(0) == 0) return FlowFixture::get().model;
   static const netlist::CellLibrary lib = netlist::CellLibrary::standard();
-  static const netlist::GeneratedCircuit circuit =
-      netlist::generate_circuit(netlist::paper_benchmark_spec("mem_ctrl"));
-  static const timing::CircuitModel model(circuit.netlist, lib,
-                                          circuit.buffered_ffs);
-  state.SetLabel("mem_ctrl");
-  return model;
+  struct Built {
+    netlist::GeneratedCircuit circuit;
+    timing::CircuitModel model;
+    explicit Built(const netlist::GeneratorSpec& spec)
+        : circuit(netlist::generate_circuit(spec)),
+          model(circuit.netlist, lib, circuit.buffered_ffs) {}
+  };
+  static std::map<std::int64_t, std::unique_ptr<const Built>> built;
+  std::unique_ptr<const Built>& slot = built[state.range(0)];
+  if (!slot) {
+    slot = std::make_unique<const Built>(
+        sized.scale == 1.0
+            ? netlist::paper_benchmark_spec(sized.paper)
+            : scenario::scaled_paper_spec(sized.paper, sized.scale));
+  }
+  return slot->model;
 }
 
 /// One die per iteration through a reused workspace, as the chip loops
@@ -155,7 +178,32 @@ void BM_ChipSampling(benchmark::State& state) {
     benchmark::DoNotOptimize(model.sample_chip(rng, ws));
   }
 }
-BENCHMARK(BM_ChipSampling)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ChipSampling)->DenseRange(0, 3)->Unit(benchmark::kMicrosecond);
+
+/// kLanes whole dies per sample_chips call into warm Chips, as the
+/// post-tuning Monte-Carlo reference samples; time is reported per die.
+void BM_ChipSamplingLanes(benchmark::State& state) {
+  const timing::CircuitModel& model = sized_model(state);
+  std::vector<stats::Rng> rngs;
+  for (std::uint64_t b = 0; b < timing::kLanes; ++b) rngs.emplace_back(4 + b);
+  timing::LaneWorkspace ws;
+  std::vector<timing::Chip> chips(timing::kLanes);
+  for (auto _ : state) {
+    model.sample_chips(rngs, ws, chips);
+    benchmark::DoNotOptimize(chips.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(timing::kLanes));
+  // Seconds per die (printed with an SI prefix: 60u is 60 us).
+  state.counters["per_die"] = benchmark::Counter(
+      static_cast<double>(timing::kLanes),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ChipSamplingLanes)
+    ->DenseRange(0, 3)
+    ->Unit(benchmark::kMicrosecond);
 
 /// Six entries on random monitored pairs at neutral steps (six is the mean
 /// instance size of the per-chip test on s38584).

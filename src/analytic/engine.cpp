@@ -1,10 +1,13 @@
 #include "analytic/engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <map>
+#include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "core/difference_system.hpp"
 #include "parallel/deterministic_for.hpp"
@@ -118,9 +121,65 @@ void range_closure(std::vector<State>& level, const std::vector<double>& lo,
   }
 }
 
+/// Depth-limited DP from one start node: level[k][v] = statistical max over
+/// walks start -> v with exactly k delay edges (range hops free) of (sum of
+/// delays - range slack). A walk closing at the start with k >= 1 edges is
+/// a candidate cycle requiring T >= score / k: its period (score / k), its
+/// sorted traceback pairs and k. A pure function of its arguments,
+/// returned in k order.
+[[nodiscard]] std::vector<CandidateConstraint> cycles_from(
+    std::size_t start, const std::vector<Edge>& edges,
+    const std::vector<double>& lo, const std::vector<double>& up, int max_k) {
+  const std::size_t n = lo.size();
+  std::vector<CandidateConstraint> found;
+  std::vector<std::vector<State>> level(static_cast<std::size_t>(max_k) + 1,
+                                        std::vector<State>(n));
+  level[0][start].valid = true;  // zero form
+  range_closure(level[0], lo, up);
+  for (int k = 1; k <= max_k; ++k) {
+    for (const Edge& e : edges) {
+      const State& prev = level[k - 1][static_cast<std::size_t>(e.from)];
+      if (!prev.valid) continue;
+      merge_state(level[k][static_cast<std::size_t>(e.to)],
+                  timing::canonical_sum(prev.form, e.delay), e.from,
+                  static_cast<long long>(e.dominant));
+    }
+    range_closure(level[k], lo, up);
+    const State& back = level[k][start];
+    if (!back.valid) continue;
+
+    // Traceback the argmax-by-mean cycle for criticality attribution.
+    CandidateConstraint c;
+    int node = static_cast<int>(start);
+    int kk = k;
+    bool ok = true;
+    for (std::size_t guard = 0; kk > 0 || node != static_cast<int>(start);
+         ++guard) {
+      if (guard > 4 * n * static_cast<std::size_t>(max_k) + 8) {
+        ok = false;
+        break;
+      }
+      const State& st =
+          level[static_cast<std::size_t>(kk)][static_cast<std::size_t>(node)];
+      if (st.pred_pair >= 0) {
+        c.pairs.push_back(static_cast<std::size_t>(st.pred_pair));
+        --kk;
+      }
+      node = st.pred_node;
+    }
+    if (!ok) c.pairs.clear();
+    std::sort(c.pairs.begin(), c.pairs.end());
+    c.period = scale_form(back.form, 1.0 / static_cast<double>(k));
+    c.num_edges = k;
+    found.push_back(std::move(c));
+  }
+  return found;
+}
+
 }  // namespace
 
-TunedPeriodAnalysis analyze_tuned_period(const core::Problem& problem) {
+TunedPeriodAnalysis analyze_tuned_period(const core::Problem& problem,
+                                         std::size_t threads) {
   const timing::CircuitModel& model = problem.model();
   const std::size_t np = model.num_pairs();
   const std::size_t nb = problem.num_buffers();
@@ -128,7 +187,10 @@ TunedPeriodAnalysis analyze_tuned_period(const core::Problem& problem) {
   // Every simple cycle of the contracted graph has at most n delay edges.
   const int max_k = static_cast<int>(n);
 
-  const auto [lo, up] = node_ranges(problem);
+  // Named, not structured, bindings: the fan-out lambda captures them.
+  const auto ranges = node_ranges(problem);
+  const std::vector<double>& lo = ranges.first;
+  const std::vector<double>& up = ranges.second;
 
   TunedPeriodAnalysis out;
   out.untuned = timing::ssta_required_period(model);
@@ -168,65 +230,28 @@ TunedPeriodAnalysis analyze_tuned_period(const core::Problem& problem) {
     out.candidates.push_back(std::move(c));
   }
 
-  // Depth-limited DP from every start node: level[k][v] = statistical max
-  // over walks start -> v with exactly k delay edges (range hops free) of
-  // (sum of delays - range slack). A walk closing at the start with k >= 1
-  // edges is a candidate cycle requiring T >= score / k.
+  // The start nodes' DPs are independent, so they fan out; each writes
+  // only its own slot.
+  std::vector<std::vector<CandidateConstraint>> found(n);
+  parallel::ForOptions opts;
+  opts.threads = threads;
+  parallel::deterministic_for(n, opts, [&](std::size_t start) {
+    found[start] = cycles_from(start, edges, lo, up, max_k);
+  });
+
+  // One serial fold in start-then-k order keeps the candidates' order and
+  // bits for any thread count. The same simple cycle is reachable from
+  // each of its nodes; keep the tightest form per pair multiset.
   std::map<std::vector<std::size_t>, std::size_t> seen_cycles;
-  for (std::size_t start = 0; start < n; ++start) {
-    std::vector<std::vector<State>> level(
-        static_cast<std::size_t>(max_k) + 1, std::vector<State>(n));
-    level[0][start].valid = true;  // zero form
-    range_closure(level[0], lo, up);
-    for (int k = 1; k <= max_k; ++k) {
-      for (const Edge& e : edges) {
-        const State& prev = level[k - 1][static_cast<std::size_t>(e.from)];
-        if (!prev.valid) continue;
-        merge_state(level[k][static_cast<std::size_t>(e.to)],
-                    timing::canonical_sum(prev.form, e.delay), e.from,
-                    static_cast<long long>(e.dominant));
-      }
-      range_closure(level[k], lo, up);
-      const State& back = level[k][start];
-      if (!back.valid) continue;
-
-      // Traceback the argmax-by-mean cycle for criticality attribution.
-      std::vector<std::size_t> cycle_pairs;
-      int node = static_cast<int>(start);
-      int kk = k;
-      bool ok = true;
-      for (std::size_t guard = 0; kk > 0 || node != static_cast<int>(start);
-           ++guard) {
-        if (guard > 4 * n * static_cast<std::size_t>(max_k) + 8) {
-          ok = false;
-          break;
-        }
-        const State& st = level[static_cast<std::size_t>(kk)]
-                               [static_cast<std::size_t>(node)];
-        if (st.pred_pair >= 0) {
-          cycle_pairs.push_back(static_cast<std::size_t>(st.pred_pair));
-          --kk;
-        }
-        node = st.pred_node;
-      }
-      if (!ok) cycle_pairs.clear();
-      std::sort(cycle_pairs.begin(), cycle_pairs.end());
-
-      // The same simple cycle is reachable from each of its nodes; keep the
-      // tightest form per pair multiset.
-      const CanonicalDelay period =
-          scale_form(back.form, 1.0 / static_cast<double>(k));
+  for (std::vector<CandidateConstraint>& cycles : found) {
+    for (CandidateConstraint& c : cycles) {
       auto [it, inserted] =
-          seen_cycles.try_emplace(cycle_pairs, out.candidates.size());
+          seen_cycles.try_emplace(c.pairs, out.candidates.size());
       if (inserted) {
-        CandidateConstraint c;
-        c.period = period;
-        c.pairs = cycle_pairs;
-        c.num_edges = k;
         out.candidates.push_back(std::move(c));
-      } else if (period.mean > out.candidates[it->second].period.mean) {
-        out.candidates[it->second].period = period;
-        out.candidates[it->second].num_edges = k;
+      } else if (c.period.mean > out.candidates[it->second].period.mean) {
+        out.candidates[it->second].period = std::move(c.period);
+        out.candidates[it->second].num_edges = c.num_edges;
       }
     }
   }
@@ -354,12 +379,22 @@ McTunedPeriod mc_tuned_period(const core::Problem& problem,
   out.untuned.assign(options.chips, 0.0);
   parallel::ForOptions opts;
   opts.threads = options.threads;
-  parallel::deterministic_for(
-      options.chips, opts, options.seed,
-      [&](std::size_t i, stats::Rng& rng) {
-        thread_local timing::SampleWorkspace ws;
-        const timing::Chip chip = problem.model().sample_chip(rng, ws);
-        out.periods[i] = min_feasible_period(problem, chip, &out.untuned[i]);
+  // Dies are sampled kLanes per kernel call; one workspace and one set of
+  // Chips per span of blocks, reused across its blocks.
+  struct Scratch {
+    timing::LaneWorkspace ws;
+    std::array<timing::Chip, timing::kLanes> chips;
+  };
+  parallel::deterministic_for_blocks<Scratch>(
+      options.chips, timing::kLanes, timing::kLaneSpanBlocks, opts,
+      options.seed,
+      [&](std::size_t first, std::span<stats::Rng> rngs, Scratch& s) {
+        const std::span<timing::Chip> chips(s.chips.data(), rngs.size());
+        problem.model().sample_chips(rngs, s.ws, chips);
+        for (std::size_t b = 0; b < chips.size(); ++b) {
+          out.periods[first + b] =
+              min_feasible_period(problem, chips[b], &out.untuned[first + b]);
+        }
       });
   if (out.periods.empty()) return out;
   out.mean = stats::mean(out.periods);

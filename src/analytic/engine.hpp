@@ -91,15 +91,19 @@ struct TunedPeriodAnalysis {
 /// sampling; cost is O((nb+1)^4) canonical operations — independent of the
 /// chip count that makes the Monte-Carlo flow expensive. The cycle DP runs
 /// to depth nb + 1, which covers every simple cycle of the contracted graph.
+/// Its nb + 1 start nodes, O((nb+1)^3) operations each, fan out over
+/// `threads` workers (0 = shared-pool width, 1 = serial). Each start node
+/// returns its cycles in k order and one serial loop folds them in
+/// start-then-k order, so the result is bit-identical for any value.
 [[nodiscard]] TunedPeriodAnalysis analyze_tuned_period(
-    const core::Problem& problem);
+    const core::Problem& problem, std::size_t threads = 0);
 
 struct McTunedOptions {
   std::size_t chips = 1000;
   std::uint64_t seed = 2016;
   /// Worker threads (0 = shared-pool width); results are bit-identical for
-  /// any value (parallel::deterministic_for + per-chip index_seed streams,
-  /// the same convention as the flow's tester loop).
+  /// any value (parallel::deterministic_for_blocks + per-chip index_seed
+  /// streams, the same convention as the flow's tester loop).
   std::size_t threads = 0;
 };
 
@@ -134,7 +138,8 @@ struct McTunedPeriod {
 
 /// Sample `chips` dies (per-chip stream = Rng(index_seed(seed, i)), the
 /// flow's convention) and compute each die's exact minimal feasible period
-/// and its untuned required period.
+/// and its untuned required period. Dies are sampled kLanes per kernel call
+/// (timing::CircuitModel::sample_chips), bit for bit sample_chip's.
 [[nodiscard]] McTunedPeriod mc_tuned_period(const core::Problem& problem,
                                             const McTunedOptions& options = {});
 

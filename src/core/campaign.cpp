@@ -191,7 +191,7 @@ CampaignResult CampaignRunner::run(
       slot.job = job;
       if (job.kind == JobKind::kAnalytic) {
         if (!analysis) {
-          analysis = analytic::analyze_tuned_period(problem);
+          analysis = analytic::analyze_tuned_period(problem, opts.threads);
         }
         FlowMetrics m;
         m.nb = problem.num_buffers();

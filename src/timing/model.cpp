@@ -355,29 +355,61 @@ Chip CircuitModel::sample_chip(stats::Rng& rng) const {
   return sample_chip(rng, ws);
 }
 
-Chip CircuitModel::sample_chip(stats::Rng& rng, SampleWorkspace& ws) const {
-  draw_deviates<1>(std::span(&rng, 1), ws);
+template <std::size_t Lanes>
+void CircuitModel::sample_dies(std::span<stats::Rng> rngs, LaneWorkspace& ws,
+                               std::span<Chip> chips) const {
+  draw_deviates<Lanes>(rngs, ws);
   const FormTable& t = table_;
   const std::size_t np = pairs_.size();
-  Chip chip;
-  chip.max_delay.resize(np);
-  chip.min_delay.resize(np);
+  const std::size_t n = Lanes == 1 ? 1 : chips.size();
+  double* max_out[Lanes] = {};
+  double* min_out[Lanes] = {};
+  double* static_out[Lanes] = {};
+  for (std::size_t b = 0; b < n; ++b) {
+    chips[b].max_delay.resize(np);
+    chips[b].min_delay.resize(np);
+    chips[b].static_delay.resize(t.forms.size() - t.pair_forms.back());
+    max_out[b] = chips[b].max_delay.data();
+    min_out[b] = chips[b].min_delay.data();
+    static_out[b] = chips[b].static_delay.data();
+  }
+  double d[Lanes] = {};
   std::size_t inflated = 0;
   std::size_t k = 0;
   for (std::size_t i = 0; i < np; ++i) {
     const std::size_t min_k = t.pair_forms[i + 1] - 1;
-    double worst = -std::numeric_limits<double>::infinity();
+    double worst[Lanes];
+    std::fill_n(worst, Lanes, -std::numeric_limits<double>::infinity());
     for (; k < min_k; ++k) {
-      double d = 0.0;
-      t.eval<1>(t.forms[k], ws, inflated, &d);
-      worst = std::max(worst, d);
+      t.eval<Lanes>(t.forms[k], ws, inflated, d);
+      for (std::size_t b = 0; b < Lanes; ++b) {
+        worst[b] = std::max(worst[b], d[b]);
+      }
     }
-    chip.max_delay[i] = worst;
-    t.eval<1>(t.forms[k++], ws, inflated, &chip.min_delay[i]);
+    t.eval<Lanes>(t.forms[k++], ws, inflated, d);
+    for (std::size_t b = 0; b < n; ++b) {
+      max_out[b][i] = worst[b];
+      min_out[b][i] = d[b];
+    }
   }
-  chip.static_delay.resize(t.forms.size() - k);
-  for (double& d : chip.static_delay) t.eval<1>(t.forms[k++], ws, inflated, &d);
+  for (std::size_t s = 0; k < t.forms.size(); ++k, ++s) {
+    t.eval<Lanes>(t.forms[k], ws, inflated, d);
+    for (std::size_t b = 0; b < n; ++b) static_out[b][s] = d[b];
+  }
+}
+
+Chip CircuitModel::sample_chip(stats::Rng& rng, SampleWorkspace& ws) const {
+  Chip chip;
+  sample_dies<1>(std::span(&rng, 1), ws, std::span(&chip, 1));
   return chip;
+}
+
+void CircuitModel::sample_chips(std::span<stats::Rng> rngs, LaneWorkspace& ws,
+                                std::span<Chip> chips) const {
+  if (chips.size() != rngs.size()) {
+    throw std::invalid_argument("CircuitModel: one Chip per die expected");
+  }
+  sample_dies<kLanes>(rngs, ws, chips);
 }
 
 std::array<double, kLanes> CircuitModel::sample_required_periods(

@@ -34,16 +34,19 @@
 // table order, skipped forms included), stored lane-minor ([index][lane])
 // in a LaneWorkspace. Each form is then accumulated for all lanes at once:
 // mean + (sum w * z) in k-ascending order, then the mismatch terms, then
-// the inflation deviate. sample_chip runs the kernel at one lane (its
-// factors are sampled straight into the workspace) and reads every form of
-// the die. The two Monte-Carlo loops that read only part of a die (T_d
-// calibration reads the required period, hold sampling the min delays) run
-// it at kLanes, where the independent add chains hide the latency that
-// bounds a single die's walk. Lane b's values and the position of rngs[b]
-// equal sample_chip's on that Rng bit for bit at either width. A
-// LaneWorkspace is an allocation cache of about (factors + slots) * lanes
-// doubles. At kLanes keep one per loop body over a span of blocks, not per
-// thread, so its memory is released when the loop ends.
+// the inflation deviate. One full-die walk reads every form of the die
+// (per pair the max over its alternatives, then its min form; the static
+// forms last): sample_chip runs it at one lane (its factors are sampled
+// straight into the workspace), sample_chips at kLanes. Three readers run
+// the kernel at kLanes, where the independent add chains hide the latency
+// that bounds a single die's walk: sample_required_periods (T_d calibration
+// reads the required period), sample_min_delays (hold sampling reads the
+// min delays) and sample_chips (the post-tuning Monte-Carlo reference reads
+// whole dies). Lane b's values and the position of rngs[b] equal
+// sample_chip's on that Rng bit for bit at either width. A LaneWorkspace is
+// an allocation cache of about (factors + slots) * lanes doubles. At kLanes
+// keep one per loop body over a span of blocks, never per thread (no
+// thread_local), so its memory is released when the loop ends.
 
 #include <array>
 #include <cstddef>
@@ -178,6 +181,14 @@ class CircuitModel {
   /// Same draws, same values, reusing the caller's workspace buffers.
   [[nodiscard]] Chip sample_chip(stats::Rng& rng, SampleWorkspace& ws) const;
 
+  /// Full dies of rngs.size() <= kLanes streams (lane kernel): chips[b]
+  /// receives the die sampled on rngs[b], bit for bit sample_chip's, and
+  /// rngs[b] advances exactly as sample_chip advances it. chips.size() must
+  /// equal rngs.size(); Chips of the right sizes are reused without
+  /// allocating.
+  void sample_chips(std::span<stats::Rng> rngs, LaneWorkspace& ws,
+                    std::span<Chip> chips) const;
+
   /// Untuned required periods of rngs.size() <= kLanes dies (lane kernel):
   /// entry b is the max over the monitored and promoted-static max delays
   /// of the die sampled on rngs[b], bit for bit sample_chip's values, and
@@ -216,6 +227,11 @@ class CircuitModel {
   /// Draws the deviates of rngs.size() <= Lanes dies into ws.
   template <std::size_t Lanes>
   void draw_deviates(std::span<stats::Rng> rngs, LaneWorkspace& ws) const;
+  /// The full-die walk of sample_chip (Lanes = 1) and sample_chips
+  /// (Lanes = kLanes): chips[b] receives the die sampled on rngs[b].
+  template <std::size_t Lanes>
+  void sample_dies(std::span<stats::Rng> rngs, LaneWorkspace& ws,
+                   std::span<Chip> chips) const;
   [[nodiscard]] double form_cov(const DelayForm& a, const DelayForm& b) const;
   void apply_inflation(DelayForm& f) const;
   void compile_form_table();

@@ -32,8 +32,10 @@ TEST(SamplingAllocations, WarmWorkspaceCountsArePinned) {
     SampleWorkspace ws;
     std::vector<stats::Rng> block(kLanes, stats::Rng(8));
     LaneWorkspace lanes;
+    std::vector<Chip> dies(kLanes);
     (void)m.sample_chip(rng, ws);
     (void)m.sample_min_delays(block, lanes);
+    m.sample_chips(block, lanes, dies);
 
     for (int die = 0; die < 3; ++die) {
       // A warm lane workspace: no allocation per block, full or short.
@@ -44,6 +46,11 @@ TEST(SamplingAllocations, WarmWorkspaceCountsArePinned) {
                   0u);
         EXPECT_EQ(allocations_during(
                       [&] { (void)m.sample_min_delays(rngs, lanes); }),
+                  0u);
+        // Whole dies into warm Chips: none either.
+        const std::span<Chip> chips(dies.data(), n);
+        EXPECT_EQ(allocations_during(
+                      [&] { m.sample_chips(rngs, lanes, chips); }),
                   0u);
       }
       // One allocation per non-empty Chip vector: max_delay, min_delay and,

@@ -3,8 +3,8 @@
 // grid search, the criticality accounting (masses sum to 1), the
 // untuned form against the block-based SSTA it must reproduce, the
 // yield-curve/quantile inverse pair, and bit-identical determinism of
-// the Monte-Carlo reference across thread counts, whose one pass yields
-// each die's untuned and tuned periods.
+// the analysis and of the Monte-Carlo reference across thread counts; the
+// reference's one pass yields each die's untuned and tuned periods.
 
 #include "analytic/engine.hpp"
 
@@ -207,6 +207,37 @@ TEST(AnalyticEngine, AnalysisIsDeterministic) {
   for (std::size_t i = 0; i < a.candidates.size(); ++i) {
     EXPECT_EQ(a.candidates[i].criticality, b.candidates[i].criticality);
     EXPECT_EQ(a.candidates[i].pairs, b.candidates[i].pairs);
+  }
+}
+
+TEST(AnalyticEngine, AnalysisIsThreadInvariant) {
+  // The start nodes' DPs fan out; their cycles are folded serially in
+  // start-then-k order, so every output keeps its bits for any thread
+  // count. Twelve buffers give thirteen start nodes to share.
+  static const Fixture f(120, 1600, 12, 48, 13);
+  ASSERT_GE(f.problem.num_buffers(), 10u);
+  const analytic::TunedPeriodAnalysis serial =
+      analytic::analyze_tuned_period(f.problem, 1);
+  ASSERT_GT(serial.candidates.size(), 1u);
+  for (const std::size_t threads : {2u, 4u}) {
+    SCOPED_TRACE(threads);
+    const analytic::TunedPeriodAnalysis a =
+        analytic::analyze_tuned_period(f.problem, threads);
+    ASSERT_EQ(a.candidates.size(), serial.candidates.size());
+    for (std::size_t i = 0; i < a.candidates.size(); ++i) {
+      const analytic::CandidateConstraint& c = a.candidates[i];
+      const analytic::CandidateConstraint& want = serial.candidates[i];
+      EXPECT_EQ(c.period.mean, want.period.mean) << "candidate " << i;
+      EXPECT_EQ(c.period.sigma(), want.period.sigma()) << "candidate " << i;
+      EXPECT_EQ(c.pairs, want.pairs) << "candidate " << i;
+      EXPECT_EQ(c.num_edges, want.num_edges) << "candidate " << i;
+      EXPECT_EQ(c.criticality, want.criticality) << "candidate " << i;
+    }
+    EXPECT_EQ(a.tuned.mean, serial.tuned.mean);
+    EXPECT_EQ(a.tuned.loading, serial.tuned.loading);
+    EXPECT_EQ(a.tuned.indep_var, serial.tuned.indep_var);
+    EXPECT_EQ(a.pair_criticality, serial.pair_criticality);
+    EXPECT_EQ(a.static_criticality, serial.static_criticality);
   }
 }
 

@@ -1,8 +1,9 @@
 // Oracles for CircuitModel's compiled form table: die sampling and the
 // covariance fill walk flat arrays, and must reproduce the per-DelayForm
 // evaluation and the sorted-merge covariance bit for bit on every catalog
-// circuit, nominal and under the Fig-7 inflation. The lane kernels must
-// reproduce sample_chip, die by die.
+// circuit, nominal and under the Fig-7 inflation. The three lane kernels
+// (required periods, min delays, whole dies) must reproduce sample_chip,
+// die by die.
 
 #include <gtest/gtest.h>
 
@@ -99,24 +100,31 @@ CircuitModel catalog_model(const netlist::GeneratedCircuit& c,
   return CircuitModel(c.netlist, lib(), c.buffered_ffs, options);
 }
 
-/// Lane b of one lane-kernel call over `seeds` against sample_chip on its
-/// own Rng(seeds[b]): the required period (max over the monitored and
-/// static max delays, from 0 like core::untuned_required_period) and the
-/// min delays bit for bit, and every rng at sample_chip's next word.
+/// Lane b of one call of each lane kernel over `seeds` against sample_chip
+/// on its own Rng(seeds[b]): the required period (max over the monitored
+/// and static max delays, from 0 like core::untuned_required_period), the
+/// min delays and sample_chips' whole die bit for bit, and every rng at
+/// sample_chip's next word. `dies` (kLanes Chips) is reused across calls,
+/// so its Chips may hold an earlier call's dies.
 void expect_lanes_match_sample_chip(const CircuitModel& m,
                                     std::span<const std::uint64_t> seeds,
-                                    LaneWorkspace& lanes) {
+                                    LaneWorkspace& lanes,
+                                    std::vector<Chip>& dies) {
   std::vector<stats::Rng> period_rngs;
   std::vector<stats::Rng> min_rngs;
+  std::vector<stats::Rng> chip_rngs;
   for (std::uint64_t seed : seeds) {
     period_rngs.emplace_back(seed);
     min_rngs.emplace_back(seed);
+    chip_rngs.emplace_back(seed);
   }
   const std::array<double, kLanes> periods =
       m.sample_required_periods(period_rngs, lanes);
   const std::span<const double> min_delay =
       m.sample_min_delays(min_rngs, lanes);
   ASSERT_EQ(min_delay.size(), m.num_pairs() * kLanes);
+  ASSERT_EQ(dies.size(), kLanes);
+  m.sample_chips(chip_rngs, lanes, std::span(dies).first(seeds.size()));
   for (std::size_t b = 0; b < seeds.size(); ++b) {
     SCOPED_TRACE("lane " + std::to_string(b) + " of " +
                  std::to_string(seeds.size()));
@@ -132,9 +140,14 @@ void expect_lanes_match_sample_chip(const CircuitModel& m,
       lane_min[p] = min_delay[p * kLanes + b];
     }
     expect_bits_equal(lane_min, chip.min_delay, "sample_min_delays");
+    expect_bits_equal(dies[b].max_delay, chip.max_delay, "sample_chips max");
+    expect_bits_equal(dies[b].min_delay, chip.min_delay, "sample_chips min");
+    expect_bits_equal(dies[b].static_delay, chip.static_delay,
+                      "sample_chips static");
     const std::uint64_t next = rng.engine()();
     ASSERT_EQ(period_rngs[b].engine()(), next);
     ASSERT_EQ(min_rngs[b].engine()(), next);
+    ASSERT_EQ(chip_rngs[b].engine()(), next);
   }
 }
 
@@ -168,7 +181,8 @@ TEST(FormTable, SamplersMatchPerFormEvaluationOnTheCatalog) {
       }
       // The lane kernels walk the same table: the three dies in one call.
       LaneWorkspace lanes;
-      expect_lanes_match_sample_chip(m, kSeeds, lanes);
+      std::vector<Chip> dies(kLanes);
+      expect_lanes_match_sample_chip(m, kSeeds, lanes, dies);
     }
   }
 }
@@ -183,10 +197,11 @@ TEST(FormTable, LaneKernelsMatchSampleChipForEveryBlockSize) {
       SCOPED_TRACE(std::string(name) + " @" + std::to_string(inflation));
       const CircuitModel m = catalog_model(c, inflation);
       LaneWorkspace lanes;
+      std::vector<Chip> dies(kLanes);
       for (std::size_t n = 1; n <= kLanes; ++n) {
         std::vector<std::uint64_t> seeds;
         for (std::size_t b = 0; b < n; ++b) seeds.push_back(100 * n + b);
-        expect_lanes_match_sample_chip(m, seeds, lanes);
+        expect_lanes_match_sample_chip(m, seeds, lanes, dies);
       }
     }
   }

@@ -647,7 +647,7 @@ int cmd_ssta(const Cli& cli) {
   double analytic_seconds = 0.0;
   if (tuned) {
     const auto a0 = std::chrono::steady_clock::now();
-    tuned_analysis = analytic::analyze_tuned_period(problem);
+    tuned_analysis = analytic::analyze_tuned_period(problem, threads);
     analytic_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - a0)
             .count();
